@@ -1,16 +1,18 @@
 //! The versioned snapshot format (DESIGN.md §10).
 //!
 //! ```text
-//! magic "FLSACKP1" (8 bytes)  version u32
-//! section*:  tag u8 | payload_len u64 | payload | crc32(payload) u32
+//! magic "FLSACKP1" (8 bytes)  version u32 (= 2)
+//! section*:  one codec frame each (crate::wire)
 //! tags:      1 meta · 2 run header · 3 partial path · 4 frame (×N) · 5 end
 //! ```
 //!
-//! Every section is independently CRC32-framed, the end section makes
-//! truncation detectable, and the meta section carries content digests
-//! (scheme, sequences, config) so a snapshot can never be resumed
+//! Every section is one CRC32 frame of the shared codec, the end section
+//! makes truncation detectable, and the meta section carries content
+//! digests (scheme, sequences, config) so a snapshot can never be resumed
 //! against the wrong inputs. Snapshots are *self-contained*: they embed
 //! the encoded sequences, so `flsa resume <path>` needs no other files.
+
+use std::io::Read;
 
 use fastlsa_core::checkpoint::{CheckpointState, FrameState, GridState};
 use fastlsa_core::{FastLsaConfig, ParallelConfig};
@@ -18,11 +20,12 @@ use flsa_dp::Move;
 use flsa_scoring::ScoringScheme;
 use flsa_seq::Sequence;
 
-use crate::wire::{crc32, Cur, Enc, Fnv1a};
+use crate::wire::{self, Cur, Enc, Fnv1a};
 use crate::CheckpointError;
 
 pub const MAGIC: &[u8; 8] = b"FLSACKP1";
-pub const FORMAT_VERSION: u32 = 1;
+/// Snapshots of any other version are refused as corrupt.
+pub const FORMAT_VERSION: u32 = 2;
 
 const TAG_META: u8 = 1;
 const TAG_HEADER: u8 = 2;
@@ -182,15 +185,11 @@ fn config_digest(c: &FastLsaConfig) -> u64 {
     h.finish()
 }
 
-fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+fn corrupt(detail: impl Into<String>) -> CheckpointError {
+    CheckpointError::Corrupt(detail.into())
 }
 
-fn encode_meta(meta: &SnapshotMeta) -> Vec<u8> {
-    let mut e = Enc::default();
+fn encode_meta(e: &mut Enc, meta: &SnapshotMeta) {
     e.u64(meta.every_blocks);
     e.str(&meta.scheme_name);
     e.i32(meta.gap_penalty);
@@ -210,11 +209,10 @@ fn encode_meta(meta: &SnapshotMeta) -> Vec<u8> {
         e.usize(d.base_cells);
         e.usize(d.threads);
     }
-    e.buf
 }
 
-fn decode_meta(payload: &[u8]) -> Result<SnapshotMeta, CheckpointError> {
-    let mut c = Cur::new(payload);
+fn decode_meta(body: &[u8]) -> Result<SnapshotMeta, CheckpointError> {
+    let mut c = Cur::new(body);
     let every_blocks = c.u64()?;
     let scheme_name = c.str()?;
     let gap_penalty = c.i32()?;
@@ -231,9 +229,7 @@ fn decode_meta(payload: &[u8]) -> Result<SnapshotMeta, CheckpointError> {
         (&seq_b_id, &seq_b, digest_b, "B"),
     ] {
         if sequence_digest(id, codes) != digest {
-            return Err(CheckpointError::Corrupt(format!(
-                "sequence {what} digest mismatch"
-            )));
+            return Err(corrupt(format!("sequence {what} digest mismatch")));
         }
     }
     let n_degrades = c.u32()?;
@@ -247,9 +243,7 @@ fn decode_meta(payload: &[u8]) -> Result<SnapshotMeta, CheckpointError> {
             threads: c.usize()?,
         });
     }
-    if !c.done() {
-        return Err(CheckpointError::Corrupt("trailing bytes in meta".into()));
-    }
+    c.finish()?;
     Ok(SnapshotMeta {
         every_blocks,
         scheme_name,
@@ -264,8 +258,7 @@ fn decode_meta(payload: &[u8]) -> Result<SnapshotMeta, CheckpointError> {
     })
 }
 
-fn encode_header(state: &CheckpointState) -> Vec<u8> {
-    let mut e = Enc::default();
+fn encode_header(e: &mut Enc, state: &CheckpointState) {
     e.usize(state.config.k);
     e.usize(state.config.base_cells);
     match state.config.parallel {
@@ -280,7 +273,6 @@ fn encode_header(state: &CheckpointState) -> Vec<u8> {
     e.u64(state.blocks_done);
     e.u32(state.generation);
     e.u32(state.frames.len() as u32);
-    e.buf
 }
 
 struct Header {
@@ -290,8 +282,8 @@ struct Header {
     frame_count: u32,
 }
 
-fn decode_header(payload: &[u8]) -> Result<Header, CheckpointError> {
-    let mut c = Cur::new(payload);
+fn decode_header(body: &[u8]) -> Result<Header, CheckpointError> {
+    let mut c = Cur::new(body);
     let k = c.usize()?;
     let base_cells = c.usize()?;
     let parallel = match c.u8()? {
@@ -300,64 +292,49 @@ fn decode_header(payload: &[u8]) -> Result<Header, CheckpointError> {
             threads: c.usize()?,
             tiles_per_block: c.usize()?,
         }),
-        other => {
-            return Err(CheckpointError::Corrupt(format!(
-                "bad parallel flag {other}"
-            )))
-        }
+        other => return Err(corrupt(format!("bad parallel flag {other}"))),
     };
     let config = FastLsaConfig {
         k,
         base_cells,
         parallel,
     };
-    let digest = c.u64()?;
-    if digest != config_digest(&config) {
-        return Err(CheckpointError::Corrupt("config digest mismatch".into()));
+    if c.u64()? != config_digest(&config) {
+        return Err(corrupt("config digest mismatch"));
     }
-    let blocks_done = c.u64()?;
-    let generation = c.u32()?;
-    let frame_count = c.u32()?;
-    if !c.done() {
-        return Err(CheckpointError::Corrupt("trailing bytes in header".into()));
-    }
-    Ok(Header {
+    let header = Header {
         config,
-        blocks_done,
-        generation,
-        frame_count,
-    })
+        blocks_done: c.u64()?,
+        generation: c.u32()?,
+        frame_count: c.u32()?,
+    };
+    c.finish()?;
+    Ok(header)
 }
 
-fn encode_path(moves: &[Move]) -> Vec<u8> {
-    let mut e = Enc::default();
+fn encode_path(e: &mut Enc, moves: &[Move]) {
     e.usize(moves.len());
     for &m in moves {
         e.u8(m.code());
     }
-    e.buf
 }
 
-fn decode_path(payload: &[u8]) -> Result<Vec<Move>, CheckpointError> {
-    let mut c = Cur::new(payload);
+fn decode_path(body: &[u8]) -> Result<Vec<Move>, CheckpointError> {
+    let mut c = Cur::new(body);
     let n = c.len(1)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let code = c.u8()?;
         out.push(
-            Move::from_code(code).ok_or_else(|| {
-                CheckpointError::Corrupt(format!("invalid path move code {code}"))
-            })?,
+            Move::from_code(code)
+                .ok_or_else(|| corrupt(format!("invalid path move code {code}")))?,
         );
     }
-    if !c.done() {
-        return Err(CheckpointError::Corrupt("trailing bytes in path".into()));
-    }
+    c.finish()?;
     Ok(out)
 }
 
-fn encode_frame(f: &FrameState) -> Vec<u8> {
-    let mut e = Enc::default();
+fn encode_frame(e: &mut Enc, f: &FrameState) {
     e.usize(f.r0);
     e.usize(f.c0);
     e.usize(f.rows);
@@ -382,11 +359,10 @@ fn encode_frame(f: &FrameState) -> Vec<u8> {
             }
         }
     }
-    e.buf
 }
 
-fn decode_frame(payload: &[u8]) -> Result<FrameState, CheckpointError> {
-    let mut c = Cur::new(payload);
+fn decode_frame(body: &[u8]) -> Result<FrameState, CheckpointError> {
+    let mut c = Cur::new(body);
     let r0 = c.usize()?;
     let c0 = c.usize()?;
     let rows = c.usize()?;
@@ -399,16 +375,10 @@ fn decode_frame(payload: &[u8]) -> Result<FrameState, CheckpointError> {
         1 => {
             let row_bounds = c.usizes()?;
             let col_bounds = c.usizes()?;
-            let n_rows = c.u32()? as usize;
-            let mut rows_cache = Vec::new();
-            for _ in 0..n_rows {
-                rows_cache.push(c.i32s()?);
-            }
-            let n_cols = c.u32()? as usize;
-            let mut cols_cache = Vec::new();
-            for _ in 0..n_cols {
-                cols_cache.push(c.i32s()?);
-            }
+            let n_rows = c.u32()?;
+            let rows_cache = (0..n_rows).map(|_| c.i32s()).collect::<Result<_, _>>()?;
+            let n_cols = c.u32()?;
+            let cols_cache = (0..n_cols).map(|_| c.i32s()).collect::<Result<_, _>>()?;
             Some(GridState {
                 row_bounds,
                 col_bounds,
@@ -416,13 +386,9 @@ fn decode_frame(payload: &[u8]) -> Result<FrameState, CheckpointError> {
                 cols_cache,
             })
         }
-        other => {
-            return Err(CheckpointError::Corrupt(format!("bad grid flag {other}")));
-        }
+        other => return Err(corrupt(format!("bad grid flag {other}"))),
     };
-    if !c.done() {
-        return Err(CheckpointError::Corrupt("trailing bytes in frame".into()));
-    }
+    c.finish()?;
     Ok(FrameState {
         r0,
         c0,
@@ -437,32 +403,34 @@ fn decode_frame(payload: &[u8]) -> Result<FrameState, CheckpointError> {
 
 /// Serializes a snapshot to its durable byte form.
 pub fn encode(meta: &SnapshotMeta, state: &CheckpointState) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    push_section(&mut out, TAG_META, &encode_meta(meta));
-    push_section(&mut out, TAG_HEADER, &encode_header(state));
-    push_section(&mut out, TAG_PATH, &encode_path(&state.rev_moves));
+    let mut e = Enc {
+        buf: Vec::with_capacity(4096),
+    };
+    e.buf.extend_from_slice(MAGIC);
+    e.u32(FORMAT_VERSION);
+    e.frame(TAG_META, |e| encode_meta(e, meta));
+    e.frame(TAG_HEADER, |e| encode_header(e, state));
+    e.frame(TAG_PATH, |e| encode_path(e, &state.rev_moves));
     for f in &state.frames {
-        push_section(&mut out, TAG_FRAME, &encode_frame(f));
+        e.frame(TAG_FRAME, |e| encode_frame(e, f));
     }
-    push_section(&mut out, TAG_END, &[]);
-    out
+    e.frame(TAG_END, |_| {});
+    e.buf
 }
 
 /// Parses and verifies a snapshot. Every framing, CRC, digest, or
 /// structural violation is a [`CheckpointError::Corrupt`]; no input can
 /// make this panic or over-allocate.
 pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
-    let mut c = Cur::new(bytes);
-    if c.take(8)? != MAGIC {
-        return Err(CheckpointError::Corrupt(
-            "bad magic (not a FastLSA checkpoint)".into(),
-        ));
-    }
-    let version = c.u32()?;
+    let mut r = bytes;
+    wire::read_preamble(&mut r, MAGIC)
+        .map_err(|_| corrupt("bad magic (not a FastLSA checkpoint)"))?;
+    let mut version = [0u8; 4];
+    r.read_exact(&mut version)
+        .map_err(|_| corrupt("truncated before the format version"))?;
+    let version = u32::from_le_bytes(version);
     if version != FORMAT_VERSION {
-        return Err(CheckpointError::Corrupt(format!(
+        return Err(corrupt(format!(
             "unsupported format version {version} (expected {FORMAT_VERSION})"
         )));
     }
@@ -472,46 +440,34 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     let mut path: Option<Vec<Move>> = None;
     let mut frames: Vec<FrameState> = Vec::new();
     let mut ended = false;
-    while !c.done() {
+    while !r.is_empty() {
         if ended {
-            return Err(CheckpointError::Corrupt(
-                "data after the end section".into(),
-            ));
+            return Err(corrupt("data after the end section"));
         }
-        let tag = c.u8()?;
-        let len = c.len(1)?;
-        let payload = c.take(len)?;
-        let stored_crc = c.u32()?;
-        let actual = crc32(payload);
-        if stored_crc != actual {
-            return Err(CheckpointError::Corrupt(format!(
-                "section {tag} CRC mismatch (stored {stored_crc:#010x}, computed {actual:#010x})"
-            )));
-        }
+        // The cap is the bytes present, so no length can over-allocate.
+        let cap = r.len();
+        let (tag, body) = wire::read_frame(&mut r, cap)?;
         match tag {
-            TAG_META if meta.is_none() => meta = Some(decode_meta(payload)?),
-            TAG_HEADER if header.is_none() => header = Some(decode_header(payload)?),
-            TAG_PATH if path.is_none() => path = Some(decode_path(payload)?),
-            TAG_FRAME => frames.push(decode_frame(payload)?),
-            TAG_END if payload.is_empty() => ended = true,
+            TAG_META if meta.is_none() => meta = Some(decode_meta(&body)?),
+            TAG_HEADER if header.is_none() => header = Some(decode_header(&body)?),
+            TAG_PATH if path.is_none() => path = Some(decode_path(&body)?),
+            TAG_FRAME => frames.push(decode_frame(&body)?),
+            TAG_END if body.is_empty() => ended = true,
             _ => {
-                return Err(CheckpointError::Corrupt(format!(
+                return Err(corrupt(format!(
                     "unexpected or duplicate section tag {tag}"
-                )));
+                )))
             }
         }
     }
     if !ended {
-        return Err(CheckpointError::Corrupt(
-            "snapshot truncated (no end section)".into(),
-        ));
+        return Err(corrupt("snapshot truncated (no end section)"));
     }
-    let meta = meta.ok_or_else(|| CheckpointError::Corrupt("missing meta section".into()))?;
-    let header =
-        header.ok_or_else(|| CheckpointError::Corrupt("missing run header section".into()))?;
-    let rev_moves = path.ok_or_else(|| CheckpointError::Corrupt("missing path section".into()))?;
+    let meta = meta.ok_or_else(|| corrupt("missing meta section"))?;
+    let header = header.ok_or_else(|| corrupt("missing run header section"))?;
+    let rev_moves = path.ok_or_else(|| corrupt("missing path section"))?;
     if frames.len() != header.frame_count as usize {
-        return Err(CheckpointError::Corrupt(format!(
+        return Err(corrupt(format!(
             "header promises {} frames, found {}",
             header.frame_count,
             frames.len()

@@ -4,10 +4,14 @@
 //! frame stack ([`fastlsa_core::CheckpointState`]); this crate gives that
 //! state a durable on-disk form:
 //!
-//! - [`format`]: a versioned, CRC32-framed binary snapshot embedding the
-//!   inputs (sequences, scheme digest, config) next to the recursion
-//!   state, so a snapshot can be resumed with nothing but the file —
-//!   and can *never* be resumed against the wrong inputs.
+//! - [`wire`]: the one frame codec (length, tag, CRC32, caps checked
+//!   before allocation) that snapshots, shard pipes, serve sockets and
+//!   the serve spool all share.
+//! - [`format`]: a versioned binary snapshot, one codec frame per
+//!   section, embedding the inputs (sequences, scheme digest, config)
+//!   next to the recursion state, so a snapshot can be resumed with
+//!   nothing but the file — and can *never* be resumed against the
+//!   wrong inputs.
 //! - [`FileCheckpointSink`]: an atomic, double-buffered file writer
 //!   (write temp → fsync → rename) wired into
 //!   [`fastlsa_core::AlignOptions::checkpoint`]; a crash mid-write
@@ -58,6 +62,13 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+/// Every codec failure inside a snapshot is corruption.
+impl From<wire::WireError> for CheckpointError {
+    fn from(e: wire::WireError) -> Self {
+        CheckpointError::Corrupt(e.to_string())
+    }
+}
 
 impl From<CheckpointError> for AlignError {
     fn from(e: CheckpointError) -> Self {

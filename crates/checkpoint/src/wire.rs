@@ -1,20 +1,76 @@
-//! Byte-level primitives for the snapshot format: little-endian scalar
-//! encoding, a bounds-checked read cursor, CRC32 (IEEE) section
-//! checksums, and FNV-1a 64 content digests.
+//! The one frame codec for every byte FastLSA moves across a process
+//! boundary: checkpoint snapshots, `FLSASHD2` shard pipes, `FLSASRV2`
+//! serve sockets and the serve spool (DESIGN.md §10).
 //!
-//! Everything here is written against hostile input: the cursor never
-//! reads past its slice, and every length field is validated against the
-//! bytes actually present *before* any allocation, so truncated or
-//! bit-flipped snapshots fail with a structured error instead of an
-//! allocation bomb or a panic.
+//! ```text
+//! +-------------+---------+-------------------+---------------------------+
+//! | len: u64 LE | tag: u8 | body (len bytes)  | crc32(tag ‖ body): u32 LE |
+//! +-------------+---------+-------------------+---------------------------+
+//! ```
+//!
+//! Each format is a table of tags over this layout: [`Enc::frame`] writes
+//! a frame, [`read_frame`] reads one back, and [`Cur`] parses its body.
+//! Everything here is written against hostile input: `len` is checked
+//! against the caller's cap before any buffer is reserved, every inner
+//! length against the bytes actually present, and the CRC covers every
+//! byte after the length. A truncated or bit-flipped frame fails with a
+//! [`WireError`] instead of an allocation bomb, a panic, or a silently
+//! different message. The module also holds the FNV-1a content digest
+//! snapshots use.
 
+use std::io::{ErrorKind, Read};
 use std::sync::OnceLock;
 
-use crate::CheckpointError;
+/// Bytes in front of a frame's body: the `u64` length and the tag.
+pub const HEADER_LEN: usize = 9;
 
-/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the framing
-/// checksum of every snapshot section.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// Typed decode/transport failure, shared by every format.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WireError {
+    /// Framing damage: a bad preamble, a length over the cap, or a
+    /// stream that ended mid-frame. The stream cannot be re-synchronized.
+    Frame {
+        /// What was wrong with the framing.
+        detail: String,
+    },
+    /// A complete frame that failed its CRC or did not parse.
+    Malformed {
+        /// What failed to verify or parse.
+        detail: String,
+    },
+    /// Transport I/O error.
+    Io {
+        /// The underlying error.
+        detail: String,
+    },
+    /// Clean end of stream between frames.
+    Closed,
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireError::Frame { detail } => write!(f, "framing error: {detail}"),
+            WireError::Malformed { detail } => write!(f, "malformed frame: {detail}"),
+            WireError::Io { detail } => write!(f, "i/o error: {detail}"),
+            WireError::Closed => write!(f, "stream closed"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+impl From<std::io::Error> for WireError {
+    fn from(e: std::io::Error) -> Self {
+        WireError::Io {
+            detail: e.to_string(),
+        }
+    }
+}
+
+/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `parts` laid
+/// end to end — the checksum of every frame.
+fn crc32(parts: &[&[u8]]) -> u32 {
     static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let mut t = [0u32; 256];
@@ -32,8 +88,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         t
     });
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    for part in parts {
+        for &b in *part {
+            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
     }
     !crc
 }
@@ -70,13 +128,24 @@ impl Fnv1a {
     }
 }
 
-/// Append-only encoder for section payloads.
+/// Append-only little-endian encoder for frames and their bodies.
 #[derive(Default)]
 pub struct Enc {
     pub buf: Vec<u8>,
 }
 
 impl Enc {
+    /// Appends one frame: the header, the body `body` writes, the CRC.
+    pub fn frame(&mut self, tag: u8, body: impl FnOnce(&mut Enc)) {
+        let start = self.buf.len();
+        self.u64(0); // the length, patched once the body is written
+        self.u8(tag);
+        body(self);
+        let len = (self.buf.len() - start - HEADER_LEN) as u64;
+        self.buf[start..start + 8].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&[&self.buf[start + 8..]]);
+        self.u32(crc);
+    }
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -117,11 +186,77 @@ impl Enc {
     }
 }
 
-fn corrupt(detail: impl Into<String>) -> CheckpointError {
-    CheckpointError::Corrupt(detail.into())
+/// Fills `buf` from `r`; returns how many bytes arrived before the end
+/// of the stream.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, WireError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(got)
 }
 
-/// Bounds-checked read cursor over a payload slice.
+/// Reads the 8-byte preamble that opens a stream and checks it is `want`.
+pub fn read_preamble(r: &mut impl Read, want: &[u8; 8]) -> Result<(), WireError> {
+    let mut got = [0u8; 8];
+    match read_full(r, &mut got)? {
+        0 => Err(WireError::Closed),
+        8 if &got == want => Ok(()),
+        n => Err(WireError::Frame {
+            detail: format!(
+                "bad preamble {:?} (expected {:?})",
+                String::from_utf8_lossy(&got[..n]),
+                String::from_utf8_lossy(want)
+            ),
+        }),
+    }
+}
+
+/// Reads one frame and verifies its CRC, returning the tag and body. A
+/// length over `cap` is rejected before any buffer is reserved. A clean
+/// end of stream before the first byte is [`WireError::Closed`]; one
+/// anywhere inside the frame is framing damage.
+pub fn read_frame(r: &mut impl Read, cap: usize) -> Result<(u8, Vec<u8>), WireError> {
+    let truncated = || WireError::Frame {
+        detail: "stream ended inside a frame".to_string(),
+    };
+    let mut header = [0u8; HEADER_LEN];
+    match read_full(r, &mut header)? {
+        0 => return Err(WireError::Closed),
+        HEADER_LEN => {}
+        _ => return Err(truncated()),
+    }
+    let [l0, l1, l2, l3, l4, l5, l6, l7, tag] = header;
+    let len = u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7]);
+    if len > cap as u64 {
+        return Err(WireError::Frame {
+            detail: format!("frame length {len} exceeds cap {cap}"),
+        });
+    }
+    let len = len as usize;
+    let mut body = vec![0u8; len + 4];
+    if read_full(r, &mut body)? < body.len() {
+        return Err(truncated());
+    }
+    let stored = u32::from_le_bytes([body[len], body[len + 1], body[len + 2], body[len + 3]]);
+    body.truncate(len);
+    let actual = crc32(&[&[tag], &body]);
+    if stored != actual {
+        return Err(WireError::Malformed {
+            detail: format!(
+                "frame {tag} CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
+            ),
+        });
+    }
+    Ok((tag, body))
+}
+
+/// Bounds-checked read cursor over a frame body.
 pub struct Cur<'a> {
     data: &'a [u8],
     pos: usize,
@@ -132,95 +267,91 @@ impl<'a> Cur<'a> {
         Cur { data, pos: 0 }
     }
 
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
-    pub fn done(&self) -> bool {
-        self.pos == self.data.len()
+    /// Rejects trailing bytes: a body must be exactly its fields.
+    pub fn finish(self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(WireError::Malformed {
+                detail: format!("{n} trailing bytes after the last field"),
+            }),
+        }
     }
 
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if n > self.remaining() {
-            return Err(corrupt(format!(
-                "need {n} bytes, {} left",
-                self.remaining()
-            )));
+            return Err(WireError::Malformed {
+                detail: format!("need {n} bytes, {} left", self.remaining()),
+            });
         }
         let s = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
-    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
+    pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn u32(&mut self) -> Result<u32, CheckpointError> {
+    pub fn u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
+    pub fn u64(&mut self) -> Result<u64, WireError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
 
-    pub fn i32(&mut self) -> Result<i32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    pub fn i32(&mut self) -> Result<i32, WireError> {
+        Ok(self.u32()? as i32)
     }
 
     /// A length field that must describe at most `remaining / elem_size`
     /// elements — checked before any allocation so corrupt lengths can't
     /// trigger huge reservations.
-    pub fn len(&mut self, elem_size: usize) -> Result<usize, CheckpointError> {
+    pub fn len(&mut self, elem_size: usize) -> Result<usize, WireError> {
         let n = self.u64()?;
         let max = self.remaining() / elem_size.max(1);
         if n > max as u64 {
-            return Err(corrupt(format!(
-                "length {n} exceeds the {max} elements actually present"
-            )));
+            return Err(WireError::Malformed {
+                detail: format!("length {n} exceeds the {max} elements actually present"),
+            });
         }
         Ok(n as usize)
     }
 
-    pub fn bytes(&mut self) -> Result<Vec<u8>, CheckpointError> {
+    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
         let n = self.len(1)?;
         Ok(self.take(n)?.to_vec())
     }
 
-    pub fn str(&mut self) -> Result<String, CheckpointError> {
-        let b = self.bytes()?;
-        String::from_utf8(b).map_err(|_| corrupt("string is not UTF-8"))
+    pub fn str(&mut self) -> Result<String, WireError> {
+        String::from_utf8(self.bytes()?).map_err(|_| WireError::Malformed {
+            detail: "string is not UTF-8".to_string(),
+        })
     }
 
-    pub fn i32s(&mut self) -> Result<Vec<i32>, CheckpointError> {
+    pub fn i32s(&mut self) -> Result<Vec<i32>, WireError> {
         let n = self.len(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.i32()?);
-        }
-        Ok(out)
+        (0..n).map(|_| self.i32()).collect()
     }
 
-    pub fn usizes(&mut self) -> Result<Vec<usize>, CheckpointError> {
+    pub fn usizes(&mut self) -> Result<Vec<usize>, WireError> {
         let n = self.len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = self.u64()?;
-            usize::try_from(v)
-                .map(|v| out.push(v))
-                .map_err(|_| corrupt(format!("value {v} does not fit a usize")))?;
-        }
-        Ok(out)
+        (0..n).map(|_| self.usize()).collect()
     }
 
-    pub fn usize(&mut self) -> Result<usize, CheckpointError> {
+    pub fn usize(&mut self) -> Result<usize, WireError> {
         let v = self.u64()?;
-        usize::try_from(v).map_err(|_| corrupt(format!("value {v} does not fit a usize")))
+        usize::try_from(v).map_err(|_| WireError::Malformed {
+            detail: format!("value {v} does not fit a usize"),
+        })
     }
 }
 
@@ -231,8 +362,9 @@ mod tests {
     #[test]
     fn crc32_matches_known_vectors() {
         // The classic check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
+        assert_eq!(crc32(&[b"1234", b"", b"56789"]), 0xCBF4_3926);
+        assert_eq!(crc32(&[]), 0);
     }
 
     #[test]
@@ -265,7 +397,57 @@ mod tests {
         assert_eq!(c.i32s().unwrap(), vec![1, -2, 3]);
         assert_eq!(c.usizes().unwrap(), vec![0, 9, 100]);
         assert_eq!(c.bytes().unwrap(), vec![1, 2, 3]);
-        assert!(c.done());
+        c.finish().unwrap();
+    }
+
+    #[test]
+    fn frames_round_trip_back_to_back() {
+        let mut e = Enc::default();
+        e.frame(3, |e| e.str("body"));
+        e.frame(0xFF, |_| {});
+        let mut r = e.buf.as_slice();
+        let (tag, body) = read_frame(&mut r, 64).unwrap();
+        assert_eq!(tag, 3);
+        assert_eq!(Cur::new(&body).str().unwrap(), "body");
+        assert_eq!(read_frame(&mut r, 64).unwrap(), (0xFF, Vec::new()));
+        assert_eq!(read_frame(&mut r, 64).unwrap_err(), WireError::Closed);
+    }
+
+    #[test]
+    fn eof_between_frames_is_closed_inside_is_framing() {
+        let mut e = Enc::default();
+        e.frame(7, |e| e.u64(42));
+        assert_eq!(read_frame(&mut &[][..], 64), Err(WireError::Closed));
+        for cut in 1..e.buf.len() {
+            let err = read_frame(&mut &e.buf[..cut], 64).unwrap_err();
+            assert!(matches!(err, WireError::Frame { .. }), "cut={cut}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn frame_at_the_cap_passes_and_one_byte_over_is_framing_damage() {
+        let mut e = Enc::default();
+        e.frame(1, |e| e.buf.extend_from_slice(&[0xAB; 16]));
+        assert!(read_frame(&mut e.buf.as_slice(), 16).is_ok());
+        assert!(matches!(
+            read_frame(&mut e.buf.as_slice(), 15),
+            Err(WireError::Frame { .. })
+        ));
+    }
+
+    #[test]
+    fn preamble_is_checked_and_eof_before_it_is_closed() {
+        assert_eq!(read_preamble(&mut &b"FLSATEST"[..], b"FLSATEST"), Ok(()));
+        assert_eq!(
+            read_preamble(&mut &b""[..], b"FLSATEST"),
+            Err(WireError::Closed)
+        );
+        for bad in [&b"FLSAXXXX"[..], &b"FLSA"[..]] {
+            assert!(matches!(
+                read_preamble(&mut &bad[..], b"FLSATEST"),
+                Err(WireError::Frame { .. })
+            ));
+        }
     }
 
     #[test]
@@ -276,6 +458,12 @@ mod tests {
         assert!(c.i32s().is_err());
         let mut c = Cur::new(&e.buf);
         assert!(c.bytes().is_err());
+        // The same claim as a frame length: refused before the buffer.
+        e.u8(1);
+        assert!(matches!(
+            read_frame(&mut e.buf.as_slice(), 1 << 20),
+            Err(WireError::Frame { .. })
+        ));
     }
 
     #[test]

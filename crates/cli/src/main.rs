@@ -344,10 +344,6 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn scheme_for(name: &str, gap: i32) -> Result<ScoringScheme, String> {
-    tables::scheme_by_name(name, gap).ok_or_else(|| format!("unknown matrix {name:?}"))
-}
-
 fn load_pair(paths: &[String], alphabet: &Alphabet) -> Result<(Sequence, Sequence), CliError> {
     match paths {
         [one] => {
@@ -530,9 +526,9 @@ fn cmd_align(a: &args::Args) -> Result<(), CliError> {
             std::fs::read_to_string(path).map_err(|e| CliError::input(format!("{path}: {e}")))?;
         let matrix = flsa_scoring::parse_ncbi(path, &text)
             .map_err(|e| CliError::input(format!("{path}: {e}")))?;
-        ScoringScheme::new(matrix, GapModel::linear(gap))
+        tables::linear_scheme(path, matrix, gap).map_err(CliError::usage)?
     } else {
-        scheme_for(a.str_or("matrix", "dna"), gap).map_err(CliError::usage)?
+        tables::scheme_for(a.str_or("matrix", "dna"), gap).map_err(CliError::usage)?
     };
     let (sa, sb) = load_pair(&a.positional, scheme.alphabet())?;
 
@@ -847,7 +843,7 @@ fn run_sharded(
 }
 
 /// `flsa shard-worker`: the worker-process end of `--shards`, spoken to
-/// over stdin/stdout with the `FLSASHD1` protocol. Never invoked by
+/// over stdin/stdout with the `FLSASHD2` protocol. Never invoked by
 /// hand; the coordinator spawns it and owns both pipes (stdout carries
 /// protocol frames, so nothing may print there).
 fn cmd_shard_worker(a: &args::Args) -> Result<(), CliError> {
@@ -962,11 +958,12 @@ fn cmd_resume(a: &args::Args) -> Result<(), CliError> {
     };
     let snap = read_snapshot(std::path::Path::new(ckpt_path))
         .map_err(|e| CliError::input(e.to_string()))?;
-    let scheme = scheme_for(&snap.meta.scheme_name, snap.meta.gap_penalty).map_err(|msg| {
-        CliError::input(format!(
-            "cannot rebuild the snapshot's scoring scheme: {msg}"
-        ))
-    })?;
+    let scheme =
+        tables::scheme_for(&snap.meta.scheme_name, snap.meta.gap_penalty).map_err(|msg| {
+            CliError::input(format!(
+                "cannot rebuild the snapshot's scoring scheme: {msg}"
+            ))
+        })?;
     // `sequences` re-verifies the scheme digest and every residue code.
     let (sa, sb) = snap
         .sequences(&scheme)
@@ -1284,7 +1281,7 @@ fn render_metrics_crosscheck(
 /// first with record `i` of the second.
 fn cmd_batch(a: &args::Args) -> Result<(), CliError> {
     let gap: i32 = a.get_or("gap", -10).map_err(CliError::usage)?;
-    let scheme = scheme_for(a.str_or("matrix", "dna"), gap).map_err(CliError::usage)?;
+    let scheme = tables::scheme_for(a.str_or("matrix", "dna"), gap).map_err(CliError::usage)?;
     let kernel = parse_kernel(a)?;
 
     let seqs: Vec<Sequence> = match &a.positional[..] {
@@ -1378,7 +1375,7 @@ fn cmd_batch(a: &args::Args) -> Result<(), CliError> {
 
 fn cmd_msa(a: &args::Args) -> Result<(), CliError> {
     let gap: i32 = a.get_or("gap", -10).map_err(CliError::usage)?;
-    let scheme = scheme_for(a.str_or("matrix", "dna"), gap).map_err(CliError::usage)?;
+    let scheme = tables::scheme_for(a.str_or("matrix", "dna"), gap).map_err(CliError::usage)?;
     let [path] = &a.positional[..] else {
         return Err(CliError::usage(
             "msa needs exactly one FASTA file with the family",

@@ -366,6 +366,12 @@ fn exit_code_2_on_bad_config_or_args() {
     // Invalid numeric option value.
     let out = flsa(&["align", "--deadline-ms", "soon", fa.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+    // A positive gap makes the optimum unbounded: a typed usage error
+    // naming the matrix and the gap, not a panic (exit 101).
+    let out = flsa(&["align", "--gap", "5", "--quiet", fa.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("\"dna\"") && err.contains("gap 5"), "{err}");
     std::fs::remove_file(fa).ok();
 }
 

@@ -46,7 +46,7 @@ fn req(id: u64, a: &str, b: &str) -> AlignRequest {
 }
 
 fn reference(a: &str, b: &str) -> (i64, String) {
-    let scheme = job::scheme_for("dna", GAP).expect("dna scheme");
+    let scheme = flsa_scoring::tables::scheme_for("dna", GAP).expect("dna scheme");
     let sa = Sequence::from_str("a", scheme.alphabet(), a).expect("seq a");
     let sb = Sequence::from_str("b", scheme.alphabet(), b).expect("seq b");
     let r = fastlsa_core::align(&sa, &sb, &scheme, &Metrics::new()).expect("reference align");

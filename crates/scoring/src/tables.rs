@@ -147,18 +147,44 @@ pub fn identity(alphabet: Alphabet) -> SubstitutionMatrix {
 
 /// Resolves a named scheme with a linear gap penalty — the single matrix
 /// registry shared by the CLI, the serve daemon, and the shard protocol,
-/// so every surface accepts exactly the same names. `None` for unknown
-/// names.
+/// so every surface accepts exactly the same names. `None` for an
+/// unknown name or a positive gap.
 pub fn scheme_by_name(name: &str, gap: i32) -> Option<ScoringScheme> {
+    scheme_for(name, gap).ok()
+}
+
+/// [`scheme_by_name`] with the error message every surface reports.
+pub fn scheme_for(name: &str, gap: i32) -> Result<ScoringScheme, String> {
     let matrix = match name {
         "dna" => dna_default(),
         "blosum62" => blosum62(),
         "pam250" => pam250(),
         "identity" => identity(Alphabet::dna()),
         "paper" => mdm_fragment(),
-        _ => return None,
+        _ => return Err(scheme_error(name, gap)),
     };
-    Some(ScoringScheme::new(matrix, GapModel::linear(gap)))
+    linear_scheme(name, matrix, gap)
+}
+
+/// `matrix` (called `name` in the error) with a linear gap penalty. A
+/// positive gap makes the optimal alignment unbounded, so it is a typed
+/// error here rather than [`GapModel::linear`]'s panic.
+pub fn linear_scheme(
+    name: &str,
+    matrix: SubstitutionMatrix,
+    gap: i32,
+) -> Result<ScoringScheme, String> {
+    if gap > 0 {
+        return Err(scheme_error(name, gap));
+    }
+    Ok(ScoringScheme::new(matrix, GapModel::linear(gap)))
+}
+
+fn scheme_error(name: &str, gap: i32) -> String {
+    format!(
+        "no scoring scheme for matrix {name:?} with gap {gap}: the matrix must be \
+         dna, blosum62, pam250, identity, paper or a matrix file, and the gap <= 0"
+    )
 }
 
 #[cfg(test)]
@@ -210,6 +236,20 @@ mod tests {
         assert_eq!(m.score_chars('N', 'A'), Some(0));
         assert_eq!(m.score_chars('N', 'N'), Some(0));
         assert!(m.is_symmetric());
+    }
+
+    #[test]
+    fn unknown_matrices_and_positive_gaps_are_errors_not_panics() {
+        assert!(scheme_by_name("dna", 0).is_some());
+        assert!(scheme_by_name("dna", 5).is_none());
+        assert!(scheme_by_name("nope", -1).is_none());
+        for (name, gap) in [("dna", 5), ("nope", -1)] {
+            let err = scheme_for(name, gap).unwrap_err();
+            assert!(
+                err.contains(name) && err.contains(&gap.to_string()),
+                "{err}"
+            );
+        }
     }
 
     #[test]

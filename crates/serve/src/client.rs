@@ -1,4 +1,4 @@
-//! A small blocking client for the `FLSASRV1` protocol.
+//! A small blocking client for the `FLSASRV2` protocol.
 //!
 //! Used by the CLI (`flsa bench serve`), the load generator, and the
 //! integration tests. One TCP connection, synchronous send/receive;
@@ -9,7 +9,7 @@
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::wire::{self, AlignRequest, Frame, ProtocolError, PREAMBLE};
+use crate::wire::{self, AlignRequest, Frame, WireError, PREAMBLE};
 
 /// Bounds for [`Client::request_with_retry`]: how many times to submit
 /// and how long to wait between attempts when the server is overloaded.
@@ -44,13 +44,11 @@ pub struct Client {
 
 impl Client {
     /// Connects and sends the protocol preamble.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ProtocolError> {
-        let stream = TcpStream::connect(addr).map_err(|e| ProtocolError::Io {
-            detail: e.to_string(),
-        })?;
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WireError> {
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let mut client = Client { stream };
-        client.write_all(PREAMBLE)?;
+        client.send_raw(PREAMBLE)?;
         Ok(client)
     }
 
@@ -58,48 +56,37 @@ impl Client {
     /// handle can keep sending while the other blocks on receives —
     /// how the open-loop load generator splits its sender from its
     /// response reader without desyncing the frame stream.
-    pub fn try_clone(&self) -> Result<Client, ProtocolError> {
-        let stream = self.stream.try_clone().map_err(|e| ProtocolError::Io {
-            detail: e.to_string(),
-        })?;
-        Ok(Client { stream })
-    }
-
-    /// Bounds how long a [`Client::recv`] may block (`None` = forever).
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ProtocolError> {
-        self.stream
-            .set_read_timeout(timeout)
-            .map_err(|e| ProtocolError::Io {
-                detail: e.to_string(),
-            })
-    }
-
-    fn write_all(&mut self, bytes: &[u8]) -> Result<(), ProtocolError> {
-        use std::io::Write;
-        self.stream.write_all(bytes).map_err(|e| ProtocolError::Io {
-            detail: e.to_string(),
+    pub fn try_clone(&self) -> Result<Client, WireError> {
+        Ok(Client {
+            stream: self.stream.try_clone()?,
         })
     }
 
+    /// Bounds how long a [`Client::recv`] may block (`None` = forever).
+    pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), WireError> {
+        Ok(self.stream.set_read_timeout(timeout)?)
+    }
+
     /// Sends one frame.
-    pub fn send(&mut self, frame: &Frame) -> Result<(), ProtocolError> {
+    pub fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
         wire::write_frame(&mut self.stream, frame)
     }
 
     /// Sends raw bytes as-is — the corruption tests use this to put
     /// deliberately damaged frames on the wire.
-    pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), ProtocolError> {
-        self.write_all(bytes)
+    pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        use std::io::Write;
+        Ok(self.stream.write_all(bytes)?)
     }
 
     /// Receives one frame.
-    pub fn recv(&mut self) -> Result<Frame, ProtocolError> {
+    pub fn recv(&mut self) -> Result<Frame, WireError> {
         wire::read_frame(&mut self.stream)
     }
 
     /// Submits one request and waits for its response (single
     /// outstanding request; skips unrelated frames such as `Pong`s).
-    pub fn align(&mut self, request: AlignRequest) -> Result<Frame, ProtocolError> {
+    pub fn align(&mut self, request: AlignRequest) -> Result<Frame, WireError> {
         let id = request.id;
         self.send(&Frame::Align(request))?;
         loop {
@@ -129,7 +116,7 @@ impl Client {
         &mut self,
         request: &AlignRequest,
         policy: &RetryPolicy,
-    ) -> Result<Frame, ProtocolError> {
+    ) -> Result<Frame, WireError> {
         self.request_with_retry_via(request, policy, std::thread::sleep)
     }
 
@@ -141,7 +128,7 @@ impl Client {
         request: &AlignRequest,
         policy: &RetryPolicy,
         mut sleep: impl FnMut(Duration),
-    ) -> Result<Frame, ProtocolError> {
+    ) -> Result<Frame, WireError> {
         let mut local_backoff = policy.base_backoff;
         let attempts = policy.max_attempts.max(1);
         let mut attempt = 0;
@@ -166,18 +153,18 @@ impl Client {
     }
 
     /// Round-trips a liveness probe.
-    pub fn ping(&mut self, token: u64) -> Result<(), ProtocolError> {
+    pub fn ping(&mut self, token: u64) -> Result<(), WireError> {
         self.send(&Frame::Ping(token))?;
         match self.recv()? {
             Frame::Pong(t) if t == token => Ok(()),
-            other => Err(ProtocolError::Malformed {
+            other => Err(WireError::Malformed {
                 detail: format!("expected Pong({token}), got {other:?}"),
             }),
         }
     }
 
     /// Requests a graceful drain and waits for the acknowledgement.
-    pub fn shutdown(&mut self) -> Result<(), ProtocolError> {
+    pub fn shutdown(&mut self) -> Result<(), WireError> {
         self.send(&Frame::Shutdown)?;
         loop {
             match self.recv()? {
@@ -185,7 +172,7 @@ impl Client {
                 // Responses for still-draining jobs may interleave.
                 Frame::Ok(_) | Frame::Fail(_) | Frame::Overloaded { .. } => continue,
                 other => {
-                    return Err(ProtocolError::Malformed {
+                    return Err(WireError::Malformed {
                         detail: format!("expected ShutdownAck, got {other:?}"),
                     })
                 }
@@ -208,9 +195,7 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         let handle = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
-            let mut preamble = [0u8; PREAMBLE.len()];
-            std::io::Read::read_exact(&mut stream, &mut preamble).expect("preamble");
-            assert_eq!(&preamble, PREAMBLE);
+            flsa_checkpoint::wire::read_preamble(&mut stream, PREAMBLE).expect("preamble");
             let mut served = 0u32;
             for mut response in script {
                 let request = match wire::read_frame(&mut stream) {

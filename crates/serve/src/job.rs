@@ -60,13 +60,6 @@ pub struct JobSpec {
     pub cells: u64,
 }
 
-/// Reconstructs the scoring scheme a request names. The same resolution
-/// the CLI uses: this is the server-side source of truth for which
-/// matrices exist.
-pub fn scheme_for(name: &str, gap: i32) -> Result<ScoringScheme, String> {
-    tables::scheme_by_name(name, gap).ok_or_else(|| format!("unknown matrix {name:?}"))
-}
-
 /// Validates a request into a [`JobSpec`], or a typed rejection.
 pub fn validate(request: AlignRequest) -> Result<JobSpec, (ErrorCode, String)> {
     if request.threads > MAX_THREADS {
@@ -87,7 +80,7 @@ pub fn validate(request: AlignRequest) -> Result<JobSpec, (ErrorCode, String)> {
             ),
         ));
     }
-    let scheme = scheme_for(&request.matrix, request.gap)
+    let scheme = tables::scheme_for(&request.matrix, request.gap)
         .map_err(|detail| (ErrorCode::BadRequest, detail))?;
     let text_a = std::str::from_utf8(&request.seq_a)
         .map_err(|_| (ErrorCode::BadRequest, "sequence a is not UTF-8".to_string()))?;
@@ -221,6 +214,11 @@ mod tests {
         let (code, detail) = validate(request("nope", "ACGT", "ACGT")).unwrap_err();
         assert_eq!(code, ErrorCode::BadRequest);
         assert!(detail.contains("nope"));
+        let mut positive_gap = request("dna", "ACGT", "ACGT");
+        positive_gap.gap = 5;
+        let (code, detail) = validate(positive_gap).unwrap_err();
+        assert_eq!(code, ErrorCode::BadRequest);
+        assert!(detail.contains("gap 5"), "{detail}");
         let (code, _) = validate(request("dna", "ACGT", "AXGT")).unwrap_err();
         assert_eq!(code, ErrorCode::BadRequest);
         let mut req = request("dna", "ACGT", "ACGT");

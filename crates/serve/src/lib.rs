@@ -1,7 +1,7 @@
 //! **flsa-serve** — alignment-as-a-service (DESIGN.md §14).
 //!
-//! A long-running daemon that accepts alignment jobs over a
-//! length-prefixed TCP protocol ([`wire`]) and runs them on the FastLSA
+//! A long-running daemon that accepts alignment jobs over a CRC32-framed
+//! TCP protocol ([`wire`]) and runs them on the FastLSA
 //! engine, composing the robustness machinery the workspace already has
 //! into a server that stays correct under overload, worker failure, and
 //! crashes:
@@ -20,7 +20,7 @@
 //!   `catch_unwind` and retried with backoff a bounded number of times
 //!   before a typed `WorkerPanic` failure is returned.
 //! - **Crash safety** ([`spool`]): jobs past a size threshold are
-//!   spooled to disk and checkpointed with `FLSACKP1` snapshots; a
+//!   spooled to disk and checkpointed with §10 snapshots; a
 //!   SIGKILL'd daemon resumes queued and in-flight work on restart and
 //!   completes it byte-identically.
 //! - **Graceful drain**: SIGTERM (or a `Shutdown` frame) stops the
@@ -48,7 +48,7 @@ pub use job::JobSpec;
 pub use metrics::ServeMetrics;
 pub use server::{DrainSummary, JobHooks, ServeConfig, ServeError, Server};
 pub use spool::{Spool, SpoolError};
-pub use wire::{AlignFail, AlignOk, AlignRequest, ErrorCode, Frame, ProtocolError};
+pub use wire::{AlignFail, AlignOk, AlignRequest, ErrorCode, Frame, WireError};
 
 /// Locks a mutex, recovering from poisoning. Worker threads run
 /// user-triggerable code under `catch_unwind`, so a panic between lock

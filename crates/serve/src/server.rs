@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use fastlsa_core::{
     align_opts, AlignError, AlignOptions, CancelToken, CheckpointPolicy, FaultHooks,
 };
+use flsa_checkpoint::wire::read_preamble;
 use flsa_checkpoint::{read_snapshot, resume_from_snapshot, FileCheckpointSink, SnapshotMeta};
 use flsa_dp::{BatchJob, BatchKernel, Kernel, Metrics};
 use flsa_metrics::Registry;
@@ -40,7 +41,7 @@ use crate::lock;
 use crate::metrics::ServeMetrics;
 use crate::queue::{PushError, Queue};
 use crate::spool::{Spool, SpoolError};
-use crate::wire::{self, AlignFail, AlignOk, ErrorCode, Frame, ProtocolError, PREAMBLE};
+use crate::wire::{self, AlignFail, AlignOk, ErrorCode, Frame, WireError, PREAMBLE};
 
 /// Per-job instrumentation hooks, the server-level analogue of
 /// [`FaultHooks`]: the chaos harness and the CLI's `--fault-seed` use
@@ -546,41 +547,25 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
 
-    // Preamble: 8 bytes, before any frame.
-    let mut preamble = [0u8; 8];
-    {
-        let mut reader = PolledReader {
-            stream: &stream,
-            shared,
-        };
-        if reader.read_exact(&mut preamble).is_err() {
-            return;
-        }
-    }
     let Ok(writer_stream) = stream.try_clone() else {
         return;
     };
     let writer = Arc::new(Mutex::new(writer_stream));
-    if &preamble != PREAMBLE {
-        shared.metrics.protocol_errors.inc();
-        send(
-            &writer,
-            &Frame::ProtocolError {
-                detail: "bad preamble (expected FLSASRV1)".to_string(),
-            },
-        );
+    let mut reader = PolledReader {
+        stream: &stream,
+        shared,
+    };
+    if let Err(e) = read_preamble(&mut reader, PREAMBLE) {
+        // A wrong preamble is framing damage: answer once, then close.
+        if let WireError::Frame { detail } = e {
+            shared.metrics.protocol_errors.inc();
+            send(&writer, &Frame::ProtocolError { detail });
+        }
         return;
     }
 
     loop {
-        let frame = {
-            let mut reader = PolledReader {
-                stream: &stream,
-                shared,
-            };
-            wire::read_frame(&mut reader)
-        };
-        match frame {
+        match wire::read_frame(&mut reader) {
             Ok(Frame::Align(req)) => handle_request(shared, &writer, req),
             Ok(Frame::Ping(tok)) => send(&writer, &Frame::Pong(tok)),
             Ok(Frame::Shutdown) => {
@@ -599,19 +584,19 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
                     },
                 );
             }
-            Err(ProtocolError::Malformed { detail }) => {
+            Err(WireError::Malformed { detail }) => {
                 // Framing is intact: answer and keep serving this
                 // connection's other requests.
                 shared.metrics.protocol_errors.inc();
                 send(&writer, &Frame::ProtocolError { detail });
             }
-            Err(ProtocolError::Frame { detail }) => {
+            Err(WireError::Frame { detail }) => {
                 // Framing lost: answer once, then close.
                 shared.metrics.protocol_errors.inc();
                 send(&writer, &Frame::ProtocolError { detail });
                 return;
             }
-            Err(ProtocolError::Closed) | Err(ProtocolError::Io { .. }) => return,
+            Err(WireError::Closed) | Err(WireError::Io { .. }) => return,
         }
     }
 }
@@ -754,7 +739,9 @@ fn worker_loop(shared: &Arc<Shared>) {
         let mut group = vec![job];
         if shared.batch_max > 1 && shared.hooks.is_none() && batch_eligible(shared, &group[0]) {
             while group.len() < shared.batch_max {
-                let Some(j) = shared.queue.try_pop() else { break };
+                let Some(j) = shared.queue.try_pop() else {
+                    break;
+                };
                 shared.metrics.queue_depth_add(-1);
                 let eligible = batch_eligible(shared, &j);
                 group.push(j);

@@ -5,9 +5,9 @@
 //!
 //! ```text
 //! spool/
-//!   job-00000007.req    encoded Align frame payload (wire format)
-//!   job-00000007.ckpt   FLSACKP1 snapshot, updated as the job runs
-//!   job-00000007.done   encoded response frame payload, written once
+//!   job-00000007.req    one Align frame (wire format, CRC32-framed)
+//!   job-00000007.ckpt   §10 checkpoint snapshot, updated as the job runs
+//!   job-00000007.done   one response frame, written once
 //! ```
 //!
 //! Lifecycle: `.req` appears at admission (atomic tmp → rename), `.ckpt`
@@ -17,7 +17,9 @@
 //! resumes mid-flight, otherwise it restarts from the request. A corrupt
 //! `.req` is unrecoverable corruption (the daemon refuses to start and
 //! the CLI exits 3); a corrupt `.ckpt` merely costs the checkpointed
-//! progress — the job falls back to a fresh run.
+//! progress — the job falls back to a fresh run. Every spool byte is
+//! under a CRC, so a damaged file is refused rather than read as a job
+//! nobody submitted.
 
 use std::path::{Path, PathBuf};
 
@@ -100,22 +102,20 @@ impl Spool {
 
     /// Durably records an admitted request.
     pub fn write_request(&self, seq: u64, request: &AlignRequest) -> Result<(), SpoolError> {
-        let bytes = wire::encode_payload(&Frame::Align(request.clone()));
+        let bytes = wire::encode_frame(&Frame::Align(request.clone()));
         self.write_atomic(&self.path_for(seq, "req"), &bytes)
     }
 
-    /// Durably records a job's terminal response (the exact frame
-    /// payload a connected client would have received — the
-    /// kill–restore test compares these files byte-for-byte).
+    /// Durably records a job's terminal response (the exact frame a
+    /// connected client would have received — the kill–restore test
+    /// compares these files byte-for-byte).
     pub fn write_done(&self, seq: u64, response: &Frame) -> Result<(), SpoolError> {
-        let bytes = wire::encode_payload(response);
-        self.write_atomic(&self.done_path(seq), &bytes)
+        self.write_atomic(&self.done_path(seq), &wire::encode_frame(response))
     }
 
-    /// Reads back a job's terminal response, if present.
+    /// Reads back a job's terminal response, if present and intact.
     pub fn read_done(&self, seq: u64) -> Option<Frame> {
-        let bytes = std::fs::read(self.done_path(seq)).ok()?;
-        wire::decode_payload(&bytes).ok()
+        read_frame_file(&self.done_path(seq)).ok()
     }
 
     /// Removes a completed job's `.req` and `.ckpt` (the `.done` file
@@ -159,18 +159,13 @@ impl Spool {
                 continue;
             }
             let path = entry.path();
-            let bytes = std::fs::read(&path)
-                .map_err(|e| SpoolError::Io(format!("{}: {e}", path.display())))?;
-            let request = match wire::decode_payload(&bytes) {
-                Ok(Frame::Align(req)) => req,
-                Ok(other) => {
+            let request = match read_frame_file(&path)? {
+                Frame::Align(req) => req,
+                other => {
                     return Err(SpoolError::Corrupt(format!(
                         "{}: holds a {other:?} frame, not an Align request",
                         path.display()
                     )))
-                }
-                Err(e) => {
-                    return Err(SpoolError::Corrupt(format!("{}: {e}", path.display())));
                 }
             };
             let ckpt = self.ckpt_path(seq);
@@ -254,6 +249,21 @@ impl Spool {
     }
 }
 
+/// Reads a spool file that must hold exactly one intact frame.
+fn read_frame_file(path: &Path) -> Result<Frame, SpoolError> {
+    let bytes =
+        std::fs::read(path).map_err(|e| SpoolError::Io(format!("{}: {e}", path.display())))?;
+    let mut rest = bytes.as_slice();
+    match wire::read_frame(&mut rest) {
+        Ok(frame) if rest.is_empty() => Ok(frame),
+        Ok(_) => Err(SpoolError::Corrupt(format!(
+            "{}: trailing bytes after the frame",
+            path.display()
+        ))),
+        Err(e) => Err(SpoolError::Corrupt(format!("{}: {e}", path.display()))),
+    }
+}
+
 /// Parses `job-00000007.req` into `(7, "req")`.
 fn parse_name(name: &str) -> Option<(u64, &str)> {
     let rest = name.strip_prefix("job-")?;
@@ -331,9 +341,36 @@ mod tests {
     }
 
     #[test]
+    fn every_bit_flip_of_a_spool_file_is_refused() {
+        let spool = Spool::open(tmpdir("flips")).unwrap();
+        let flips = |path: &Path, check: &dyn Fn(usize)| {
+            let bytes = std::fs::read(path).unwrap();
+            for bit in 0..bytes.len() * 8 {
+                let mut m = bytes.clone();
+                m[bit / 8] ^= 1 << (bit % 8);
+                std::fs::write(path, m).unwrap();
+                check(bit);
+            }
+            std::fs::remove_file(path).unwrap();
+        };
+        spool.write_request(1, &request(10)).unwrap();
+        flips(&spool.path_for(1, "req"), &|bit| {
+            let got = spool.recover();
+            assert!(
+                matches!(got, Err(SpoolError::Corrupt(_))),
+                "bit {bit}: {got:?}"
+            );
+        });
+        spool.write_done(1, &done_frame(10)).unwrap();
+        flips(&spool.done_path(1), &|bit| {
+            assert_eq!(spool.read_done(1), None, "bit {bit}");
+        });
+    }
+
+    #[test]
     fn wrong_frame_kind_in_req_is_corrupt() {
         let spool = Spool::open(tmpdir("wrongkind")).unwrap();
-        let bytes = wire::encode_payload(&Frame::Fail(crate::wire::AlignFail {
+        let bytes = wire::encode_frame(&Frame::Fail(crate::wire::AlignFail {
             id: 1,
             code: ErrorCode::Internal,
             detail: String::new(),

@@ -1,81 +1,37 @@
-//! The `FLSASRV1` wire protocol (DESIGN.md §14).
+//! The `FLSASRV2` wire protocol (DESIGN.md §14): a table of tags over
+//! the frame codec in [`flsa_checkpoint::wire`] (DESIGN.md §10).
 //!
-//! Every connection opens with the 8-byte preamble `FLSASRV1`; after
-//! that both directions speak length-prefixed frames:
+//! Every connection opens with the 8-byte preamble `FLSASRV2`; after
+//! that both directions speak codec frames of at most [`MAX_FRAME`]
+//! body bytes. Decode failures are typed, not fatal by default:
 //!
-//! ```text
-//! +----------------+---------+------------------------+
-//! | len: u32 LE    | tag: u8 | body (tag-specific)    |
-//! +----------------+---------+------------------------+
-//! ```
-//!
-//! `len` counts the payload (tag + body) and must be `1..=MAX_FRAME`.
-//! Variable-length fields inside the body carry their own `u32` length,
-//! validated against the *remaining* payload before any allocation — the
-//! same allocation-bomb defence the `FLSACKP1` snapshot decoder uses: a
-//! corrupted length can never make the decoder reserve more memory than
-//! the (already capped) frame it arrived in.
-//!
-//! Decode failures are typed, not fatal by default:
-//!
-//! * [`ProtocolError::Frame`] — the length prefix itself is damaged
-//!   (zero, over the cap, or the stream died mid-frame). Framing is
-//!   lost; the peer answers with a `ProtocolError` frame and closes.
-//! * [`ProtocolError::Malformed`] — a well-framed payload that does not
-//!   parse (unknown tag, truncated field, over-long field, junk
-//!   trailing bytes). The frame boundary is intact, so the peer answers
-//!   with a `ProtocolError` frame and *keeps the connection* — one bad
-//!   request must not tear down a client's other in-flight jobs.
+//! * [`WireError::Frame`] — framing is lost (a bad preamble, a length
+//!   over the cap, or a stream that died mid-frame). The peer answers
+//!   with a `ProtocolError` frame and closes.
+//! * [`WireError::Malformed`] — a complete frame that fails its CRC or
+//!   does not parse (unknown tag, truncated or over-long field, trailing
+//!   bytes). The peer answers with a `ProtocolError` frame and *keeps
+//!   the connection* — one bad request must not tear down a client's
+//!   other in-flight jobs.
 
 use std::io::{Read, Write};
 
+pub use flsa_checkpoint::wire::WireError;
+use flsa_checkpoint::wire::{self, Cur, Enc};
+
 /// Connection preamble: protocol name + version, sent by the client
 /// immediately after connecting.
-pub const PREAMBLE: &[u8; 8] = b"FLSASRV1";
+pub const PREAMBLE: &[u8; 8] = b"FLSASRV2";
 
-/// Hard cap on a frame payload. Large enough for two 8 Mb sequences,
+/// Hard cap on a frame body. Large enough for two 8 Mb sequences,
 /// small enough that a hostile length prefix cannot OOM the daemon.
 pub const MAX_FRAME: usize = 20 << 20;
 
 /// Cap on a single sequence field inside an [`AlignRequest`].
 pub const MAX_SEQ_BYTES: usize = 8 << 20;
 
-/// Typed decode/transport failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtocolError {
-    /// Framing damage: length prefix invalid or stream died mid-frame.
-    /// The byte stream cannot be re-synchronized.
-    Frame {
-        /// What was wrong with the framing.
-        detail: String,
-    },
-    /// A complete, well-framed payload that failed to parse. The stream
-    /// is still framed correctly; the connection can continue.
-    Malformed {
-        /// What failed to parse.
-        detail: String,
-    },
-    /// Transport I/O error.
-    Io {
-        /// The underlying error.
-        detail: String,
-    },
-    /// Clean end-of-stream between frames.
-    Closed,
-}
-
-impl std::fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtocolError::Frame { detail } => write!(f, "framing error: {detail}"),
-            ProtocolError::Malformed { detail } => write!(f, "malformed frame: {detail}"),
-            ProtocolError::Io { detail } => write!(f, "i/o error: {detail}"),
-            ProtocolError::Closed => write!(f, "connection closed"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
+/// Cap on the matrix name inside an [`AlignRequest`].
+const MAX_MATRIX_NAME: usize = 64;
 
 /// Why a job failed, as carried on the wire. The server maps
 /// [`fastlsa_core::AlignError`] onto this taxonomy; clients match on it
@@ -224,217 +180,85 @@ const TAG_SHUTDOWN_ACK: u8 = 0x07;
 const TAG_PING: u8 = 0x08;
 const TAG_PONG: u8 = 0x09;
 
-// --- encoding ------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i32(out: &mut Vec<u8>, v: i32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-    put_u32(out, v.len() as u32);
-    out.extend_from_slice(v);
-}
-
-/// Encodes `frame` as a payload (tag + body), without the length prefix.
-pub fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::new();
-    match frame {
-        Frame::Align(r) => {
-            out.push(TAG_ALIGN);
-            put_u64(&mut out, r.id);
-            put_u32(&mut out, r.deadline_ms);
-            put_u32(&mut out, r.threads as u32);
-            put_u32(&mut out, r.k as u32);
-            put_i32(&mut out, r.gap);
-            put_u64(&mut out, r.base_cells);
-            put_bytes(&mut out, r.matrix.as_bytes());
-            put_bytes(&mut out, &r.seq_a);
-            put_bytes(&mut out, &r.seq_b);
-        }
-        Frame::Ok(r) => {
-            out.push(TAG_OK);
-            put_u64(&mut out, r.id);
-            put_i64(&mut out, r.score);
-            put_bytes(&mut out, r.cigar.as_bytes());
-        }
-        Frame::Fail(r) => {
-            out.push(TAG_FAIL);
-            put_u64(&mut out, r.id);
-            out.push(r.code as u8);
-            put_bytes(&mut out, r.detail.as_bytes());
-        }
-        Frame::Overloaded { id, retry_after_ms } => {
-            out.push(TAG_OVERLOADED);
-            put_u64(&mut out, *id);
-            put_u32(&mut out, *retry_after_ms);
-        }
-        Frame::ProtocolError { detail } => {
-            out.push(TAG_PROTOCOL_ERROR);
-            put_bytes(&mut out, detail.as_bytes());
-        }
-        Frame::Shutdown => out.push(TAG_SHUTDOWN),
-        Frame::ShutdownAck => out.push(TAG_SHUTDOWN_ACK),
-        Frame::Ping(tok) => {
-            out.push(TAG_PING);
-            put_u64(&mut out, *tok);
-        }
-        Frame::Pong(tok) => {
-            out.push(TAG_PONG);
-            put_u64(&mut out, *tok);
-        }
-    }
-    out
-}
-
-/// Encodes `frame` with its length prefix — the exact bytes that go on
-/// the wire.
+/// Encodes `frame` as one codec frame — the exact bytes that go on the
+/// wire, and the content of a spool file.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut out = Vec::with_capacity(4 + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    out
+    let mut e = Enc::default();
+    match frame {
+        Frame::Align(r) => e.frame(TAG_ALIGN, |e| {
+            e.u64(r.id);
+            e.u32(r.deadline_ms);
+            e.u32(r.threads.into());
+            e.u32(r.k.into());
+            e.i32(r.gap);
+            e.u64(r.base_cells);
+            e.str(&r.matrix);
+            e.bytes(&r.seq_a);
+            e.bytes(&r.seq_b);
+        }),
+        Frame::Ok(r) => e.frame(TAG_OK, |e| {
+            e.u64(r.id);
+            e.u64(r.score as u64);
+            e.str(&r.cigar);
+        }),
+        Frame::Fail(r) => e.frame(TAG_FAIL, |e| {
+            e.u64(r.id);
+            e.u8(r.code as u8);
+            e.str(&r.detail);
+        }),
+        Frame::Overloaded { id, retry_after_ms } => e.frame(TAG_OVERLOADED, |e| {
+            e.u64(*id);
+            e.u32(*retry_after_ms);
+        }),
+        Frame::ProtocolError { detail } => e.frame(TAG_PROTOCOL_ERROR, |e| e.str(detail)),
+        Frame::Shutdown => e.frame(TAG_SHUTDOWN, |_| {}),
+        Frame::ShutdownAck => e.frame(TAG_SHUTDOWN_ACK, |_| {}),
+        Frame::Ping(tok) => e.frame(TAG_PING, |e| e.u64(*tok)),
+        Frame::Pong(tok) => e.frame(TAG_PONG, |e| e.u64(*tok)),
+    }
+    e.buf
 }
 
 /// Writes one frame to `w` (single `write_all`, so concurrent writers
 /// holding the same lock interleave at frame granularity).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), ProtocolError> {
-    let bytes = encode_frame(frame);
-    w.write_all(&bytes).map_err(|e| ProtocolError::Io {
-        detail: e.to_string(),
-    })?;
-    w.flush().map_err(|e| ProtocolError::Io {
-        detail: e.to_string(),
-    })
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
+    w.write_all(&encode_frame(frame))?;
+    Ok(w.flush()?)
 }
 
-// --- decoding ------------------------------------------------------------
-
-/// Bounded little-endian cursor over one frame payload. Every read is
-/// length-checked against the remaining bytes before it happens, so a
-/// corrupted inner length can reject but never over-read or over-allocate.
-struct Dec<'a> {
-    data: &'a [u8],
-    pos: usize,
+/// Reads one frame from a blocking reader. A clean EOF *between* frames
+/// is [`WireError::Closed`]; an EOF mid-frame is framing damage.
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
+    let (tag, body) = wire::read_frame(r, MAX_FRAME)?;
+    decode(tag, &body)
 }
 
-impl<'a> Dec<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Dec { data, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ProtocolError> {
-        if self.remaining() < n {
-            return Err(ProtocolError::Malformed {
-                detail: format!(
-                    "truncated {what}: need {n} bytes, have {}",
-                    self.remaining()
-                ),
-            });
-        }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, ProtocolError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, ProtocolError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn i32(&mut self, what: &str) -> Result<i32, ProtocolError> {
-        Ok(self.u32(what)? as i32)
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, ProtocolError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn i64(&mut self, what: &str) -> Result<i64, ProtocolError> {
-        Ok(self.u64(what)? as i64)
-    }
-
-    /// A length-prefixed byte field, capped by both the remaining payload
-    /// and `cap`. The remaining-bytes check runs *before* the allocation.
-    fn bytes(&mut self, cap: usize, what: &str) -> Result<Vec<u8>, ProtocolError> {
-        let len = self.u32(what)? as usize;
-        if len > cap {
-            return Err(ProtocolError::Malformed {
-                detail: format!("{what} length {len} exceeds cap {cap}"),
-            });
-        }
-        Ok(self.take(len, what)?.to_vec())
-    }
-
-    fn string(&mut self, cap: usize, what: &str) -> Result<String, ProtocolError> {
-        let raw = self.bytes(cap, what)?;
-        String::from_utf8(raw).map_err(|_| ProtocolError::Malformed {
-            detail: format!("{what} is not valid UTF-8"),
-        })
-    }
-
-    /// Rejects trailing junk: a frame must be exactly its fields.
-    fn finish(self, what: &str) -> Result<(), ProtocolError> {
-        if self.remaining() != 0 {
-            return Err(ProtocolError::Malformed {
-                detail: format!(
-                    "{what}: {} trailing bytes after last field",
-                    self.remaining()
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Decodes one payload (tag + body) into a [`Frame`].
-pub fn decode_payload(payload: &[u8]) -> Result<Frame, ProtocolError> {
-    let mut d = Dec::new(payload);
-    let tag = d.u8("frame tag")?;
+fn decode(tag: u8, body: &[u8]) -> Result<Frame, WireError> {
+    let mut c = Cur::new(body);
+    let bad = |detail: String| WireError::Malformed { detail };
     let frame = match tag {
         TAG_ALIGN => {
-            let id = d.u64("request id")?;
-            let deadline_ms = d.u32("deadline_ms")?;
-            let threads = d.u32("threads")?;
-            let k = d.u32("k")?;
-            if threads > u16::MAX as u32 || k > u16::MAX as u32 {
-                return Err(ProtocolError::Malformed {
-                    detail: format!("threads {threads} / k {k} out of range"),
-                });
+            let id = c.u64()?;
+            let deadline_ms = c.u32()?;
+            let (threads, k) = (c.u32()?, c.u32()?);
+            let (Ok(threads), Ok(k)) = (u16::try_from(threads), u16::try_from(k)) else {
+                return Err(bad(format!("threads {threads} / k {k} out of range")));
+            };
+            let gap = c.i32()?;
+            let base_cells = c.u64()?;
+            let matrix = c.str()?;
+            if matrix.len() > MAX_MATRIX_NAME {
+                return Err(bad(format!("matrix name of {} bytes", matrix.len())));
             }
-            let gap = d.i32("gap")?;
-            let base_cells = d.u64("base_cells")?;
-            let matrix = d.string(64, "matrix name")?;
-            let seq_a = d.bytes(MAX_SEQ_BYTES, "sequence a")?;
-            let seq_b = d.bytes(MAX_SEQ_BYTES, "sequence b")?;
+            let (seq_a, seq_b) = (c.bytes()?, c.bytes()?);
+            if seq_a.len().max(seq_b.len()) > MAX_SEQ_BYTES {
+                return Err(bad(format!("sequence exceeds cap {MAX_SEQ_BYTES}")));
+            }
             Frame::Align(AlignRequest {
                 id,
                 deadline_ms,
-                threads: threads as u16,
-                k: k as u16,
+                threads,
+                k,
                 gap,
                 base_cells,
                 matrix,
@@ -442,96 +266,32 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, ProtocolError> {
                 seq_b,
             })
         }
-        TAG_OK => {
-            let id = d.u64("result id")?;
-            let score = d.i64("score")?;
-            let cigar = d.string(MAX_FRAME, "cigar")?;
-            Frame::Ok(AlignOk { id, score, cigar })
-        }
+        TAG_OK => Frame::Ok(AlignOk {
+            id: c.u64()?,
+            score: c.u64()? as i64,
+            cigar: c.str()?,
+        }),
         TAG_FAIL => {
-            let id = d.u64("fail id")?;
-            let raw = d.u8("error code")?;
-            let code = ErrorCode::from_u8(raw).ok_or_else(|| ProtocolError::Malformed {
-                detail: format!("unknown error code {raw}"),
-            })?;
-            let detail = d.string(MAX_FRAME, "error detail")?;
+            let id = c.u64()?;
+            let raw = c.u8()?;
+            let code =
+                ErrorCode::from_u8(raw).ok_or_else(|| bad(format!("unknown error code {raw}")))?;
+            let detail = c.str()?;
             Frame::Fail(AlignFail { id, code, detail })
         }
-        TAG_OVERLOADED => {
-            let id = d.u64("overloaded id")?;
-            let retry_after_ms = d.u32("retry_after_ms")?;
-            Frame::Overloaded { id, retry_after_ms }
-        }
-        TAG_PROTOCOL_ERROR => {
-            let detail = d.string(MAX_FRAME, "protocol error detail")?;
-            Frame::ProtocolError { detail }
-        }
+        TAG_OVERLOADED => Frame::Overloaded {
+            id: c.u64()?,
+            retry_after_ms: c.u32()?,
+        },
+        TAG_PROTOCOL_ERROR => Frame::ProtocolError { detail: c.str()? },
         TAG_SHUTDOWN => Frame::Shutdown,
         TAG_SHUTDOWN_ACK => Frame::ShutdownAck,
-        TAG_PING => Frame::Ping(d.u64("ping token")?),
-        TAG_PONG => Frame::Pong(d.u64("pong token")?),
-        other => {
-            return Err(ProtocolError::Malformed {
-                detail: format!("unknown frame tag 0x{other:02x}"),
-            })
-        }
+        TAG_PING => Frame::Ping(c.u64()?),
+        TAG_PONG => Frame::Pong(c.u64()?),
+        other => return Err(bad(format!("unknown frame tag 0x{other:02x}"))),
     };
-    d.finish("frame")?;
+    c.finish()?;
     Ok(frame)
-}
-
-/// Validates a frame length prefix before any buffer is reserved.
-pub fn check_frame_len(len: u32) -> Result<usize, ProtocolError> {
-    let len = len as usize;
-    if len == 0 {
-        return Err(ProtocolError::Frame {
-            detail: "zero-length frame".to_string(),
-        });
-    }
-    if len > MAX_FRAME {
-        return Err(ProtocolError::Frame {
-            detail: format!("frame length {len} exceeds cap {MAX_FRAME}"),
-        });
-    }
-    Ok(len)
-}
-
-/// Reads one frame from a blocking reader. A clean EOF *between* frames
-/// is [`ProtocolError::Closed`]; an EOF mid-frame is framing damage.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtocolError> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Err(ProtocolError::Closed),
-            Ok(0) => {
-                return Err(ProtocolError::Frame {
-                    detail: "eof inside frame length".to_string(),
-                })
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                return Err(ProtocolError::Io {
-                    detail: e.to_string(),
-                })
-            }
-        }
-    }
-    let len = check_frame_len(u32::from_le_bytes(len_buf))?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            ProtocolError::Frame {
-                detail: "eof inside frame payload".to_string(),
-            }
-        } else {
-            ProtocolError::Io {
-                detail: e.to_string(),
-            }
-        }
-    })?;
-    decode_payload(&payload)
 }
 
 #[cfg(test)]
@@ -550,6 +310,16 @@ mod tests {
             seq_a: b"ACGTACGT".to_vec(),
             seq_b: b"ACGTTCGT".to_vec(),
         }
+    }
+
+    /// Re-frames `frame` after `mutate` edits its body, with a fresh CRC.
+    fn reframed(frame: &Frame, mutate: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let (tag, mut body) = wire::read_frame(&mut encode_frame(frame).as_slice(), MAX_FRAME)
+            .expect("well-formed frame");
+        mutate(&mut body);
+        let mut e = Enc::default();
+        e.frame(tag, |e| e.buf.extend_from_slice(&body));
+        e.buf
     }
 
     #[test]
@@ -579,12 +349,8 @@ mod tests {
             Frame::Pong(99),
         ];
         for f in frames {
-            let payload = encode_payload(&f);
-            assert_eq!(decode_payload(&payload).unwrap(), f, "{f:?}");
-            // And through the stream layer.
             let wire = encode_frame(&f);
-            let mut cursor = std::io::Cursor::new(wire);
-            assert_eq!(read_frame(&mut cursor).unwrap(), f, "{f:?}");
+            assert_eq!(read_frame(&mut wire.as_slice()).unwrap(), f, "{f:?}");
         }
     }
 
@@ -599,64 +365,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_and_oversized_lengths_are_framing_errors() {
-        assert!(matches!(
-            check_frame_len(0),
-            Err(ProtocolError::Frame { .. })
-        ));
-        assert!(matches!(
-            check_frame_len((MAX_FRAME + 1) as u32),
-            Err(ProtocolError::Frame { .. })
-        ));
-        assert_eq!(check_frame_len(1).unwrap(), 1);
-    }
-
-    #[test]
-    fn inner_length_bomb_is_rejected_before_allocation() {
-        // An Align frame claiming a 4 GiB sequence inside a tiny payload.
-        let mut payload = encode_payload(&Frame::Align(sample_request()));
-        // Corrupt the matrix-name length field into u32::MAX.
-        let name_len_at = 1 + 8 + 4 + 4 + 4 + 4 + 8;
-        payload[name_len_at..name_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = decode_payload(&payload).unwrap_err();
-        assert!(matches!(err, ProtocolError::Malformed { .. }), "{err:?}");
-    }
-
-    #[test]
     fn trailing_junk_is_malformed() {
-        let mut payload = encode_payload(&Frame::Ping(1));
-        payload.push(0);
+        let wire = reframed(&Frame::Ping(1), |body| body.push(0));
         assert!(matches!(
-            decode_payload(&payload),
-            Err(ProtocolError::Malformed { .. })
+            read_frame(&mut wire.as_slice()),
+            Err(WireError::Malformed { .. })
         ));
-    }
-
-    #[test]
-    fn eof_between_frames_is_closed_inside_is_framing() {
-        let mut empty = std::io::Cursor::new(Vec::<u8>::new());
-        assert_eq!(read_frame(&mut empty).unwrap_err(), ProtocolError::Closed);
-        let wire = encode_frame(&Frame::Ping(1));
-        for cut in 1..wire.len() {
-            let mut cursor = std::io::Cursor::new(wire[..cut].to_vec());
-            let err = read_frame(&mut cursor).unwrap_err();
-            assert!(
-                matches!(err, ProtocolError::Frame { .. }),
-                "cut={cut}: {err:?}"
-            );
-        }
     }
 
     #[test]
     fn non_utf8_matrix_name_is_malformed() {
-        let mut r = sample_request();
-        r.matrix = "dna".to_string();
-        let mut payload = encode_payload(&Frame::Align(r));
-        let name_at = 1 + 8 + 4 + 4 + 4 + 4 + 8 + 4;
-        payload[name_at] = 0xff;
+        let wire = reframed(&Frame::Align(sample_request()), |body| {
+            let at = body.windows(3).position(|w| w == b"dna").expect("name");
+            body[at] = 0xff;
+        });
         assert!(matches!(
-            decode_payload(&payload),
-            Err(ProtocolError::Malformed { .. })
+            read_frame(&mut wire.as_slice()),
+            Err(WireError::Malformed { .. })
         ));
     }
 }

@@ -12,6 +12,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
+use flsa_checkpoint::wire::{read_frame, Enc, HEADER_LEN};
 use flsa_serve::wire::{self, Frame, PREAMBLE};
 use flsa_serve::ServeConfig;
 use util::{connect, dna, req, start};
@@ -101,7 +102,7 @@ fn allocation_bombs_are_rejected_before_any_allocation() {
     // answer with a typed error without ever trying to buffer it.
     let mut client = connect(&server);
     client
-        .send_raw(&[0xFF, 0xFF, 0xFF, 0xFF])
+        .send_raw(&[0xFF; HEADER_LEN])
         .expect("send bomb header");
     match client.recv() {
         Ok(Frame::ProtocolError { detail }) => {
@@ -117,15 +118,16 @@ fn allocation_bombs_are_rejected_before_any_allocation() {
     // sequence: caught by the bounded cursor, connection kept.
     let a = dna(1, 16);
     let b = dna(2, 16);
-    let mut payload = wire::encode_payload(&Frame::Align(req(1, &a, &b)));
-    // The request tail is [len_a:u32][a][len_b:u32][b]; corrupt the
-    // last 4-byte length (seq_b) into ~4 GiB.
-    let pos = payload.len() - b.len() - 4;
-    payload[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
-    framed.extend_from_slice(&payload);
+    let align = wire::encode_frame(&Frame::Align(req(1, &a, &b)));
+    let (tag, mut body) = read_frame(&mut align.as_slice(), wire::MAX_FRAME).expect("frame");
+    // The body ends [len_b: u64][b]; make len_b claim ~2^64 bytes and
+    // re-frame it, so the CRC passes and only the cursor can object.
+    let pos = body.len() - b.len() - 8;
+    body[pos..pos + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let mut framed = Enc::default();
+    framed.frame(tag, |e| e.buf.extend_from_slice(&body));
     let mut client = connect(&server);
-    client.send_raw(&framed).expect("send inner bomb");
+    client.send_raw(&framed.buf).expect("send inner bomb");
     match client.recv() {
         Ok(Frame::ProtocolError { detail }) => assert!(!detail.is_empty()),
         other => panic!("expected typed ProtocolError, got {other:?}"),

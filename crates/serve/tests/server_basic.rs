@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use flsa_checkpoint::wire::Enc;
 use flsa_metrics::{names, Registry};
 use flsa_serve::wire::{ErrorCode, Frame};
 use flsa_serve::{JobHooks, ServeConfig, ServeError, Server, Spool};
@@ -243,9 +244,9 @@ fn malformed_frames_keep_the_connection_alive() {
     let mut client = connect(&server);
     // A well-framed payload with an unknown tag: Malformed, answered,
     // connection stays up.
-    client
-        .send_raw(&[3, 0, 0, 0, 0xEE, 1, 2])
-        .expect("send raw");
+    let mut unknown = Enc::default();
+    unknown.frame(0xEE, |e| e.u8(1));
+    client.send_raw(&unknown.buf).expect("send raw");
     match client.recv().expect("response") {
         Frame::ProtocolError { detail } => {
             assert!(detail.contains("tag") || !detail.is_empty())
@@ -257,6 +258,30 @@ fn malformed_frames_keep_the_connection_alive() {
     let b = dna(10, 80);
     let (score, _) = reference(&a, &b);
     match client.align(req(1, &a, &b)).expect("response") {
+        Frame::Ok(ok) => assert_eq!(ok.score, score),
+        other => panic!("expected Ok, got {other:?}"),
+    }
+    drain_and_check(server);
+}
+
+#[test]
+fn positive_gap_is_a_bad_request_and_the_connection_lives() {
+    let server = start(ServeConfig::new(""));
+    let mut client = connect(&server);
+    let mut bad = req(1, "ACGT", "ACGT");
+    bad.gap = 5;
+    match client.align(bad).expect("response") {
+        Frame::Fail(f) => {
+            assert_eq!(f.code, ErrorCode::BadRequest, "{}", f.detail);
+            assert!(f.detail.contains("gap 5"), "{}", f.detail);
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    // The reader thread survived: the same connection serves real work.
+    let a = dna(11, 80);
+    let b = dna(12, 80);
+    let (score, _) = reference(&a, &b);
+    match client.align(req(2, &a, &b)).expect("response") {
         Frame::Ok(ok) => assert_eq!(ok.score, score),
         other => panic!("expected Ok, got {other:?}"),
     }

@@ -1,5 +1,5 @@
 //! Standalone shard worker binary, spoken to over stdin/stdout with the
-//! `FLSASHD1` protocol. The `flsa` CLI embeds the same loop as its
+//! `FLSASHD2` protocol. The `flsa` CLI embeds the same loop as its
 //! `shard-worker` subcommand; this binary exists so library tests (and
 //! other embedders) can shard without the full CLI.
 

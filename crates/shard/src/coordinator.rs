@@ -63,6 +63,7 @@ use std::time::{Duration, Instant};
 
 use fastlsa_core::grid::{partition, segment_of};
 use fastlsa_core::{align_opts, AlignError, AlignOptions, FastLsaConfig};
+use flsa_checkpoint::wire::{self, WireError};
 use flsa_dp::{AlignResult, Kernel, Metrics, Move, PathBuilder};
 use flsa_metrics::{names, Counter, Gauge, Histogram, Registry};
 use flsa_scoring::{tables, ScoringScheme};
@@ -70,7 +71,7 @@ use flsa_seq::Sequence;
 use flsa_trace::{EventKind, SpanKind};
 
 use crate::compute;
-use crate::protocol::{self, Frame, TaskKind, TaskOutput, TaskSpec, WireError};
+use crate::protocol::{self, Frame, TaskKind, TaskOutput, TaskSpec};
 
 /// Everything that can go wrong in a sharded run. Worker deaths, hangs,
 /// and corrupt results are *not* errors — they are handled by the
@@ -1159,7 +1160,7 @@ impl<'a> Coordinator<'a> {
         let events = self.events_tx.clone();
         std::thread::spawn(move || {
             let mut out = BufReader::new(stdout);
-            if let Err(e) = protocol::read_preamble(&mut out) {
+            if let Err(e) = wire::read_preamble(&mut out, protocol::PREAMBLE) {
                 let _ = events.send(Event::Dead {
                     slot: idx,
                     gen,

@@ -2,9 +2,9 @@
 //! execution (DESIGN.md §15).
 //!
 //! A [`coordinator`] owns the grid cache and farms Fill-Cache and
-//! Base-Case block tasks out to worker *processes* over the
-//! CRC32-framed `FLSASHD1` pipe [`protocol`] (the same allocation-safe
-//! wire discipline as `FLSACKP1` checkpoints). The [`worker`] side is
+//! Base-Case block tasks out to worker *processes* over the `FLSASHD2`
+//! pipe [`protocol`] (frames of the same CRC32 codec as checkpoints and
+//! `flsa serve`, `flsa_checkpoint::wire`). The [`worker`] side is
 //! deliberately dumb — read task, [`compute`], write result — because
 //! all fault tolerance lives on the coordinator's side of the pipe:
 //!
@@ -31,5 +31,5 @@ pub mod protocol;
 pub mod worker;
 
 pub use coordinator::{align_sharded, ShardError, ShardOptions, ShardPolicy};
-pub use protocol::{Frame, TaskKind, TaskOutput, TaskSpec, WireError};
+pub use protocol::{Frame, TaskKind, TaskOutput, TaskSpec};
 pub use worker::{WorkerFault, WorkerOptions};

@@ -1,86 +1,34 @@
-//! The `FLSASHD1` coordinator↔worker wire protocol (DESIGN.md §15).
+//! The `FLSASHD2` coordinator↔worker wire protocol (DESIGN.md §15): a
+//! table of tags over the frame codec in [`flsa_checkpoint::wire`]
+//! (DESIGN.md §10).
 //!
 //! Both directions of a worker pipe open with the 8-byte preamble
-//! `FLSASHD1`; after that the stream is length-prefixed frames:
+//! `FLSASHD2`; after that the stream is codec frames of at most
+//! [`MAX_FRAME`] body bytes. A corrupted length is rejected before any
+//! allocation, and a bit-flipped result frame fails its CRC instead of
+//! producing a wrong alignment:
 //!
-//! ```text
-//! +-------------+---------+------------------+---------------------+
-//! | len: u32 LE | tag: u8 | body (tag-based) | crc32(tag+body) u32 |
-//! +-------------+---------+------------------+---------------------+
-//! ```
-//!
-//! `len` counts everything after the prefix (tag + body + crc) and must
-//! be `5..=MAX_FRAME`. The body is encoded with the checkpoint crate's
-//! [`flsa_checkpoint::wire`] primitives — the same CRC32 framing and
-//! allocation-bomb-safe cursor the `FLSACKP1` snapshot format uses, so
-//! a corrupted inner length rejects *before* any allocation and a
-//! bit-flipped result frame fails its checksum instead of producing a
-//! wrong alignment.
-//!
-//! Failure taxonomy mirrors `FLSASRV1`:
-//!
-//! * [`WireError::Frame`] — the length prefix is damaged or the stream
-//!   died mid-frame; framing is lost and the peer is untrustworthy.
-//! * [`WireError::Malformed`] — a well-framed payload that fails its
-//!   CRC or does not parse. The coordinator treats this exactly like a
-//!   dead worker: the result is discarded and the task reassigned,
-//!   because a peer that ships one corrupt frame cannot be trusted to
-//!   frame the next one correctly.
+//! * [`WireError::Frame`] — framing is lost (a bad preamble, a length
+//!   over the cap, or a pipe that died mid-frame); the peer is
+//!   untrustworthy.
+//! * [`WireError::Malformed`] — a complete frame that fails its CRC or
+//!   does not parse. The coordinator treats this exactly like a dead
+//!   worker: the result is discarded and the task reassigned, because a
+//!   peer that ships one corrupt frame cannot be trusted to frame the
+//!   next one correctly.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
-use flsa_checkpoint::wire::{crc32, Cur, Enc};
-use flsa_checkpoint::CheckpointError;
+use flsa_checkpoint::wire::{self, Cur, Enc, WireError};
 
 /// Pipe preamble: protocol name + version, written by both sides
 /// immediately after the pipe opens.
-pub const PREAMBLE: &[u8; 8] = b"FLSASHD1";
+pub const PREAMBLE: &[u8; 8] = b"FLSASHD2";
 
-/// Hard cap on a frame (tag + body + crc). Large enough for a grid
-/// block's sequence slices and boundaries at any realistic split, small
-/// enough that a hostile length prefix cannot OOM the coordinator.
+/// Hard cap on a frame body. Large enough for a grid block's sequence
+/// slices and boundaries at any realistic split, small enough that a
+/// hostile length prefix cannot OOM the coordinator.
 pub const MAX_FRAME: usize = 64 << 20;
-
-/// Typed decode/transport failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// Framing damage: length prefix invalid or stream died mid-frame.
-    Frame {
-        /// What was wrong with the framing.
-        detail: String,
-    },
-    /// A complete frame that failed its CRC or did not parse.
-    Malformed {
-        /// What failed to verify or parse.
-        detail: String,
-    },
-    /// Transport I/O error.
-    Io {
-        /// The underlying error.
-        detail: String,
-    },
-    /// Clean end-of-stream between frames.
-    Closed,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Frame { detail } => write!(f, "framing error: {detail}"),
-            WireError::Malformed { detail } => write!(f, "malformed frame: {detail}"),
-            WireError::Io { detail } => write!(f, "i/o error: {detail}"),
-            WireError::Closed => write!(f, "pipe closed"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-fn malformed(e: CheckpointError) -> WireError {
-    WireError::Malformed {
-        detail: e.to_string(),
-    }
-}
 
 /// What a task asks the worker to compute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,18 +134,12 @@ const KIND_TRACE: u8 = 0x02;
 const OUT_FILL: u8 = 0x01;
 const OUT_TRACE: u8 = 0x02;
 
-// --- encoding ------------------------------------------------------------
-
-/// Encodes `frame` as tag + body, without length prefix or CRC.
-fn encode_body(frame: &Frame) -> Vec<u8> {
+/// Encodes `frame` as one codec frame — the exact pipe bytes.
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut e = Enc::default();
     match frame {
-        Frame::Hello { pid } => {
-            e.u8(TAG_HELLO);
-            e.u32(*pid);
-        }
-        Frame::Task(t) => {
-            e.u8(TAG_TASK);
+        Frame::Hello { pid } => e.frame(TAG_HELLO, |e| e.u32(*pid)),
+        Frame::Task(t) => e.frame(TAG_TASK, |e| {
             e.u64(t.task_id);
             e.str(&t.matrix);
             e.i32(t.gap);
@@ -220,9 +162,8 @@ fn encode_body(frame: &Frame) -> Vec<u8> {
                     e.u64(head.1);
                 }
             }
-        }
-        Frame::Result { task_id, output } => {
-            e.u8(TAG_RESULT);
+        }),
+        Frame::Result { task_id, output } => e.frame(TAG_RESULT, |e| {
             e.u64(*task_id);
             match output {
                 TaskOutput::Fill { bottom, right } => {
@@ -237,75 +178,48 @@ fn encode_body(frame: &Frame) -> Vec<u8> {
                     e.u64(exit.1);
                 }
             }
-        }
-        Frame::Heartbeat { seq } => {
-            e.u8(TAG_HEARTBEAT);
-            e.u64(*seq);
-        }
-        Frame::Shutdown => e.u8(TAG_SHUTDOWN),
+        }),
+        Frame::Heartbeat { seq } => e.frame(TAG_HEARTBEAT, |e| e.u64(*seq)),
+        Frame::Shutdown => e.frame(TAG_SHUTDOWN, |_| {}),
     }
     e.buf
 }
 
-/// Encodes `frame` with length prefix and CRC — the exact pipe bytes.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let body = encode_body(frame);
-    let crc = crc32(&body);
-    let mut out = Vec::with_capacity(4 + body.len() + 4);
-    out.extend_from_slice(&((body.len() + 4) as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+/// Reads one frame from a blocking reader.
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
+    let (tag, body) = wire::read_frame(r, MAX_FRAME)?;
+    decode(tag, &body)
 }
 
-/// Writes one frame (single `write_all`, so writers holding the same
-/// lock interleave at frame granularity).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
-    let bytes = encode_frame(frame);
-    w.write_all(&bytes).map_err(|e| WireError::Io {
-        detail: e.to_string(),
-    })?;
-    w.flush().map_err(|e| WireError::Io {
-        detail: e.to_string(),
-    })
-}
-
-// --- decoding ------------------------------------------------------------
-
-/// Decodes one CRC-verified payload (tag + body) into a [`Frame`].
-pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
+fn decode(tag: u8, body: &[u8]) -> Result<Frame, WireError> {
     let mut c = Cur::new(body);
-    let tag = c.u8().map_err(malformed)?;
+    let unknown = |what: &str, v: u8| WireError::Malformed {
+        detail: format!("unknown {what} 0x{v:02x}"),
+    };
     let frame = match tag {
-        TAG_HELLO => Frame::Hello {
-            pid: c.u32().map_err(malformed)?,
-        },
+        TAG_HELLO => Frame::Hello { pid: c.u32()? },
         TAG_TASK => {
-            let task_id = c.u64().map_err(malformed)?;
-            let matrix = c.str().map_err(malformed)?;
+            let task_id = c.u64()?;
+            let matrix = c.str()?;
             if matrix.len() > 64 {
                 return Err(WireError::Malformed {
                     detail: format!("matrix name of {} bytes", matrix.len()),
                 });
             }
-            let gap = c.i32().map_err(malformed)?;
-            let a = c.bytes().map_err(malformed)?;
-            let b = c.bytes().map_err(malformed)?;
-            let top = c.i32s().map_err(malformed)?;
-            let left = c.i32s().map_err(malformed)?;
-            let kind = match c.u8().map_err(malformed)? {
+            let gap = c.i32()?;
+            let a = c.bytes()?;
+            let b = c.bytes()?;
+            let top = c.i32s()?;
+            let left = c.i32s()?;
+            let kind = match c.u8()? {
                 KIND_FILL => TaskKind::Fill {
-                    want_bottom: c.u8().map_err(malformed)? != 0,
-                    want_right: c.u8().map_err(malformed)? != 0,
+                    want_bottom: c.u8()? != 0,
+                    want_right: c.u8()? != 0,
                 },
                 KIND_TRACE => TaskKind::Trace {
-                    head: (c.u64().map_err(malformed)?, c.u64().map_err(malformed)?),
+                    head: (c.u64()?, c.u64()?),
                 },
-                other => {
-                    return Err(WireError::Malformed {
-                        detail: format!("unknown task kind 0x{other:02x}"),
-                    })
-                }
+                other => return Err(unknown("task kind", other)),
             };
             Frame::Task(TaskSpec {
                 task_id,
@@ -319,133 +233,26 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
             })
         }
         TAG_RESULT => {
-            let task_id = c.u64().map_err(malformed)?;
-            let output = match c.u8().map_err(malformed)? {
+            let task_id = c.u64()?;
+            let output = match c.u8()? {
                 OUT_FILL => TaskOutput::Fill {
-                    bottom: c.i32s().map_err(malformed)?,
-                    right: c.i32s().map_err(malformed)?,
+                    bottom: c.i32s()?,
+                    right: c.i32s()?,
                 },
                 OUT_TRACE => TaskOutput::Trace {
-                    rev_moves: c.bytes().map_err(malformed)?,
-                    exit: (c.u64().map_err(malformed)?, c.u64().map_err(malformed)?),
+                    rev_moves: c.bytes()?,
+                    exit: (c.u64()?, c.u64()?),
                 },
-                other => {
-                    return Err(WireError::Malformed {
-                        detail: format!("unknown output kind 0x{other:02x}"),
-                    })
-                }
+                other => return Err(unknown("output kind", other)),
             };
             Frame::Result { task_id, output }
         }
-        TAG_HEARTBEAT => Frame::Heartbeat {
-            seq: c.u64().map_err(malformed)?,
-        },
+        TAG_HEARTBEAT => Frame::Heartbeat { seq: c.u64()? },
         TAG_SHUTDOWN => Frame::Shutdown,
-        other => {
-            return Err(WireError::Malformed {
-                detail: format!("unknown frame tag 0x{other:02x}"),
-            })
-        }
+        other => return Err(unknown("frame tag", other)),
     };
-    if !c.done() {
-        return Err(WireError::Malformed {
-            detail: format!("{} trailing bytes after last field", c.remaining()),
-        });
-    }
+    c.finish()?;
     Ok(frame)
-}
-
-/// Validates a frame length prefix before any buffer is reserved.
-pub fn check_frame_len(len: u32) -> Result<usize, WireError> {
-    let len = len as usize;
-    if len < 5 {
-        return Err(WireError::Frame {
-            detail: format!("frame length {len} below the 5-byte minimum"),
-        });
-    }
-    if len > MAX_FRAME {
-        return Err(WireError::Frame {
-            detail: format!("frame length {len} exceeds cap {MAX_FRAME}"),
-        });
-    }
-    Ok(len)
-}
-
-/// Reads one frame from a blocking reader, verifying its CRC. A clean
-/// EOF *between* frames is [`WireError::Closed`]; an EOF mid-frame is
-/// framing damage.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Err(WireError::Closed),
-            Ok(0) => {
-                return Err(WireError::Frame {
-                    detail: "eof inside frame length".to_string(),
-                })
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                return Err(WireError::Io {
-                    detail: e.to_string(),
-                })
-            }
-        }
-    }
-    let len = check_frame_len(u32::from_le_bytes(len_buf))?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Frame {
-                detail: "eof inside frame payload".to_string(),
-            }
-        } else {
-            WireError::Io {
-                detail: e.to_string(),
-            }
-        }
-    })?;
-    let (body, crc_bytes) = payload.split_at(len - 4);
-    let want = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    let got = crc32(body);
-    if want != got {
-        return Err(WireError::Malformed {
-            detail: format!("crc mismatch: frame says {want:#010x}, bytes hash to {got:#010x}"),
-        });
-    }
-    decode_body(body)
-}
-
-/// Writes the preamble.
-pub fn write_preamble(w: &mut impl Write) -> Result<(), WireError> {
-    w.write_all(PREAMBLE).map_err(|e| WireError::Io {
-        detail: e.to_string(),
-    })?;
-    w.flush().map_err(|e| WireError::Io {
-        detail: e.to_string(),
-    })
-}
-
-/// Reads and validates the peer's preamble.
-pub fn read_preamble(r: &mut impl Read) -> Result<(), WireError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Closed
-        } else {
-            WireError::Io {
-                detail: e.to_string(),
-            }
-        }
-    })?;
-    if &buf != PREAMBLE {
-        return Err(WireError::Frame {
-            detail: format!("bad preamble {buf:02x?}"),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -505,96 +312,20 @@ mod tests {
     }
 
     #[test]
-    fn every_single_byte_flip_is_rejected() {
-        // The CRC (plus the length/tag checks) must catch any one-byte
-        // corruption anywhere in the frame — this is what lets the
-        // coordinator treat a CorruptResult fault as a typed failure
-        // instead of a wrong alignment.
-        let wire = encode_frame(&Frame::Result {
-            task_id: 9,
-            output: TaskOutput::Fill {
-                bottom: vec![5, -6, 7],
-                right: vec![8],
-            },
-        });
-        for i in 0..wire.len() {
-            for bit in 0..8 {
-                let mut bad = wire.clone();
-                bad[i] ^= 1 << bit;
-                let mut cursor = std::io::Cursor::new(bad);
-                match read_frame(&mut cursor) {
-                    Ok(f) => panic!("flip at byte {i} bit {bit} decoded as {f:?}"),
-                    Err(
-                        WireError::Frame { .. }
-                        | WireError::Malformed { .. }
-                        | WireError::Io { .. },
-                    ) => {}
-                    Err(WireError::Closed) => panic!("flip at byte {i} bit {bit} read as Closed"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn truncation_is_framing_damage() {
-        let wire = encode_frame(&Frame::Heartbeat { seq: 3 });
-        for cut in 1..wire.len() {
-            let mut cursor = std::io::Cursor::new(wire[..cut].to_vec());
-            let err = read_frame(&mut cursor).unwrap_err();
-            assert!(matches!(err, WireError::Frame { .. }), "cut={cut}: {err:?}");
-        }
-        let mut empty = std::io::Cursor::new(Vec::<u8>::new());
-        assert_eq!(read_frame(&mut empty).unwrap_err(), WireError::Closed);
-    }
-
-    #[test]
-    fn allocation_bomb_lengths_reject_before_allocation() {
-        // A Task frame whose inner sequence length claims 2^60 elements:
-        // the checkpoint cursor validates against remaining bytes first.
-        let mut e = Enc::default();
-        e.u8(TAG_TASK);
-        e.u64(1); // task id
-        e.str("dna");
-        e.i32(-4);
-        e.u64(1 << 60); // hostile length prefix for `a`
-        let crc = crc32(&e.buf);
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&((e.buf.len() + 4) as u32).to_le_bytes());
-        wire.extend_from_slice(&e.buf);
-        wire.extend_from_slice(&crc.to_le_bytes());
-        let mut cursor = std::io::Cursor::new(wire);
-        assert!(matches!(
-            read_frame(&mut cursor).unwrap_err(),
-            WireError::Malformed { .. }
-        ));
-    }
-
-    #[test]
     fn trailing_junk_is_malformed() {
-        let mut body = encode_body(&Frame::Shutdown);
-        body.push(0);
-        let crc = crc32(&body);
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&((body.len() + 4) as u32).to_le_bytes());
-        wire.extend_from_slice(&body);
-        wire.extend_from_slice(&crc.to_le_bytes());
-        let mut cursor = std::io::Cursor::new(wire);
+        let mut e = Enc::default();
+        e.frame(TAG_SHUTDOWN, |e| e.u8(0));
         assert!(matches!(
-            read_frame(&mut cursor).unwrap_err(),
+            read_frame(&mut e.buf.as_slice()).unwrap_err(),
             WireError::Malformed { .. }
         ));
     }
 
     #[test]
-    fn preamble_round_trips_and_rejects_garbage() {
-        let mut buf = Vec::new();
-        write_preamble(&mut buf).unwrap();
-        assert_eq!(&buf, PREAMBLE);
-        let mut cursor = std::io::Cursor::new(buf);
-        read_preamble(&mut cursor).unwrap();
-        let mut bad = std::io::Cursor::new(b"FLSASRV1".to_vec());
+    fn another_protocols_preamble_is_refused() {
+        wire::read_preamble(&mut &PREAMBLE[..], PREAMBLE).unwrap();
         assert!(matches!(
-            read_preamble(&mut bad).unwrap_err(),
+            wire::read_preamble(&mut &b"FLSASRV2"[..], PREAMBLE).unwrap_err(),
             WireError::Frame { .. }
         ));
     }

@@ -17,10 +17,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use flsa_checkpoint::wire::{self, WireError};
 use flsa_dp::{Kernel, Metrics};
 
 use crate::compute;
-use crate::protocol::{self, Frame, WireError};
+use crate::protocol::{self, Frame};
 
 /// Seeded-chaos fault switches for one worker process, parsed from the
 /// `--fault` spec the coordinator passes on the command line (the plans
@@ -129,25 +130,20 @@ pub fn run(opts: &WorkerOptions) -> i32 {
     // Results and heartbeats share one lock so frames never interleave.
     let output = Arc::new(Mutex::new(std::io::stdout()));
 
-    if let Err(e) = protocol::read_preamble(&mut input) {
+    if let Err(e) = wire::read_preamble(&mut input, protocol::PREAMBLE) {
         eprintln!("flsa-shard-worker: bad coordinator preamble: {e}");
         return 1;
     }
     {
-        // flsa-check: allow(unwrap) below is not needed — handle poison
-        // by exiting; a poisoned stdout lock means a writer panicked.
+        // A poisoned stdout lock means a writer panicked: exit.
         let Ok(mut out) = output.lock() else {
             return 1;
         };
-        if protocol::write_preamble(&mut *out).is_err()
-            || protocol::write_frame(
-                &mut *out,
-                &Frame::Hello {
-                    pid: std::process::id(),
-                },
-            )
-            .is_err()
-        {
+        let mut hello = protocol::PREAMBLE.to_vec();
+        hello.extend(protocol::encode_frame(&Frame::Hello {
+            pid: std::process::id(),
+        }));
+        if out.write_all(&hello).and_then(|()| out.flush()).is_err() {
             return 1;
         }
     }
@@ -167,7 +163,8 @@ pub fn run(opts: &WorkerOptions) -> i32 {
             // by the coordinator for debugging; no memory is published
             // under it — the pipe write itself is the synchronization.
             let seq = beat_seq.fetch_add(1, Ordering::Relaxed);
-            if protocol::write_frame(&mut *out, &Frame::Heartbeat { seq }).is_err() {
+            let beat = protocol::encode_frame(&Frame::Heartbeat { seq });
+            if out.write_all(&beat).and_then(|()| out.flush()).is_err() {
                 return;
             }
         });
@@ -225,10 +222,9 @@ pub fn run(opts: &WorkerOptions) -> i32 {
         let this_result = results_sent;
         results_sent += 1;
         if opts.fault.corrupt_at_result == Some(this_result) {
-            // Flip a bit inside the body (past the 4-byte length prefix,
-            // before the trailing CRC) so framing stays intact and the
-            // corruption is exactly a checksum failure.
-            let at = 4 + (bytes.len() - 8) / 2;
+            // Flip a bit past the codec header, so framing stays intact
+            // and the corruption is exactly a checksum failure.
+            let at = wire::HEADER_LEN + (bytes.len() - wire::HEADER_LEN) / 2;
             bytes[at] ^= 0x40;
         }
         let Ok(mut out) = output.lock() else { return 1 };
