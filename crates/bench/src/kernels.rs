@@ -15,7 +15,9 @@
 
 use std::time::Instant;
 
-use flsa_dp::{detected_cpu_features, BatchJob, BatchKernel, Boundary, Kernel, KernelBackend, Metrics};
+use flsa_dp::{
+    detected_cpu_features, BatchJob, BatchKernel, Boundary, Kernel, KernelBackend, Metrics,
+};
 use flsa_scoring::ScoringScheme;
 use flsa_seq::generate::homologous_pair;
 use flsa_seq::Alphabet;

@@ -59,7 +59,7 @@ const SOLVER_ENTRIES: &[&str] = &[
 const SOLVER_FILE: &str = "crates/core/src/solver.rs";
 
 /// Wavefront fns treated as tile-execution entry points.
-const WAVEFRONT_ENTRIES: &[&str] = &["run_wavefront", "run_wavefront_traced"];
+const WAVEFRONT_ENTRIES: &[&str] = &["run_wavefront"];
 const WAVEFRONT_FILE: &str = "crates/wavefront/src/executor.rs";
 
 /// Alignment entry points that must reach the overflow guard (R10).

@@ -49,7 +49,7 @@ pub struct ModelSpec {
     pub panic_at: Option<(usize, usize)>,
     /// Tile at which a participant observes cancellation and calls
     /// `abort_cancelled` instead of running the work (invariant-7
-    /// scenarios, mirroring `WorkerPool::run_with_cancel`).
+    /// scenarios, mirroring `WorkerPool::run_traced`).
     pub cancel_at: Option<(usize, usize)>,
 }
 

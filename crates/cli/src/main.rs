@@ -102,8 +102,9 @@ ALIGN OPTIONS:
                        killed run leaves a snapshot `flsa resume` folds
                        into its own totals.
     --progress         live status line on stderr (percent done,
-                       cells/sec, ETA, engine phase, kernel backend),
-                       refreshed at a bounded ~5 Hz
+                       cells/sec, ETA, engine phase, and the kernel
+                       backend that has computed the most cells so
+                       far), refreshed at a bounded ~5 Hz
     --quiet            suppress the alignment rendering
     --width N          alignment rendering width (default 60)
 
@@ -131,7 +132,8 @@ RESUME OPTIONS (plus --stats/--json/--quiet/--trace/--metrics/
                        with code 3 and touches nothing. With --metrics
                        FILE, an existing export at FILE (from the killed
                        run) is folded in so the final export covers the
-                       whole logical alignment.
+                       whole logical alignment; --stats and --json then
+                       report the same whole-lineage totals.
 
 SERVE OPTIONS:
     --addr A:P         listen address (default 127.0.0.1:7878; port 0
@@ -175,13 +177,16 @@ REPORT OPTIONS:
     flsa report accepts a trace file, or --metrics alone, or both.
     --metrics FILE     load a metrics export written by `flsa align
                        --metrics` or `flsa serve --metrics`. With a
-                       trace, cross-check it: per-backend cell counts
-                       must match the trace-derived totals exactly, and
-                       the worker busy/idle split is folded into an
-                       occupancy figure. Serve exports additionally get
-                       a service section (outcome counts, retries and
-                       contained panics, queue depth peak, request and
-                       admission-wait latency quantiles).
+                       trace, add what only the registry has: the
+                       worker busy/idle split as an occupancy figure,
+                       and checkpoint saves. Kernel cells are not
+                       repeated: each kernel call is recorded once,
+                       with the backend of the fill that ran, and the
+                       trace report already lists them per backend.
+                       Serve exports additionally get a service section
+                       (outcome counts, retries and contained panics,
+                       queue depth peak, request and admission-wait
+                       latency quantiles).
 
 BENCH OPTIONS (flsa bench metrics):
     --len N            square problem side for the end-to-end overhead
@@ -1063,7 +1068,7 @@ fn write_trace(path: &str, format: &str, recorder: &Recorder) -> Result<usize, S
 
 /// `flsa report [TRACE] [--metrics FILE]`: reads a trace (either export
 /// format) and prints the utilization / pipeline-phase / recursion
-/// analysis; a metrics export is cross-checked against the trace, or
+/// analysis; a metrics export adds what only the registry has, or is
 /// summarized on its own when no trace is given (the `flsa serve
 /// --metrics` workflow has no trace to pair with).
 fn cmd_report(a: &args::Args) -> Result<(), CliError> {
@@ -1086,7 +1091,7 @@ fn cmd_report(a: &args::Args) -> Result<(), CliError> {
             let analysis = flsa_trace::analyze(&trace);
             print!("{}", flsa_trace::render_report(&analysis));
             if let Some((mpath, snap)) = &metrics {
-                print!("{}", render_metrics_crosscheck(mpath, snap, &analysis));
+                print!("{}", render_metrics_extras(mpath, snap));
                 print!("{}", render_serve_metrics(snap));
             }
             Ok(())
@@ -1095,8 +1100,7 @@ fn cmd_report(a: &args::Args) -> Result<(), CliError> {
             println!("metrics report ({mpath}):");
             let serve = render_serve_metrics(snap);
             if serve.is_empty() {
-                // Not a serve export: show the engine-side totals that
-                // make sense without a trace to cross-check against.
+                // Not a serve export: show the engine-side totals.
                 use flsa_metrics::names;
                 println!(
                     "  kernel cells    {}",
@@ -1191,57 +1195,16 @@ fn fmt_dur_ns(ns: u64) -> String {
     }
 }
 
-/// The `flsa report --metrics` section: the same run seen through two
-/// independent instruments — the event trace and the metrics registry —
-/// must tell the same story. Per-backend cell counts are compared
-/// exactly (the DP layer keeps both attributions in lockstep by
-/// construction); the wavefront busy/idle totals, which only the
-/// registry has, are folded into a computed occupancy figure.
-fn render_metrics_crosscheck(
-    mpath: &str,
-    snap: &MetricsSnapshot,
-    a: &flsa_trace::Analysis,
-) -> String {
+/// The `flsa report TRACE --metrics FILE` section: what only the
+/// registry has. Kernel cells and calls are not repeated here, since the
+/// trace report above prints them per backend from the same record. The
+/// wavefront busy/idle totals are folded into an occupancy figure, and
+/// checkpoint saves are summarized.
+fn render_metrics_extras(mpath: &str, snap: &MetricsSnapshot) -> String {
     use flsa_metrics::names;
     use std::fmt::Write as _;
-    let verdict = |ok: bool| if ok { "MATCH" } else { "MISMATCH" };
-    let mut out = String::new();
-    let _ = writeln!(out, "\nmetrics cross-check ({mpath}):");
-    let cells = snap.counter(names::CELLS_TOTAL).unwrap_or(0);
-    let _ = writeln!(
-        out,
-        "  kernel cells    metrics {:>16}   trace {:>16}   {}",
-        cells,
-        a.kernel_cells,
-        verdict(cells == a.kernel_cells)
-    );
-    let calls = snap.counter(names::KERNEL_CALLS_TOTAL).unwrap_or(0);
-    let _ = writeln!(
-        out,
-        "  kernel calls    metrics {:>16}   trace {:>16}   {}",
-        calls,
-        a.kernel_events,
-        verdict(calls == a.kernel_events as u64)
-    );
-    for b in names::BACKENDS {
-        let m = snap.counter(names::cells_for_backend(b)).unwrap_or(0);
-        let t = a
-            .kernel_backends
-            .iter()
-            .find(|s| s.backend == *b)
-            .map_or(0, |s| s.cells);
-        if m == 0 && t == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "    cells[{:<6}] metrics {:>16}   trace {:>16}   {}",
-            b,
-            m,
-            t,
-            verdict(m == t)
-        );
-    }
+    let mut out = format!("\nmetrics ({mpath}):\n");
+    let header = out.len();
     let busy = snap.counter(names::WORKER_BUSY_NS_TOTAL).unwrap_or(0);
     let idle = snap.counter(names::WORKER_IDLE_NS_TOTAL).unwrap_or(0);
     if busy + idle > 0 {
@@ -1269,6 +1232,9 @@ fn render_metrics_crosscheck(
             fsync.map_or("-".to_string(), |h| fmt_dur_ns(h.quantile(0.5))),
             fsync.map_or("-".to_string(), |h| fmt_dur_ns(h.quantile(0.99)))
         );
+    }
+    if out.len() == header {
+        out.push_str("  no wavefront pool or checkpoint activity recorded\n");
     }
     out
 }
@@ -1311,10 +1277,7 @@ fn cmd_batch(a: &args::Args) -> Result<(), CliError> {
             }
             // Interleave so the "consecutive records" pairing below
             // covers both input shapes with one code path.
-            ra.into_iter()
-                .zip(rb)
-                .flat_map(|(x, y)| [x, y])
-                .collect()
+            ra.into_iter().zip(rb).flat_map(|(x, y)| [x, y]).collect()
         }
         _ => {
             return Err(CliError::usage(
@@ -1719,7 +1682,9 @@ fn cmd_bench_kernels(a: &args::Args) -> Result<(), CliError> {
         // Dispatch-order sanity: detect_best prefers the widest vector
         // backend, so the widest must not be slower than the next-widest.
         if let Some(ratio) = report.widest_vs_next() {
-            println!("dispatch gate   widest vector backend {ratio:.2}x next-widest, 1.00x required");
+            println!(
+                "dispatch gate   widest vector backend {ratio:.2}x next-widest, 1.00x required"
+            );
             if ratio < 1.0 {
                 return Err(CliError::runtime(format!(
                     "kernel dispatch regression: widest vector backend runs at only \

@@ -120,52 +120,7 @@ pub fn align_opts(
 ) -> Result<AlignResult, AlignError> {
     config.validate_run(scheme, a.len(), b.len())?;
     validate_kernel(opts)?;
-    let mut cfg = config;
-    let mut rung: u32 = 0;
-    loop {
-        let mut solver = solver::Solver::new(scheme, cfg, metrics, opts);
-        let err = match solver.run(a, b) {
-            Ok(r) => return Ok(r),
-            Err(e) => e,
-        };
-        let (reason, next) = match &err {
-            AlignError::AllocFailed { .. } => (DegradeReason::AllocFailed, next_rung(&cfg)),
-            AlignError::WorkerPanic if cfg.threads() > 1 => (
-                DegradeReason::WorkerPanic,
-                Some(FastLsaConfig {
-                    parallel: None,
-                    ..cfg
-                }),
-            ),
-            _ => return Err(err),
-        };
-        let Some(next) = next else {
-            // Bottom of the ladder: give the caller the real failure.
-            return Err(err);
-        };
-        rung += 1;
-        if let Some(reg) = &opts.registry {
-            reg.counter(flsa_metrics::names::DEGRADE_STEPS_TOTAL).inc();
-        }
-        if let Some(r) = metrics.recorder() {
-            let now = r.now_ns();
-            r.record(
-                now,
-                now,
-                EventKind::Degrade {
-                    reason,
-                    rung,
-                    k: next.k as u32,
-                    base_cells: next.base_cells as u64,
-                    threads: next.threads() as u32,
-                },
-            );
-        }
-        if let Some(p) = &opts.checkpoint {
-            p.sink.note_degrade(reason.name(), rung, &next);
-        }
-        cfg = next;
-    }
+    run_ladder(scheme, config, opts, metrics, |solver| solver.run(a, b))
 }
 
 /// Continues an interrupted run from a [`CheckpointState`] snapshot.
@@ -189,11 +144,30 @@ pub fn align_resume(
 ) -> Result<AlignResult, AlignError> {
     state.config.validate_run(scheme, a.len(), b.len())?;
     validate_kernel(opts)?;
-    let mut cfg = state.config;
+    run_ladder(scheme, state.config, opts, metrics, |solver| {
+        solver.resume(a, b, state.clone())
+    })
+}
+
+/// The degradation ladder shared by [`align_opts`] and [`align_resume`]:
+/// runs one attempt (`attempt` on a fresh solver) per rung, starting at
+/// `config`. On [`AlignError::AllocFailed`] the next attempt takes the
+/// next rung (see [`next_rung`]); on [`AlignError::WorkerPanic`] it
+/// strips parallelism. This is the one place a step is recorded: the
+/// [`flsa_metrics::names::DEGRADE_STEPS_TOTAL`] counter, an
+/// [`EventKind::Degrade`] trace event, and the checkpoint sink's degrade
+/// note.
+fn run_ladder(
+    scheme: &ScoringScheme,
+    config: FastLsaConfig,
+    opts: &AlignOptions,
+    metrics: &Metrics,
+    mut attempt: impl FnMut(&mut solver::Solver<'_>) -> Result<AlignResult, AlignError>,
+) -> Result<AlignResult, AlignError> {
+    let mut cfg = config;
     let mut rung: u32 = 0;
     loop {
-        let mut solver = solver::Solver::new(scheme, cfg, metrics, opts);
-        let err = match solver.resume(a, b, state.clone()) {
+        let err = match attempt(&mut solver::Solver::new(scheme, cfg, metrics, opts)) {
             Ok(r) => return Ok(r),
             Err(e) => e,
         };
@@ -209,6 +183,7 @@ pub fn align_resume(
             _ => return Err(err),
         };
         let Some(next) = next else {
+            // Bottom of the ladder: give the caller the real failure.
             return Err(err);
         };
         rung += 1;
@@ -277,8 +252,9 @@ pub fn align_batch(
     }
     let kernel = match opts.kernel {
         // validate_kernel above already rejected unavailable backends.
-        Some(b) => Kernel::try_new(b)
-            .map_err(|e| ConfigError::KernelUnavailable { backend: e.backend.name() })?,
+        Some(b) => Kernel::try_new(b).map_err(|e| ConfigError::KernelUnavailable {
+            backend: e.backend.name(),
+        })?,
         None => Kernel::auto(),
     };
     let batch = BatchKernel::new(kernel);
@@ -314,7 +290,7 @@ pub fn align_traced(
     config.validate_run(scheme, a.len(), b.len())?;
     let mut solver = solver::Solver::new(scheme, config, metrics, &AlignOptions::default());
     let result = solver.run(a, b)?;
-    Ok((result, solver.log))
+    Ok((result, std::mem::take(&mut solver.log)))
 }
 
 #[cfg(test)]
@@ -677,17 +653,6 @@ mod tests {
         align_opts(&a, &b, &scheme, cfg, &opts, &metrics).unwrap();
 
         let snap = reg.snapshot();
-        // DP-layer counters mirror the in-process metrics exactly.
-        let dp = metrics.snapshot();
-        assert_eq!(snap.counter(names::CELLS_TOTAL), Some(dp.cells_computed));
-        assert_eq!(
-            snap.counter(names::CELLS_BASE_CASE_TOTAL),
-            Some(dp.cells_base_case)
-        );
-        assert_eq!(
-            snap.counter(names::TRACEBACK_STEPS_TOTAL),
-            Some(dp.traceback_steps)
-        );
         // Engine-level state: blocks, depth, steps, phase back to idle.
         assert!(snap.counter(names::BLOCKS_FILLED_TOTAL).unwrap() > 0);
         assert!(snap.counter(names::SOLVER_STEPS_TOTAL).unwrap() > 0);
@@ -701,6 +666,9 @@ mod tests {
         assert!(snap.gauge(names::MEM_PEAK_BYTES).unwrap() > 0);
         assert!(snap.counter(names::TILES_TOTAL).unwrap() > 0);
         assert_eq!(snap.gauge(names::TILES_INFLIGHT), Some(0));
+        // Every reservation, the base-case buffer and the arena charge
+        // included, went back to the governor.
+        assert_eq!(snap.gauge(names::MEM_RESERVED_BYTES), Some(0));
         // Registered lazily on the first degrade, so absent on a clean run.
         assert_eq!(snap.counter(names::DEGRADE_STEPS_TOTAL), None);
     }
@@ -732,7 +700,9 @@ mod tests {
     fn batch_api_matches_single_pair_alignment() {
         let scheme = ScoringScheme::dna_default();
         let pairs: Vec<(Sequence, Sequence)> = (0..11)
-            .map(|seed| homologous_pair("t", &Alphabet::dna(), 80 + seed * 7, 0.8, seed as u64).unwrap())
+            .map(|seed| {
+                homologous_pair("t", &Alphabet::dna(), 80 + seed * 7, 0.8, seed as u64).unwrap()
+            })
             .collect();
         let refs: Vec<(&Sequence, &Sequence)> = pairs.iter().map(|(a, b)| (a, b)).collect();
         let got = align_batch(&refs, &scheme, &AlignOptions::default(), &Metrics::new()).unwrap();

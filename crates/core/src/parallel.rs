@@ -8,7 +8,7 @@
 //! contract). The recursion and all tracebacks stay sequential, exactly
 //! as in the paper — only FindScore-phase fills are parallel.
 
-use flsa_dp::ScoreMatrix;
+use flsa_dp::{KernelBackend, ScoreMatrix};
 use flsa_trace::{TileKind, TileTracer};
 use flsa_wavefront::DisjointBuf;
 
@@ -286,7 +286,7 @@ pub(crate) fn fill_base_parallel(
                 }
             }
         }
-        metrics.add_cells((r1 - r0) as u64 * (c1 - c0) as u64);
+        metrics.add_cells((r1 - r0) as u64 * (c1 - c0) as u64, KernelBackend::Scalar);
     };
 
     let tracer = metrics

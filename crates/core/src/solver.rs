@@ -91,6 +91,9 @@ pub(crate) struct Solver<'s> {
     /// Arena bytes currently charged against the governor's budget;
     /// settled at the drive loop's consistent points.
     arena_charged: usize,
+    /// Entries of the Base Case buffer reservation charged against the
+    /// governor's budget (0 until `run`/`resume` reserved it).
+    base_reserved: usize,
     /// Engine-level registry handles (blocks, depth, phase, arena);
     /// `None` when no registry is attached (DESIGN.md §12).
     obs: Option<CoreMetrics>,
@@ -119,13 +122,6 @@ impl<'s> Solver<'s> {
             Some(b) => Kernel::try_new(b).unwrap_or_else(|_| Kernel::auto()),
             None => Kernel::auto(),
         };
-        if let Some(r) = metrics.recorder() {
-            r.set_kernel_backend(kernel.backend().name());
-        }
-        // Keep the metrics sink's backend attribution in lockstep with
-        // the recorder's so exported per-backend cell counts match the
-        // trace-derived ones exactly.
-        metrics.set_kernel_backend(kernel.backend().name());
         Solver {
             scheme,
             config,
@@ -144,6 +140,7 @@ impl<'s> Solver<'s> {
             ctx: RunCtx::from_options(opts),
             kernel,
             arena_charged: 0,
+            base_reserved: 0,
             obs: opts.registry.as_deref().map(CoreMetrics::new),
         }
     }
@@ -218,16 +215,7 @@ impl<'s> Solver<'s> {
             obs.run_expected.set((m as i64).saturating_mul(n as i64));
         }
 
-        // Reserve the Base Case buffer up front, as the paper does —
-        // fallibly, through the governor, so an over-budget `BM` surfaces
-        // as `AllocFailed` before any work happens.
-        self.base_storage = self
-            .ctx
-            .governor
-            .try_alloc_i32(self.config.base_cells, "base-case buffer")?;
-        let base_guard = self
-            .metrics
-            .track_alloc(self.config.base_cells * std::mem::size_of::<i32>());
+        let base_guard = self.reserve_base()?;
 
         let top: Vec<i32> = (0..=n as i64).map(|j| (j * gap as i64) as i32).collect();
         let left: Vec<i32> = (0..=m as i64).map(|i| (i * gap as i64) as i32).collect();
@@ -270,13 +258,7 @@ impl<'s> Solver<'s> {
                 .set((a.len() as i64).saturating_mul(b.len() as i64));
         }
 
-        self.base_storage = self
-            .ctx
-            .governor
-            .try_alloc_i32(self.config.base_cells, "base-case buffer")?;
-        let base_guard = self
-            .metrics
-            .track_alloc(self.config.base_cells * std::mem::size_of::<i32>());
+        let base_guard = self.reserve_base()?;
 
         for fs in state.frames {
             let FrameState {
@@ -329,6 +311,17 @@ impl<'s> Solver<'s> {
         drop(base_guard);
         self.set_phase(flsa_metrics::names::PHASE_IDLE);
         Ok(self.finish_path(a, b, builder, exit))
+    }
+
+    /// Reserves the Base Case buffer up front, as the paper does —
+    /// fallibly, through the governor, so an over-budget `BM` surfaces
+    /// as `AllocFailed` before any work happens. The reservation is
+    /// returned when the solver is dropped.
+    fn reserve_base(&mut self) -> Result<MemGuard<'s>, AlignError> {
+        let cells = self.config.base_cells;
+        self.base_storage = self.ctx.governor.try_alloc_i32(cells, "base-case buffer")?;
+        self.base_reserved = cells;
+        Ok(self.metrics.track_alloc(cells * std::mem::size_of::<i32>()))
     }
 
     /// Extends the partial path from the recursion's exit point along
@@ -500,11 +493,6 @@ impl<'s> Solver<'s> {
                 self.arena_charged = held;
             } else {
                 self.kernel.degrade_to_scalar();
-                if let Some(r) = self.recorder() {
-                    r.set_kernel_backend(self.kernel.backend().name());
-                }
-                self.metrics
-                    .set_kernel_backend(self.kernel.backend().name());
                 self.ctx.governor.release_bytes(self.arena_charged);
                 self.arena_charged = 0;
             }
@@ -776,5 +764,15 @@ impl<'s> Solver<'s> {
                 }
             }
         }
+    }
+}
+
+impl Drop for Solver<'_> {
+    /// Returns the Base Case buffer reservation and the arena charge to
+    /// the governor, whether the run completed or failed, so its
+    /// reserved-bytes gauge reads 0 after a completed run.
+    fn drop(&mut self) {
+        self.ctx.governor.release_i32(self.base_reserved);
+        self.ctx.governor.release_bytes(self.arena_charged);
     }
 }

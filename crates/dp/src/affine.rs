@@ -19,7 +19,7 @@ use flsa_scoring::{GapModel, ScoringScheme};
 
 use crate::matrix::ScoreMatrix;
 use crate::path::{Move, PathBuilder};
-use crate::Metrics;
+use crate::{KernelBackend, Metrics};
 
 /// Sentinel "minus infinity" that survives a few additions.
 pub const NEG: i32 = i32::MIN / 4;
@@ -215,7 +215,7 @@ fn fill_affine_edges_into(
         right_h[i] = h_row[cols];
         right_e[i] = if cols == 0 { bnd.left_e[i] } else { e_reg };
     }
-    metrics.add_cells(rows as u64 * cols as u64);
+    metrics.add_cells(rows as u64 * cols as u64, KernelBackend::Scalar);
 }
 
 /// The three filled layers of an affine rectangle.
@@ -268,7 +268,7 @@ pub fn fill_affine_full(
             h.set(i, j, hv);
         }
     }
-    metrics.add_cells(rows as u64 * cols as u64);
+    metrics.add_cells(rows as u64 * cols as u64, KernelBackend::Scalar);
     AffineMatrices { h, e, f }
 }
 

@@ -16,7 +16,7 @@
 use flsa_scoring::ScoringScheme;
 
 use crate::boundary::check_boundary;
-use crate::Metrics;
+use crate::{KernelBackend, Metrics};
 
 /// Anti-diagonal counterpart of [`crate::kernel::fill_last_row_col`]:
 /// identical inputs, identical outputs, diagonal-major traversal.
@@ -75,7 +75,7 @@ pub fn fill_last_row_col_antidiagonal(
         std::mem::swap(&mut prev2, &mut prev1);
         std::mem::swap(&mut prev1, &mut cur);
     }
-    metrics.add_cells(rows as u64 * cols as u64);
+    metrics.add_cells(rows as u64 * cols as u64, KernelBackend::Scalar);
 }
 
 #[cfg(test)]

@@ -74,6 +74,18 @@ enum BatchBackend {
     Portable,
 }
 
+impl BatchBackend {
+    /// The instruction set these lanes run on, which their cells are
+    /// filed under.
+    fn kernel_backend(self) -> KernelBackend {
+        match self {
+            BatchBackend::Avx2x16 => KernelBackend::Avx2,
+            BatchBackend::Sse41x8 => KernelBackend::Sse41,
+            BatchBackend::Portable => KernelBackend::Scalar,
+        }
+    }
+}
+
 /// Widest striped backend the CPU supports.
 fn detect_batch_backend() -> BatchBackend {
     #[cfg(target_arch = "x86_64")]
@@ -189,7 +201,8 @@ impl BatchKernel {
         }
     }
 
-    /// Short backend label for metrics/trace attribution.
+    /// Short lane-configuration label for bench reports (metrics and
+    /// traces file batch cells under the lanes' instruction set).
     pub fn backend_name(&self) -> &'static str {
         match self.backend {
             BatchBackend::Avx2x16 => "batch-avx2x16",
@@ -296,16 +309,17 @@ impl BatchKernel {
             gaps[l] = lp.gap as i16;
             let m = job.scheme.matrix();
             let storage = arena.take_i16(m.alphabet().len() * cols_pad);
-            profiles[l] = Some(QueryProfileI16::build_padded_in(m, job.b, cols_pad, storage));
+            profiles[l] = Some(QueryProfileI16::build_padded_in(
+                m, job.b, cols_pad, storage,
+            ));
         }
 
         let mut prev = arena.take_i16((cols_max + 1) * w);
         let mut cur = arena.take_i16((cols_max + 1) * w);
         let mut scores = arena.take_i16(cols_pad * w);
         let mut dirs = arena.take_u8(rows_max * cols_max * w);
-        let _mem = metrics.track_alloc(
-            dirs.len() + 2 * (prev.len() + cur.len() + scores.len() + zeros.len()),
-        );
+        let _mem = metrics
+            .track_alloc(dirs.len() + 2 * (prev.len() + cur.len() + scores.len() + zeros.len()));
         let mut minmax = vec![i16::MAX; 2 * w];
         minmax[w..].fill(i16::MIN);
         let mut final_scores = vec![0i16; w];
@@ -340,7 +354,10 @@ impl BatchKernel {
             }
             std::mem::swap(&mut prev, &mut cur);
         }
-        metrics.add_cells(rows_max as u64 * cols_max as u64 * active_count(params) as u64);
+        metrics.add_cells(
+            rows_max as u64 * cols_max as u64 * active_count(params) as u64,
+            self.backend.kernel_backend(),
+        );
 
         for (l, (job, p)) in chunk.iter().zip(params.iter()).enumerate() {
             let Some(lp) = p else { continue };
@@ -417,13 +434,17 @@ impl BatchKernel {
             BatchBackend::Sse41x8 => {
                 // SAFETY: every `BatchKernel` constructor admits Sse41x8
                 // only after `is_x86_feature_detected!("sse4.1")`.
-                unsafe { crate::simd::x86::batch_row_update_sse41(prev, cur, scores, gaps, dirs, minmax) }
+                unsafe {
+                    crate::simd::x86::batch_row_update_sse41(prev, cur, scores, gaps, dirs, minmax)
+                }
             }
             #[cfg(target_arch = "x86_64")]
             BatchBackend::Avx2x16 => {
                 // SAFETY: every `BatchKernel` constructor admits Avx2x16
                 // only after `is_x86_feature_detected!("avx2")`.
-                unsafe { crate::simd::x86::batch_row_update_avx2(prev, cur, scores, gaps, dirs, minmax) }
+                unsafe {
+                    crate::simd::x86::batch_row_update_avx2(prev, cur, scores, gaps, dirs, minmax)
+                }
             }
             #[cfg(not(target_arch = "x86_64"))]
             BatchBackend::Sse41x8 | BatchBackend::Avx2x16 => {

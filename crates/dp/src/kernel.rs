@@ -18,13 +18,14 @@
 //! * [`fill_dir`] — packed 2-bit directions plus a rolling score row (the
 //!   paper's low-memory FM traceback alternative).
 //!
-//! Every kernel reports the rectangle's cell count to [`Metrics`].
+//! Every kernel reports the rectangle's cell count to [`Metrics`], filed
+//! under [`KernelBackend::Scalar`].
 
 use flsa_scoring::ScoringScheme;
 
 use crate::boundary::check_boundary;
 use crate::matrix::{Dir, DirMatrix, ScoreMatrix};
-use crate::Metrics;
+use crate::{KernelBackend, Metrics};
 
 /// Fills a whole rectangle, returning the `(rows+1) × (cols+1)` score
 /// matrix whose row 0 is `top` and column 0 is `left`.
@@ -90,7 +91,7 @@ pub fn fill_full_reusing(
             left_val = v;
         }
     }
-    metrics.add_cells(rows as u64 * cols as u64);
+    metrics.add_cells(rows as u64 * cols as u64, KernelBackend::Scalar);
     dpm
 }
 
@@ -148,7 +149,7 @@ pub fn fill_last_row_col(
             r[i] = out_bottom[cols];
         }
     }
-    metrics.add_cells(rows as u64 * cols as u64);
+    metrics.add_cells(rows as u64 * cols as u64, KernelBackend::Scalar);
 }
 
 /// Convenience wrapper over [`fill_last_row_col`] for callers (Hirschberg)
@@ -222,7 +223,7 @@ pub fn fill_dir(
             diag_in = up_in;
         }
     }
-    metrics.add_cells(rows as u64 * cols as u64);
+    metrics.add_cells(rows as u64 * cols as u64, KernelBackend::Scalar);
     (dirs, row)
 }
 

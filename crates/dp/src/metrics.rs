@@ -6,58 +6,21 @@
 //! those bounds become executable assertions (experiment E11) and so the
 //! experiment harness can report cells/bytes next to wall times.
 //!
-//! Counters are relaxed atomics: they are bumped once per *kernel call*
-//! (with the whole rectangle's cell count), not per cell, so the overhead
-//! is unmeasurable and the type stays `Sync` for the parallel fills.
+//! Each count is kept once, in a `flsa-metrics` handle: detached by
+//! default, the registry's own series after [`Metrics::with_registry`].
+//! The export and [`Metrics::snapshot`] therefore read the same atomics,
+//! and one [`Metrics::add_cells`] call also logs the trace's kernel event
+//! from the same `(cells, backend)` pair. Counters are bumped once per
+//! *kernel call* (with the whole rectangle's cell count), not per cell,
+//! so the overhead is unmeasurable and the type stays `Sync` for the
+//! parallel fills.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use flsa_metrics::{names, Counter, Gauge, Registry};
 use flsa_trace::Recorder;
 
-/// Cached `flsa-metrics` handles mirroring the counters below, plus the
-/// per-backend cell attribution. Resolved once at construction so the
-/// hot path is a few relaxed atomic ops and never touches the registry.
-#[derive(Debug)]
-struct Sink {
-    cells: Counter,
-    base_cells: Counter,
-    kernel_calls: Counter,
-    traceback: Counter,
-    tracked: Gauge,
-    tracked_peak: Gauge,
-    backend_gauge: Gauge,
-    /// Per-backend cell counters, index-aligned with [`names::BACKENDS`].
-    by_backend: Vec<Counter>,
-    /// Cells recorded while an unrecognized backend is current.
-    other_backend: Counter,
-    /// Index into `by_backend` of the backend currently in effect
-    /// (`usize::MAX` = unknown). Mirrors the trace recorder's interned
-    /// backend so metrics and trace attribute cells identically.
-    backend_idx: AtomicUsize,
-}
-
-impl Sink {
-    fn new(registry: &Registry) -> Self {
-        Sink {
-            cells: registry.counter(names::CELLS_TOTAL),
-            base_cells: registry.counter(names::CELLS_BASE_CASE_TOTAL),
-            kernel_calls: registry.counter(names::KERNEL_CALLS_TOTAL),
-            traceback: registry.counter(names::TRACEBACK_STEPS_TOTAL),
-            tracked: registry.gauge(names::TRACKED_BYTES),
-            tracked_peak: registry.gauge(names::TRACKED_PEAK_BYTES),
-            backend_gauge: registry.gauge(names::KERNEL_BACKEND),
-            by_backend: names::BACKENDS
-                .iter()
-                .map(|b| registry.counter(names::cells_for_backend(b)))
-                .collect(),
-            other_backend: registry.counter(names::CELLS_BACKEND_OTHER_TOTAL),
-            // Matches the trace recorder's "scalar" default.
-            backend_idx: AtomicUsize::new(0),
-        }
-    }
-}
+use crate::simd::KernelBackend;
 
 /// Shared accounting for one alignment run.
 #[derive(Debug, Default)]
@@ -66,22 +29,23 @@ pub struct Metrics {
     /// logged as a trace event (so traced cells always equal
     /// `cells_computed` by construction).
     recorder: Option<Arc<Recorder>>,
-    /// Optional always-on metrics handles; when present, every counter
-    /// bump below is mirrored into the run's registry.
-    sink: Option<Sink>,
     /// DPM entries computed by FindScore-phase kernels (fills of any kind).
-    cells_computed: AtomicU64,
-    /// Subset of `cells_computed` spent inside base-case (full-matrix)
-    /// solves — FastLSA's "useful" work; the rest is grid-cache fill.
-    cells_base_case: AtomicU64,
-    /// FindPath traceback steps (one per path move).
-    traceback_steps: AtomicU64,
+    cells: Counter,
+    /// `cells` split by the backend that computed them, indexed by
+    /// `backend as usize` (the order of [`KernelBackend::ALL`] and of
+    /// [`names::CELLS_BACKEND_TOTAL`]).
+    cells_by_backend: [Counter; KernelBackend::ALL.len()],
+    /// Subset of `cells` spent inside base-case (full-matrix) solves —
+    /// FastLSA's "useful" work; the rest is grid-cache fill.
+    base_cells: Counter,
     /// Kernel invocations (fills), a proxy for recursion overhead.
-    kernel_calls: AtomicU64,
+    kernel_calls: Counter,
+    /// FindPath traceback steps (one per path move).
+    traceback_steps: Counter,
     /// Currently tracked auxiliary bytes.
-    cur_bytes: AtomicI64,
-    /// High-water mark of `cur_bytes`.
-    peak_bytes: AtomicI64,
+    tracked: Gauge,
+    /// High-water mark of `tracked`.
+    tracked_peak: Gauge,
 }
 
 /// A point-in-time copy of the counters.
@@ -113,27 +77,25 @@ impl Metrics {
         }
     }
 
-    /// Mirrors every count into `registry` as well (chainable:
-    /// `Metrics::new().with_registry(&reg)`), including the per-backend
-    /// cell counters keyed by [`Metrics::set_kernel_backend`].
-    pub fn with_registry(mut self, registry: &Registry) -> Self {
-        self.sink = Some(Sink::new(registry));
-        self
-    }
-
-    /// Sets the kernel backend subsequent cells are attributed to.
-    /// Callers keep this in lockstep with
-    /// [`Recorder::set_kernel_backend`] so the registry's per-backend
-    /// totals always equal the trace-derived ones.
-    pub fn set_kernel_backend(&self, backend: &str) {
-        if let Some(s) = &self.sink {
-            let idx = names::backend_index(backend);
-            let coded = idx.unwrap_or(usize::MAX);
-            // Relaxed: last-writer-wins mode switch; cells recorded
-            // around the switch may land on either side, exactly like
-            // the recorder's interned-name mutex.
-            s.backend_idx.store(coded, Ordering::Relaxed);
-            s.backend_gauge.set(idx.map(|i| i as i64).unwrap_or(-1));
+    /// Records every count in `registry`'s own series from now on
+    /// (chainable: `Metrics::new().with_registry(&reg)`; bind before
+    /// recording). Counters continue from what the registry holds, which
+    /// is non-zero only for a resumed run whose registry was seeded with
+    /// the killed run's export: [`Metrics::snapshot`] then reports the
+    /// whole lineage, as the export does. The tracked-bytes level starts
+    /// at 0, since a new `Metrics` holds no tracked allocation.
+    pub fn with_registry(self, registry: &Registry) -> Self {
+        let tracked = registry.gauge(names::TRACKED_BYTES);
+        tracked.set(0);
+        Metrics {
+            recorder: self.recorder,
+            cells: registry.counter(names::CELLS_TOTAL),
+            cells_by_backend: names::CELLS_BACKEND_TOTAL.map(|name| registry.counter(name)),
+            base_cells: registry.counter(names::CELLS_BASE_CASE_TOTAL),
+            kernel_calls: registry.counter(names::KERNEL_CALLS_TOTAL),
+            traceback_steps: registry.counter(names::TRACEBACK_STEPS_TOTAL),
+            tracked,
+            tracked_peak: registry.gauge(names::TRACKED_PEAK_BYTES),
         }
     }
 
@@ -144,23 +106,17 @@ impl Metrics {
         self.recorder.as_deref()
     }
 
-    /// Records `n` DPM entries computed by a fill kernel.
+    /// Records one fill-kernel call that computed `n` DPM entries on
+    /// `backend` — the backend that actually ran the fill, which the
+    /// calling kernel knows. With a recorder attached, the same pair is
+    /// logged as the call's trace event.
     #[inline]
-    pub fn add_cells(&self, n: u64) {
-        // Relaxed: independent monotonic counters, read only through
-        // `snapshot`, which tolerates any interleaving.
-        self.cells_computed.fetch_add(n, Ordering::Relaxed);
-        self.kernel_calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = &self.sink {
-            s.cells.add(n);
-            s.kernel_calls.inc();
-            // Relaxed: reading the current-backend mode; attribution
-            // around a switch may land on either side, like the trace.
-            let idx = s.backend_idx.load(Ordering::Relaxed);
-            s.by_backend.get(idx).unwrap_or(&s.other_backend).add(n);
-        }
+    pub fn add_cells(&self, n: u64, backend: KernelBackend) {
+        self.cells.add(n);
+        self.cells_by_backend[backend as usize].add(n);
+        self.kernel_calls.inc();
         if let Some(r) = &self.recorder {
-            r.record_kernel(n);
+            r.record_kernel(n, backend.name());
         }
     }
 
@@ -169,19 +125,13 @@ impl Metrics {
     /// counter just classifies them).
     #[inline]
     pub fn add_base_case_cells(&self, n: u64) {
-        self.cells_base_case.fetch_add(n, Ordering::Relaxed); // Relaxed: monotonic counter
-        if let Some(s) = &self.sink {
-            s.base_cells.add(n);
-        }
+        self.base_cells.add(n);
     }
 
     /// Records `n` traceback steps.
     #[inline]
     pub fn add_traceback_steps(&self, n: u64) {
-        self.traceback_steps.fetch_add(n, Ordering::Relaxed); // Relaxed: monotonic counter
-        if let Some(s) = &self.sink {
-            s.traceback.add(n);
-        }
+        self.traceback_steps.add(n);
     }
 
     /// Tracks an auxiliary allocation of `bytes`, returning a guard that
@@ -191,14 +141,7 @@ impl Metrics {
     /// tracked, matching how the paper counts "space".
     pub fn track_alloc(&self, bytes: usize) -> MemGuard<'_> {
         let b = bytes as i64;
-        // Relaxed: the high-water mark is advisory bookkeeping; it orders
-        // nothing and tolerates races between concurrent allocators.
-        let cur = self.cur_bytes.fetch_add(b, Ordering::Relaxed) + b;
-        self.peak_bytes.fetch_max(cur, Ordering::Relaxed);
-        if let Some(s) = &self.sink {
-            s.tracked.add(b);
-            s.tracked_peak.fetch_max(cur);
-        }
+        self.tracked_peak.fetch_max(self.tracked.add_get(b));
         MemGuard {
             metrics: self,
             bytes: b,
@@ -208,13 +151,11 @@ impl Metrics {
     /// Copies the counters out.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            // Relaxed: a snapshot is a best-effort cut — the counters are
-            // independent, no consistent cross-counter view is promised.
-            cells_computed: self.cells_computed.load(Ordering::Relaxed),
-            cells_base_case: self.cells_base_case.load(Ordering::Relaxed),
-            traceback_steps: self.traceback_steps.load(Ordering::Relaxed),
-            kernel_calls: self.kernel_calls.load(Ordering::Relaxed),
-            peak_bytes: self.peak_bytes.load(Ordering::Relaxed).max(0) as u64,
+            cells_computed: self.cells.get(),
+            cells_base_case: self.base_cells.get(),
+            traceback_steps: self.traceback_steps.get(),
+            kernel_calls: self.kernel_calls.get(),
+            peak_bytes: self.tracked_peak.get().max(0) as u64,
         }
     }
 }
@@ -228,13 +169,7 @@ pub struct MemGuard<'m> {
 
 impl Drop for MemGuard<'_> {
     fn drop(&mut self) {
-        self.metrics
-            .cur_bytes
-            // Relaxed: counter bookkeeping only, nothing is published.
-            .fetch_sub(self.bytes, Ordering::Relaxed);
-        if let Some(s) = &self.metrics.sink {
-            s.tracked.sub(self.bytes);
-        }
+        self.metrics.tracked.sub(self.bytes);
     }
 }
 
@@ -253,8 +188,8 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = Metrics::new();
-        m.add_cells(100);
-        m.add_cells(50);
+        m.add_cells(100, KernelBackend::Scalar);
+        m.add_cells(50, KernelBackend::Scalar);
         m.add_base_case_cells(50);
         m.add_traceback_steps(7);
         let s = m.snapshot();
@@ -284,7 +219,7 @@ mod tests {
     #[test]
     fn cell_factor_normalizes_by_problem_area() {
         let m = Metrics::new();
-        m.add_cells(200);
+        m.add_cells(200, KernelBackend::Scalar);
         assert!((m.snapshot().cell_factor(10, 10) - 2.0).abs() < 1e-12);
     }
 
@@ -295,44 +230,25 @@ mod tests {
     }
 
     #[test]
-    fn registry_sink_mirrors_counters_and_attributes_backends() {
+    fn binding_a_seeded_registry_restarts_tracked_bytes_at_zero() {
+        // A resumed run seeds its registry with the killed run's export,
+        // whose tracked-bytes level was whatever was live at the kill.
         let reg = Registry::new();
+        reg.gauge(names::TRACKED_BYTES).set(5_538_976);
         let m = Metrics::new().with_registry(&reg);
-        m.add_cells(64); // "scalar" until a backend is set
-        m.set_kernel_backend("avx2");
-        m.add_cells(100);
-        m.set_kernel_backend("quantum");
-        m.add_cells(5);
-        m.add_base_case_cells(64);
-        m.add_traceback_steps(9);
         {
             let _g = m.track_alloc(1000);
             assert_eq!(reg.snapshot().gauge(names::TRACKED_BYTES), Some(1000));
         }
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter(names::CELLS_TOTAL), Some(169));
-        assert_eq!(snap.counter(names::cells_for_backend("scalar")), Some(64));
-        assert_eq!(snap.counter(names::cells_for_backend("avx2")), Some(100));
-        assert_eq!(snap.counter(names::CELLS_BACKEND_OTHER_TOTAL), Some(5));
-        assert_eq!(snap.counter(names::KERNEL_CALLS_TOTAL), Some(3));
-        assert_eq!(snap.counter(names::CELLS_BASE_CASE_TOTAL), Some(64));
-        assert_eq!(snap.counter(names::TRACEBACK_STEPS_TOTAL), Some(9));
-        assert_eq!(snap.gauge(names::TRACKED_BYTES), Some(0));
-        assert_eq!(snap.gauge(names::TRACKED_PEAK_BYTES), Some(1000));
-        assert_eq!(snap.gauge(names::KERNEL_BACKEND), Some(-1));
-        // The plain counters and the mirrored ones agree.
-        assert_eq!(
-            snap.counter(names::CELLS_TOTAL),
-            Some(m.snapshot().cells_computed)
-        );
+        assert_eq!(reg.snapshot().gauge(names::TRACKED_BYTES), Some(0));
     }
 
     #[test]
     fn recorder_sees_every_kernel_call() {
         let recorder = Arc::new(Recorder::new());
         let m = Metrics::with_recorder(Arc::clone(&recorder));
-        m.add_cells(64);
-        m.add_cells(36);
+        m.add_cells(64, KernelBackend::Scalar);
+        m.add_cells(36, KernelBackend::Avx2);
         let trace = recorder.snapshot();
         assert_eq!(trace.kernel_cells(), m.snapshot().cells_computed);
         assert_eq!(trace.events.len(), m.snapshot().kernel_calls as usize);

@@ -222,7 +222,8 @@ impl std::error::Error for UnsupportedBackend {}
 /// Cheap to clone (the arena is shared through an [`Arc`]) and `Sync`, so
 /// parallel tile workers can share one handle. All fill methods mirror
 /// the free functions in [`crate::kernel`] exactly — same signatures,
-/// same panics, same [`Metrics`] accounting, bit-identical output.
+/// same panics, same [`Metrics`] cell and call counts, bit-identical
+/// output — and file their cells under [`Kernel::backend_for`].
 #[derive(Debug, Clone)]
 pub struct Kernel {
     backend: KernelBackend,
@@ -281,8 +282,15 @@ impl Kernel {
         self.arena.clear();
     }
 
-    fn vectorize(&self, rows: usize, cols: usize) -> bool {
-        self.backend != KernelBackend::Scalar && rows >= 1 && cols >= MIN_VEC_COLS
+    /// The backend a fill of a `rows × cols` rectangle runs on: this
+    /// kernel's own, or scalar for rectangles below the vector cutoff.
+    /// Its fills file their cells under exactly this backend.
+    pub fn backend_for(&self, rows: usize, cols: usize) -> KernelBackend {
+        if rows >= 1 && cols >= MIN_VEC_COLS {
+            self.backend
+        } else {
+            KernelBackend::Scalar
+        }
     }
 
     /// Dispatches one row update to the active backend.
@@ -356,7 +364,8 @@ impl Kernel {
     ) -> ScoreMatrix {
         let rows = a.len();
         let cols = b.len();
-        if !self.vectorize(rows, cols) {
+        let backend = self.backend_for(rows, cols);
+        if backend == KernelBackend::Scalar {
             return kernel::fill_full_reusing(a, b, top, left, scheme, storage, metrics);
         }
         check_boundary(top, left, rows, cols);
@@ -370,7 +379,7 @@ impl Kernel {
             self.row_update(prev, cur, profile.row(a[i - 1]), gap);
         }
         self.put_profile(profile);
-        metrics.add_cells(rows as u64 * cols as u64);
+        metrics.add_cells(rows as u64 * cols as u64, backend);
         dpm
     }
 
@@ -389,7 +398,8 @@ impl Kernel {
     ) {
         let rows = a.len();
         let cols = b.len();
-        if !self.vectorize(rows, cols) {
+        let backend = self.backend_for(rows, cols);
+        if backend == KernelBackend::Scalar {
             return kernel::fill_last_row_col(
                 a, b, top, left, scheme, out_bottom, out_right, metrics,
             );
@@ -419,7 +429,7 @@ impl Kernel {
         self.arena.put(prev);
         self.arena.put(cur);
         self.put_profile(profile);
-        metrics.add_cells(rows as u64 * cols as u64);
+        metrics.add_cells(rows as u64 * cols as u64, backend);
     }
 
     /// [`crate::kernel::fill_last_row`] on the active backend.
@@ -452,7 +462,8 @@ impl Kernel {
     ) -> (DirMatrix, Vec<i32>) {
         let rows = a.len();
         let cols = b.len();
-        if !self.vectorize(rows, cols) {
+        let backend = self.backend_for(rows, cols);
+        if backend == KernelBackend::Scalar {
             return kernel::fill_dir(a, b, top, left, scheme, metrics);
         }
         check_boundary(top, left, rows, cols);
@@ -494,7 +505,7 @@ impl Kernel {
         self.arena.put(prev);
         self.arena.put(cur);
         self.put_profile(profile);
-        metrics.add_cells(rows as u64 * cols as u64);
+        metrics.add_cells(rows as u64 * cols as u64, backend);
         (dirs, row)
     }
 }

@@ -12,7 +12,7 @@
 //! band-constrained score; callers widen the band until it stabilizes or
 //! validate against a linear-space exact run.
 
-use flsa_dp::{AlignResult, Metrics, Move, PathBuilder};
+use flsa_dp::{AlignResult, KernelBackend, Metrics, Move, PathBuilder};
 use flsa_scoring::ScoringScheme;
 use flsa_seq::Sequence;
 
@@ -101,7 +101,7 @@ pub fn banded_needleman_wunsch(
             cells += 1;
         }
     }
-    metrics.add_cells(cells);
+    metrics.add_cells(cells, KernelBackend::Scalar);
 
     // Traceback inside the band with the shared Diag > Up > Left tie-break.
     let mut builder = PathBuilder::new();

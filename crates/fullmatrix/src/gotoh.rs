@@ -5,7 +5,7 @@
 //! gaps, and it gives the test suite an independent oracle for the
 //! linear-gap algorithms (affine with `open = 0` must equal linear).
 
-use flsa_dp::{AlignResult, Metrics, Move, PathBuilder, ScoreMatrix};
+use flsa_dp::{AlignResult, KernelBackend, Metrics, Move, PathBuilder, ScoreMatrix};
 use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
 
@@ -69,7 +69,7 @@ pub fn gotoh(a: &Sequence, b: &Sequence, scheme: &ScoringScheme, metrics: &Metri
             h.set(i, j, hv);
         }
     }
-    metrics.add_cells(m as u64 * n as u64);
+    metrics.add_cells(m as u64 * n as u64, KernelBackend::Scalar);
     metrics.add_base_case_cells(m as u64 * n as u64);
 
     // State-machine traceback: state H, E (in a Left-gap run), or F (Up run).

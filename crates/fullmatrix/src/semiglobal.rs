@@ -5,7 +5,7 @@
 //! sequence, free trailing gaps in the other) and for fitting a short
 //! query inside a long reference (all four ends of the reference free).
 
-use flsa_dp::{AlignResult, Metrics, Move, PathBuilder, ScoreMatrix};
+use flsa_dp::{AlignResult, KernelBackend, Metrics, Move, PathBuilder, ScoreMatrix};
 use flsa_scoring::ScoringScheme;
 use flsa_seq::Sequence;
 
@@ -89,7 +89,7 @@ pub fn semiglobal(
             left_val = v;
         }
     }
-    metrics.add_cells(m as u64 * n as u64);
+    metrics.add_cells(m as u64 * n as u64, KernelBackend::Scalar);
 
     // End point: the best cell among those reachable by free trailing gaps.
     let mut end = (m, n);

@@ -4,7 +4,7 @@
 //! alignment zero-floors the recurrence and tracebacks from the best cell
 //! to the nearest zero cell.
 
-use flsa_dp::{Metrics, Move, Path, PathBuilder, ScoreMatrix};
+use flsa_dp::{KernelBackend, Metrics, Move, Path, PathBuilder, ScoreMatrix};
 use flsa_scoring::ScoringScheme;
 use flsa_seq::Sequence;
 
@@ -84,7 +84,7 @@ pub fn smith_waterman(
             }
         }
     }
-    metrics.add_cells(m as u64 * n as u64);
+    metrics.add_cells(m as u64 * n as u64, KernelBackend::Scalar);
     metrics.add_base_case_cells(m as u64 * n as u64);
 
     // Traceback from the best cell to the nearest zero cell, with the

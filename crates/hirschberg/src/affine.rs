@@ -15,7 +15,7 @@
 //! passes boundary-open parameters `tb`/`te` so a sub-problem whose path
 //! starts/ends mid-gap at its corner does not charge the open again.
 
-use flsa_dp::{AlignResult, Metrics, Move, Path};
+use flsa_dp::{AlignResult, KernelBackend, Metrics, Move, Path};
 use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
 
@@ -67,7 +67,8 @@ impl Ctx<'_> {
                 cc[j] = c;
             }
         }
-        self.metrics.add_cells(m as u64 * n as u64);
+        self.metrics
+            .add_cells(m as u64 * n as u64, KernelBackend::Scalar);
         (cc, dd)
     }
 

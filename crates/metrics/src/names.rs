@@ -20,47 +20,22 @@ pub const CELLS_BASE_CASE_TOTAL: &str = "flsa_cells_base_case_total";
 pub const KERNEL_CALLS_TOTAL: &str = "flsa_kernel_calls_total";
 /// FindPath traceback steps (counter).
 pub const TRACEBACK_STEPS_TOTAL: &str = "flsa_traceback_steps_total";
-/// Currently tracked auxiliary bytes (gauge, mirrors `Metrics::track_alloc`).
+/// Currently tracked auxiliary bytes (gauge, moved by `Metrics::track_alloc`).
 pub const TRACKED_BYTES: &str = "flsa_tracked_bytes";
 /// High-water mark of tracked auxiliary bytes (gauge).
 pub const TRACKED_PEAK_BYTES: &str = "flsa_tracked_peak_bytes";
 
-/// Kernel backend currently in effect, as an index into [`BACKENDS`]
-/// (gauge; `-1` = unknown).
-pub const KERNEL_BACKEND: &str = "flsa_kernel_backend";
-
-/// Known kernel backend names, index-aligned with
-/// [`CELLS_BACKEND_TOTAL`] and with the [`KERNEL_BACKEND`] gauge value.
-pub const BACKENDS: &[&str] = &["scalar", "sse4.1", "avx2", "avx512"];
-/// Per-backend cell counters, index-aligned with [`BACKENDS`].
-pub const CELLS_BACKEND_TOTAL: &[&str] = &[
+/// Kernel backend names, in the order of `flsa_dp::KernelBackend::ALL`
+/// (the DP layer indexes its per-backend counters by that enum).
+pub const BACKENDS: [&str; 4] = ["scalar", "sse4.1", "avx2", "avx512"];
+/// Per-backend cell counters (each a subset of [`CELLS_TOTAL`]),
+/// index-aligned with [`BACKENDS`].
+pub const CELLS_BACKEND_TOTAL: [&str; 4] = [
     "flsa_cells_backend_scalar_total",
     "flsa_cells_backend_sse41_total",
     "flsa_cells_backend_avx2_total",
     "flsa_cells_backend_avx512_total",
 ];
-/// Cells attributed to a backend this crate does not know by name.
-pub const CELLS_BACKEND_OTHER_TOTAL: &str = "flsa_cells_backend_other_total";
-
-/// Index of a backend name in [`BACKENDS`].
-pub fn backend_index(name: &str) -> Option<usize> {
-    BACKENDS.iter().position(|b| *b == name)
-}
-
-/// The per-backend cell counter for a backend name.
-pub fn cells_for_backend(name: &str) -> &'static str {
-    backend_index(name)
-        .map(|i| CELLS_BACKEND_TOTAL[i])
-        .unwrap_or(CELLS_BACKEND_OTHER_TOTAL)
-}
-
-/// Display name for a [`KERNEL_BACKEND`] gauge value.
-pub fn backend_name(v: i64) -> &'static str {
-    usize::try_from(v)
-        .ok()
-        .and_then(|i| BACKENDS.get(i).copied())
-        .unwrap_or("?")
-}
 
 // --- Core engine (fastlsa-core) -----------------------------------------
 
@@ -227,8 +202,6 @@ mod tests {
             TRACEBACK_STEPS_TOTAL,
             TRACKED_BYTES,
             TRACKED_PEAK_BYTES,
-            KERNEL_BACKEND,
-            CELLS_BACKEND_OTHER_TOTAL,
             BLOCKS_FILLED_TOTAL,
             DEGRADE_STEPS_TOTAL,
             RECURSION_DEPTH,
@@ -284,7 +257,7 @@ mod tests {
             SHARD_HEARTBEATS_TOTAL,
             SHARD_TASK_NS,
         ];
-        v.extend_from_slice(CELLS_BACKEND_TOTAL);
+        v.extend_from_slice(&CELLS_BACKEND_TOTAL);
         v
     }
 
@@ -300,29 +273,6 @@ mod tests {
                     .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
                 "{n}: invalid character for a Prometheus metric name"
             );
-        }
-    }
-
-    #[test]
-    fn backend_mapping_is_total_and_index_aligned() {
-        assert_eq!(BACKENDS.len(), CELLS_BACKEND_TOTAL.len());
-        assert_eq!(cells_for_backend("avx2"), "flsa_cells_backend_avx2_total");
-        assert_eq!(
-            cells_for_backend("sse4.1"),
-            "flsa_cells_backend_sse41_total"
-        );
-        assert_eq!(
-            cells_for_backend("avx512"),
-            "flsa_cells_backend_avx512_total"
-        );
-        assert_eq!(cells_for_backend("riscv-vector"), CELLS_BACKEND_OTHER_TOTAL);
-        assert_eq!(cells_for_backend("lanes"), CELLS_BACKEND_OTHER_TOTAL);
-        assert_eq!(backend_name(0), "scalar");
-        assert_eq!(backend_name(-1), "?");
-        assert_eq!(backend_name(99), "?");
-        for (i, b) in BACKENDS.iter().enumerate() {
-            assert_eq!(backend_index(b), Some(i));
-            assert_eq!(backend_name(i as i64), *b);
         }
     }
 

@@ -12,9 +12,10 @@ use crate::{names, Counter, Gauge, Registry};
 #[derive(Clone, Debug)]
 pub struct Progress {
     cells: Counter,
+    /// Per-backend cells, index-aligned with [`names::BACKENDS`].
+    cells_by_backend: [Counter; 4],
     expected: Gauge,
     phase: Gauge,
-    backend: Gauge,
 }
 
 impl Progress {
@@ -23,20 +24,28 @@ impl Progress {
     pub fn new(reg: &Registry) -> Self {
         Progress {
             cells: reg.counter(names::CELLS_TOTAL),
+            cells_by_backend: names::CELLS_BACKEND_TOTAL.map(|name| reg.counter(name)),
             expected: reg.gauge(names::RUN_CELLS_EXPECTED),
             phase: reg.gauge(names::PHASE),
-            backend: reg.gauge(names::KERNEL_BACKEND),
         }
     }
 
-    /// Renders the current status line.
+    /// Renders the current status line. The backend shown is the one
+    /// that has computed the most cells so far (`?` before any has).
     pub fn line(&self, elapsed_secs: f64) -> String {
+        let (cells, backend) = self
+            .cells_by_backend
+            .iter()
+            .map(Counter::get)
+            .zip(names::BACKENDS)
+            .max()
+            .unwrap_or_default();
         render(
             elapsed_secs,
             self.cells.get(),
             self.expected.get().max(0) as u64,
             self.phase.get(),
-            self.backend.get(),
+            if cells > 0 { backend } else { "?" },
         )
     }
 }
@@ -71,7 +80,7 @@ fn fmt_eta(secs: f64) -> String {
 /// Pure renderer: `expected` is the caller's estimate of total cells
 /// (`m*n` is a lower bound — grid-cache refills push the true total
 /// above it, so the percentage is capped below 100 until done).
-pub fn render(elapsed_secs: f64, cells: u64, expected: u64, phase: i64, backend: i64) -> String {
+pub fn render(elapsed_secs: f64, cells: u64, expected: u64, phase: i64, backend: &str) -> String {
     let rate = if elapsed_secs > 0.0 {
         cells as f64 / elapsed_secs
     } else {
@@ -91,7 +100,6 @@ pub fn render(elapsed_secs: f64, cells: u64, expected: u64, phase: i64, backend:
         "{pct:5.1}%  {rate:>14}  eta {eta:>6}  phase={phase:<9}  backend={backend}",
         rate = fmt_rate(rate),
         phase = names::phase_name(phase),
-        backend = names::backend_name(backend),
     )
 }
 
@@ -101,7 +109,13 @@ mod tests {
 
     #[test]
     fn render_reports_rate_percent_eta_phase_and_backend() {
-        let line = render(2.0, 50_000_000, 100_000_000, names::PHASE_GRID_FILL, 3);
+        let line = render(
+            2.0,
+            50_000_000,
+            100_000_000,
+            names::PHASE_GRID_FILL,
+            "avx512",
+        );
         assert!(line.contains("50.0%"), "{line}");
         assert!(line.contains("25.0 Mcells/s"), "{line}");
         assert!(line.contains("eta"), "{line}");
@@ -112,7 +126,7 @@ mod tests {
 
     #[test]
     fn render_is_defensive_about_zero_state() {
-        let line = render(0.0, 0, 0, 0, -1);
+        let line = render(0.0, 0, 0, 0, "?");
         assert!(line.contains("0.0%"), "{line}");
         assert!(line.contains("eta     --"), "{line}");
         assert!(line.contains("phase=idle"), "{line}");
@@ -121,7 +135,7 @@ mod tests {
 
     #[test]
     fn percent_is_capped_when_cells_exceed_the_estimate() {
-        let line = render(10.0, 150, 100, names::PHASE_TRACEBACK, 0);
+        let line = render(10.0, 150, 100, names::PHASE_TRACEBACK, "scalar");
         assert!(line.contains("99.9%"), "{line}");
     }
 
@@ -139,9 +153,10 @@ mod tests {
         let reg = Registry::new();
         let p = Progress::new(&reg);
         reg.counter(names::CELLS_TOTAL).add(10);
+        reg.counter(names::CELLS_BACKEND_TOTAL[0]).add(3);
+        reg.counter(names::CELLS_BACKEND_TOTAL[1]).add(7);
         reg.gauge(names::RUN_CELLS_EXPECTED).set(100);
         reg.gauge(names::PHASE).set(names::PHASE_BASE_CASE);
-        reg.gauge(names::KERNEL_BACKEND).set(1);
         let line = p.line(1.0);
         assert!(line.contains("10.0%"), "{line}");
         assert!(line.contains("phase=base-case"), "{line}");

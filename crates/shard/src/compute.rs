@@ -103,6 +103,7 @@ pub fn execute(kernel: &Kernel, spec: &TaskSpec, metrics: &Metrics) -> Result<Ta
                 Vec::new(),
                 metrics,
             );
+            metrics.add_base_case_cells(rows as u64 * cols as u64);
             let mut builder = PathBuilder::new();
             let exit = trace_from(
                 &dpm,

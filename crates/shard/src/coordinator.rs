@@ -943,10 +943,13 @@ impl<'a> Coordinator<'a> {
         }
         let elapsed = since.elapsed();
         // Account worker-side compute in the coordinator's metrics (the
-        // worker's own counters die with its process).
-        let stats = match &output {
-            TaskOutput::Fill { .. } => Some((false, 0u64)),
-            TaskOutput::Trace { rev_moves, .. } => Some((true, rev_moves.len() as u64)),
+        // worker's own counters die with its process) exactly as
+        // `compute::execute` accounts a task run in-process: one fill,
+        // on the backend the worker's `Kernel::auto()` picks for the
+        // block, plus, for a trace task, its base-case cells and steps.
+        let steps = match &output {
+            TaskOutput::Fill { .. } => None,
+            TaskOutput::Trace { rev_moves, .. } => Some(rev_moves.len() as u64),
         };
         match self.apply(task_id, output, elapsed) {
             Ok(()) => {
@@ -954,19 +957,15 @@ impl<'a> Coordinator<'a> {
                     conn.task = None;
                 }
                 if let Some(st) = self.tasks.get(&task_id) {
-                    if let (
-                        TaskMeta::Fill { s, t } | TaskMeta::Trace { s, t, .. },
-                        Some((trace, steps)),
-                    ) = (st.meta, stats)
-                    {
-                        let (r0, r1, c0, c1) = self.block_bounds(s, t);
-                        let cells = ((r1 - r0) as u64) * ((c1 - c0) as u64);
-                        if trace {
-                            self.metrics.add_base_case_cells(cells);
-                            self.metrics.add_traceback_steps(steps);
-                        } else {
-                            self.metrics.add_cells(cells);
-                        }
+                    let (TaskMeta::Fill { s, t } | TaskMeta::Trace { s, t, .. }) = st.meta;
+                    let (r0, r1, c0, c1) = self.block_bounds(s, t);
+                    let (rows, cols) = (r1 - r0, c1 - c0);
+                    let cells = rows as u64 * cols as u64;
+                    self.metrics
+                        .add_cells(cells, self.kernel.backend_for(rows, cols));
+                    if let Some(steps) = steps {
+                        self.metrics.add_base_case_cells(cells);
+                        self.metrics.add_traceback_steps(steps);
                     }
                 }
                 if let Some(o) = &self.obs {

@@ -47,6 +47,46 @@ fn sharded_is_byte_identical_across_shard_counts_and_grids() {
 }
 
 #[test]
+fn a_task_is_counted_the_same_wherever_it_ran() {
+    let (a, b) = pair(120, 31);
+    let cfg = FastLsaConfig::new(4, 1 << 10);
+    let run = |worker: Vec<String>| {
+        let registry = Registry::new();
+        let metrics = Metrics::new().with_registry(&registry);
+        align_sharded(
+            &a,
+            &b,
+            "dna",
+            -3,
+            cfg,
+            &ShardOptions::new(2, worker),
+            &metrics,
+        )
+        .expect("sharded align");
+        (metrics.snapshot(), registry.snapshot())
+    };
+    let (remote, remote_reg) = run(worker_cmd());
+    let mn = (a.len() * b.len()) as u64;
+    assert!(
+        remote.cells_computed >= mn,
+        "every block is filled at least once: {} < m·n = {mn}",
+        remote.cells_computed
+    );
+    assert!(remote.cells_base_case <= remote.cells_computed);
+
+    // No worker can spawn: every task runs on the coordinator instead,
+    // and must be counted exactly as the workers' results were.
+    let (local, local_reg) = run(vec!["/nonexistent/flsa-shard-worker".to_string()]);
+    assert_eq!(local.cells_computed, remote.cells_computed);
+    assert_eq!(local.cells_base_case, remote.cells_base_case);
+    assert_eq!(local.traceback_steps, remote.traceback_steps);
+    assert_eq!(local.kernel_calls, remote.kernel_calls);
+    for name in names::CELLS_BACKEND_TOTAL {
+        assert_eq!(local_reg.counter(name), remote_reg.counter(name), "{name}");
+    }
+}
+
+#[test]
 fn uneven_sequences_and_matrices_stay_identical() {
     let alpha = tables::scheme_by_name("blosum62", -6).expect("scheme");
     let (a, b) = homologous_pair("p", alpha.alphabet(), 77, 0.7, 21).expect("pair");

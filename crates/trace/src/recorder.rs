@@ -32,10 +32,6 @@ pub struct Recorder {
     next_tid: AtomicU32,
     next_fill: AtomicU32,
     meta: Mutex<TraceMeta>,
-    /// Interned name of the DP kernel backend currently in effect;
-    /// stamped onto every kernel event so per-backend throughput
-    /// survives into reports.
-    kernel_backend: Mutex<&'static str>,
 }
 
 impl Default for Recorder {
@@ -63,7 +59,6 @@ impl Recorder {
             next_tid: AtomicU32::new(0),
             next_fill: AtomicU32::new(0),
             meta: Mutex::new(TraceMeta::default()),
-            kernel_backend: Mutex::new("scalar"),
         }
     }
 
@@ -109,26 +104,13 @@ impl Recorder {
             .push(event);
     }
 
-    /// Records one kernel invocation as an instant event, stamped with
-    /// the backend set by [`Recorder::set_kernel_backend`].
+    /// Records one kernel invocation that computed `cells` on `backend`
+    /// (an interned [`crate::event::KERNEL_BACKENDS`] name) as an
+    /// instant event.
     #[inline]
-    pub fn record_kernel(&self, cells: u64) {
+    pub fn record_kernel(&self, cells: u64, backend: &'static str) {
         let now = self.now_ns();
-        let backend = *self
-            .kernel_backend
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         self.record(now, now, EventKind::Kernel { cells, backend });
-    }
-
-    /// Sets the interned backend name stamped onto subsequent kernel
-    /// events. The engine calls this when it resolves (or degrades) its
-    /// kernel dispatch, so a single trace can carry a backend switch.
-    pub fn set_kernel_backend(&self, backend: &'static str) {
-        *self
-            .kernel_backend
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = backend;
     }
 
     /// Sets the run label shown in reports and exports.
@@ -174,9 +156,9 @@ impl Recorder {
 
 /// Per-fill tile instrumentation handle, passed into the wavefront layer.
 ///
-/// Holds the fill id and kind so the hot per-tile path only takes two
-/// timestamps and pushes one event. `Sync` because tiles run on pool
-/// worker threads.
+/// Holds the fill id and kind so the pool's per-tile timing shim only
+/// pushes one event per tile. `Sync` because tiles run on pool worker
+/// threads.
 pub struct TileTracer<'r> {
     recorder: &'r Recorder,
     kind: TileKind,
@@ -197,14 +179,19 @@ impl<'r> TileTracer<'r> {
         self.fill
     }
 
-    /// Times one tile's work closure and records the tile event.
+    /// Nanoseconds on the recorder's clock, for timing a tile.
     #[inline]
-    pub fn tile<F: FnOnce()>(&self, row: usize, col: usize, work: F) {
-        let start = self.recorder.now_ns();
-        work();
+    pub fn now_ns(&self) -> u64 {
+        self.recorder.now_ns()
+    }
+
+    /// Records the tile event of tile `(row, col)`, which ran from
+    /// `start_ns` to `end_ns` on [`TileTracer::now_ns`]'s clock.
+    #[inline]
+    pub fn record_tile(&self, row: usize, col: usize, start_ns: u64, end_ns: u64) {
         self.recorder.record(
-            start,
-            self.recorder.now_ns(),
+            start_ns,
+            end_ns,
             EventKind::Tile {
                 kind: self.kind,
                 fill: self.fill,
@@ -254,7 +241,14 @@ mod tests {
             let r = std::sync::Arc::clone(&recorder);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..10 {
-                    r.record_kernel(5);
+                    r.record(
+                        0,
+                        0,
+                        EventKind::Kernel {
+                            cells: 5,
+                            backend: "scalar",
+                        },
+                    );
                 }
                 r.thread_id()
             }));
@@ -275,7 +269,14 @@ mod tests {
     fn distinct_recorders_assign_independent_ids() {
         let a = Recorder::new();
         let b = Recorder::new();
-        a.record_kernel(1);
+        a.record(
+            0,
+            0,
+            EventKind::Kernel {
+                cells: 1,
+                backend: "scalar",
+            },
+        );
         assert_eq!(a.thread_id(), 0);
         assert_eq!(b.thread_id(), 0, "each recorder numbers threads from 0");
     }
@@ -287,7 +288,8 @@ mod tests {
         tracer.region(2, 2, 1, || {
             for r in 0..2 {
                 for c in 0..2 {
-                    tracer.tile(r, c, || {});
+                    let start = tracer.now_ns();
+                    tracer.record_tile(r, c, start, tracer.now_ns());
                 }
             }
         });

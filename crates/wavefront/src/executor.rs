@@ -109,27 +109,6 @@ pub fn run_wavefront(
     }
 }
 
-/// [`run_wavefront`] with optional per-tile tracing. With `tracer == None`
-/// this is exactly `run_wavefront`; with a tracer, every tile's work is
-/// timed as a tile event and the whole job becomes one fill-region event.
-pub fn run_wavefront_traced(
-    spec: &WavefrontSpec<'_>,
-    threads: usize,
-    work: &(dyn Fn(usize, usize) + Sync),
-    tracer: Option<&flsa_trace::TileTracer<'_>>,
-) -> Result<(), JobError> {
-    match tracer {
-        None => run_wavefront(spec, threads, work),
-        Some(t) => {
-            let mut outcome = Ok(());
-            t.region(spec.rows, spec.cols, threads, || {
-                outcome = run_wavefront(spec, threads, &|r, c| t.tile(r, c, || work(r, c)));
-            });
-            outcome
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,36 +264,6 @@ mod tests {
             });
             assert_eq!(result, Err(JobError::TilePanicked), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn traced_run_records_one_event_per_tile_plus_region() {
-        use flsa_trace::{EventKind, Recorder, TileKind, TileTracer};
-        let recorder = Recorder::new();
-        let tracer = TileTracer::new(&recorder, TileKind::GridFill);
-        let count = AtomicU64::new(0);
-        run_wavefront_traced(
-            &spec(5, 4),
-            3,
-            &|_, _| {
-                count.fetch_add(1, Ordering::Relaxed);
-            },
-            Some(&tracer),
-        )
-        .unwrap();
-        assert_eq!(count.into_inner(), 20);
-        let trace = recorder.snapshot();
-        let tiles = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Tile { .. }))
-            .count();
-        let fills = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Fill { .. }))
-            .count();
-        assert_eq!((tiles, fills), (20, 1));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod shared;
 pub mod sim;
 pub mod sync;
 
-pub use executor::{run_wavefront, run_wavefront_traced, WavefrontSpec};
+pub use executor::{run_wavefront, WavefrontSpec};
 pub use phases::{alpha_factor, PhaseBreakdown};
 pub use pool::{PoolMetrics, WorkerPool};
 pub use protocol::{sequential_wavefront, JobCore, JobError};

@@ -31,7 +31,7 @@
 //! participants drain without deadlock, the worker thread survives for
 //! the next job, and [`WorkerPool::run`] surfaces the failure as
 //! [`JobError::TilePanicked`] on the submitting thread. Cooperative
-//! cancellation ([`WorkerPool::run_with_cancel`]) drains the same way and
+//! cancellation ([`WorkerPool::run_traced`]) drains the same way and
 //! surfaces as [`JobError::Cancelled`].
 
 use std::sync::{Arc, OnceLock};
@@ -39,6 +39,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Sender};
 use flsa_metrics::{names, Counter, Gauge, Histogram, Registry};
+use flsa_trace::TileTracer;
 
 pub use crate::protocol::JobError;
 use crate::protocol::{sequential_wavefront, JobCore};
@@ -96,7 +97,7 @@ impl JobState {
 ///
 /// Everything is recorded *around* the protocol, never inside
 /// [`JobCore`] (which is model-checked and must stay metric-free): tile
-/// work is timed where the pool wraps the user closure, and idle time is
+/// work is timed by the pool's tile shim, and idle time is
 /// measured around the dispatch-channel `recv` in the worker loop. The
 /// ready queue itself lives inside the protocol monitor, so queue
 /// pressure is exposed as the in-flight tile census
@@ -127,11 +128,10 @@ impl PoolMetrics {
         }
     }
 
-    /// Times one tile's work, attributing it to busy time, the tile
-    /// latency histogram, and the in-flight census.
-    fn tile(&self, r: usize, c: usize, work: &(dyn Fn(usize, usize) + Sync)) {
-        // Decrement on unwind too: a panicking tile poisons its job but
-        // must not wedge the census gauge for the rest of the process.
+    /// Counts one tile into the in-flight census until the returned
+    /// guard drops — on unwind too: a panicking tile poisons its job but
+    /// must not wedge the census gauge for the rest of the process.
+    fn enter_tile(&self) -> impl Drop + '_ {
         struct InflightGuard<'a>(&'a Gauge);
         impl Drop for InflightGuard<'_> {
             fn drop(&mut self) {
@@ -139,7 +139,6 @@ impl PoolMetrics {
             }
         }
         let now = self.inflight.add_get(1);
-        let _guard = InflightGuard(&self.inflight);
         // Advisory peak: the cheap load-and-compare keeps the common
         // steady-state case (census at or below the known peak) off the
         // contended RMW; racing threads under-count transient spikes by
@@ -147,9 +146,12 @@ impl PoolMetrics {
         if now > self.inflight_peak.get() {
             self.inflight_peak.fetch_max(now);
         }
-        let start = Instant::now();
-        work(r, c);
-        let ns = start.elapsed().as_nanos() as u64;
+        InflightGuard(&self.inflight)
+    }
+
+    /// Attributes one finished tile's `ns` to busy time, the tile
+    /// latency histogram, and the tile count.
+    fn tile_done(&self, ns: u64) {
         self.busy_ns.add(ns);
         self.tile_ns.record(ns);
         self.tiles.inc();
@@ -237,17 +239,7 @@ impl WorkerPool {
         let _ = self.metrics.set(metrics);
     }
 
-    /// Runs one wavefront job, blocking until every live tile finished.
-    /// Semantics match [`crate::run_wavefront`]: `work(r, c)` runs once
-    /// per non-skipped tile, after its up/left neighbours.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JobError::TilePanicked`] when a tile's `work` panicked
-    /// (on whichever thread it ran); the panic payload is contained and
-    /// the pool stays usable for subsequent jobs. This call never returns
-    /// before the job is quiescent, so on the error path too every
-    /// in-flight `work` call has finished.
+    /// [`WorkerPool::run_traced`] with neither cancellation nor tracing.
     pub fn run(
         &mut self,
         rows: usize,
@@ -255,17 +247,74 @@ impl WorkerPool {
         skip: impl Fn(usize, usize) -> bool,
         work: &(dyn Fn(usize, usize) + Sync),
     ) -> Result<(), JobError> {
-        self.run_with_cancel(rows, cols, skip, work, None)
+        self.run_traced(rows, cols, skip, work, None, None)
     }
 
-    /// [`WorkerPool::run`] with a cooperative cancel predicate, polled
-    /// before each tile on whichever thread claims it. When it first
-    /// returns `true` the job aborts via
+    /// Runs one wavefront job, blocking until every live tile finished.
+    /// Semantics match [`crate::run_wavefront`]: `work(r, c)` runs once
+    /// per non-skipped tile, after its up/left neighbours.
+    ///
+    /// `cancel` is polled before each tile on whichever thread claims
+    /// it. When it first returns `true` the job aborts via
     /// [`JobCore::abort_cancelled`](crate::protocol::JobCore::abort_cancelled):
-    /// tiles already inside `work` finish, nothing new starts, and this
-    /// call returns [`JobError::Cancelled`] once the job drained.
-    pub fn run_with_cancel(
+    /// tiles already inside `work` finish and nothing new starts.
+    ///
+    /// A shim times each tile once; that start/end pair feeds the
+    /// attached [`PoolMetrics`] and the `tracer`'s tile event. The tracer
+    /// also records the job as one fill region. With neither attached,
+    /// `work` runs unwrapped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JobError::TilePanicked`] when a tile's `work` panicked
+    /// (on whichever thread it ran); the panic payload is contained and
+    /// the pool stays usable for subsequent jobs. Returns
+    /// [`JobError::Cancelled`] once a cancelled job drained. This call
+    /// never returns before the job is quiescent, so on the error paths
+    /// too every in-flight `work` call has finished.
+    pub fn run_traced(
         &mut self,
+        rows: usize,
+        cols: usize,
+        skip: impl Fn(usize, usize) -> bool,
+        work: &(dyn Fn(usize, usize) + Sync),
+        cancel: Option<&(dyn Fn() -> bool + Sync)>,
+        tracer: Option<&TileTracer<'_>>,
+    ) -> Result<(), JobError> {
+        // The shim lives in this frame, which the job only leaves once
+        // quiescent, so the lifetime-erasure protocol is unchanged.
+        let metrics = self.metrics.get();
+        let epoch = Instant::now();
+        let now = || tracer.map_or_else(|| epoch.elapsed().as_nanos() as u64, TileTracer::now_ns);
+        let timed = |r: usize, c: usize| {
+            let _census = metrics.map(PoolMetrics::enter_tile);
+            let start = now();
+            work(r, c);
+            let end = now();
+            if let Some(m) = metrics {
+                m.tile_done(end - start);
+            }
+            if let Some(t) = tracer {
+                t.record_tile(r, c, start, end);
+            }
+        };
+        let work: &(dyn Fn(usize, usize) + Sync) = if metrics.is_none() && tracer.is_none() {
+            work
+        } else {
+            &timed
+        };
+        match tracer {
+            Some(t) => t.region(rows, cols, self.threads, || {
+                self.execute(rows, cols, skip, work, cancel)
+            }),
+            None => self.execute(rows, cols, skip, work, cancel),
+        }
+    }
+
+    /// Schedules one job over the pool's threads (see
+    /// [`WorkerPool::run_traced`]).
+    fn execute(
+        &self,
         rows: usize,
         cols: usize,
         skip: impl Fn(usize, usize) -> bool,
@@ -276,20 +325,6 @@ impl WorkerPool {
             return Ok(());
         }
         let skip_mask: Vec<bool> = (0..rows * cols).map(|i| skip(i / cols, i % cols)).collect();
-
-        // With metrics attached, wrap the tile closure in the timing
-        // shim. The wrapper lives in this frame, which `run_with_cancel`
-        // only leaves after the job is quiescent, so the lifetime-erasure
-        // protocol below is unchanged.
-        let pool_metrics = self.metrics.get().cloned();
-        let metered;
-        let work: &(dyn Fn(usize, usize) + Sync) = match &pool_metrics {
-            Some(m) => {
-                metered = move |r: usize, c: usize| m.tile(r, c, work);
-                &metered
-            }
-            None => work,
-        };
 
         if self.threads == 1 {
             let cancelled = std::cell::Cell::new(false);
@@ -367,39 +402,6 @@ impl WorkerPool {
             Err(JobError::TilePanicked)
         } else {
             Ok(())
-        }
-    }
-
-    /// [`WorkerPool::run_with_cancel`] with optional per-tile tracing.
-    /// With `tracer == None` this is exactly `run_with_cancel` (the
-    /// disabled path adds nothing to the per-tile work); with a tracer,
-    /// each tile's work is timed and the whole job is wrapped in a
-    /// fill-region event.
-    pub fn run_traced(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        skip: impl Fn(usize, usize) -> bool,
-        work: &(dyn Fn(usize, usize) + Sync),
-        cancel: Option<&(dyn Fn() -> bool + Sync)>,
-        tracer: Option<&flsa_trace::TileTracer<'_>>,
-    ) -> Result<(), JobError> {
-        match tracer {
-            None => self.run_with_cancel(rows, cols, skip, work, cancel),
-            Some(t) => {
-                let threads = self.threads;
-                let mut outcome = Ok(());
-                t.region(rows, cols, threads, || {
-                    outcome = self.run_with_cancel(
-                        rows,
-                        cols,
-                        skip,
-                        &|r, c| t.tile(r, c, || work(r, c)),
-                        cancel,
-                    );
-                });
-                outcome
-            }
         }
     }
 }
@@ -551,7 +553,7 @@ mod tests {
             let mut pool = WorkerPool::new(threads);
             let fired = AtomicU64::new(0);
             let ran = AtomicU64::new(0);
-            let result = pool.run_with_cancel(
+            let result = pool.run_traced(
                 8,
                 8,
                 |_, _| false,
@@ -559,6 +561,7 @@ mod tests {
                     ran.fetch_add(1, Ordering::Relaxed);
                 },
                 Some(&|| fired.fetch_add(1, Ordering::Relaxed) >= 5),
+                None,
             );
             assert_eq!(result, Err(JobError::Cancelled), "threads={threads}");
             assert!(
@@ -579,7 +582,7 @@ mod tests {
     fn never_firing_cancel_predicate_is_harmless() {
         let mut pool = WorkerPool::new(4);
         let count = AtomicU64::new(0);
-        pool.run_with_cancel(
+        pool.run_traced(
             5,
             5,
             |_, _| false,
@@ -587,6 +590,7 @@ mod tests {
                 count.fetch_add(1, Ordering::Relaxed);
             },
             Some(&|| false),
+            None,
         )
         .unwrap();
         assert_eq!(count.into_inner(), 25);
@@ -594,23 +598,35 @@ mod tests {
 
     #[test]
     fn traced_pool_run_links_tiles_to_their_fill() {
-        use flsa_trace::{EventKind, Recorder, TileKind, TileTracer};
+        use flsa_trace::{EventKind, Recorder, TileKind};
         let recorder = Recorder::new();
+        let reg = Registry::new();
         let mut pool = WorkerPool::new(4);
+        pool.set_metrics(PoolMetrics::new(&reg));
         for round in 0..3 {
             let tracer = TileTracer::new(&recorder, TileKind::BaseFill);
             pool.run_traced(3, 3, |_, _| false, &|_, _| {}, None, Some(&tracer))
                 .unwrap();
             let trace = recorder.snapshot();
-            let this_fill = trace
-                .events
-                .iter()
-                .filter(
-                    |e| matches!(e.kind, EventKind::Tile { fill, .. } if fill == tracer.fill_id()),
-                )
-                .count();
-            assert_eq!(this_fill, 9, "round {round}");
+            let count = |want: fn(&EventKind) -> Option<u32>| {
+                trace
+                    .events
+                    .iter()
+                    .filter(|e| want(&e.kind) == Some(tracer.fill_id()))
+                    .count()
+            };
+            let tiles = count(|k| match *k {
+                EventKind::Tile { fill, .. } => Some(fill),
+                _ => None,
+            });
+            let fills = count(|k| match *k {
+                EventKind::Fill { fill, .. } => Some(fill),
+                _ => None,
+            });
+            assert_eq!((tiles, fills), (9, 1), "round {round}");
         }
+        // The same shim timed every traced tile for the metrics too.
+        assert_eq!(reg.snapshot().counter(names::TILES_TOTAL), Some(27));
         // Untraced path records nothing.
         let before = recorder.snapshot().events.len();
         pool.run_traced(2, 2, |_, _| false, &|_, _| {}, None, None)

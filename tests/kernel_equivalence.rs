@@ -19,13 +19,17 @@
 //! scalar-forced kernel also pins the batch kernel to its portable
 //! striped path).
 
+use std::sync::Arc;
+
 use fastlsa_core::{align_opts, AlignOptions, FastLsaConfig};
 use flsa_dp::kernel::{fill_dir, fill_full, fill_last_row_col};
 use flsa_dp::{BatchJob, BatchKernel, Boundary, Kernel, KernelBackend, Metrics};
 use flsa_fullmatrix::{needleman_wunsch, needleman_wunsch_kernel};
 use flsa_hirschberg::{hirschberg_kernel, HirschbergConfig};
+use flsa_metrics::{names, Registry};
 use flsa_scoring::{tables, GapModel, ScoringScheme};
 use flsa_seq::{Alphabet, Sequence};
+use flsa_trace::{EventKind, Recorder};
 
 /// Deterministic xorshift64* — no external RNG dependency.
 struct Rng(u64);
@@ -193,6 +197,55 @@ fn fill_kernels_match_scalar_on_random_rectangles() {
 }
 
 #[test]
+fn fills_are_filed_under_the_backend_that_ran_them() {
+    // A fill of at least 16 columns (the vector cutoff) runs on the
+    // kernel's own backend; a narrower one runs the scalar loop. Each
+    // call files its cells under the backend that ran, in the registry
+    // counter and in the trace event alike.
+    let scheme = ScoringScheme::dna_default();
+    let mut rng = Rng::new(0xa77);
+    for backend in backends() {
+        let kernel = Kernel::try_new(backend).unwrap();
+        for (cols, ran_on) in [
+            (16, backend),
+            (45, backend),
+            (15, KernelBackend::Scalar),
+            (3, KernelBackend::Scalar),
+        ] {
+            let rows = 1 + rng.below(20) as usize;
+            let a = random_codes(&mut rng, rows, 4);
+            let b = random_codes(&mut rng, cols, 4);
+            let bound = random_boundary(&mut rng, rows, cols);
+            let recorder = Arc::new(Recorder::new());
+            let registry = Registry::new();
+            let m = Metrics::with_recorder(Arc::clone(&recorder)).with_registry(&registry);
+            kernel.fill_full(&a, &b, &bound.top, &bound.left, &scheme, &m);
+            let mut bottom = vec![0i32; cols + 1];
+            kernel.fill_last_row(&a, &b, &bound.top, &bound.left, &scheme, &mut bottom, &m);
+            kernel.fill_dir(&a, &b, &bound.top, &bound.left, &scheme, &m);
+
+            let what = format!("backend {backend}, {rows}x{cols} fill");
+            let cells = 3 * (rows * cols) as u64;
+            let snap = registry.snapshot();
+            for (other, metric) in KernelBackend::ALL
+                .into_iter()
+                .zip(names::CELLS_BACKEND_TOTAL)
+            {
+                let want = if other == ran_on { cells } else { 0 };
+                assert_eq!(snap.counter(metric), Some(want), "{what}: cells[{other}]");
+            }
+            let trace = recorder.snapshot();
+            assert_eq!(trace.kernel_cells(), cells, "{what}: traced cells");
+            for e in &trace.events {
+                if let EventKind::Kernel { backend: name, .. } = e.kind {
+                    assert_eq!(name, ran_on.name(), "{what}: traced backend");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn full_pipeline_matches_scalar_per_backend() {
     let mut rng = Rng::new(0xa11);
     let scheme = ScoringScheme::dna_default();
@@ -316,7 +369,10 @@ fn paper_worked_example_scores_82_on_every_backend() {
 #[test]
 fn unavailable_or_unknown_backends_are_rejected_cleanly() {
     assert!(KernelBackend::parse("no-such-simd").is_none());
-    assert!(KernelBackend::parse("lanes").is_none(), "lanes backend is gone");
+    assert!(
+        KernelBackend::parse("lanes").is_none(),
+        "lanes backend is gone"
+    );
     // Whatever this CPU supports, requesting it through AlignOptions
     // must validate; the scalar fallback must always exist.
     assert!(KernelBackend::Scalar.is_available());
@@ -382,12 +438,7 @@ fn batch_kernel_saturating_scores_force_exact_fallback() {
     // +2000/−2000 climbs out of the i16 safe zone within ~16 matched
     // residues: admitted upfront, flagged by the runtime min/max tracker,
     // recomputed exactly. Results must still match the scalar single path.
-    let m = flsa_scoring::SubstitutionMatrix::match_mismatch(
-        "sat",
-        Alphabet::dna(),
-        2000,
-        -2000,
-    );
+    let m = flsa_scoring::SubstitutionMatrix::match_mismatch("sat", Alphabet::dna(), 2000, -2000);
     let scheme = ScoringScheme::new(m, GapModel::linear(-2));
     let mut rng = Rng::new(0x5a7);
     let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..12)
@@ -438,11 +489,7 @@ fn paper_worked_example_scores_82_in_a_batch() {
     ];
     for backend in backends() {
         let batch = BatchKernel::new(Kernel::try_new(backend).unwrap());
-        for (k, r) in batch
-            .align_batch(&jobs, &Metrics::new())
-            .iter()
-            .enumerate()
-        {
+        for (k, r) in batch.align_batch(&jobs, &Metrics::new()).iter().enumerate() {
             assert_eq!(r.score, 82, "backend {backend} lane {k}");
             assert!(r.path.is_global(a.len(), b.len()), "backend {backend}");
         }
