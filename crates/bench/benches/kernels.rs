@@ -53,24 +53,6 @@ fn bench_kernels(c: &mut Criterion) {
             black_box(bottom[n])
         })
     });
-    group.bench_function("fill_last_row_col_antidiagonal", |bch| {
-        let mut bottom = vec![0i32; n + 1];
-        let mut right = vec![0i32; n + 1];
-        bch.iter(|| {
-            let m = Metrics::new();
-            flsa_dp::antidiagonal::fill_last_row_col_antidiagonal(
-                a.codes(),
-                b.codes(),
-                &bound.top,
-                &bound.left,
-                &scheme,
-                &mut bottom,
-                Some(&mut right),
-                &m,
-            );
-            black_box(bottom[n])
-        })
-    });
     group.bench_function("fill_dir", |bch| {
         bch.iter(|| {
             let m = Metrics::new();

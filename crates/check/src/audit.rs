@@ -31,7 +31,8 @@
 //!   derives the worst-case `i32` score magnitude as a function of the
 //!   sequence span (`m + n`), emits a machine-readable certificate,
 //!   and checks that the alignment entry points (`align_opts`,
-//!   `align_resume`, `align_traced`) reach the runtime overflow guard
+//!   `align_resume`, `align_traced`, `align_affine`, `gotoh`,
+//!   `myers_miller_affine`) reach the runtime overflow guard
 //!   (`max_safe_span` / `validate_run`) on their call graph.
 //!
 //! Name resolution is conservative (identifier-based): the graph
@@ -63,7 +64,14 @@ const WAVEFRONT_ENTRIES: &[&str] = &["run_wavefront"];
 const WAVEFRONT_FILE: &str = "crates/wavefront/src/executor.rs";
 
 /// Alignment entry points that must reach the overflow guard (R10).
-const OVERFLOW_GUARDED_ENTRIES: &[&str] = &["align_opts", "align_resume", "align_traced"];
+const OVERFLOW_GUARDED_ENTRIES: &[&str] = &[
+    "align_opts",
+    "align_resume",
+    "align_traced",
+    "align_affine",
+    "gotoh",
+    "myers_miller_affine",
+];
 
 /// Fns recognized as the runtime overflow guard (R10).
 const OVERFLOW_GUARDS: &[&str] = &["max_safe_span", "validate_run"];

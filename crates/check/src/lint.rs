@@ -11,11 +11,11 @@
 //!   containing a `# Safety` section also counts, for `unsafe fn`
 //!   declarations).
 //! * **R2-no-panic-hot-kernel** — the DP hot kernels
-//!   (`dp::kernel`, `dp::affine`, `dp::antidiagonal` and the
-//!   `fullmatrix` fill loops) must not contain `.unwrap()`, `.expect(`,
-//!   `panic!`, `unreachable!`, `todo!` or `unimplemented!` outside
-//!   `#[cfg(test)]` modules. Intentional invariant panics carry a
-//!   `// flsa-check: allow(panic)` marker on the same or previous line.
+//!   (`dp::kernel`, `dp::affine` and the `fullmatrix` fill loops) must
+//!   not contain `.unwrap()`, `.expect(`, `panic!`, `unreachable!`,
+//!   `todo!` or `unimplemented!` outside `#[cfg(test)]` modules.
+//!   Intentional invariant panics carry a `// flsa-check: allow(panic)`
+//!   marker on the same or previous line.
 //! * **R3-relaxed-justified** — every `Ordering::Relaxed` must carry a
 //!   comment (same line, or a comment line directly above the
 //!   contiguous block of `Relaxed` lines) saying why relaxed ordering
@@ -82,11 +82,7 @@ impl std::fmt::Display for Finding {
 }
 
 /// Files whose inner loops are DP hot kernels (rule R2).
-pub(crate) const HOT_FILES: &[&str] = &[
-    "crates/dp/src/kernel.rs",
-    "crates/dp/src/affine.rs",
-    "crates/dp/src/antidiagonal.rs",
-];
+pub(crate) const HOT_FILES: &[&str] = &["crates/dp/src/kernel.rs", "crates/dp/src/affine.rs"];
 
 /// Directory prefixes that are hot wholesale (rule R2).
 pub(crate) const HOT_PREFIXES: &[&str] = &["crates/fullmatrix/src/", "crates/dp/src/simd/"];

@@ -6,7 +6,6 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use fastlsa_core::max_safe_span;
 use flsa_check::audit::audit_workspace;
 use flsa_scoring::{GapModel, ScoringScheme, SubstitutionMatrix};
 use flsa_seq::Alphabet;
@@ -108,7 +107,7 @@ fn runtime_guard_is_no_looser_than_certificate() {
         SubstitutionMatrix::match_mismatch("extremal", Alphabet::dna(), s, -s),
         GapModel::linear(-g),
     );
-    let enforced = max_safe_span(&extremal) as u64;
+    let enforced = extremal.max_safe_span() as u64;
     assert!(
         enforced <= cert.max_span,
         "validate_run admits span {enforced} but the certificate only covers {}",

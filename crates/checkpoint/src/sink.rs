@@ -104,7 +104,7 @@ impl CheckpointSink for FileCheckpointSink {
         let n = self.saves.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .path
-            .with_extension(if n % 2 == 0 { "tmp0" } else { "tmp1" });
+            .with_extension(if n.is_multiple_of(2) { "tmp0" } else { "tmp1" });
         let mut f = OpenOptions::new()
             .write(true)
             .create(true)

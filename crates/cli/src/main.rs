@@ -16,7 +16,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fastlsa_core::{
-    AlignError, AlignOptions, CancelToken, CheckpointPolicy, FastLsaConfig, ParallelConfig,
+    AlignError, AlignOptions, CancelToken, CheckpointPolicy, ConfigError, FastLsaConfig,
+    ParallelConfig,
 };
 use flsa_checkpoint::{
     read_snapshot, resume_from_snapshot, CheckpointMetrics, FileCheckpointSink, SnapshotMeta,
@@ -52,8 +53,10 @@ ALIGN OPTIONS:
     --matrix NAME      dna (default) | blosum62 | pam250 | identity | paper
     --matrix-file F    load an NCBI-format matrix file instead
     --gap N            linear gap penalty (default -10)
-    --gap-open N       affine gap open (gotoh/mm-affine; default -10)
-    --gap-extend N     affine gap extend (gotoh/mm-affine; default -2)
+    --gap-open N       affine gap open (gotoh/mm-affine/fastlsa-affine;
+                       default -10)
+    --gap-extend N     affine gap extend (gotoh/mm-affine/fastlsa-affine;
+                       default -2)
     --band W           band half-width for --algo banded (default 32)
     -k, --k N          FastLSA grid division factor (default 8)
     --base-cells N     FastLSA base-case buffer, DPM entries (default 1Mi)
@@ -470,7 +473,7 @@ impl LiveObserver {
                     let _ = std::io::stderr().flush();
                 }
                 ticks += 1;
-                if ticks % 5 == 0 {
+                if ticks.is_multiple_of(5) {
                     if let Some(path) = &refresh_path {
                         let _ = write_metrics_file(path, &reg.snapshot());
                     }
@@ -538,6 +541,20 @@ fn cmd_align(a: &args::Args) -> Result<(), CliError> {
     let (sa, sb) = load_pair(&a.positional, scheme.alphabet())?;
 
     let algo = a.str_or("algo", "fastlsa");
+    // The affine algorithms price gaps by --gap-open/--gap-extend, the
+    // others by --gap. Every algorithm runs i32 DP: refuse a span the
+    // scheme cannot hold before dispatching.
+    let scheme = if matches!(algo, "gotoh" | "mm-affine" | "fastlsa-affine") {
+        let open: i32 = a.get_or("gap-open", -10).map_err(CliError::usage)?;
+        let extend: i32 = a.get_or("gap-extend", -2).map_err(CliError::usage)?;
+        ScoringScheme::new(scheme.matrix().clone(), GapModel::affine(open, extend))
+    } else {
+        scheme
+    };
+    let (span, max_span) = (sa.len().saturating_add(sb.len()), scheme.max_safe_span());
+    if span > max_span {
+        return Err(AlignError::from(ConfigError::ScoreOverflow { span, max_span }).into());
+    }
     if a.options.contains_key("checkpoint") {
         if algo != "fastlsa" {
             return Err(CliError::usage(
@@ -714,25 +731,21 @@ fn cmd_align(a: &args::Args) -> Result<(), CliError> {
                 let r = flsa_fullmatrix::banded_needleman_wunsch(&sa, &sb, &scheme, w, &metrics);
                 (r.score, Some(r.path))
             }
-            "gotoh" | "mm-affine" | "fastlsa-affine" => {
-                let open: i32 = a.get_or("gap-open", -10).map_err(CliError::usage)?;
-                let extend: i32 = a.get_or("gap-extend", -2).map_err(CliError::usage)?;
-                let affine =
-                    ScoringScheme::new(scheme.matrix().clone(), GapModel::affine(open, extend));
-                let r = match algo {
-                    "gotoh" => flsa_fullmatrix::gotoh(&sa, &sb, &affine, &metrics),
-                    "mm-affine" => {
-                        flsa_hirschberg::myers_miller_affine(&sa, &sb, &affine, &metrics)
-                    }
-                    _ => {
-                        let cfg = FastLsaConfig::new(
-                            a.get_or("k", 8).map_err(CliError::usage)?,
-                            a.get_or("base-cells", 1usize << 20)
-                                .map_err(CliError::usage)?,
-                        );
-                        fastlsa_core::align_affine(&sa, &sb, &affine, cfg, &metrics)?
-                    }
-                };
+            "gotoh" => {
+                let r = flsa_fullmatrix::gotoh(&sa, &sb, &scheme, &metrics);
+                (r.score, Some(r.path))
+            }
+            "mm-affine" => {
+                let r = flsa_hirschberg::myers_miller_affine(&sa, &sb, &scheme, &metrics);
+                (r.score, Some(r.path))
+            }
+            "fastlsa-affine" => {
+                let cfg = FastLsaConfig::new(
+                    a.get_or("k", 8).map_err(CliError::usage)?,
+                    a.get_or("base-cells", 1usize << 20)
+                        .map_err(CliError::usage)?,
+                );
+                let r = fastlsa_core::align_affine(&sa, &sb, &scheme, cfg, &metrics)?;
                 (r.score, Some(r.path))
             }
             "fit" => {

@@ -376,6 +376,64 @@ fn exit_code_2_on_bad_config_or_args() {
 }
 
 #[test]
+fn exit_code_2_when_the_span_exceeds_the_schemes_i32_bound() {
+    // A gap of -2e9 leaves i32 on an 8×7 pair, under either gap model.
+    let fa = tmp("overflow.fa");
+    std::fs::write(&fa, ">a\nACGTACGT\n>b\nACGTCGT\n").unwrap();
+    let affine = ["--gap-open", "-2000000000", "--gap-extend", "-1"];
+    let linear = ["--gap", "-2000000000"];
+    let cases = [
+        ("gotoh", &affine[..]),
+        ("mm-affine", &affine),
+        ("fastlsa-affine", &affine),
+        ("nw", &linear),
+        ("hirschberg", &linear),
+    ];
+    for (algo, gap) in cases {
+        let mut args = vec!["align", "--algo", algo, "--quiet", fa.to_str().unwrap()];
+        args.extend_from_slice(gap);
+        let out = flsa(&args);
+        assert_eq!(out.status.code(), Some(2), "{algo}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains("exceeds the i32-safe limit"), "{algo}: {err}");
+    }
+    std::fs::remove_file(fa).ok();
+}
+
+#[test]
+fn affine_span_cap_keeps_scores_off_the_sentinel() {
+    // Under open 0 / extend -1e6 a 1×540 pair (span 541) is inside the
+    // overflow bound (1072) but its gap scores would reach the affine
+    // kernels' unreachable-cell sentinel: the cap is 534. A 1×500 pair
+    // still aligns, to one match plus one 499-symbol gap.
+    for (len, score) in [(540, None), (500, Some(-498_999_995))] {
+        let fa = tmp(&format!("cap{len}.fa"));
+        std::fs::write(&fa, format!(">a\nA\n>b\n{}\n", "ACGT".repeat(len / 4))).unwrap();
+        for algo in ["gotoh", "mm-affine", "fastlsa-affine"] {
+            let out = flsa(&[
+                "align",
+                "--algo",
+                algo,
+                "--gap-open",
+                "0",
+                "--gap-extend",
+                "-1000000",
+                "--quiet",
+                fa.to_str().unwrap(),
+            ]);
+            match score {
+                None => assert_eq!(out.status.code(), Some(2), "{algo} 1x{len}: {out:?}"),
+                Some(s) => {
+                    assert!(out.status.success(), "{algo} 1x{len}: {out:?}");
+                    assert_eq!(score_line(&stdout(&out)), s, "{algo} 1x{len}");
+                }
+            }
+        }
+        std::fs::remove_file(fa).ok();
+    }
+}
+
+#[test]
 fn exit_code_3_on_malformed_or_missing_input() {
     // Sequence data before any FASTA header.
     let bad = tmp("exit3.fa");

@@ -14,8 +14,10 @@
 //!    boundary `F`/`E` values already include it).
 //!
 //! The extension is sequential (the paper's evaluation does not cover
-//! affine gaps; any [`FastLsaConfig::parallel`] setting is ignored) and
-//! is validated against Gotoh and Myers–Miller oracles.
+//! affine gaps; any [`FastLsaConfig::parallel`] setting is ignored). Its
+//! fills and base-case traceback are `flsa_dp::affine`'s, shared with
+//! Gotoh and Myers–Miller; the exhaustive affine oracle in the root
+//! `tests/brute_force_oracle.rs` checks all three independently.
 
 use flsa_dp::affine::{
     fill_affine_edges_in, fill_affine_full, AffineBoundary, AffineGlobalBoundary, GapState, NEG,
@@ -262,7 +264,9 @@ impl AffineSolver<'_> {
 ///
 /// Returns [`ConfigError::GapModelNotAffine`] (wrapped in
 /// [`AlignError::Config`]) when `scheme.gap()` is not affine, and the
-/// usual configuration/alphabet errors of the linear entry points.
+/// usual configuration/alphabet errors of the linear entry points,
+/// including [`ConfigError::ScoreOverflow`] for a span beyond
+/// [`ScoringScheme::max_safe_span`].
 ///
 /// # Examples
 ///
@@ -288,7 +292,7 @@ pub fn align_affine(
     config: FastLsaConfig,
     metrics: &Metrics,
 ) -> Result<AlignResult, AlignError> {
-    config.validate()?;
+    config.validate_run(scheme, a.len(), b.len())?;
     if !matches!(*scheme.gap(), flsa_scoring::GapModel::Affine { .. }) {
         return Err(ConfigError::GapModelNotAffine.into());
     }
@@ -330,7 +334,7 @@ pub fn align_affine(
 
     let path = builder.finish((0, 0));
     debug_assert!(path.is_global(m, n));
-    let score = flsa_fullmatrix::gotoh::score_path_affine(&path, a, b, scheme);
+    let score = path.score(a, b, scheme);
     Ok(AlignResult { score, path })
 }
 

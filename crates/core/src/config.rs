@@ -9,27 +9,6 @@ use flsa_scoring::ScoringScheme;
 
 use crate::error::ConfigError;
 
-/// The largest sequence span `m + n` for which every intermediate of the
-/// i32 DP kernels provably stays in range under `scheme`.
-///
-/// Derivation (mirrored bit-for-bit by the static audit's R10 overflow
-/// certificate — `cargo run -p flsa-check --bin audit`): with
-/// `S = max |substitution score|` and `G` the worst per-symbol gap
-/// magnitude ([`flsa_scoring::GapModel::max_penalty_abs`]), every cell
-/// satisfies `|H(i,j)| <= (i+j) * max(S, G)`, and the vectorized
-/// two-pass kernels' u-domain intermediates `H(i,j) - j*gap` stay within
-/// `span * (max(S,G) + G) + G`. Requiring
-/// `span <= i32::MAX / (max(S,G) + G) - 1` therefore covers both, with
-/// slack for the boundary ramp.
-pub fn max_safe_span(scheme: &ScoringScheme) -> usize {
-    let s = i64::from(scheme.matrix().max_score().abs())
-        .max(i64::from(scheme.matrix().min_score().abs()))
-        .max(1);
-    let g = scheme.gap().max_penalty_abs().max(1);
-    let unit = s.max(g) + g;
-    usize::try_from((i64::from(i32::MAX) / unit - 1).max(0)).unwrap_or(usize::MAX)
-}
-
 /// Parallel execution parameters (paper §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
@@ -129,7 +108,7 @@ impl FastLsaConfig {
 
     /// Checks [`FastLsaConfig::validate`]'s structural invariants plus
     /// the run-specific i32-overflow bound: the span `m + n` must not
-    /// exceed [`max_safe_span`] for `scheme`, or a pathological input
+    /// exceed [`ScoringScheme::max_safe_span`], or a pathological input
     /// could wrap cell scores and return a silently wrong alignment.
     pub fn validate_run(
         &self,
@@ -139,7 +118,7 @@ impl FastLsaConfig {
     ) -> Result<(), ConfigError> {
         self.validate()?;
         let span = m.saturating_add(n);
-        let max_span = max_safe_span(scheme);
+        let max_span = scheme.max_safe_span();
         if span > max_span {
             return Err(ConfigError::ScoreOverflow { span, max_span });
         }

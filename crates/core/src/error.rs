@@ -25,7 +25,7 @@ pub enum ConfigError {
     GapModelNotAffine,
     /// The combined sequence span `m + n` is large enough that the DP
     /// recurrence could overflow `i32` cell scores under this scoring
-    /// scheme (see [`crate::max_safe_span`] and the audit's R10
+    /// scheme (see [`flsa_scoring::ScoringScheme::max_safe_span`] and the audit's R10
     /// overflow certificate).
     ScoreOverflow {
         /// The rejected span `m + n`.

@@ -60,7 +60,7 @@ mod solver;
 pub use affine::align_affine;
 pub use cancel::CancelToken;
 pub use checkpoint::{CheckpointPolicy, CheckpointSink, CheckpointState, FrameState, GridState};
-pub use config::{max_safe_span, FastLsaConfig, ParallelConfig};
+pub use config::{FastLsaConfig, ParallelConfig};
 pub use costlog::{CostEvent, CostLog};
 pub use error::{AlignError, ConfigError};
 pub use governor::{
@@ -235,7 +235,7 @@ pub fn align_batch(
     metrics: &Metrics,
 ) -> Result<Vec<AlignResult>, AlignError> {
     validate_kernel(opts)?;
-    let max_span = max_safe_span(scheme);
+    let max_span = scheme.max_safe_span();
     for (a, b) in pairs {
         for s in [a, b] {
             if s.alphabet() != scheme.alphabet() {

@@ -12,8 +12,12 @@
 //! For a *sub-rectangle*, restarting this recurrence needs more boundary
 //! state than the linear case: a horizontal grid line must carry `H` and
 //! `F` (vertical runs cross it), a vertical one `H` and `E`. These
-//! kernels are the affine analogues of [`crate::kernel`]'s, used by the
-//! affine FastLSA extension (`fastlsa-core`).
+//! kernels are the affine analogues of [`crate::kernel`]'s and the only
+//! home of the affine recurrence: full-matrix Gotoh
+//! (`flsa_fullmatrix::gotoh`) is [`fill_affine_full`] plus
+//! [`trace_affine`], Myers–Miller (`flsa_hirschberg`) scans with
+//! [`fill_affine_edges_in`], and affine FastLSA (`fastlsa-core`) uses
+//! both.
 
 use flsa_scoring::{GapModel, ScoringScheme};
 
@@ -129,29 +133,14 @@ impl AffineEdges {
 }
 
 /// Rolling-row fill returning the rectangle's bottom and right edges
-/// (the affine analogue of [`crate::kernel::fill_last_row_col`]).
-pub fn fill_affine_edges(
-    a: &[u8],
-    b: &[u8],
-    bnd: AffineBoundary<'_>,
-    scheme: &ScoringScheme,
-    metrics: &Metrics,
-) -> AffineEdges {
-    let (rows, cols) = (a.len(), b.len());
-    let mut edges = AffineEdges {
-        bottom_h: vec![0; cols + 1],
-        bottom_v: vec![0; cols + 1],
-        right_h: vec![0; rows + 1],
-        right_e: vec![0; rows + 1],
-    };
-    fill_affine_edges_into(a, b, bnd, scheme, &mut edges, metrics);
-    edges
-}
-
-/// [`fill_affine_edges`] with all four output buffers drawn from an
-/// arena instead of freshly allocated — identical results. Return the
-/// buffers with [`AffineEdges::recycle`] once the caller has copied the
-/// edges out, so repeated block fills are allocation-free.
+/// (the affine analogue of [`crate::kernel::fill_last_row_col`]), with
+/// all four output buffers drawn from `arena`. Return them with
+/// [`AffineEdges::recycle`] once the caller has copied the edges out, so
+/// repeated block fills are allocation-free.
+///
+/// `bottom_v[0]` and `right_e[0]` are placeholders: no cell of this
+/// rectangle updates the `F` entry of its own left edge or the `E` entry
+/// of its top edge.
 pub fn fill_affine_edges_in(
     a: &[u8],
     b: &[u8],
@@ -161,36 +150,22 @@ pub fn fill_affine_edges_in(
     metrics: &Metrics,
 ) -> AffineEdges {
     let (rows, cols) = (a.len(), b.len());
+    bnd.check_boundary(rows, cols);
+    let (open, extend) = affine_params(scheme);
+    let matrix = scheme.matrix();
+
     let mut edges = AffineEdges {
         bottom_h: arena.take(cols + 1),
         bottom_v: arena.take(cols + 1),
         right_h: arena.take(rows + 1),
         right_e: arena.take(rows + 1),
     };
-    fill_affine_edges_into(a, b, bnd, scheme, &mut edges, metrics);
-    edges
-}
-
-/// The rolling-row core shared by the allocating and arena-backed entry
-/// points. `edges` must hold four buffers of exactly `cols + 1` /
-/// `rows + 1` elements; prior contents are overwritten.
-fn fill_affine_edges_into(
-    a: &[u8],
-    b: &[u8],
-    bnd: AffineBoundary<'_>,
-    scheme: &ScoringScheme,
-    edges: &mut AffineEdges,
-    metrics: &Metrics,
-) {
-    let (rows, cols) = (a.len(), b.len());
-    bnd.check_boundary(rows, cols);
-    let (open, extend) = affine_params(scheme);
-    let matrix = scheme.matrix();
-
-    let h_row = &mut edges.bottom_h;
-    let v_row = &mut edges.bottom_v;
-    let right_h = &mut edges.right_h;
-    let right_e = &mut edges.right_e;
+    // Sliced once here, the rows' lengths are visible to the compiler,
+    // which drops their bounds checks from the inner loop.
+    let h_row = &mut edges.bottom_h[..=cols];
+    let v_row = &mut edges.bottom_v[..=cols];
+    let right_h = &mut edges.right_h[..=rows];
+    let right_e = &mut edges.right_e[..=rows];
     h_row.copy_from_slice(bnd.top_h);
     v_row.copy_from_slice(bnd.top_v);
     right_h.fill(NEG);
@@ -216,6 +191,7 @@ fn fill_affine_edges_into(
         right_e[i] = if cols == 0 { bnd.left_e[i] } else { e_reg };
     }
     metrics.add_cells(rows as u64 * cols as u64, KernelBackend::Scalar);
+    edges
 }
 
 /// The three filled layers of an affine rectangle.
@@ -439,7 +415,8 @@ mod tests {
         let bnd = AffineGlobalBoundary::new(a.len(), b.len(), -10, -2);
         let metrics = Metrics::new();
         let mats = fill_affine_full(&a, &b, bnd.view(), &scheme, &metrics);
-        let edges = fill_affine_edges(&a, &b, bnd.view(), &scheme, &metrics);
+        let arena = crate::KernelArena::new();
+        let edges = fill_affine_edges_in(&a, &b, bnd.view(), &scheme, &arena, &metrics);
         assert_eq!(&edges.bottom_h[..], mats.h.row(a.len()));
         assert_eq!(&edges.bottom_v[..], mats.f.row(a.len()));
         assert_eq!(edges.right_h, mats.h.col(b.len()));

@@ -17,6 +17,8 @@
 //!   re-scoring, and rendering;
 //! * [`traceback`] — the shared backward path-recovery routine with the
 //!   deterministic Diag ≻ Up ≻ Left tie-break;
+//! * [`affine`] — the affine-gap (Gotoh) fills and stateful traceback,
+//!   the one affine recurrence every affine aligner runs on;
 //! * [`metrics`] — operation and memory accounting used to verify the
 //!   paper's analytical bounds (Theorems 1–4);
 //! * [`simd`] — vectorized kernel backends (SSE4.1, AVX2, AVX-512)
@@ -33,7 +35,6 @@
 //! by runtime feature detection.
 
 pub mod affine;
-pub mod antidiagonal;
 pub mod arena;
 pub mod batch;
 pub mod boundary;

@@ -1,6 +1,6 @@
 //! Alignment paths — the product of the FindPath phase.
 
-use flsa_scoring::ScoringScheme;
+use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
 
 /// One step of an alignment path through the DPM (Figure 1's moves).
@@ -95,29 +95,35 @@ impl Path {
     /// Re-scores the path under `scheme` — the independent check that a
     /// reported optimal score is actually achieved by the reported path.
     ///
+    /// Gaps are priced by the scheme's gap model: each run of Up or Left
+    /// moves costs `open` once plus `extend` per symbol, and a linear
+    /// model is the case `open = 0`.
+    ///
     /// # Panics
     ///
     /// Panics when the path walks outside the sequences.
     pub fn score(&self, a: &Sequence, b: &Sequence, scheme: &ScoringScheme) -> i64 {
-        let gap = scheme.gap().linear_penalty() as i64;
+        let (open, extend) = match *scheme.gap() {
+            GapModel::Linear { penalty } => (0, i64::from(penalty)),
+            GapModel::Affine { open, extend } => (i64::from(open), i64::from(extend)),
+        };
         let (mut i, mut j) = self.start;
         let mut total = 0i64;
-        for m in &self.moves {
+        let mut prev = None;
+        for &m in &self.moves {
             match m {
                 Move::Diag => {
-                    total += scheme.sub(a.codes()[i], b.codes()[j]) as i64;
+                    total += i64::from(scheme.sub(a.codes()[i], b.codes()[j]));
                     i += 1;
                     j += 1;
                 }
-                Move::Up => {
-                    total += gap;
-                    i += 1;
-                }
-                Move::Left => {
-                    total += gap;
-                    j += 1;
-                }
+                Move::Up => i += 1,
+                Move::Left => j += 1,
             }
+            if m != Move::Diag {
+                total += extend + if prev == Some(m) { 0 } else { open };
+            }
+            prev = Some(m);
         }
         total
     }
@@ -400,6 +406,29 @@ mod tests {
         let (a, b, scheme) = paper_seqs();
         let p = Path::new((0, 0), vec![Move::Diag]);
         Alignment::from_path(&a, &b, &p, &scheme);
+    }
+
+    #[test]
+    fn affine_score_charges_one_open_per_gap_run() {
+        use Move::*;
+        let scheme = ScoringScheme::new(
+            flsa_scoring::tables::dna_default(),
+            GapModel::affine(-10, -2),
+        );
+        let a = Sequence::from_str("a", scheme.alphabet(), "AAAACCAAAA").unwrap();
+        let b = Sequence::from_str("b", scheme.alphabet(), "AAAAGAAAA").unwrap();
+        // 8 matches (+40), an Up run of 2 (-14) and a Left run of 1 (-12).
+        let one_run = Path::new(
+            (0, 0),
+            vec![Diag, Diag, Diag, Diag, Up, Up, Left, Diag, Diag, Diag, Diag],
+        );
+        assert_eq!(one_run.score(&a, &b, &scheme), 40 - 14 - 12);
+        // Split by the Left move, the Ups open twice: two runs of 1.
+        let split = Path::new(
+            (0, 0),
+            vec![Diag, Diag, Diag, Diag, Up, Left, Up, Diag, Diag, Diag, Diag],
+        );
+        assert_eq!(split.score(&a, &b, &scheme), 40 - 12 - 12 - 12);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the workspace's extremal scoring magnitudes `S` (substitution) and
 //! `G` (per-symbol gap), every i32 kernel intermediate stays in range
 //! while `|H| + span·(max(S,G)+G) + G ≤ i32::MAX` — that is what makes
-//! `fastlsa_core::max_safe_span` a sound admission cap. These tests
+//! `ScoringScheme::max_safe_span` a sound admission cap. These tests
 //! drive the real kernels (scalar plus every vector backend this CPU
 //! offers) right up against that envelope: small rectangles whose boundary
 //! values simulate sitting at the far corner of a certified-maximal

@@ -2,203 +2,70 @@
 //!
 //! Not part of the paper's evaluation (the paper uses linear gaps
 //! throughout); provided because every production aligner offers affine
-//! gaps, and it gives the test suite an independent oracle for the
-//! linear-gap algorithms (affine with `open = 0` must equal linear).
+//! gaps. It is the full-matrix reference the linear-space affine
+//! aligners are tested against, as [`crate::needleman_wunsch`] is for
+//! linear gaps, and runs on the same affine fill and traceback as they do
+//! ([`flsa_dp::affine`]).
 
-use flsa_dp::{AlignResult, KernelBackend, Metrics, Move, PathBuilder, ScoreMatrix};
-use flsa_scoring::{GapModel, ScoringScheme};
+use flsa_dp::affine::{
+    affine_params, fill_affine_full, trace_affine, AffineGlobalBoundary, GapState,
+};
+use flsa_dp::{AlignResult, Metrics, Move, PathBuilder};
+use flsa_scoring::ScoringScheme;
 use flsa_seq::Sequence;
-
-/// Sentinel "minus infinity" that survives additions without wrapping.
-const NEG: i32 = i32::MIN / 4;
 
 /// Affine-gap global alignment (Gotoh's algorithm): gap of length L costs
 /// `open + L·extend`.
 ///
-/// Uses three full matrices (best-ending-in-match `H`, gap-in-`a` `E`,
-/// gap-in-`b` `F`), so memory is 3× the linear-gap FM aligner.
+/// Uses three full matrices (best-overall `H`, ending in a Left run `E`,
+/// ending in an Up run `F`), so memory is 3× the linear-gap FM aligner.
+/// Like [`crate::needleman_wunsch`], `traceback_steps` counts the moves
+/// recovered from the matrices, not the final walk along the gap-ramp
+/// boundary to the origin.
 ///
 /// # Panics
 ///
-/// Panics when `scheme.gap()` is not [`GapModel::Affine`].
+/// Panics when `scheme.gap()` is not [`flsa_scoring::GapModel::Affine`],
+/// and as [`ScoringScheme::check_sequences`] does.
 pub fn gotoh(a: &Sequence, b: &Sequence, scheme: &ScoringScheme, metrics: &Metrics) -> AlignResult {
     scheme.check_sequences(a, b);
-    let (open, extend) = match *scheme.gap() {
-        GapModel::Affine { open, extend } => (open, extend),
-        // flsa-check: allow(panic) — documented caller contract.
-        GapModel::Linear { .. } => panic!("gotoh requires an affine gap model"),
-    };
+    let (open, extend) = affine_params(scheme);
     let (m, n) = (a.len(), b.len());
-    // Release guard for the `codes()[i - 1]` indexing below: the DP
-    // loops trust `len() == codes().len()`.
-    assert_eq!(a.codes().len(), m, "a codes length");
-    assert_eq!(b.codes().len(), n, "b codes length");
-    let matrix = scheme.matrix();
-
-    let mut h = ScoreMatrix::new(m, n);
-    let mut e = ScoreMatrix::new(m, n); // best ending with a gap in `a` (Left run)
-    let mut f = ScoreMatrix::new(m, n); // best ending with a gap in `b` (Up run)
-    let _mem = metrics.track_alloc(h.bytes() * 3);
-
-    h.set(0, 0, 0);
-    e.set(0, 0, NEG);
-    f.set(0, 0, NEG);
-    for j in 1..=n {
-        let v = open + extend * j as i32;
-        h.set(0, j, v);
-        e.set(0, j, v);
-        f.set(0, j, NEG);
-    }
-    for i in 1..=m {
-        let v = open + extend * i as i32;
-        h.set(i, 0, v);
-        f.set(i, 0, v);
-        e.set(i, 0, NEG);
-    }
-
-    for i in 1..=m {
-        let ai = a.codes()[i - 1];
-        for j in 1..=n {
-            let ev = (e.get(i, j - 1) + extend).max(h.get(i, j - 1) + open + extend);
-            let fv = (f.get(i - 1, j) + extend).max(h.get(i - 1, j) + open + extend);
-            let hv = (h.get(i - 1, j - 1) + matrix.score(ai, b.codes()[j - 1]))
-                .max(ev)
-                .max(fv);
-            e.set(i, j, ev);
-            f.set(i, j, fv);
-            h.set(i, j, hv);
-        }
-    }
-    metrics.add_cells(m as u64 * n as u64, KernelBackend::Scalar);
+    let bnd = AffineGlobalBoundary::new(m, n, open, extend);
+    let mats = fill_affine_full(a.codes(), b.codes(), bnd.view(), scheme, metrics);
+    let _mem = metrics.track_alloc(3 * mats.h.bytes());
     metrics.add_base_case_cells(m as u64 * n as u64);
 
-    // State-machine traceback: state H, E (in a Left-gap run), or F (Up run).
-    #[derive(Clone, Copy, PartialEq)]
-    enum State {
-        H,
-        E,
-        F,
-    }
     let mut builder = PathBuilder::new();
-    let (mut i, mut j) = (m, n);
-    let mut state = State::H;
-    let mut steps = 0u64;
-    while i > 0 || j > 0 {
-        match state {
-            State::H => {
-                let v = h.get(i, j);
-                if i > 0
-                    && j > 0
-                    && h.get(i - 1, j - 1) + matrix.score(a.codes()[i - 1], b.codes()[j - 1]) == v
-                {
-                    builder.push_back(Move::Diag);
-                    steps += 1;
-                    i -= 1;
-                    j -= 1;
-                } else if i > 0 && f.get(i, j) == v {
-                    state = State::F;
-                } else if j > 0 && e.get(i, j) == v {
-                    state = State::E;
-                } else {
-                    // flsa-check: allow(panic) — unreachable unless the DPM is corrupt.
-                    panic!("gotoh traceback stuck in H at ({i},{j})");
-                }
-            }
-            State::E => {
-                // Ending a Left-gap run: came from E (continue run) or H (open).
-                let v = e.get(i, j);
-                builder.push_back(Move::Left);
-                steps += 1;
-                let from_e = j > 1 && e.get(i, j - 1) + extend == v;
-                let from_h = h.get(i, j - 1) + open + extend == v;
-                j -= 1;
-                state = if from_h {
-                    State::H
-                } else if from_e {
-                    State::E
-                } else {
-                    // flsa-check: allow(panic) — unreachable unless the DPM is corrupt.
-                    panic!("gotoh traceback stuck in E")
-                };
-            }
-            State::F => {
-                let v = f.get(i, j);
-                builder.push_back(Move::Up);
-                steps += 1;
-                let from_f = i > 1 && f.get(i - 1, j) + extend == v;
-                let from_h = h.get(i - 1, j) + open + extend == v;
-                i -= 1;
-                state = if from_h {
-                    State::H
-                } else if from_f {
-                    State::F
-                } else {
-                    // flsa-check: allow(panic) — unreachable unless the DPM is corrupt.
-                    panic!("gotoh traceback stuck in F")
-                };
-            }
-        }
+    let ((ei, ej), _) = trace_affine(
+        &mats,
+        a.codes(),
+        b.codes(),
+        scheme,
+        (m, n),
+        GapState::H,
+        &mut builder,
+        metrics,
+    );
+    // The exit is on the gap-ramp boundary; the optimal continuation to
+    // the origin runs straight along it.
+    for _ in 0..ei {
+        builder.push_back(Move::Up);
     }
-    metrics.add_traceback_steps(steps);
+    for _ in 0..ej {
+        builder.push_back(Move::Left);
+    }
     AlignResult {
-        score: h.get(m, n) as i64,
+        score: mats.h.get(m, n) as i64,
         path: builder.finish((0, 0)),
     }
-}
-
-/// Scores an alignment path under an affine gap model (test oracle: the
-/// linear `Path::score` cannot price gap opens).
-pub fn score_path_affine(
-    path: &flsa_dp::Path,
-    a: &Sequence,
-    b: &Sequence,
-    scheme: &ScoringScheme,
-) -> i64 {
-    let (open, extend) = match *scheme.gap() {
-        GapModel::Affine { open, extend } => (open as i64, extend as i64),
-        GapModel::Linear { penalty } => (0, penalty as i64),
-    };
-    let (mut i, mut j) = path.start();
-    let (ei, ej) = path.end();
-    assert!(
-        ei <= a.len() && ej <= b.len(),
-        "path ({ei},{ej}) exceeds sequence bounds ({}, {})",
-        a.len(),
-        b.len()
-    );
-    let mut total = 0i64;
-    let mut prev: Option<Move> = None;
-    for &mv in path.moves() {
-        match mv {
-            Move::Diag => {
-                total += scheme.sub(a.codes()[i], b.codes()[j]) as i64;
-                i += 1;
-                j += 1;
-            }
-            Move::Up => {
-                if prev != Some(Move::Up) {
-                    total += open;
-                }
-                total += extend;
-                i += 1;
-            }
-            Move::Left => {
-                if prev != Some(Move::Left) {
-                    total += open;
-                }
-                total += extend;
-                j += 1;
-            }
-        }
-        prev = Some(mv);
-    }
-    total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::needleman_wunsch;
+    use flsa_scoring::GapModel;
 
     fn dna2(s: &str) -> Sequence {
         let scheme = ScoringScheme::dna_default();
@@ -235,7 +102,7 @@ mod tests {
         let r = gotoh(&a, &b, &scheme, &metrics);
         // Expect: 8 matches (40) + one gap of length 2 (-12) = 28.
         assert_eq!(r.score, 28);
-        assert_eq!(score_path_affine(&r.path, &a, &b, &scheme), r.score);
+        assert_eq!(r.path.score(&a, &b, &scheme), r.score);
         // The two Up moves must be adjacent (single run).
         let ups: Vec<usize> = r
             .path
@@ -260,7 +127,7 @@ mod tests {
         let metrics = Metrics::new();
         let r = gotoh(&a, &b, &scheme, &metrics);
         assert!(r.path.is_global(a.len(), b.len()));
-        assert_eq!(score_path_affine(&r.path, &a, &b, &scheme), r.score);
+        assert_eq!(r.path.score(&a, &b, &scheme), r.score);
     }
 
     #[test]
@@ -274,10 +141,14 @@ mod tests {
         let metrics = Metrics::new();
         let r = gotoh(&a, &b, &scheme, &metrics);
         assert_eq!(r.score, -16); // -10 open + 3 * -2 extend
+        assert_eq!(r.path.moves(), &[Move::Left; 3]);
+        // As in needleman_wunsch, the walk along the boundary to the
+        // origin is not a traceback step.
+        assert_eq!(metrics.snapshot().traceback_steps, 0);
     }
 
     #[test]
-    #[should_panic(expected = "affine gap model")]
+    #[should_panic(expected = "requires GapModel::Affine")]
     fn linear_scheme_rejected() {
         let scheme = ScoringScheme::dna_default();
         let a = dna2("ACG");

@@ -5,7 +5,9 @@
 //! sequence, free trailing gaps in the other) and for fitting a short
 //! query inside a long reference (all four ends of the reference free).
 
-use flsa_dp::{AlignResult, KernelBackend, Metrics, Move, PathBuilder, ScoreMatrix};
+use flsa_dp::kernel::fill_full;
+use flsa_dp::traceback::trace_from;
+use flsa_dp::{AlignResult, Boundary, Metrics, Move, PathBuilder};
 use flsa_scoring::ScoringScheme;
 use flsa_seq::Sequence;
 
@@ -62,34 +64,23 @@ pub fn semiglobal(
 ) -> AlignResult {
     scheme.check_sequences(a, b);
     let (m, n) = (a.len(), b.len());
-    // Release guard for the `codes()[i - 1]` indexing below: the DP
-    // loops trust `len() == codes().len()`.
-    assert_eq!(a.codes().len(), m, "a codes length");
-    assert_eq!(b.codes().len(), n, "b codes length");
-    let gap = scheme.gap().linear_penalty();
-    let matrix = scheme.matrix();
-
-    let mut dpm = ScoreMatrix::new(m, n);
+    // Free leading gaps cost nothing: zero that side's gap ramp.
+    let mut bound = Boundary::global(m, n, scheme.gap().linear_penalty());
+    if ends.b_prefix {
+        bound.top.fill(0);
+    }
+    if ends.a_prefix {
+        bound.left.fill(0);
+    }
+    let dpm = fill_full(
+        a.codes(),
+        b.codes(),
+        &bound.top,
+        &bound.left,
+        scheme,
+        metrics,
+    );
     let _mem = metrics.track_alloc(dpm.bytes());
-    for j in 0..=n {
-        dpm.set(0, j, if ends.b_prefix { 0 } else { gap * j as i32 });
-    }
-    for i in 1..=m {
-        dpm.set(i, 0, if ends.a_prefix { 0 } else { gap * i as i32 });
-    }
-    for i in 1..=m {
-        let ai = a.codes()[i - 1];
-        let (prev, cur) = dpm.rows_prev_cur(i);
-        let mut left_val = cur[0];
-        for j in 1..=n {
-            let v = (prev[j - 1] + matrix.score(ai, b.codes()[j - 1]))
-                .max(prev[j] + gap)
-                .max(left_val + gap);
-            cur[j] = v;
-            left_val = v;
-        }
-    }
-    metrics.add_cells(m as u64 * n as u64, KernelBackend::Scalar);
 
     // End point: the best cell among those reachable by free trailing gaps.
     let mut end = (m, n);
@@ -120,29 +111,15 @@ pub fn semiglobal(
         builder.push_back(Move::Left);
     }
 
-    // Standard traceback to row 0 / column 0.
-    let (mut i, mut j) = end;
-    let mut steps = 0u64;
-    while i > 0 && j > 0 {
-        let v = dpm.get(i, j);
-        let mv = if dpm.get(i - 1, j - 1) + matrix.score(a.codes()[i - 1], b.codes()[j - 1]) == v {
-            i -= 1;
-            j -= 1;
-            Move::Diag
-        } else if dpm.get(i - 1, j) + gap == v {
-            i -= 1;
-            Move::Up
-        } else if dpm.get(i, j - 1) + gap == v {
-            j -= 1;
-            Move::Left
-        } else {
-            // flsa-check: allow(panic) — unreachable unless the DPM is corrupt.
-            panic!("semiglobal traceback found no predecessor at ({i},{j})");
-        };
-        builder.push_back(mv);
-        steps += 1;
-    }
-    metrics.add_traceback_steps(steps);
+    let (i, j) = trace_from(
+        &dpm,
+        a.codes(),
+        b.codes(),
+        scheme,
+        end,
+        &mut builder,
+        metrics,
+    );
 
     // Leading free/boundary moves back to the origin.
     for _ in 0..i {

@@ -4,8 +4,12 @@
 //! 1988 formulation (the one the paper cites for applying Hirschberg's
 //! technique to alignment) handles the affine model `gap(L) = open +
 //! L·extend` in linear space. This module implements it as the
-//! workspace's production extension and as an independent oracle for the
-//! affine full-matrix aligner ([`flsa_fullmatrix::gotoh()`]).
+//! workspace's linear-space affine baseline. Its forward and backward
+//! scans are [`flsa_dp::affine::fill_affine_edges_in`], the affine fill
+//! that full-matrix Gotoh ([`flsa_fullmatrix::gotoh()`]) and affine
+//! FastLSA also run on, so it shares their recurrence; the exhaustive
+//! affine oracle in the root `tests/brute_force_oracle.rs` is the
+//! independent check of all three.
 //!
 //! The subtlety over the linear case is a vertical gap run *spanning* the
 //! split row: the forward pass tracks, besides the best score `CC[j]`,
@@ -15,60 +19,56 @@
 //! passes boundary-open parameters `tb`/`te` so a sub-problem whose path
 //! starts/ends mid-gap at its corner does not charge the open again.
 
-use flsa_dp::{AlignResult, KernelBackend, Metrics, Move, Path};
+use flsa_dp::affine::{fill_affine_edges_in, AffineBoundary, NEG};
+use flsa_dp::{AlignResult, KernelArena, Metrics, Move, Path};
 use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
 
-const NEG: i64 = i64::MIN / 4;
-
 struct Ctx<'s> {
     scheme: &'s ScoringScheme,
-    open: i64,
-    extend: i64,
+    open: i32,
+    extend: i32,
+    arena: KernelArena,
     metrics: &'s Metrics,
 }
 
 impl Ctx<'_> {
-    fn gap(&self, len: usize) -> i64 {
-        if len == 0 {
-            0
-        } else {
-            self.open + self.extend * len as i64
-        }
-    }
-
     /// Forward affine scan: returns, for the rectangle `a × b` (with the
     /// path entering at the top-left corner and a vertical run down the
     /// left edge opening at cost `tb`), the last-row vectors
     /// `CC[j]` (best score ending at `(m, j)`) and
-    /// `DD[j]` (best ending at `(m, j)` in vertical-gap state).
-    fn scan(&self, a: &[u8], b: &[u8], tb: i64) -> (Vec<i64>, Vec<i64>) {
+    /// `DD[j]` (best ending at `(m, j)` in vertical-gap state), checked
+    /// out of the arena.
+    fn scan(&self, a: &[u8], b: &[u8], tb: i32) -> (Vec<i32>, Vec<i32>) {
         let (m, n) = (a.len(), b.len());
-        let (o, e) = (self.open, self.extend);
-        let mut cc = vec![0i64; n + 1];
-        let mut dd = vec![0i64; n + 1];
-        for j in 1..=n {
-            cc[j] = o + e * j as i64;
-            dd[j] = cc[j] + o; // pending vertical open from row 0
-        }
-        dd[0] = NEG;
-        for i in 1..=m {
-            let ai = a[i - 1];
-            let mut s = cc[0]; // CC(i-1, 0)
-            cc[0] = tb + e * i as i64; // the only path to (i, 0)
-            dd[0] = cc[0]; // …and it ends with an Up move (a vertical run)
-            let mut c = cc[0];
-            let mut ee = c + o; // pending horizontal open at column 0
-            for j in 1..=n {
-                ee = ee.max(c + o) + e;
-                dd[j] = dd[j].max(cc[j] + o) + e;
-                c = dd[j].max(ee).max(s + self.scheme.sub(ai, b[j - 1]) as i64);
-                s = cc[j];
-                cc[j] = c;
+        let ramp = |len: usize, first_open: i32| -> Vec<i32> {
+            let mut v = self.arena.take(len + 1);
+            for (k, x) in v.iter_mut().enumerate().skip(1) {
+                *x = first_open + self.extend * k as i32;
             }
+            v
+        };
+        let unreachable = |len: usize| -> Vec<i32> {
+            let mut v = self.arena.take(len + 1);
+            v.fill(NEG);
+            v
+        };
+        let (top_h, top_v) = (ramp(n, self.open), unreachable(n));
+        let (left_h, left_e) = (ramp(m, tb), unreachable(m));
+        let bnd = AffineBoundary {
+            top_h: &top_h,
+            top_v: &top_v,
+            left_h: &left_h,
+            left_e: &left_e,
+        };
+        let edges = fill_affine_edges_in(a, b, bnd, self.scheme, &self.arena, self.metrics);
+        for v in [top_h, top_v, left_h, left_e, edges.right_h, edges.right_e] {
+            self.arena.put(v);
         }
-        self.metrics
-            .add_cells(m as u64 * n as u64, KernelBackend::Scalar);
+        let (cc, mut dd) = (edges.bottom_h, edges.bottom_v);
+        // The only path to (m, 0) is one vertical run down the left edge;
+        // the fill leaves that column's `F` entry as a placeholder.
+        dd[0] = cc[0];
         (cc, dd)
     }
 
@@ -76,7 +76,7 @@ impl Ctx<'_> {
     /// vertical run leaving the top-left corner opens at `tb` and one
     /// entering the bottom-right corner opens at `te` (either may be 0
     /// when the run continues across the boundary).
-    fn solve(&self, a: &[u8], b: &[u8], tb: i64, te: i64, out: &mut Vec<Move>) {
+    fn solve(&self, a: &[u8], b: &[u8], tb: i32, te: i32, out: &mut Vec<Move>) {
         let (m, n) = (a.len(), b.len());
         if m == 0 {
             out.extend(std::iter::repeat_n(Move::Left, n));
@@ -90,12 +90,12 @@ impl Ctx<'_> {
             // Either delete a[0] (one vertical run, cheapest boundary
             // open) plus one horizontal run of all of b, or match a[0]
             // against some b[j].
-            let del_open = tb.max(te);
-            let delete_score = del_open + self.extend + self.gap(n);
+            let gap = |len| self.scheme.gap().run_cost(len);
+            let delete_score = i64::from(tb.max(te)) + i64::from(self.extend) + gap(n);
             let mut best = delete_score;
             let mut best_j = None;
             for (j, &bj) in b.iter().enumerate() {
-                let s = self.gap(j) + self.scheme.sub(a[0], bj) as i64 + self.gap(n - 1 - j);
+                let s = gap(j) + i64::from(self.scheme.sub(a[0], bj)) + gap(n - 1 - j);
                 if s > best {
                     best = s;
                     best_j = Some(j);
@@ -132,12 +132,12 @@ impl Ctx<'_> {
 
         // Join: type 1 crosses row `mid` at a node; type 2 crosses inside
         // a vertical run (both halves charged the open; remove one).
-        let mut best = NEG;
+        let mut best = i64::MIN;
         let mut best_j = 0usize;
         let mut mid_gap = false;
         for j in 0..=n {
-            let t1 = cc1[j] + cc2[n - j];
-            let t2 = dd1[j] + dd2[n - j] - self.open;
+            let t1 = i64::from(cc1[j]) + i64::from(cc2[n - j]);
+            let t2 = i64::from(dd1[j]) + i64::from(dd2[n - j]) - i64::from(self.open);
             if t1 >= best {
                 best = t1;
                 best_j = j;
@@ -148,6 +148,9 @@ impl Ctx<'_> {
                 best_j = j;
                 mid_gap = true;
             }
+        }
+        for v in [cc1, dd1, cc2, dd2] {
+            self.arena.put(v);
         }
 
         if mid_gap {
@@ -167,7 +170,8 @@ impl Ctx<'_> {
 ///
 /// # Panics
 ///
-/// Panics when `scheme.gap()` is not [`GapModel::Affine`].
+/// Panics when `scheme.gap()` is not [`GapModel::Affine`], and as
+/// [`ScoringScheme::check_sequences`] does.
 ///
 /// # Examples
 ///
@@ -194,7 +198,7 @@ pub fn myers_miller_affine(
 ) -> AlignResult {
     scheme.check_sequences(a, b);
     let (open, extend) = match *scheme.gap() {
-        GapModel::Affine { open, extend } => (open as i64, extend as i64),
+        GapModel::Affine { open, extend } => (open, extend),
         GapModel::Linear { .. } => {
             // flsa-check: allow(panic) — documented `# Panics` contract;
             // the solver routes gap models before reaching this fn
@@ -206,21 +210,24 @@ pub fn myers_miller_affine(
         scheme,
         open,
         extend,
+        arena: KernelArena::new(),
         metrics,
     };
-    let _mem = metrics.track_alloc(4 * (b.len() + 1) * std::mem::size_of::<i64>());
+    // Working storage: each pass's boundary and edge rows (eight i32
+    // rows of n + 1 between the two passes), reused across all levels.
+    let _mem = metrics.track_alloc(8 * (b.len() + 1) * std::mem::size_of::<i32>());
     let mut moves = Vec::with_capacity(a.len() + b.len());
     ctx.solve(a.codes(), b.codes(), open, open, &mut moves);
     let path = Path::new((0, 0), moves);
     debug_assert!(path.is_global(a.len(), b.len()));
-    let score = flsa_fullmatrix::gotoh::score_path_affine(&path, a, b, scheme);
+    let score = path.score(a, b, scheme);
     AlignResult { score, path }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flsa_fullmatrix::gotoh::{gotoh, score_path_affine};
+    use flsa_fullmatrix::gotoh;
     use flsa_scoring::tables;
     use flsa_seq::generate::homologous_pair;
     use flsa_seq::Alphabet;
@@ -253,7 +260,7 @@ mod tests {
             let mm = myers_miller_affine(&a, &b, &scheme, &metrics);
             assert_eq!(mm.score, full.score, "{sa} vs {sb}");
             assert!(mm.path.is_global(a.len(), b.len()));
-            assert_eq!(score_path_affine(&mm.path, &a, &b, &scheme), mm.score);
+            assert_eq!(mm.path.score(&a, &b, &scheme), mm.score);
         }
     }
 
@@ -280,7 +287,7 @@ mod tests {
             let full = gotoh(&a, &b, &scheme, &metrics);
             let mm = myers_miller_affine(&a, &b, &scheme, &metrics);
             assert_eq!(mm.score, full.score, "seed {seed}");
-            assert_eq!(score_path_affine(&mm.path, &a, &b, &scheme), mm.score);
+            assert_eq!(mm.path.score(&a, &b, &scheme), mm.score);
         }
     }
 

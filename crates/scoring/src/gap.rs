@@ -4,8 +4,9 @@
 ///
 /// The paper (and all of its experiments) uses a linear model: every gap
 /// symbol costs the same fixed penalty. The affine model (Gotoh) is
-/// provided as the conventional production extension; only the full-matrix
-/// aligner supports it (see DESIGN.md §6).
+/// provided as the conventional production extension; the full-matrix
+/// (Gotoh), Myers–Miller and FastLSA affine aligners support it (see
+/// DESIGN.md §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GapModel {
     /// Each gap symbol adds `penalty` (negative) to the score.
@@ -73,7 +74,7 @@ impl GapModel {
     /// For the linear model this is `|penalty|`; for the affine model it
     /// conservatively charges the one-time open on every symbol,
     /// `|open| + |extend|`. Used by the i32-overflow guard
-    /// (`fastlsa::max_safe_span`) and mirrored by the static audit's
+    /// ([`crate::ScoringScheme::max_safe_span`]) and mirrored by the static audit's
     /// R10 certificate — both must stay at least this pessimistic.
     pub fn max_penalty_abs(&self) -> i64 {
         match *self {

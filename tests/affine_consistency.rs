@@ -2,7 +2,7 @@
 //! Myers–Miller implementation against the full-matrix Gotoh oracle, and
 //! the degenerate relationships back to the linear-gap algorithms.
 
-use fastlsa::fullmatrix::gotoh::{gotoh, score_path_affine};
+use fastlsa::fullmatrix::gotoh::gotoh;
 use fastlsa::hirschberg::myers_miller_affine;
 use fastlsa::prelude::*;
 use fastlsa::scoring::tables;
@@ -32,7 +32,7 @@ proptest! {
         let mm = myers_miller_affine(&sa, &sb, &scheme, &metrics);
         prop_assert_eq!(mm.score, full.score);
         prop_assert!(mm.path.is_global(sa.len(), sb.len()));
-        prop_assert_eq!(score_path_affine(&mm.path, &sa, &sb, &scheme), mm.score);
+        prop_assert_eq!(mm.path.score(&sa, &sb, &scheme), mm.score);
     }
 
     /// Affine FastLSA (the grid-cache extension) equals Gotoh for every
@@ -54,7 +54,7 @@ proptest! {
         let fl = fastlsa::core::align_affine(&sa, &sb, &scheme, FastLsaConfig::new(k, base), &metrics).unwrap();
         prop_assert_eq!(fl.score, full.score);
         prop_assert!(fl.path.is_global(sa.len(), sb.len()));
-        prop_assert_eq!(score_path_affine(&fl.path, &sa, &sb, &scheme), fl.score);
+        prop_assert_eq!(fl.path.score(&sa, &sb, &scheme), fl.score);
     }
 
     /// With a zero open cost the affine algorithms equal the linear ones.
