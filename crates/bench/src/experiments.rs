@@ -1,9 +1,9 @@
 //! The per-experiment harness: one function per table/figure of the paper
-//! (experiment ids E1–E11, indexed in DESIGN.md §4).
+//! (experiment ids E1–E14, indexed in DESIGN.md §4).
 //!
 //! Every function is deterministic (fixed workload seeds) and returns the
-//! rendered report; the `paper` binary prints it and EXPERIMENTS.md records
-//! the shape checks.
+//! rendered report; `flsa paper` prints it and EXPERIMENTS.md records the
+//! shape checks.
 
 use fastlsa_core::{model, FastLsaConfig};
 use flsa_cachesim::{trace_fastlsa, trace_fm, trace_hirschberg, Hierarchy};
@@ -35,6 +35,30 @@ impl Default for ExpOptions {
         }
     }
 }
+
+/// Renders one experiment's report.
+pub type Experiment = fn(ExpOptions) -> String;
+
+/// Every experiment, in the order `flsa paper all` runs them: the name
+/// `flsa paper` selects it by, its id and paper artifact, and the
+/// function that renders its report.
+#[rustfmt::skip]
+pub const EXPERIMENTS: &[(&str, &str, Experiment)] = &[
+    ("example", "E1  worked example (Table 1 / Figure 1, score 82)", |_| example()),
+    ("table2", "E2  analytical space/ops comparison, formulas vs measured", table2),
+    ("table3", "E3  workload suite (Table 3 stand-in)", |_| table3()),
+    ("seqtime", "E4  sequential timing across the suite", seqtime),
+    ("ksweep", "E5  FastLSA time/recomputation vs k", ksweep),
+    ("memory", "E6  peak memory vs problem size", memory),
+    ("speedup", "E7  parallel speedup vs P (schedule replay)", speedup),
+    ("efficiency", "E8  parallel efficiency vs problem size", efficiency),
+    ("phases", "E9  three-phase wavefront census + Theorem 4 alpha", |_| phases()),
+    ("cache", "E10 simulated cache hierarchy comparison", cache),
+    ("theorems", "E11 executable Theorem 1-4 bound checks", theorems),
+    ("basesweep", "E12 ablation: runtime vs base-case buffer size", basesweep),
+    ("tilesweep", "E13 ablation: speedup vs tile subdivision factor", tilesweep),
+    ("commsweep", "E14 ablation: speedup vs communication cost", commsweep),
+];
 
 fn scheme_for(spec: &WorkloadSpec) -> ScoringScheme {
     match spec.kind {

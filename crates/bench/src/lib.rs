@@ -1,4 +1,4 @@
-//! Shared infrastructure for the `paper` experiment harness and the
+//! Shared infrastructure for the `flsa paper` experiments and the
 //! Criterion benchmarks: workload materialization, wall-clock timing, and
 //! plain-text table rendering.
 #![forbid(unsafe_code)]

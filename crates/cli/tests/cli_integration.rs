@@ -632,3 +632,152 @@ fn resume_rejects_missing_files_and_bad_usage() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     std::fs::remove_file(fa).ok();
 }
+
+// --- one option table: what a run does not read is refused -------------
+
+#[test]
+fn matrix_file_scores_batch_and_msa_too() {
+    let fa = tmp("matfile-pair.fa");
+    std::fs::write(&fa, ">a\nAC\n>b\nAC\n").unwrap();
+    let mat = tmp("matfile-matrix.txt");
+    std::fs::write(
+        &mat,
+        "  A C G T\nA 9 0 0 0\nC 0 9 0 0\nG 0 0 9 0\nT 0 0 0 9\n",
+    )
+    .unwrap();
+    let (fa_s, mat_s) = (fa.to_str().unwrap(), mat.to_str().unwrap());
+    let out = flsa(&["batch", "--matrix-file", mat_s, fa_s]);
+    assert!(out.status.success(), "{out:?}");
+    let text = stdout(&out);
+    assert_eq!(text.split('\t').nth(2), Some("18"), "{text}");
+    let out = flsa(&["msa", "--matrix-file", mat_s, "--quiet", fa_s]);
+    assert!(out.status.success(), "{out:?}");
+    let text = stdout(&out);
+    assert!(text.trim_end().ends_with("sum-of-pairs 18"), "{text}");
+    std::fs::remove_file(fa).ok();
+    std::fs::remove_file(mat).ok();
+}
+
+#[test]
+fn an_invalid_gate_fails_before_the_sweep_writes_anything() {
+    let report = tmp("gate-abc.json");
+    let out = flsa(&[
+        "bench",
+        "kernels",
+        "--len",
+        "64",
+        "--reps",
+        "1",
+        "--gate",
+        "abc",
+        "-o",
+        report.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--gate"));
+    assert!(!report.exists(), "the sweep ran before --gate was checked");
+}
+
+#[test]
+fn a_closed_stdout_exits_1_without_a_panic() {
+    use std::process::Stdio;
+    // ~400 KB of FASTA: more than a pipe buffer holds, so the write is
+    // certain to hit the closed pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_flsa"))
+        .args(["gen", "--len", "200000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("child exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("flsa:"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn options_and_arguments_a_run_does_not_read_are_refused() {
+    let fa = write_pair("refused.fa");
+    let report = tmp("refused-bench.json");
+    let (p, r) = (fa.to_str().unwrap(), report.to_str().unwrap());
+    // (arguments, what stderr must name); `P` is the pair file and `F`
+    // the bench report, which must never be written.
+    let cases: &[(&[&str], &str)] = &[
+        (&["gen", "--workers", "3"], "--workers"),
+        (&["gen", "--len", "5", "stray"], "stray"),
+        (&["info", "--json"], "--json"),
+        (&["batch", "--threads", "8", "P"], "--threads"),
+        (&["align", "--width", "10", "P"], "--width"),
+        (
+            &["align", "--algo", "nw", "--threads", "4", "P"],
+            "--threads",
+        ),
+        (
+            &["align", "--algo", "nw", "--deadline-ms", "0", "P"],
+            "--deadline-ms",
+        ),
+        (
+            &["align", "--algo", "gotoh", "--kernel", "scalar", "P"],
+            "--kernel",
+        ),
+        (
+            &["align", "--algo", "gotoh", "--memory", "10", "P"],
+            "--memory",
+        ),
+        (
+            &["align", "--algo", "nw", "--gap-open", "-5", "P"],
+            "--gap-open",
+        ),
+        (&["align", "--band", "3", "P"], "--band"),
+        (&["align", "--memory", "4096", "-k", "4", "P"], "-k"),
+        (&["align", "--tiles", "4", "P"], "--tiles"),
+        (&["align", "--shard-fault", "kill:0", "P"], "--shard-fault"),
+        (
+            &["align", "--checkpoint-every-blocks", "2", "P"],
+            "--checkpoint-every-blocks",
+        ),
+        (&["align", "--trace-format", "jsonl", "P"], "--trace-format"),
+        (&["align", "--fault", "kill:0", "P"], "--fault"),
+        (
+            &["align", "--algo", "gotoh", "--gap-open", "5", "P"],
+            "--gap-open",
+        ),
+        (
+            &["resume", "--kernel", "scalar", "/nonexistent.ckpt"],
+            "--kernel",
+        ),
+        (
+            &[
+                "bench",
+                "kernels",
+                "--len",
+                "64",
+                "--reps",
+                "1",
+                "--threads",
+                "2",
+                "-o",
+                "F",
+            ],
+            "--threads",
+        ),
+    ];
+    for (args, needle) in cases {
+        let args: Vec<&str> = args
+            .iter()
+            .map(|&a| match a {
+                "P" => p,
+                "F" => r,
+                a => a,
+            })
+            .collect();
+        let out = flsa(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+    }
+    assert!(!report.exists());
+    std::fs::remove_file(fa).ok();
+}

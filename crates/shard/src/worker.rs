@@ -104,6 +104,28 @@ impl Default for WorkerOptions {
     }
 }
 
+impl WorkerOptions {
+    /// Parses the worker's command line, `[--heartbeat-ms N] [--fault
+    /// SPEC]`, as the coordinator writes it.
+    pub fn parse_args(args: &[String]) -> Result<WorkerOptions, String> {
+        let mut opts = WorkerOptions::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
+            match arg.as_str() {
+                "--heartbeat-ms" => {
+                    let v = value()?;
+                    opts.heartbeat_ms =
+                        v.parse().map_err(|_| format!("bad --heartbeat-ms {v:?}"))?;
+                }
+                "--fault" => opts.fault = WorkerFault::parse(value()?)?,
+                other => return Err(format!("unknown argument {other:?}")),
+            }
+        }
+        Ok(opts)
+    }
+}
+
 /// Delivers a real SIGKILL to this process — the chaos matrix's
 /// WorkerKill is an actual uncatchable kill, not a polite exit, so the
 /// coordinator's recovery path is exercised against the same signal an
@@ -288,5 +310,22 @@ mod tests {
             assert!(WorkerFault::parse(bad).is_err(), "{bad:?}");
         }
         assert_eq!(WorkerFault::parse("").unwrap(), WorkerFault::default());
+    }
+
+    #[test]
+    fn worker_args_parse_as_the_coordinator_writes_them() {
+        let argv = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let opts = WorkerOptions::parse_args(&argv("--heartbeat-ms 7 --fault kill:2")).unwrap();
+        assert_eq!(opts.heartbeat_ms, 7);
+        assert_eq!(opts.fault.kill_at_task, Some(2));
+        assert_eq!(WorkerOptions::parse_args(&[]).unwrap().heartbeat_ms, 50);
+        for bad in [
+            "--heartbeat-ms",
+            "--heartbeat-ms x",
+            "--fault nonsense",
+            "stray",
+        ] {
+            assert!(WorkerOptions::parse_args(&argv(bad)).is_err(), "{bad:?}");
+        }
     }
 }
