@@ -60,8 +60,8 @@ const SOLVER_ENTRIES: &[&str] = &[
 const SOLVER_FILE: &str = "crates/core/src/solver.rs";
 
 /// Wavefront fns treated as tile-execution entry points.
-const WAVEFRONT_ENTRIES: &[&str] = &["run_wavefront"];
-const WAVEFRONT_FILE: &str = "crates/wavefront/src/executor.rs";
+const WAVEFRONT_ENTRIES: &[&str] = &["run_traced"];
+const WAVEFRONT_FILE: &str = "crates/wavefront/src/pool.rs";
 
 /// Alignment entry points that must reach the overflow guard (R10).
 const OVERFLOW_GUARDED_ENTRIES: &[&str] = &[

@@ -23,6 +23,12 @@ pub enum ConfigError {
     /// [`crate::align_affine`] requires [`flsa_scoring::GapModel::Affine`]
     /// (use the linear entry points for linear gaps).
     GapModelNotAffine,
+    /// The linear-gap entry points ([`crate::align_opts`] and the
+    /// functions built on it, [`crate::align_resume`],
+    /// [`crate::align_traced`], [`crate::align_batch`]) require
+    /// [`flsa_scoring::GapModel::Linear`] (use [`crate::align_affine`]
+    /// for affine gaps).
+    GapModelNotLinear,
     /// The combined sequence span `m + n` is large enough that the DP
     /// recurrence could overflow `i32` cell scores under this scoring
     /// scheme (see [`flsa_scoring::ScoringScheme::max_safe_span`] and the audit's R10
@@ -50,6 +56,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::GapModelNotAffine => {
                 write!(f, "align_affine requires GapModel::Affine")
             }
+            ConfigError::GapModelNotLinear => write!(
+                f,
+                "this entry point requires GapModel::Linear (use align_affine for affine gaps)"
+            ),
             ConfigError::ScoreOverflow { span, max_span } => write!(
                 f,
                 "sequence span m + n = {span} exceeds the i32-safe limit {max_span} \

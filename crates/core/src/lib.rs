@@ -73,12 +73,17 @@ pub use model::{replay, replay_with_comm, ReplayReport};
 pub use flsa_dp::{BatchKernel, KernelArena, KernelBackend};
 
 use flsa_dp::{AlignResult, BatchJob, Kernel, Metrics};
-use flsa_scoring::ScoringScheme;
+use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
 use flsa_trace::{DegradeReason, EventKind};
 
 /// Aligns two sequences with the default configuration
 /// ([`FastLsaConfig::default`]: sequential, `k = 8`, 4 MiB base buffer).
+///
+/// # Errors
+///
+/// As for [`align_opts`]; in particular an affine scheme returns
+/// [`ConfigError::GapModelNotLinear`] before any work.
 pub fn align(
     a: &Sequence,
     b: &Sequence,
@@ -90,6 +95,11 @@ pub fn align(
 
 /// Aligns two sequences with an explicit configuration (sequential or
 /// parallel).
+///
+/// # Errors
+///
+/// As for [`align_opts`]; in particular an affine scheme returns
+/// [`ConfigError::GapModelNotLinear`] before any work.
 pub fn align_with(
     a: &Sequence,
     b: &Sequence,
@@ -110,6 +120,17 @@ pub fn align_with(
 /// is recorded as an [`EventKind::Degrade`] trace event when a recorder
 /// is attached. Other errors — and failures at the bottom of the ladder
 /// — are returned to the caller.
+///
+/// # Errors
+///
+/// Before any work: [`ConfigError::GapModelNotLinear`] for an affine
+/// scheme (use [`align_affine`]), the other [`ConfigError`]s of
+/// [`FastLsaConfig::validate_run`], and
+/// [`ConfigError::KernelUnavailable`]. During the run:
+/// [`AlignError::AlphabetMismatch`], [`AlignError::AllocFailed`] at the
+/// bottom of the ladder, [`AlignError::Cancelled`],
+/// [`AlignError::CheckpointSave`], and [`AlignError::WorkerPanic`] when
+/// no rung is left to retry on.
 pub fn align_opts(
     a: &Sequence,
     b: &Sequence,
@@ -118,6 +139,7 @@ pub fn align_opts(
     opts: &AlignOptions,
     metrics: &Metrics,
 ) -> Result<AlignResult, AlignError> {
+    require_linear(scheme)?;
     config.validate_run(scheme, a.len(), b.len())?;
     validate_kernel(opts)?;
     run_ladder(scheme, config, opts, metrics, |solver| solver.run(a, b))
@@ -134,6 +156,13 @@ pub fn align_opts(
 /// frames are self-describing, so a retry with a smaller `base_cells` or
 /// `k` reuses every already-filled grid cache and only shapes *future*
 /// frames differently.
+///
+/// # Errors
+///
+/// As for [`align_opts`] (an affine scheme returns
+/// [`ConfigError::GapModelNotLinear`] before any work), plus
+/// [`AlignError::CorruptCheckpoint`] for a snapshot that does not fit the
+/// inputs.
 pub fn align_resume(
     a: &Sequence,
     b: &Sequence,
@@ -142,6 +171,7 @@ pub fn align_resume(
     opts: &AlignOptions,
     metrics: &Metrics,
 ) -> Result<AlignResult, AlignError> {
+    require_linear(scheme)?;
     state.config.validate_run(scheme, a.len(), b.len())?;
     validate_kernel(opts)?;
     run_ladder(scheme, state.config, opts, metrics, |solver| {
@@ -228,12 +258,20 @@ fn run_ladder(
 /// megabase genomes. `opts` contributes the kernel-backend override
 /// ([`AlignOptions::kernel`]); budget/cancel/checkpoint options do not
 /// apply to batch jobs.
+///
+/// # Errors
+///
+/// Before any pair is aligned: [`ConfigError::GapModelNotLinear`] for an
+/// affine scheme, [`ConfigError::KernelUnavailable`],
+/// [`AlignError::AlphabetMismatch`], and [`ConfigError::ScoreOverflow`]
+/// for a pair whose span exceeds [`ScoringScheme::max_safe_span`].
 pub fn align_batch(
     pairs: &[(&Sequence, &Sequence)],
     scheme: &ScoringScheme,
     opts: &AlignOptions,
     metrics: &Metrics,
 ) -> Result<Vec<AlignResult>, AlignError> {
+    require_linear(scheme)?;
     validate_kernel(opts)?;
     let max_span = scheme.max_safe_span();
     for (a, b) in pairs {
@@ -269,6 +307,16 @@ pub fn align_batch(
     Ok(batch.align_batch(&jobs, metrics))
 }
 
+/// Rejects an affine scheme on the linear-gap entry points, whose solver
+/// and batch kernel price every gap symbol with one
+/// [`GapModel::linear_penalty`].
+fn require_linear(scheme: &ScoringScheme) -> Result<(), ConfigError> {
+    match scheme.gap() {
+        GapModel::Linear { .. } => Ok(()),
+        GapModel::Affine { .. } => Err(ConfigError::GapModelNotLinear),
+    }
+}
+
 /// Rejects an explicitly requested kernel backend that this CPU cannot
 /// run (auto-detection, `opts.kernel = None`, never fails).
 fn validate_kernel(opts: &AlignOptions) -> Result<(), ConfigError> {
@@ -280,6 +328,12 @@ fn validate_kernel(opts: &AlignOptions) -> Result<(), ConfigError> {
 
 /// Like [`align_with`], additionally returning the execution trace for
 /// schedule replay (experiments E7/E8; see [`model::replay`]).
+///
+/// # Errors
+///
+/// As for [`align_with`], without the degradation ladder: an affine
+/// scheme returns [`ConfigError::GapModelNotLinear`] before any work, and
+/// a run-time fault is returned as it happens.
 pub fn align_traced(
     a: &Sequence,
     b: &Sequence,
@@ -287,6 +341,7 @@ pub fn align_traced(
     config: FastLsaConfig,
     metrics: &Metrics,
 ) -> Result<(AlignResult, CostLog), AlignError> {
+    require_linear(scheme)?;
     config.validate_run(scheme, a.len(), b.len())?;
     let mut solver = solver::Solver::new(scheme, config, metrics, &AlignOptions::default());
     let result = solver.run(a, b)?;

@@ -108,6 +108,10 @@ impl ReplayReport {
 /// subdivision `tiles_per_block` (the same `f` the real parallel executor
 /// would use). Tile costs are tile areas in cells; tracebacks and
 /// recursion overheads are sequential, so Amdahl effects are captured.
+/// Base cases are tiled `2·threads × 2·threads`, as the paper's §5.1
+/// schedule tiles them; the solver itself runs each base case untiled
+/// on one thread (DESIGN.md §6), so the replay models the paper's
+/// algorithm, not this solver's wall time.
 pub fn replay(log: &CostLog, threads: usize, tiles_per_block: usize) -> ReplayReport {
     replay_with_comm(log, threads, tiles_per_block, 0.0)
 }

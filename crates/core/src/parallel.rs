@@ -1,14 +1,14 @@
-//! Parallel FastLSA (paper §5): wavefront-parallel Fill Cache and Base
-//! Case steps.
+//! Parallel FastLSA (paper §5): the wavefront-parallel Fill Cache step.
 //!
-//! Each fill is tiled and executed by [`flsa_wavefront::run_wavefront`].
-//! Tile boundary values flow through [`DisjointBuf`]s: every tile writes
-//! its own disjoint segment, every read of a neighbour's segment is
-//! ordered behind its writer by the scheduler (see that type's safety
-//! contract). The recursion and all tracebacks stay sequential, exactly
-//! as in the paper — only FindScore-phase fills are parallel.
+//! Each grid fill is tiled and run as one job on the solver's
+//! [`flsa_wavefront::WorkerPool`]. Tile boundary values flow through
+//! [`DisjointBuf`]s: every tile writes its own disjoint segment, every
+//! read of a neighbour's segment is ordered behind its writer by the
+//! scheduler (see that type's safety contract). Only Fill Cache is tiled:
+//! base cases run on the submitting thread on the vector kernel, and the
+//! recursion and all tracebacks stay sequential, as in the paper
+//! (DESIGN.md §6).
 
-use flsa_dp::{KernelBackend, ScoreMatrix};
 use flsa_trace::{TileKind, TileTracer};
 use flsa_wavefront::DisjointBuf;
 
@@ -210,109 +210,6 @@ pub(crate) fn fill_grid_parallel(
         grid.cols_cache[t].copy_from_slice(&tile_cols[tc * (rows + 1)..(tc + 1) * (rows + 1)]);
     }
     Ok(())
-}
-
-/// Parallel Base Case fill (paper §5.1: the Base Case is tiled and
-/// wavefronted exactly like Fill Cache, but every entry is stored).
-/// Returns the full score matrix for the sequential traceback.
-pub(crate) fn fill_base_parallel(
-    solver: &mut Solver<'_>,
-    a: &[u8],
-    b: &[u8],
-    top: &[i32],
-    left: &[i32],
-) -> Result<ScoreMatrix, AlignError> {
-    let par = solver
-        .config
-        .parallel
-        .expect("parallel fill requires a parallel config"); // flsa-check: allow(unwrap) — guarded by threads() > 1
-    let (rows, cols) = (a.len(), b.len());
-    let w = cols + 1;
-
-    let reserved = (rows + 1) * w;
-    solver
-        .ctx
-        .governor
-        .reserve_i32(reserved, "parallel base-case matrix")?;
-    let mut buf = DisjointBuf::<i32>::new((rows + 1) * w);
-    {
-        let s = buf.as_mut_slice();
-        s[..w].copy_from_slice(top);
-        for i in 0..=rows {
-            s[i * w] = left[i];
-        }
-    }
-
-    // Tile the rectangle for ~2 tiles per thread per wavefront.
-    let tiles_r = (2 * par.threads).min(rows.max(1));
-    let tiles_c = (2 * par.threads).min(cols.max(1));
-    let trb = partition(rows, tiles_r);
-    let tcb = partition(cols, tiles_c);
-
-    let scheme = solver.scheme;
-    let metrics = solver.metrics;
-    let hooks = solver.ctx.hooks.clone();
-    let gap = scheme.gap().linear_penalty();
-    let matrix = scheme.matrix();
-    let buf_ref = &buf;
-    let trb_ref = &trb;
-    let tcb_ref = &tcb;
-
-    let work = move |tr: usize, tc: usize| {
-        if let Some(h) = &hooks {
-            h.on_tile(tr, tc);
-        }
-        let r0 = trb_ref[tr];
-        let r1 = trb_ref[tr + 1];
-        let c0 = tcb_ref[tc];
-        let c1 = tcb_ref[tc + 1];
-        // SAFETY: this tile exclusively owns interior cells
-        // (r0+1..=r1) × (c0+1..=c1). Reads touch row r0 and column c0,
-        // written by the tiles this one is scheduled after (or the
-        // prefill), plus this tile's own earlier writes.
-        unsafe {
-            for i in r0 + 1..=r1 {
-                let ai = a[i - 1];
-                let mut diag = buf_ref.get((i - 1) * w + c0);
-                let mut left_val = buf_ref.get(i * w + c0);
-                for j in c0 + 1..=c1 {
-                    let up = buf_ref.get((i - 1) * w + j);
-                    let v = (diag + matrix.score(ai, b[j - 1]))
-                        .max(up + gap)
-                        .max(left_val + gap);
-                    buf_ref.set(i * w + j, v);
-                    left_val = v;
-                    diag = up;
-                }
-            }
-        }
-        metrics.add_cells((r1 - r0) as u64 * (c1 - c0) as u64, KernelBackend::Scalar);
-    };
-
-    let tracer = metrics
-        .recorder()
-        .map(|r| TileTracer::new(r, TileKind::BaseFill));
-    let token = solver.ctx.cancel.clone();
-    let cancel_closure = token.as_ref().map(|t| move || t.is_cancelled());
-    let cancel = cancel_closure
-        .as_ref()
-        .map(|c| c as &(dyn Fn() -> bool + Sync));
-    let outcome = solver
-        .pool
-        .as_mut()
-        .expect("parallel fill requires the worker pool") // flsa-check: allow(unwrap) — guarded by threads() > 1
-        .run_traced(
-            tiles_r,
-            tiles_c,
-            |_, _| false,
-            &work,
-            cancel,
-            tracer.as_ref(),
-        );
-    solver.ctx.governor.release_i32(reserved);
-    outcome?;
-
-    Ok(ScoreMatrix::from_vec(rows, cols, buf.into_inner()))
 }
 
 #[cfg(test)]

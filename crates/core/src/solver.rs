@@ -442,25 +442,15 @@ impl<'s> Solver<'s> {
             let fb = &b[frame.c0..frame.c0 + frame.cols];
 
             if is_base {
-                match self.base_case(fa, fb, &frame.top, &frame.left, frame.head, out) {
-                    Ok(local_exit) => {
-                        self.blocks_done += 1;
-                        if let Some(obs) = &self.obs {
-                            obs.blocks.inc();
-                        }
-                        let exit = (frame.r0 + local_exit.0, frame.c0 + local_exit.1);
-                        match self.frames.last_mut() {
-                            Some(p) => p.head = (exit.0 - p.r0, exit.1 - p.c0),
-                            None => return Ok(exit),
-                        }
-                    }
-                    Err(e) => {
-                        // The base case mutated nothing (fills fail
-                        // before any path moves are pushed): restoring
-                        // the frame restores consistency.
-                        self.frames.push(frame);
-                        return Err(self.fail_with_snapshot(out, e));
-                    }
+                let local_exit = self.base_case(fa, fb, &frame.top, &frame.left, frame.head, out);
+                self.blocks_done += 1;
+                if let Some(obs) = &self.obs {
+                    obs.blocks.inc();
+                }
+                let exit = (frame.r0 + local_exit.0, frame.c0 + local_exit.1);
+                match self.frames.last_mut() {
+                    Some(p) => p.head = (exit.0 - p.r0, exit.1 - p.c0),
+                    None => return Ok(exit),
                 }
                 continue;
             }
@@ -653,7 +643,11 @@ impl<'s> Solver<'s> {
         }
     }
 
-    /// Figure 2's BASE CASE: full-matrix solve in the reserved buffer.
+    /// Figure 2's BASE CASE: full-matrix solve in the reserved buffer,
+    /// on this thread and the vector kernel at any thread count (a
+    /// base case is too small to repay tiling it over the pool; DESIGN.md
+    /// §6). It runs in the buffer reserved before the run began, so it
+    /// returns no error.
     fn base_case(
         &mut self,
         a: &[u8],
@@ -662,36 +656,16 @@ impl<'s> Solver<'s> {
         left: &[i32],
         head: (usize, usize),
         out: &mut PathBuilder,
-    ) -> Result<(usize, usize), AlignError> {
+    ) -> (usize, usize) {
         let (rows, cols) = (a.len(), b.len());
         self.log.events.push(CostEvent::BaseFill { rows, cols });
 
-        // Parallel fill pays off only when the matrix is large enough to
-        // amortize tile scheduling; small base cases stay sequential.
-        let use_parallel = self.config.threads() > 1 && rows * cols >= 16_384;
-        // The parallel fill allocates a fresh shared buffer instead of the
-        // reserved base storage; account for it explicitly.
-        let _par_mem = use_parallel.then(|| {
-            self.metrics
-                .track_alloc((rows + 1) * (cols + 1) * std::mem::size_of::<i32>())
-        });
         self.set_phase(flsa_metrics::names::PHASE_BASE_CASE);
         let fill_start = self.recorder().map(Recorder::now_ns);
-        let dpm = if use_parallel {
-            match parallel::fill_base_parallel(self, a, b, top, left) {
-                Ok(d) => d,
-                Err(e) => {
-                    // The fill never ran to completion: undo the
-                    // cost-log entry so replay stays consistent.
-                    self.log.events.pop();
-                    return Err(e);
-                }
-            }
-        } else {
-            let storage = std::mem::take(&mut self.base_storage);
+        let storage = std::mem::take(&mut self.base_storage);
+        let dpm =
             self.kernel
-                .fill_full_reusing(a, b, top, left, self.scheme, storage, self.metrics)
-        };
+                .fill_full_reusing(a, b, top, left, self.scheme, storage, self.metrics);
         self.record_span(fill_start, SpanKind::BaseCase, rows, cols, 0, 0);
         self.metrics.add_base_case_cells(rows as u64 * cols as u64);
 
@@ -709,7 +683,7 @@ impl<'s> Solver<'s> {
         if storage.capacity() > self.base_storage.capacity() {
             self.base_storage = storage;
         }
-        Ok(exit)
+        exit
     }
 
     /// Sequential fillGridCache: every block except the bottom-right one,

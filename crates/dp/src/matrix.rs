@@ -35,18 +35,6 @@ impl ScoreMatrix {
         }
     }
 
-    /// Builds a matrix from a filled row-major vector of exactly
-    /// `(rows+1)·(cols+1)` entries (used by the parallel base-case fill,
-    /// which computes the entries in shared memory first).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a size mismatch.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<i32>) -> Self {
-        assert_eq!(data.len(), (rows + 1) * (cols + 1), "score vector size");
-        ScoreMatrix { rows, cols, data }
-    }
-
     /// Consumes the matrix, returning its storage for reuse.
     pub fn into_vec(self) -> Vec<i32> {
         self.data

@@ -122,15 +122,46 @@ pub(crate) unsafe fn row_update_avx2(prev: &[i32], cur: &mut [i32], profile: &[i
     }
 }
 
+/// One sixteen-column block of [`row_update_avx512`]: pass A's
+/// `max(diag, up)`, then the inclusive prefix max in the u-domain
+/// (`u = t − ramp`), folded with the running carry. Returns the block's
+/// u-domain row `m`: the caller stores `m + ramp`, and lane 15 is the
+/// next block's carry.
+///
+/// The shift-by-`k` steps use `_mm512_alignr_epi32::<{16 - k}>(x, fill)`
+/// — the concatenation `[x : fill]` shifted right by `16 - k` dwords
+/// leaves `x`'s lane `l` in result lane `l + k` and fills lanes `0..k`
+/// from `fill`'s top lanes, which are all `i32::MIN` here. Every step
+/// carries toward higher lanes only, so lane `l` of the result depends
+/// on lanes `0..=l` of the inputs and on nothing above them.
+///
+/// # Safety
+///
+/// Requires AVX-512F (guaranteed by the caller's own `target_feature`).
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn prefix_max_avx512(diag: __m512i, up: __m512i, ramp: __m512i, carryv: __m512i) -> __m512i {
+    let minv = _mm512_set1_epi32(i32::MIN);
+    let u = _mm512_sub_epi32(_mm512_max_epi32(diag, up), ramp);
+    let m1 = _mm512_max_epi32(u, _mm512_alignr_epi32::<15>(u, minv));
+    let m2 = _mm512_max_epi32(m1, _mm512_alignr_epi32::<14>(m1, minv));
+    let m4 = _mm512_max_epi32(m2, _mm512_alignr_epi32::<12>(m2, minv));
+    let m8 = _mm512_max_epi32(m4, _mm512_alignr_epi32::<8>(m4, minv));
+    _mm512_max_epi32(m8, carryv)
+}
+
 /// AVX-512F version of [`super::row_update_portable`]: identical
 /// contract, identical results, sixteen columns per vector.
 ///
-/// The shift-by-`k` steps of the prefix max use
-/// `_mm512_alignr_epi32::<{16 - k}>(x, fill)` — the concatenation
-/// `[x : fill]` shifted right by `16 - k` dwords leaves `x`'s lane `l`
-/// in result lane `l + k` and fills lanes `0..k` from `fill`'s top
-/// lanes, which are all `i32::MIN` here. The carry broadcast is a
-/// single `vpermd` (`_mm512_permutexvar_epi32` with index 15).
+/// Full blocks use plain loads and stores. The last 1–15 columns run as
+/// one masked block: `_mm512_maskz_loadu_epi32` reads only the live
+/// lanes (the rest load as 0 and touch no memory), the same
+/// [`prefix_max_avx512`] runs over all sixteen lanes, and
+/// `_mm512_mask_storeu_epi32` writes only the live lanes back. The
+/// prefix max carries toward higher lanes only, so the dead lanes above
+/// the row's end cannot reach a stored lane: the masked block is exact,
+/// and no row ends in a scalar loop. The carry broadcast between blocks
+/// is a single `vpermd` (`_mm512_permutexvar_epi32` with index 15).
 ///
 /// # Safety
 ///
@@ -144,54 +175,46 @@ pub(crate) unsafe fn row_update_avx512(prev: &[i32], cur: &mut [i32], profile: &
     // panic — the checks must survive into optimized builds.
     assert_eq!(prev.len(), cols + 1, "prev row length");
     assert_eq!(cur.len(), cols + 1, "cur row length");
-    let mut carry = cur[0];
-    let mut j = 1usize;
-    if j + 16 <= cols + 1 {
-        let gapv = _mm512_set1_epi32(gap);
-        let minv = _mm512_set1_epi32(i32::MIN);
-        let step = _mm512_set1_epi32(gap.wrapping_mul(16));
-        // ramp lanes hold (j+l)*gap for the block's sixteen columns.
-        let mut r = [0i32; 16];
-        for (l, slot) in r.iter_mut().enumerate() {
-            *slot = (l as i32 + 1).wrapping_mul(gap);
-        }
-        let mut ramp = _mm512_loadu_si512(r.as_ptr() as *const __m512i);
-        let mut carryv = _mm512_set1_epi32(carry);
-        let top_lane = _mm512_set1_epi32(15);
-        while j + 16 <= cols + 1 {
-            let diag = _mm512_add_epi32(
-                _mm512_loadu_si512(prev.as_ptr().add(j - 1) as *const __m512i),
-                _mm512_loadu_si512(profile.as_ptr().add(j - 1) as *const __m512i),
-            );
-            let up = _mm512_add_epi32(
-                _mm512_loadu_si512(prev.as_ptr().add(j) as *const __m512i),
-                gapv,
-            );
-            let t = _mm512_max_epi32(diag, up);
-            let u = _mm512_sub_epi32(t, ramp);
-            let m1 = _mm512_max_epi32(u, _mm512_alignr_epi32::<15>(u, minv));
-            let m2 = _mm512_max_epi32(m1, _mm512_alignr_epi32::<14>(m1, minv));
-            let m4 = _mm512_max_epi32(m2, _mm512_alignr_epi32::<12>(m2, minv));
-            let m8 = _mm512_max_epi32(m4, _mm512_alignr_epi32::<8>(m4, minv));
-            let m = _mm512_max_epi32(m8, carryv);
-            _mm512_storeu_si512(
-                cur.as_mut_ptr().add(j) as *mut __m512i,
-                _mm512_add_epi32(m, ramp),
-            );
-            carryv = _mm512_permutexvar_epi32(top_lane, m);
-            ramp = _mm512_add_epi32(ramp, step);
-            j += 16;
-        }
-        carry = _mm512_cvtsi512_si32(carryv);
+    let gapv = _mm512_set1_epi32(gap);
+    let step = _mm512_set1_epi32(gap.wrapping_mul(16));
+    let top_lane = _mm512_set1_epi32(15);
+    // ramp lanes hold (j+l)*gap for the block's sixteen columns.
+    let mut r = [0i32; 16];
+    for (l, slot) in r.iter_mut().enumerate() {
+        *slot = (l as i32 + 1).wrapping_mul(gap);
     }
-    while j <= cols {
-        let diag = prev[j - 1] + profile[j - 1];
-        let up = prev[j] + gap;
-        let t = if diag > up { diag } else { up };
-        let u = t - j as i32 * gap;
-        carry = if u > carry { u } else { carry };
-        cur[j] = carry + j as i32 * gap;
-        j += 1;
+    let mut ramp = _mm512_loadu_si512(r.as_ptr() as *const __m512i);
+    let mut carryv = _mm512_set1_epi32(cur[0]);
+    let mut j = 1usize;
+    while j + 16 <= cols + 1 {
+        let diag = _mm512_add_epi32(
+            _mm512_loadu_si512(prev.as_ptr().add(j - 1) as *const __m512i),
+            _mm512_loadu_si512(profile.as_ptr().add(j - 1) as *const __m512i),
+        );
+        let up = _mm512_add_epi32(
+            _mm512_loadu_si512(prev.as_ptr().add(j) as *const __m512i),
+            gapv,
+        );
+        let m = prefix_max_avx512(diag, up, ramp, carryv);
+        _mm512_storeu_si512(
+            cur.as_mut_ptr().add(j) as *mut __m512i,
+            _mm512_add_epi32(m, ramp),
+        );
+        carryv = _mm512_permutexvar_epi32(top_lane, m);
+        ramp = _mm512_add_epi32(ramp, step);
+        j += 16;
+    }
+    if j <= cols {
+        // Columns j..=cols, 1–15 of them: lanes 0..live of one block.
+        let live = cols + 1 - j;
+        let mask: __mmask16 = (1u16 << live) - 1;
+        let diag = _mm512_add_epi32(
+            _mm512_maskz_loadu_epi32(mask, prev.as_ptr().add(j - 1)),
+            _mm512_maskz_loadu_epi32(mask, profile.as_ptr().add(j - 1)),
+        );
+        let up = _mm512_add_epi32(_mm512_maskz_loadu_epi32(mask, prev.as_ptr().add(j)), gapv);
+        let m = prefix_max_avx512(diag, up, ramp, carryv);
+        _mm512_mask_storeu_epi32(cur.as_mut_ptr().add(j), mask, _mm512_add_epi32(m, ramp));
     }
 }
 

@@ -9,8 +9,9 @@
 //! over paths inside the band, which equals the global optimum iff some
 //! optimal path fits the band (always true once
 //! `w ≥ max(m, n)`). [`banded_needleman_wunsch`] therefore reports the
-//! band-constrained score; callers widen the band until it stabilizes or
-//! validate against a linear-space exact run.
+//! band-constrained score. A score that stays the same as the band widens
+//! does not prove it optimal; validate against an exact run when that
+//! matters.
 
 use flsa_dp::{AlignResult, KernelBackend, Metrics, Move, PathBuilder};
 use flsa_scoring::ScoringScheme;
@@ -137,31 +138,6 @@ pub fn banded_needleman_wunsch(
     }
 }
 
-/// Widens the band geometrically until the score stabilizes across one
-/// doubling — the conventional adaptive-band driver. The result is exact
-/// whenever stabilization implies optimality for the instance (always
-/// true once the band covers the whole matrix, the driver's last resort).
-pub fn adaptive_banded(
-    a: &Sequence,
-    b: &Sequence,
-    scheme: &ScoringScheme,
-    metrics: &Metrics,
-) -> AlignResult {
-    let max_dim = a.len().max(b.len()).max(1);
-    let mut w = 8usize;
-    let mut best = banded_needleman_wunsch(a, b, scheme, w, metrics);
-    while w < max_dim {
-        let next_w = (w * 2).min(max_dim);
-        let next = banded_needleman_wunsch(a, b, scheme, next_w, metrics);
-        if next.score == best.score {
-            return next;
-        }
-        best = next;
-        w = next_w;
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,18 +203,6 @@ mod tests {
             m_band.snapshot().cells_computed,
             m_full.snapshot().cells_computed
         );
-    }
-
-    #[test]
-    fn adaptive_band_matches_exact_on_homologs() {
-        let scheme = ScoringScheme::dna_default();
-        for seed in 0..5 {
-            let (a, b) = homologous_pair("t", &Alphabet::dna(), 300, 0.8, seed).unwrap();
-            let metrics = Metrics::new();
-            let exact = needleman_wunsch(&a, &b, &scheme, &metrics);
-            let adaptive = adaptive_banded(&a, &b, &scheme, &metrics);
-            assert_eq!(adaptive.score, exact.score, "seed {seed}");
-        }
     }
 
     #[test]

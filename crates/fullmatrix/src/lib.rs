@@ -23,7 +23,7 @@ pub mod nw;
 pub mod semiglobal;
 pub mod sw;
 
-pub use banded::{adaptive_banded, banded_needleman_wunsch};
+pub use banded::banded_needleman_wunsch;
 pub use gotoh::gotoh;
 pub use nw::{needleman_wunsch, needleman_wunsch_kernel, needleman_wunsch_packed, nw_score_only};
 pub use semiglobal::{semiglobal, EndsFree};

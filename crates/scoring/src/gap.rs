@@ -61,9 +61,10 @@ impl GapModel {
             GapModel::Linear { penalty } => penalty,
             GapModel::Affine { .. } => {
                 // flsa-check: allow(panic) — documented `# Panics`
-                // contract: the solver validates the gap model up front
-                // (ConfigError::GapModelNotAffine), so the DP kernels
-                // only call this after admission.
+                // contract: the linear entry points reject an affine
+                // scheme up front (fastlsa-core's `require_linear`,
+                // ConfigError::GapModelNotLinear), so the DP kernels only
+                // call this after admission.
                 panic!("this aligner supports linear gap penalties only (paper's model)")
             }
         }

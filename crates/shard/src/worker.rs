@@ -161,10 +161,14 @@ pub fn run(opts: &WorkerOptions) -> i32 {
         let Ok(mut out) = output.lock() else {
             return 1;
         };
+        // Hello, then the first heartbeat, before any task is read: every
+        // worker that runs a task has beaten at least once, however fast
+        // the run.
         let mut hello = protocol::PREAMBLE.to_vec();
         hello.extend(protocol::encode_frame(&Frame::Hello {
             pid: std::process::id(),
         }));
+        hello.extend(protocol::encode_frame(&Frame::Heartbeat { seq: 0 }));
         if out.write_all(&hello).and_then(|()| out.flush()).is_err() {
             return 1;
         }
@@ -173,7 +177,7 @@ pub fn run(opts: &WorkerOptions) -> i32 {
     // Heartbeat thread: a beacon every `heartbeat_ms` for as long as it
     // can take the lock and the pipe accepts writes. The thread dies
     // with the process; there is no need to join it.
-    let beat_seq = Arc::new(AtomicU64::new(0));
+    let beat_seq = Arc::new(AtomicU64::new(1));
     {
         let output = Arc::clone(&output);
         let beat_seq = Arc::clone(&beat_seq);

@@ -27,7 +27,8 @@ impl SpanKind {
 pub enum TileKind {
     /// Tiled fillGridCache (Figure 13): boundary-only tiles.
     GridFill,
-    /// Tiled Base Case: every entry stored.
+    /// Tiled Base Case: every entry stored. The solver runs base cases
+    /// untiled, so only traces saved by older builds carry it.
     BaseFill,
 }
 

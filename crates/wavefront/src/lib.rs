@@ -13,10 +13,10 @@
 //!   for production and an instrumented virtual implementation in the
 //!   `flsa-check` model checker;
 //! * [`protocol`] — [`protocol::JobCore`], the generic wavefront
-//!   scheduling protocol (ready queue + in-degrees + drain counter) both
-//!   execution front-ends share, with its checked invariants documented;
-//! * [`executor`] — run a tile DAG on real threads (`std::thread::scope`
-//!   + atomic in-degree counters + a condvar-guarded ready queue);
+//!   scheduling protocol (ready queue + in-degrees + drain counter), with
+//!   its checked invariants documented;
+//! * [`pool`] — [`pool::WorkerPool`], which runs tile DAGs on persistent
+//!   real threads over that protocol;
 //! * [`shared`] — [`shared::DisjointBuf`], the guarded shared buffer that
 //!   lets tiles write disjoint segments of a common boundary vector;
 //! * [`phases`] — the paper's three-phase pipeline census (ramp-up /
@@ -25,7 +25,6 @@
 //!   to reproduce the paper's speedup/efficiency figures on hardware with
 //!   fewer cores than the paper's testbed (see DESIGN.md §2).
 
-pub mod executor;
 pub mod phases;
 pub mod pool;
 pub mod protocol;
@@ -33,7 +32,6 @@ pub mod shared;
 pub mod sim;
 pub mod sync;
 
-pub use executor::{run_wavefront, WavefrontSpec};
 pub use phases::{alpha_factor, PhaseBreakdown};
 pub use pool::{PoolMetrics, WorkerPool};
 pub use protocol::{sequential_wavefront, JobCore, JobError};

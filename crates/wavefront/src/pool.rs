@@ -1,10 +1,9 @@
 //! A persistent worker pool for repeated wavefront jobs.
 //!
 //! FastLSA executes one wavefront fill per recursion node — hundreds per
-//! alignment. [`executor::run_wavefront`](crate::executor::run_wavefront)
-//! spawns scoped threads per call; [`WorkerPool`] instead keeps `P − 1`
-//! workers alive across jobs (the paper's implementation likewise reuses
-//! its processes), eliminating per-fill spawn latency.
+//! alignment. [`WorkerPool`] keeps `P − 1` workers alive across jobs (the
+//! paper's implementation likewise reuses its processes), so no fill pays
+//! a thread spawn.
 //!
 //! ## Safety architecture
 //!
@@ -250,9 +249,9 @@ impl WorkerPool {
         self.run_traced(rows, cols, skip, work, None, None)
     }
 
-    /// Runs one wavefront job, blocking until every live tile finished.
-    /// Semantics match [`crate::run_wavefront`]: `work(r, c)` runs once
-    /// per non-skipped tile, after its up/left neighbours.
+    /// Runs one wavefront job, blocking until every live tile finished:
+    /// `work(r, c)` runs once per non-skipped tile, after its up/left
+    /// neighbours (one thread runs the tiles in anti-diagonal order).
     ///
     /// `cancel` is polled before each tile on whichever thread claims
     /// it. When it first returns `true` the job aborts via
@@ -465,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_scoped_executor_results() {
+    fn pool_results_match_across_thread_counts() {
         let rows = 9;
         let cols = 11;
         let compute_pool = |threads: usize| -> Vec<u64> {

@@ -1,8 +1,8 @@
 //! The wavefront scheduling protocol, generic over a [`SyncModel`].
 //!
-//! [`JobCore`] is the shared heart of both execution front-ends: the
-//! scoped-thread [`crate::executor::run_wavefront`] and the persistent
-//! [`crate::pool::WorkerPool`]. It owns the ready queue, per-tile
+//! [`JobCore`] is the scheduling heart of the persistent
+//! [`crate::pool::WorkerPool`] (and of the `flsa-check` model checker's
+//! replay). It owns the ready queue, per-tile
 //! in-degrees and the remaining-tiles counter, and exposes one verb —
 //! [`JobCore::participate`] — that every thread (submitting or worker)
 //! runs until the job is drained.
@@ -43,8 +43,7 @@ use std::sync::atomic::Ordering;
 use crate::sync::{AtomicInt, Monitor, SyncModel};
 
 /// Why a wavefront job did not run to completion. Returned by
-/// [`crate::pool::WorkerPool::run`] and [`crate::executor::run_wavefront`]
-/// instead of letting a tile failure escape as a panic.
+/// [`crate::pool::WorkerPool::run`] instead of letting a tile failure escape as a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobError {
     /// A tile's `work` panicked on some participant. The job was aborted
@@ -177,8 +176,7 @@ impl<S: SyncModel> JobCore<S> {
     }
 
     /// True when some tile's `work` panicked (checked by the pool after
-    /// its own participation returns; the executor re-raises through its
-    /// thread scope instead).
+    /// its own participation returns).
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire) != 0
     }

@@ -17,7 +17,7 @@ use std::cell::UnsafeCell;
 ///
 /// * Two concurrently outstanding `slice_mut` ranges must not overlap.
 /// * A `slice` read overlapping a `slice_mut` write must be ordered after
-///   it by a happens-before edge (the wavefront executor's ready-queue
+///   it by a happens-before edge (the worker pool's ready-queue
 ///   mutex provides one between a tile and its dependents).
 ///
 /// Under those rules every access is data-race free: each byte has a
@@ -86,37 +86,6 @@ impl<T> DisjointBuf<T> {
         self.data.into_inner()
     }
 
-    /// Reads one element.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`DisjointBuf::slice`]: any writer of this index
-    /// must be ordered before the read.
-    #[inline(always)]
-    pub unsafe fn get(&self, idx: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(idx < self.len);
-        // SAFETY: the caller's contract above orders all writers before us.
-        let vec = unsafe { &*self.data.get() };
-        vec[idx]
-    }
-
-    /// Writes one element.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`DisjointBuf::slice_mut`]: this index must not be
-    /// concurrently accessed by any unordered reader or writer.
-    #[inline(always)]
-    pub unsafe fn set(&self, idx: usize, value: T) {
-        debug_assert!(idx < self.len);
-        // SAFETY: the caller's contract above guarantees no aliasing access.
-        let vec = unsafe { &mut *self.data.get() };
-        vec[idx] = value;
-    }
-
     /// Exclusive view of the whole buffer (single-threaded phases).
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         self.data.get_mut().as_mut_slice()
@@ -126,7 +95,7 @@ impl<T> DisjointBuf<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{run_wavefront, WavefrontSpec};
+    use crate::pool::WorkerPool;
 
     #[test]
     fn single_threaded_round_trip() {
@@ -149,28 +118,24 @@ mod tests {
         let seg = 4;
         let compute = |threads: usize| -> Vec<u64> {
             let buf = DisjointBuf::<u64>::new(rows * cols * seg);
-            let spec = WavefrontSpec {
-                rows,
-                cols,
-                skip: None,
-            };
-            run_wavefront(&spec, threads, &|r, c| {
-                let base = (r * cols + c) * seg;
-                let left_sum: u64 = if c > 0 {
-                    // SAFETY: the left neighbour's segment was completed
-                    // before this tile became ready (wavefront ordering).
-                    unsafe { self::sum(&buf, base - seg..base) }
-                } else {
-                    r as u64
-                };
-                // SAFETY: segment `base..base+seg` is written only by
-                // tile (r,c), which runs exactly once.
-                let out = unsafe { buf.slice_mut(base..base + seg) };
-                for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = left_sum + k as u64 + 1;
-                }
-            })
-            .unwrap();
+            WorkerPool::new(threads)
+                .run(rows, cols, |_, _| false, &|r, c| {
+                    let base = (r * cols + c) * seg;
+                    let left_sum: u64 = if c > 0 {
+                        // SAFETY: the left neighbour's segment was completed
+                        // before this tile became ready (wavefront ordering).
+                        unsafe { self::sum(&buf, base - seg..base) }
+                    } else {
+                        r as u64
+                    };
+                    // SAFETY: segment `base..base+seg` is written only by
+                    // tile (r,c), which runs exactly once.
+                    let out = unsafe { buf.slice_mut(base..base + seg) };
+                    for (k, slot) in out.iter_mut().enumerate() {
+                        *slot = left_sum + k as u64 + 1;
+                    }
+                })
+                .unwrap();
             buf.into_inner()
         };
         let seq = compute(1);

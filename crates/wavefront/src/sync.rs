@@ -10,8 +10,7 @@
 //! implementations:
 //!
 //! * [`StdSync`] — real `parking_lot` locks and `std` atomics, used by
-//!   [`crate::pool::WorkerPool`] and [`crate::executor::run_wavefront`]
-//!   in production. Every method is an `#[inline]` delegation, so the
+//!   [`crate::pool::WorkerPool`] in production. Every method is an `#[inline]` delegation, so the
 //!   monomorphized protocol compiles to the exact code it replaced.
 //! * `VirtSync` in the `flsa-check` crate — instrumented virtual
 //!   primitives under a deterministic scheduler that explores thread

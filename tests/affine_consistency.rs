@@ -123,3 +123,73 @@ proptest! {
         prop_assert_eq!(semi.score, exact.score);
     }
 }
+
+/// The linear-gap entry points refuse an affine scheme with a typed
+/// error before any work, rather than panicking inside the linear
+/// kernels; `align_affine` stays the affine entry point.
+#[test]
+fn linear_entry_points_refuse_an_affine_scheme_with_a_typed_error() {
+    use fastlsa::core::{align_resume, CheckpointState, FrameState};
+
+    let scheme = ScoringScheme::new(tables::dna_default(), GapModel::affine(-11, -1));
+    let (a, b) = generate::homologous_pair("t", &Alphabet::dna(), 300, 0.8, 5).unwrap();
+    let config = FastLsaConfig::new(4, 1 << 12);
+    let opts = AlignOptions::default();
+    let metrics = Metrics::new();
+    let refused = |what: &str, got: Result<(), AlignError>| {
+        assert_eq!(
+            got,
+            Err(AlignError::Config(ConfigError::GapModelNotLinear)),
+            "{what}"
+        );
+    };
+    let ramp = |len: usize| (0..=len as i32).map(|k| -11 * k).collect::<Vec<i32>>();
+    // A snapshot taken before any work: the whole problem, head at the
+    // bottom-right corner.
+    let state = CheckpointState {
+        config,
+        blocks_done: 0,
+        generation: 0,
+        rev_moves: Vec::new(),
+        frames: vec![FrameState {
+            r0: 0,
+            c0: 0,
+            rows: a.len(),
+            cols: b.len(),
+            head: (a.len(), b.len()),
+            top: ramp(b.len()),
+            left: ramp(a.len()),
+            grid: None,
+        }],
+    };
+
+    refused("align", fastlsa::align(&a, &b, &scheme, &metrics).map(drop));
+    refused(
+        "align_with",
+        fastlsa::align_with(&a, &b, &scheme, config.with_threads(2), &metrics).map(drop),
+    );
+    refused(
+        "align_opts",
+        fastlsa::align_opts(&a, &b, &scheme, config, &opts, &metrics).map(drop),
+    );
+    refused(
+        "align_resume",
+        align_resume(&a, &b, &scheme, state, &opts, &metrics).map(drop),
+    );
+    refused(
+        "align_traced",
+        fastlsa::align_traced(&a, &b, &scheme, config, &metrics).map(drop),
+    );
+    refused(
+        "align_batch",
+        fastlsa::align_batch(&[(&a, &b)], &scheme, &opts, &metrics).map(drop),
+    );
+    assert_eq!(
+        metrics.snapshot().cells_computed,
+        0,
+        "no work before the error"
+    );
+
+    let r = fastlsa::core::align_affine(&a, &b, &scheme, config, &metrics).unwrap();
+    assert_eq!(r.path.score(&a, &b, &scheme), r.score);
+}

@@ -1,13 +1,13 @@
 //! Differential property test for the wavefront substrate: the results a
-//! real `WorkerPool` / `run_wavefront` execution produces at 1..=4
-//! threads must be byte-identical to the sequential anti-diagonal fill,
-//! for random skip masks. This is the production-side complement of the
-//! model checker in `flsa-check`, which replays the same protocol under
-//! controlled schedules — here the schedules come from the actual OS.
+//! real `WorkerPool` execution produces at 1..=4 threads must be
+//! byte-identical to the sequential anti-diagonal fill, for random skip
+//! masks. This is the production-side complement of the model checker in
+//! `flsa-check`, which replays the same protocol under controlled
+//! schedules — here the schedules come from the actual OS.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fastlsa::wavefront::{run_wavefront, sequential_wavefront, WavefrontSpec, WorkerPool};
+use fastlsa::wavefront::{sequential_wavefront, WorkerPool};
 
 /// SplitMix64: deterministic masks without external dependencies.
 fn splitmix(state: &mut u64) -> u64 {
@@ -59,21 +59,6 @@ fn fill_sequential(rows: usize, cols: usize, mask: &[bool]) -> Vec<u64> {
     cells.into_iter().map(AtomicU64::into_inner).collect()
 }
 
-fn fill_executor(rows: usize, cols: usize, mask: &[bool], threads: usize) -> Vec<u64> {
-    let cells: Vec<AtomicU64> = (0..rows * cols).map(|_| AtomicU64::new(0)).collect();
-    let spec = WavefrontSpec {
-        rows,
-        cols,
-        skip: Some(&|r, c| mask[r * cols + c]),
-    };
-    run_wavefront(&spec, threads, &|r, c| {
-        let v = tile_value(&cells, (rows, cols), r, c);
-        cells[r * cols + c].store(v, Ordering::Release);
-    })
-    .unwrap();
-    cells.into_iter().map(AtomicU64::into_inner).collect()
-}
-
 fn fill_pool(pool: &mut WorkerPool, rows: usize, cols: usize, mask: &[bool]) -> Vec<u64> {
     let cells: Vec<AtomicU64> = (0..rows * cols).map(|_| AtomicU64::new(0)).collect();
     pool.run(rows, cols, |r, c| mask[r * cols + c], &|r, c| {
@@ -86,15 +71,17 @@ fn fill_pool(pool: &mut WorkerPool, rows: usize, cols: usize, mask: &[bool]) -> 
 
 #[test]
 fn executor_matches_sequential_fill_for_random_masks() {
+    // One job per freshly built pool: the first job a set of workers
+    // sees, followed by shutdown, must match the sequential fill too.
     for (rows, cols) in [(1, 1), (1, 7), (5, 1), (4, 4), (7, 5), (9, 9)] {
         for (seed, density) in [(1, 0), (2, 20), (3, 45), (4, 70)] {
             let mask = random_mask(rows, cols, density, seed);
             let expected = fill_sequential(rows, cols, &mask);
             for threads in 1..=4 {
-                let got = fill_executor(rows, cols, &mask, threads);
+                let got = fill_pool(&mut WorkerPool::new(threads), rows, cols, &mask);
                 assert_eq!(
                     got, expected,
-                    "run_wavefront diverged: {rows}x{cols}, seed {seed}, \
+                    "fresh WorkerPool diverged: {rows}x{cols}, seed {seed}, \
                      density {density}%, {threads} threads"
                 );
             }
@@ -106,8 +93,26 @@ fn executor_matches_sequential_fill_for_random_masks() {
 fn worker_pool_matches_sequential_fill_for_random_masks() {
     for threads in 1..=4 {
         let mut pool = WorkerPool::new(threads);
-        for (rows, cols) in [(1, 6), (4, 4), (6, 3), (8, 8)] {
-            for (seed, density) in [(11, 0), (12, 30), (13, 60)] {
+        for (rows, cols) in [
+            (1, 1),
+            (1, 6),
+            (1, 7),
+            (5, 1),
+            (4, 4),
+            (6, 3),
+            (7, 5),
+            (8, 8),
+            (9, 9),
+        ] {
+            for (seed, density) in [
+                (1, 0),
+                (2, 20),
+                (3, 45),
+                (4, 70),
+                (11, 0),
+                (12, 30),
+                (13, 60),
+            ] {
                 let mask = random_mask(rows, cols, density, seed);
                 let expected = fill_sequential(rows, cols, &mask);
                 let got = fill_pool(&mut pool, rows, cols, &mask);

@@ -115,6 +115,75 @@ fn schemes() -> Vec<ScoringScheme> {
     ]
 }
 
+/// Runs `fill_full`, `fill_last_row_col` and `fill_dir` for one
+/// rectangle on every backend and asserts each equals the scalar
+/// reference, cell counts included.
+fn assert_fills_match_scalar(
+    case: &str,
+    scheme: &ScoringScheme,
+    a: &[u8],
+    b: &[u8],
+    bound: &Boundary,
+) {
+    let (rows, cols) = (a.len(), b.len());
+    let m_ref = Metrics::new();
+    let full_ref = fill_full(a, b, &bound.top, &bound.left, scheme, &m_ref);
+    let mut bottom_ref = vec![0i32; cols + 1];
+    let mut right_ref = vec![0i32; rows + 1];
+    fill_last_row_col(
+        a,
+        b,
+        &bound.top,
+        &bound.left,
+        scheme,
+        &mut bottom_ref,
+        Some(&mut right_ref),
+        &m_ref,
+    );
+    let (dirs_ref, last_ref) = fill_dir(a, b, &bound.top, &bound.left, scheme, &m_ref);
+
+    for backend in backends() {
+        let kernel = Kernel::try_new(backend).unwrap();
+        let m = Metrics::new();
+        let full = kernel.fill_full(a, b, &bound.top, &bound.left, scheme, &m);
+        assert_eq!(full, full_ref, "{case} backend {backend}: fill_full");
+
+        let mut bottom = vec![0i32; cols + 1];
+        let mut right = vec![0i32; rows + 1];
+        kernel.fill_last_row_col(
+            a,
+            b,
+            &bound.top,
+            &bound.left,
+            scheme,
+            &mut bottom,
+            Some(&mut right),
+            &m,
+        );
+        assert_eq!(bottom, bottom_ref, "{case} backend {backend}: bottom");
+        assert_eq!(right, right_ref, "{case} backend {backend}: right");
+
+        let (dirs, last) = kernel.fill_dir(a, b, &bound.top, &bound.left, scheme, &m);
+        assert_eq!(last, last_ref, "{case} backend {backend}: dir last row");
+        for i in 0..=rows {
+            for j in 0..=cols {
+                assert_eq!(
+                    dirs.get(i, j),
+                    dirs_ref.get(i, j),
+                    "{case} backend {backend}: dir ({i},{j})"
+                );
+            }
+        }
+        // Identical work accounting: cells_computed must not depend
+        // on the backend.
+        assert_eq!(
+            m.snapshot().cells_computed,
+            m_ref.snapshot().cells_computed,
+            "{case} backend {backend}: cells_computed"
+        );
+    }
+}
+
 #[test]
 fn fill_kernels_match_scalar_on_random_rectangles() {
     let mut rng = Rng::new(0xd1ff);
@@ -133,65 +202,21 @@ fn fill_kernels_match_scalar_on_random_rectangles() {
         let a = random_codes(&mut rng, rows, codes);
         let b = random_codes(&mut rng, cols, codes);
         let bound = random_boundary(&mut rng, rows, cols);
-
-        let m_ref = Metrics::new();
-        let full_ref = fill_full(&a, &b, &bound.top, &bound.left, scheme, &m_ref);
-        let mut bottom_ref = vec![0i32; cols + 1];
-        let mut right_ref = vec![0i32; rows + 1];
-        fill_last_row_col(
-            &a,
-            &b,
-            &bound.top,
-            &bound.left,
-            scheme,
-            &mut bottom_ref,
-            Some(&mut right_ref),
-            &m_ref,
-        );
-        let (dirs_ref, last_ref) = fill_dir(&a, &b, &bound.top, &bound.left, scheme, &m_ref);
-
-        for backend in backends() {
-            let kernel = Kernel::try_new(backend).unwrap();
-            let m = Metrics::new();
-            let full = kernel.fill_full(&a, &b, &bound.top, &bound.left, scheme, &m);
-            assert_eq!(full, full_ref, "case {case} backend {backend}: fill_full");
-
-            let mut bottom = vec![0i32; cols + 1];
-            let mut right = vec![0i32; rows + 1];
-            kernel.fill_last_row_col(
-                &a,
-                &b,
-                &bound.top,
-                &bound.left,
-                scheme,
-                &mut bottom,
-                Some(&mut right),
-                &m,
-            );
-            assert_eq!(bottom, bottom_ref, "case {case} backend {backend}: bottom");
-            assert_eq!(right, right_ref, "case {case} backend {backend}: right");
-
-            let (dirs, last) = kernel.fill_dir(&a, &b, &bound.top, &bound.left, scheme, &m);
-            assert_eq!(
-                last, last_ref,
-                "case {case} backend {backend}: dir last row"
-            );
-            for i in 0..=rows {
-                for j in 0..=cols {
-                    assert_eq!(
-                        dirs.get(i, j),
-                        dirs_ref.get(i, j),
-                        "case {case} backend {backend}: dir ({i},{j})"
-                    );
-                }
-            }
-            // Identical work accounting: cells_computed must not depend
-            // on the backend.
-            assert_eq!(
-                m.snapshot().cells_computed,
-                m_ref.snapshot().cells_computed,
-                "case {case} backend {backend}: cells_computed"
-            );
+        assert_fills_match_scalar(&format!("case {case}"), scheme, &a, &b, &bound);
+    }
+    // Every row tail: widths 16·v + r for v in 1..=3 and every remainder
+    // r, so each vector backend ends rows in every partial block it can
+    // (AVX-512's masked block covers 1–15 columns).
+    for v in 1..=3usize {
+        for r in 0..16usize {
+            let cols = 16 * v + r;
+            let scheme = &schemes[(v + r) % schemes.len()];
+            let codes = scheme.matrix().alphabet().len() as u8;
+            let rows = 1 + rng.below(12) as usize;
+            let a = random_codes(&mut rng, rows, codes);
+            let b = random_codes(&mut rng, cols, codes);
+            let bound = random_boundary(&mut rng, rows, cols);
+            assert_fills_match_scalar(&format!("width {cols}"), scheme, &a, &b, &bound);
         }
     }
 }

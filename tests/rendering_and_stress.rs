@@ -40,21 +40,23 @@ fn metrics_are_consistent_under_parallel_fills() {
     // Parallel runs must report exactly the same cell counts as
     // sequential (work is partitioned, not duplicated), with counters
     // bumped from many threads.
+    // A 2^17-cell buffer makes the ~250x250 sub-blocks of this pair
+    // direct base cases, well above 16,384 cells.
     let scheme = ScoringScheme::dna_default();
     let (a, b) = generate::homologous_pair("t", scheme.alphabet(), 2000, 0.8, 55).unwrap();
-    let cfg = FastLsaConfig::new(8, 1 << 14);
-    let m_seq = Metrics::new();
-    fastlsa::align_with(&a, &b, &scheme, cfg, &m_seq).unwrap();
-    let m_par = Metrics::new();
-    fastlsa::align_with(&a, &b, &scheme, cfg.with_threads(4), &m_par).unwrap();
-    assert_eq!(
-        m_seq.snapshot().cells_computed,
-        m_par.snapshot().cells_computed
-    );
-    assert_eq!(
-        m_seq.snapshot().traceback_steps,
-        m_par.snapshot().traceback_steps
-    );
+    for base_cells in [1 << 14, 1 << 17] {
+        let cfg = FastLsaConfig::new(8, base_cells);
+        let m_seq = Metrics::new();
+        let seq = fastlsa::align_with(&a, &b, &scheme, cfg, &m_seq).unwrap();
+        let m_par = Metrics::new();
+        let par = fastlsa::align_with(&a, &b, &scheme, cfg.with_threads(4), &m_par).unwrap();
+        assert_eq!(seq.score, par.score, "base {base_cells}");
+        assert_eq!(seq.path, par.path, "base {base_cells}");
+        let (s, p) = (m_seq.snapshot(), m_par.snapshot());
+        assert_eq!(s.cells_computed, p.cells_computed, "base {base_cells}");
+        assert_eq!(s.cells_base_case, p.cells_base_case, "base {base_cells}");
+        assert_eq!(s.traceback_steps, p.traceback_steps, "base {base_cells}");
+    }
 }
 
 #[test]

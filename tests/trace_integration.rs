@@ -5,14 +5,16 @@
 //! (b) tile timestamps respect the wavefront dependency order — no tile
 //!     starts before both of its parents ended;
 //! (c) the measured per-fill ramp-up/saturated/drain census equals the §5
-//!     analytical census (`phase_breakdown`) of the same live tile set.
+//!     analytical census (`phase_breakdown`) of the same live tile set,
+//!     and on a hole-free grid the closed-form census with no mask.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use fastlsa::prelude::*;
-use fastlsa::trace::{analyze, EventKind, Recorder, SpanKind, Trace};
+use fastlsa::trace::{analyze, EventKind, Recorder, SpanKind, TileKind, TileTracer, Trace};
 use fastlsa::wavefront::phases::phase_breakdown;
+use fastlsa::wavefront::WorkerPool;
 
 fn traced_run(threads: usize) -> (Trace, fastlsa::dp::MetricsSnapshot) {
     let scheme = ScoringScheme::dna_default();
@@ -20,9 +22,9 @@ fn traced_run(threads: usize) -> (Trace, fastlsa::dp::MetricsSnapshot) {
     let recorder = Arc::new(Recorder::new());
     let metrics = Metrics::with_recorder(Arc::clone(&recorder));
     // base = 2^17 makes the k=8 sub-blocks of a 2500-residue problem
-    // (~313x313) direct base cases that are large enough (>= 16384 cells)
-    // for the parallel tiled base fill, so the trace carries both
-    // GridFill (skip-hole) and BaseFill (full-grid) wavefronts.
+    // (~313x313) direct base cases. Base cases run on one thread, so
+    // every wavefront in the trace is a GridFill with the bottom-right
+    // block's hole skipped.
     let cfg = FastLsaConfig::new(8, 1 << 17).with_threads(threads);
     let result = fastlsa::align_with(&a, &b, &scheme, cfg, &metrics).unwrap();
     assert_eq!(result.path.score(&a, &b, &scheme), result.score);
@@ -115,7 +117,6 @@ fn measured_phase_census_matches_section5_formulas() {
     let fills = tiles_by_fill(&trace);
     let analysis = analyze(&trace);
     assert!(!analysis.fills.is_empty());
-    let mut full_grids = 0;
     for f in &analysis.fills {
         let tiles = &fills[&f.fill];
         let live: HashMap<(usize, usize), ()> =
@@ -140,15 +141,37 @@ fn measured_phase_census_matches_section5_formulas() {
             f.fill
         );
         assert_eq!(f.tiles, pb.total_tiles());
-        // Full grids (no skip hole) must also match the closed-form
-        // census with no mask — the exact §5 model input.
-        if f.tiles == (f.rows * f.cols) as usize {
-            full_grids += 1;
-            let model = phase_breakdown(f.rows as usize, f.cols as usize, f.threads as usize, None);
-            assert_eq!(pb, model, "fill {}", f.fill);
-        }
     }
-    assert!(full_grids > 0, "expected at least one hole-free fill grid");
+
+    // A hole-free grid, the exact §5 model input, run straight on the
+    // pool: its measured census must equal the closed form with no mask.
+    let recorder = Recorder::new();
+    let threads = 4;
+    let mut pool = WorkerPool::new(threads);
+    for (rows, cols) in [(8, 8), (5, 11), (12, 3)] {
+        let tracer = TileTracer::new(&recorder, TileKind::GridFill);
+        pool.run_traced(rows, cols, |_, _| false, &|_, _| {}, None, Some(&tracer))
+            .unwrap();
+    }
+    let analysis = analyze(&recorder.snapshot());
+    assert_eq!(analysis.fills.len(), 3);
+    for f in &analysis.fills {
+        let (rows, cols) = (f.rows as usize, f.cols as usize);
+        assert_eq!(f.tiles, rows * cols, "fill {}: hole-free", f.fill);
+        let model = phase_breakdown(rows, cols, threads, None);
+        assert_eq!(
+            [f.phases[0].tiles, f.phases[1].tiles, f.phases[2].tiles],
+            [model.ramp_tiles, model.saturated_tiles, model.drain_tiles],
+            "fill {}: {rows}x{cols}",
+            f.fill
+        );
+        assert_eq!(
+            [f.phases[0].lines, f.phases[1].lines, f.phases[2].lines],
+            [model.ramp_lines, model.saturated_lines, model.drain_lines],
+            "fill {}: {rows}x{cols}",
+            f.fill
+        );
+    }
 }
 
 #[test]
