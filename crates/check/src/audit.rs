@@ -33,7 +33,13 @@
 //!   and checks that the alignment entry points (`align_opts`,
 //!   `align_resume`, `align_traced`, `align_affine`, `gotoh`,
 //!   `myers_miller_affine`) reach the runtime overflow guard
-//!   (`max_safe_span` / `validate_run`) on their call graph.
+//!   (`max_safe_span` / `validate_run`) on their call graph. The same
+//!   certificate covers the affine prefix-scan rows in `flsa-dp::simd`
+//!   with no new term: their scan input `w = D + open − j·extend` has
+//!   `|D| ≤ span·C`, `|open| ≤ G` and `|j·extend| ≤ span·G`, so
+//!   `|w| ≤ span·C + G + span·G = span·(C+G) + G`, the envelope of the
+//!   linear u-domain intermediates, because `G` already counts
+//!   `|open| + |extend|` per symbol.
 //!
 //! Name resolution is conservative (identifier-based): the graph
 //! over-approximates, so R8 reachability and R9 constructor closures

@@ -198,12 +198,12 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "bench kernels", usage: "[options]", arity: (0, 0), raw: false, run: crate::cmd_bench_kernels,
-        prose: "DP kernel backend throughput sweep.",
+        prose: "DP kernel backend throughput sweep, linear and affine.",
         opts: &[
             opt("len", "CSV", "comma-separated square problem sides (default 1024,4096,10000)"),
             REPS,
             opt("gate", "F", "fail (exit 1) unless the best vectorized backend reaches F x scalar cells/sec on \
-                the largest size"),
+                the largest size, for the linear and the affine fill alike"),
             REPORT,
         ],
     },

@@ -1314,8 +1314,9 @@ fn cmd_bench_shard(a: &Args) -> Result<(), CliError> {
 }
 
 /// `flsa bench kernels`: sweeps every available DP kernel backend over a
-/// set of square problem sizes, prints a throughput table, writes the
-/// JSON report, and optionally gates on the SIMD-vs-scalar speedup.
+/// set of square problem sizes, linear and affine, prints throughput
+/// tables, writes the JSON report, and optionally gates on the
+/// SIMD-vs-scalar speedups.
 fn cmd_bench_kernels(a: &Args) -> Result<(), CliError> {
     let lens = a.list("len")?.unwrap_or_else(|| vec![1024, 4096, 10_000]);
     let reps: usize = a.value_or("reps", 3)?;
@@ -1359,6 +1360,25 @@ fn cmd_bench_kernels(a: &Args) -> Result<(), CliError> {
                 "batch kernel regression: batched alignment reached only \
                  {batch:.2}x the single-pair path (gate 3.00x)"
             )));
+        }
+        // The affine fill answers to the same speedup gate, and its
+        // widest row must not lose to the next one down either.
+        let affine = report.affine_best_speedup().unwrap_or(0.0);
+        outln!("affine gate     {affine:.2}x measured, {gate:.2}x required")?;
+        if affine < gate {
+            return Err(CliError::runtime(format!(
+                "affine kernel regression: best affine backend reached only \
+                 {affine:.2}x scalar affine (gate {gate:.2}x)"
+            )));
+        }
+        if let Some(ratio) = report.affine_avx512_vs_avx2() {
+            outln!("affine dispatch AVX-512 affine {ratio:.2}x AVX2 affine, 1.00x required")?;
+            if ratio < 1.0 {
+                return Err(CliError::runtime(format!(
+                    "affine dispatch regression: AVX-512 affine runs at only \
+                     {ratio:.2}x AVX2 affine, so auto-dispatch picks a slower kernel"
+                )));
+            }
         }
         Ok(())
     })

@@ -15,14 +15,16 @@
 //!
 //! The extension is sequential (the paper's evaluation does not cover
 //! affine gaps; any [`FastLsaConfig::parallel`] setting is ignored). Its
-//! fills and base-case traceback are `flsa_dp::affine`'s, shared with
-//! Gotoh and Myers–Miller; the exhaustive affine oracle in the root
-//! `tests/brute_force_oracle.rs` checks all three independently.
+//! fills run on a [`Kernel`] — the AVX-512 and AVX2 affine rows where the
+//! CPU has them, bit-identical to the scalar `flsa_dp::affine` fills that
+//! Gotoh and Myers–Miller keep as independent oracles — and every base
+//! case fills three buffers reused for the whole run. The base-case
+//! traceback is `flsa_dp::affine::trace_affine`; the exhaustive affine
+//! oracle in the root `tests/brute_force_oracle.rs` checks all three
+//! aligners independently.
 
-use flsa_dp::affine::{
-    fill_affine_edges_in, fill_affine_full, AffineBoundary, AffineGlobalBoundary, GapState, NEG,
-};
-use flsa_dp::{AlignResult, KernelArena, Metrics, Move, PathBuilder};
+use flsa_dp::affine::{AffineBoundary, AffineGlobalBoundary, GapState, NEG};
+use flsa_dp::{AlignResult, Kernel, MemGuard, Metrics, Move, PathBuilder};
 use flsa_scoring::ScoringScheme;
 use flsa_seq::Sequence;
 
@@ -63,10 +65,15 @@ struct AffineSolver<'s> {
     scheme: &'s ScoringScheme,
     config: FastLsaConfig,
     metrics: &'s Metrics,
-    /// Scratch pool for grid-fill boundary and edge buffers: every block
-    /// after the first reuses the same handful of vectors instead of
-    /// allocating eight per block.
-    arena: KernelArena,
+    /// The fill kernel. Its arena pools the grid fills' boundary and edge
+    /// buffers: every block after the first reuses the same handful of
+    /// vectors instead of allocating eight per block.
+    kernel: Kernel,
+    /// The Base Case buffers (`H`, `E`, `F`), reused by every base case
+    /// and grown, exactly, to the largest one.
+    base: [Vec<i32>; 3],
+    /// Tracks the base buffers' bytes; replaced whenever they grow.
+    base_guard: Option<MemGuard<'s>>,
 }
 
 impl AffineSolver<'_> {
@@ -96,20 +103,7 @@ impl AffineSolver<'_> {
 
         let cells = (rows + 1).saturating_mul(cols + 1);
         if cells <= self.config.base_cells || rows < 2 || cols < 2 {
-            // BASE CASE: three full layers plus stateful traceback.
-            let mats = fill_affine_full(a, b, bnd, self.scheme, self.metrics);
-            let _mem = self.metrics.track_alloc(3 * mats.h.bytes());
-            self.metrics.add_base_case_cells(rows as u64 * cols as u64);
-            return flsa_dp::affine::trace_affine(
-                &mats,
-                a,
-                b,
-                self.scheme,
-                head,
-                state,
-                out,
-                self.metrics,
-            );
+            return self.base_case(a, b, bnd, head, state, out);
         }
 
         // GENERAL CASE.
@@ -175,6 +169,38 @@ impl AffineSolver<'_> {
         ((i, j), state)
     }
 
+    /// BASE CASE: three full layers in the reused buffers, plus stateful
+    /// traceback.
+    fn base_case(
+        &mut self,
+        a: &[u8],
+        b: &[u8],
+        bnd: AffineBoundary<'_>,
+        head: (usize, usize),
+        state: GapState,
+        out: &mut PathBuilder,
+    ) -> ((usize, usize), GapState) {
+        let (rows, cols) = (a.len(), b.len());
+        let cells = (rows + 1) * (cols + 1);
+        if self.base[0].capacity() < cells {
+            self.base_guard = None;
+            for buf in &mut self.base {
+                buf.reserve_exact(cells - buf.len());
+            }
+            let bytes = 3 * cells * std::mem::size_of::<i32>();
+            self.base_guard = Some(self.metrics.track_alloc(bytes));
+        }
+        let storage = std::mem::take(&mut self.base);
+        let mats =
+            self.kernel
+                .fill_affine_full_reusing(a, b, bnd, self.scheme, storage, self.metrics);
+        self.metrics.add_base_case_cells(rows as u64 * cols as u64);
+        let exit =
+            flsa_dp::affine::trace_affine(&mats, a, b, self.scheme, head, state, out, self.metrics);
+        self.base = mats.into_storage();
+        exit
+    }
+
     /// Sequential fillGridCache with affine edges; every block except the
     /// bottom-right, row-major.
     fn fill_grid(&mut self, a: &[u8], b: &[u8], bnd: AffineBoundary<'_>, grid: &mut AffineGrid) {
@@ -192,31 +218,32 @@ impl AffineSolver<'_> {
                 // Copy inputs first (the outputs may alias other rows of
                 // the same cache vectors). Buffers come from the arena so
                 // steady-state grid fills allocate nothing.
-                let mut top_h = self.arena.take(c1 - c0 + 1);
+                let arena = self.kernel.arena();
+                let mut top_h = arena.take(c1 - c0 + 1);
                 top_h.copy_from_slice(if s == 0 {
                     &bnd.top_h[c0..=c1]
                 } else {
                     &grid.rows_h[s - 1][c0..=c1]
                 });
-                let mut top_v = self.arena.take(c1 - c0 + 1);
+                let mut top_v = arena.take(c1 - c0 + 1);
                 top_v.copy_from_slice(if s == 0 {
                     &bnd.top_v[c0..=c1]
                 } else {
                     &grid.rows_v[s - 1][c0..=c1]
                 });
-                let mut left_h = self.arena.take(r1 - r0 + 1);
+                let mut left_h = arena.take(r1 - r0 + 1);
                 left_h.copy_from_slice(if t == 0 {
                     &bnd.left_h[r0..=r1]
                 } else {
                     &grid.cols_h[t - 1][r0..=r1]
                 });
-                let mut left_e = self.arena.take(r1 - r0 + 1);
+                let mut left_e = arena.take(r1 - r0 + 1);
                 left_e.copy_from_slice(if t == 0 {
                     &bnd.left_e[r0..=r1]
                 } else {
                     &grid.cols_e[t - 1][r0..=r1]
                 });
-                let edges = fill_affine_edges_in(
+                let edges = self.kernel.fill_affine_edges_in(
                     &a[r0..r1],
                     &b[c0..c1],
                     AffineBoundary {
@@ -226,13 +253,12 @@ impl AffineSolver<'_> {
                         left_e: &left_e,
                     },
                     self.scheme,
-                    &self.arena,
                     self.metrics,
                 );
-                self.arena.put(top_h);
-                self.arena.put(top_v);
-                self.arena.put(left_h);
-                self.arena.put(left_e);
+                arena.put(top_h);
+                arena.put(top_v);
+                arena.put(left_h);
+                arena.put(left_e);
                 if s + 1 < k_r {
                     grid.rows_h[s][c0..=c1].copy_from_slice(&edges.bottom_h);
                     // bottom_v[0] is a placeholder (the kernel never
@@ -249,7 +275,7 @@ impl AffineSolver<'_> {
                     // very top, where no cell reads it).
                     grid.cols_e[t][r0 + 1..=r1].copy_from_slice(&edges.right_e[1..]);
                 }
-                edges.recycle(&self.arena);
+                edges.recycle(arena);
             }
         }
     }
@@ -307,13 +333,14 @@ pub fn align_affine(
     let (open, extend) = flsa_dp::affine::affine_params(scheme);
     let (m, n) = (a.len(), b.len());
     let bnd = AffineGlobalBoundary::new(m, n, open, extend);
-    let base_guard = metrics.track_alloc(3 * config.base_cells * std::mem::size_of::<i32>());
 
     let mut solver = AffineSolver {
         scheme,
         config,
         metrics,
-        arena: KernelArena::new(),
+        kernel: Kernel::auto(),
+        base: Default::default(),
+        base_guard: None,
     };
     let mut builder = PathBuilder::new();
     let ((ei, ej), _state) = solver.solve(
@@ -330,7 +357,6 @@ pub fn align_affine(
     for _ in 0..ej {
         builder.push_back(Move::Left);
     }
-    drop(base_guard);
 
     let path = builder.finish((0, 0));
     debug_assert!(path.is_global(m, n));
@@ -446,6 +472,19 @@ mod tests {
             m_fl.snapshot().peak_bytes,
             m_g.snapshot().peak_bytes
         );
+    }
+
+    #[test]
+    fn one_base_case_tracks_exactly_its_three_layers() {
+        // A pair that fits one base case allocates the three layers and
+        // nothing else: no grid, no reservation beyond the buffers.
+        let scheme = scheme(-10, -2);
+        let (a, b) = homologous_pair("t", &Alphabet::dna(), 120, 0.8, 9).unwrap();
+        let (m, n) = (a.len(), b.len());
+        let metrics = Metrics::new();
+        align_affine(&a, &b, &scheme, FastLsaConfig::new(4, 1 << 20), &metrics).unwrap();
+        let want = 3 * (m + 1) * (n + 1) * std::mem::size_of::<i32>();
+        assert_eq!(metrics.snapshot().peak_bytes, want as u64);
     }
 
     #[test]

@@ -12,12 +12,16 @@
 //! For a *sub-rectangle*, restarting this recurrence needs more boundary
 //! state than the linear case: a horizontal grid line must carry `H` and
 //! `F` (vertical runs cross it), a vertical one `H` and `E`. These
-//! kernels are the affine analogues of [`crate::kernel`]'s and the only
-//! home of the affine recurrence: full-matrix Gotoh
+//! kernels are the affine analogues of [`crate::kernel`]'s: the scalar
+//! reference implementation of the affine recurrence. Full-matrix Gotoh
 //! (`flsa_fullmatrix::gotoh`) is [`fill_affine_full`] plus
-//! [`trace_affine`], Myers–Miller (`flsa_hirschberg`) scans with
-//! [`fill_affine_edges_in`], and affine FastLSA (`fastlsa-core`) uses
-//! both.
+//! [`trace_affine`] and Myers–Miller (`flsa_hirschberg`) scans with
+//! [`fill_affine_edges_in`]; both stay on these scalar fills as the
+//! independent oracles. Affine FastLSA (`fastlsa-core`) fills through
+//! [`crate::Kernel::fill_affine_edges_in`] and
+//! [`crate::Kernel::fill_affine_full_reusing`], whose AVX-512 and AVX2
+//! rows compute `E` as a prefix-max scan and are bit-identical to the
+//! functions here (`tests/kernel_equivalence.rs`).
 
 use flsa_scoring::{GapModel, ScoringScheme};
 
@@ -58,7 +62,7 @@ pub struct AffineBoundary<'a> {
 }
 
 impl AffineBoundary<'_> {
-    fn check_boundary(&self, rows: usize, cols: usize) {
+    pub(crate) fn check_boundary(&self, rows: usize, cols: usize) {
         assert_eq!(self.top_h.len(), cols + 1, "top_h length");
         assert_eq!(self.top_v.len(), cols + 1, "top_v length");
         assert_eq!(self.left_h.len(), rows + 1, "left_h length");
@@ -205,6 +209,14 @@ pub struct AffineMatrices {
     pub f: ScoreMatrix,
 }
 
+impl AffineMatrices {
+    /// Consumes the layers, returning their storage (`H`, `E`, `F`) for
+    /// reuse by [`fill_affine_full_reusing`].
+    pub fn into_storage(self) -> [Vec<i32>; 3] {
+        [self.h.into_vec(), self.e.into_vec(), self.f.into_vec()]
+    }
+}
+
 /// Full fill of all three layers (the affine base-case solver).
 pub fn fill_affine_full(
     a: &[u8],
@@ -213,14 +225,30 @@ pub fn fill_affine_full(
     scheme: &ScoringScheme,
     metrics: &Metrics,
 ) -> AffineMatrices {
+    fill_affine_full_reusing(a, b, bnd, scheme, Default::default(), metrics)
+}
+
+/// [`fill_affine_full`] recycling `storage` (the `H`, `E` and `F`
+/// buffers, in that order) as the three layers; retrieve it back with
+/// [`AffineMatrices::into_storage`]. Every entry is rewritten, so the
+/// buffers need no clearing between solves.
+pub fn fill_affine_full_reusing(
+    a: &[u8],
+    b: &[u8],
+    bnd: AffineBoundary<'_>,
+    scheme: &ScoringScheme,
+    storage: [Vec<i32>; 3],
+    metrics: &Metrics,
+) -> AffineMatrices {
     let (rows, cols) = (a.len(), b.len());
     bnd.check_boundary(rows, cols);
     let (open, extend) = affine_params(scheme);
     let matrix = scheme.matrix();
 
-    let mut h = ScoreMatrix::new(rows, cols);
-    let mut e = ScoreMatrix::new(rows, cols);
-    let mut f = ScoreMatrix::new(rows, cols);
+    let [h, e, f] = storage;
+    let mut h = ScoreMatrix::from_storage(rows, cols, h);
+    let mut e = ScoreMatrix::from_storage(rows, cols, e);
+    let mut f = ScoreMatrix::from_storage(rows, cols, f);
     for j in 0..=cols {
         h.set(0, j, bnd.top_h[j]);
         f.set(0, j, bnd.top_v[j]);

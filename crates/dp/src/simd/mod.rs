@@ -29,6 +29,12 @@
 //! and the direction derivation in [`Kernel::fill_dir`] apply the shared
 //! Diag ≻ Up ≻ Left precedence *after* the max, not during it.
 //!
+//! Affine (Gotoh) rows take the same two passes with a third state: `F`
+//! joins pass A, and the horizontal state `E` becomes an *exclusive*
+//! prefix max (see `affine_row_portable`). AVX-512 and AVX2 run them for
+//! [`Kernel::fill_affine_edges_in`] and
+//! [`Kernel::fill_affine_full_reusing`].
+//!
 //! Backends:
 //!
 //! * [`KernelBackend::Scalar`] — the reference kernels, always available
@@ -56,6 +62,7 @@ use std::sync::Arc;
 
 use flsa_scoring::{QueryProfile, ScoringScheme};
 
+use crate::affine::{self, affine_params, AffineBoundary, AffineEdges, AffineMatrices, NEG};
 use crate::arena::KernelArena;
 use crate::boundary::check_boundary;
 use crate::kernel;
@@ -198,6 +205,83 @@ fn row_update_portable(prev: &[i32], cur: &mut [i32], profile: &[i32], gap: i32)
     }
 }
 
+/// The operands of one affine row update: `hp`/`fp` are `H`/`F` of the
+/// row above, `h`/`e`/`f` receive the row's `H`/`E`/`F`. All five are
+/// `cols + 1` long; on entry `h[0]` and `e[0]` hold the row's left
+/// boundary `H` and `E`, and `f[0]` is never touched.
+struct AffineRow<'r> {
+    hp: &'r [i32],
+    fp: &'r [i32],
+    h: &'r mut [i32],
+    e: &'r mut [i32],
+    f: &'r mut [i32],
+}
+
+impl AffineRow<'_> {
+    /// Checks every row against `cols + 1`. The vector kernels read and
+    /// write through raw pointers, so this release-mode guard is what
+    /// turns a short row into a panic instead of undefined behaviour.
+    fn check(&self, cols: usize) {
+        assert_eq!(self.hp.len(), cols + 1, "hp row length");
+        assert_eq!(self.fp.len(), cols + 1, "fp row length");
+        assert_eq!(self.h.len(), cols + 1, "h row length");
+        assert_eq!(self.e.len(), cols + 1, "e row length");
+        assert_eq!(self.f.len(), cols + 1, "f row length");
+    }
+
+    /// The scan's starting carry: the exclusive prefix before column 1,
+    /// `max(left_e, w[0])` with `w[0] = left_h + open`.
+    fn first_carry(&self, open: i32) -> i32 {
+        self.e[0].max(self.h[0] + open)
+    }
+
+    /// Columns `j..=cols` one at a time in the scan form, continuing
+    /// from the exclusive carry `carry` (see [`affine_row_portable`]).
+    /// The vector kernels finish their rows here.
+    fn scalar_cells(
+        &mut self,
+        mut j: usize,
+        mut carry: i32,
+        profile: &[i32],
+        open: i32,
+        extend: i32,
+    ) {
+        let cols = profile.len();
+        self.check(cols);
+        while j <= cols {
+            let fv = (self.fp[j] + extend).max(self.hp[j] + open + extend);
+            let d = (self.hp[j - 1] + profile[j - 1]).max(fv);
+            let ev = carry + j as i32 * extend;
+            self.h[j] = d.max(ev);
+            self.e[j] = ev;
+            self.f[j] = fv;
+            carry = carry.max(d + open - j as i32 * extend);
+            j += 1;
+        }
+    }
+}
+
+/// Portable one-row affine (Gotoh) update in the scan form the vector
+/// kernels in [`x86`] use. With `D[0] = left_h` and, for `j ≥ 1`,
+///
+/// ```text
+/// F[j] = max(Fp[j] + ext, Hp[j] + open + ext)
+/// D[j] = max(Hp[j-1] + S(a_i, b_j), F[j])         // H without its E term
+/// E[j] = j·ext + max(left_e, w[0], …, w[j-1])     // w[k] = D[k] + open − k·ext
+/// H[j] = max(D[j], E[j])
+/// ```
+///
+/// `E` is an *exclusive* prefix max of `w`, so no cell waits on its left
+/// neighbour. Scalar Gotoh builds `E` from `H(i,k) + open` instead of
+/// `D[k] + open`; the two agree whenever `open ≤ 0`, because where
+/// `H(i,k) = E(i,k) > D(i,k)` its term `E(i,k) + open + (j−k)·ext` is at
+/// most `E(i,k) + (j−k)·ext`, which `E(i,j)` already contains. So `H`,
+/// `E` and `F` equal [`crate::affine`]'s over the integers.
+fn affine_row_portable(mut row: AffineRow<'_>, profile: &[i32], open: i32, extend: i32) {
+    let carry = row.first_carry(open);
+    row.scalar_cells(1, carry, profile, open, extend);
+}
+
 /// A requested backend the current CPU cannot run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnsupportedBackend {
@@ -221,9 +305,12 @@ impl std::error::Error for UnsupportedBackend {}
 ///
 /// Cheap to clone (the arena is shared through an [`Arc`]) and `Sync`, so
 /// parallel tile workers can share one handle. All fill methods mirror
-/// the free functions in [`crate::kernel`] exactly — same signatures,
-/// same panics, same [`Metrics`] cell and call counts, bit-identical
-/// output — and file their cells under [`Kernel::backend_for`].
+/// the free functions in [`crate::kernel`] and [`crate::affine`] exactly
+/// — same signatures (minus the affine edge fill's arena), same panics,
+/// same [`Metrics`] cell and call counts, bit-identical output — and
+/// file their cells under the backend that ran them:
+/// [`Kernel::backend_for`], or scalar for affine fills this backend
+/// does not vectorize.
 #[derive(Debug, Clone)]
 pub struct Kernel {
     backend: KernelBackend,
@@ -322,6 +409,41 @@ impl Kernel {
                 // runs; the portable kernel keeps it correct regardless.
                 row_update_portable(prev, cur, profile, gap)
             }
+        }
+    }
+
+    /// The backend an affine fill of a `rows × cols` rectangle runs on:
+    /// this kernel's own when it is AVX-512 or AVX2, the rectangle is at
+    /// least [`MIN_VEC_COLS`] wide and `open ≤ 0` (the condition under
+    /// which the scan form is exact, see [`affine_row_portable`]);
+    /// scalar otherwise. SSE4.1 keeps the scalar fill.
+    fn affine_backend_for(&self, rows: usize, cols: usize, open: i32) -> KernelBackend {
+        match self.backend_for(rows, cols) {
+            b @ (KernelBackend::Avx2 | KernelBackend::Avx512) if open <= 0 => b,
+            _ => KernelBackend::Scalar,
+        }
+    }
+
+    /// Dispatches one affine row update to the active backend.
+    #[inline]
+    fn affine_row(&self, row: AffineRow<'_>, profile: &[i32], open: i32, extend: i32) {
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            KernelBackend::Avx2 => {
+                // SAFETY: `try_new` admits Avx2 only after
+                // `is_x86_feature_detected!("avx2")` returned true.
+                unsafe { x86::affine_row_avx2(row, profile, open, extend) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelBackend::Avx512 => {
+                // SAFETY: `try_new` admits Avx512 only after
+                // `is_x86_feature_detected!("avx512f")` returned true.
+                unsafe { x86::affine_row_avx512(row, profile, open, extend) }
+            }
+            // Scalar and SSE4.1 kernels fill affine rectangles with the
+            // free functions (`affine_backend_for`), so this arm never
+            // runs; the portable row keeps it exact regardless.
+            _ => affine_row_portable(row, profile, open, extend),
         }
     }
 
@@ -507,6 +629,116 @@ impl Kernel {
         self.put_profile(profile);
         metrics.add_cells(rows as u64 * cols as u64, backend);
         (dirs, row)
+    }
+
+    /// [`crate::affine::fill_affine_edges_in`] on the active backend,
+    /// drawing the edge buffers from this kernel's arena: return them
+    /// with [`AffineEdges::recycle`] on [`Kernel::arena`]. The edges are
+    /// bit-identical to the scalar function's, placeholders included.
+    pub fn fill_affine_edges_in(
+        &self,
+        a: &[u8],
+        b: &[u8],
+        bnd: AffineBoundary<'_>,
+        scheme: &ScoringScheme,
+        metrics: &Metrics,
+    ) -> AffineEdges {
+        let (rows, cols) = (a.len(), b.len());
+        let (open, extend) = affine_params(scheme);
+        let backend = self.affine_backend_for(rows, cols, open);
+        if backend == KernelBackend::Scalar {
+            return affine::fill_affine_edges_in(a, b, bnd, scheme, &self.arena, metrics);
+        }
+        bnd.check_boundary(rows, cols);
+        let profile = self.take_profile(scheme, b);
+        let mut hp = self.arena.take(cols + 1);
+        let mut fp = self.arena.take(cols + 1);
+        let mut h = self.arena.take(cols + 1);
+        let mut f = self.arena.take(cols + 1);
+        let mut e = self.arena.take(cols + 1);
+        let mut right_h = self.arena.take(rows + 1);
+        let mut right_e = self.arena.take(rows + 1);
+        hp.copy_from_slice(bnd.top_h);
+        fp.copy_from_slice(bnd.top_v);
+        // No row writes `F` at column 0: keep the scalar placeholder.
+        f[0] = bnd.top_v[0];
+        right_h[0] = bnd.top_h[cols];
+        right_e[0] = NEG;
+        for i in 1..=rows {
+            h[0] = bnd.left_h[i];
+            e[0] = bnd.left_e[i];
+            let row = AffineRow {
+                hp: &hp,
+                fp: &fp,
+                h: &mut h,
+                e: &mut e,
+                f: &mut f,
+            };
+            self.affine_row(row, profile.row(a[i - 1]), open, extend);
+            right_h[i] = h[cols];
+            right_e[i] = e[cols];
+            std::mem::swap(&mut hp, &mut h);
+            std::mem::swap(&mut fp, &mut f);
+        }
+        self.arena.put(h);
+        self.arena.put(f);
+        self.arena.put(e);
+        self.put_profile(profile);
+        metrics.add_cells(rows as u64 * cols as u64, backend);
+        AffineEdges {
+            bottom_h: hp,
+            bottom_v: fp,
+            right_h,
+            right_e,
+        }
+    }
+
+    /// [`crate::affine::fill_affine_full_reusing`] on the active backend:
+    /// `storage` (`H`, `E`, `F`) becomes the three layers, every entry
+    /// rewritten, bit-identical to the scalar function's.
+    pub fn fill_affine_full_reusing(
+        &self,
+        a: &[u8],
+        b: &[u8],
+        bnd: AffineBoundary<'_>,
+        scheme: &ScoringScheme,
+        storage: [Vec<i32>; 3],
+        metrics: &Metrics,
+    ) -> AffineMatrices {
+        let (rows, cols) = (a.len(), b.len());
+        let (open, extend) = affine_params(scheme);
+        let backend = self.affine_backend_for(rows, cols, open);
+        if backend == KernelBackend::Scalar {
+            return affine::fill_affine_full_reusing(a, b, bnd, scheme, storage, metrics);
+        }
+        bnd.check_boundary(rows, cols);
+        let profile = self.take_profile(scheme, b);
+        let [h, e, f] = storage;
+        let mut h = ScoreMatrix::from_storage(rows, cols, h);
+        let mut e = ScoreMatrix::from_storage(rows, cols, e);
+        let mut f = ScoreMatrix::from_storage(rows, cols, f);
+        h.row_mut(0).copy_from_slice(bnd.top_h);
+        f.row_mut(0).copy_from_slice(bnd.top_v);
+        e.row_mut(0).fill(NEG);
+        for i in 1..=rows {
+            let (hp, h_row) = h.rows_prev_cur(i);
+            let (fp, f_row) = f.rows_prev_cur(i);
+            let e_row = e.row_mut(i);
+            h_row[0] = bnd.left_h[i];
+            e_row[0] = bnd.left_e[i];
+            f_row[0] = NEG;
+            let row = AffineRow {
+                hp,
+                fp,
+                h: h_row,
+                e: e_row,
+                f: f_row,
+            };
+            self.affine_row(row, profile.row(a[i - 1]), open, extend);
+        }
+        self.put_profile(profile);
+        metrics.add_cells(rows as u64 * cols as u64, backend);
+        AffineMatrices { h, e, f }
     }
 }
 

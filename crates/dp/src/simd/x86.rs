@@ -1,13 +1,13 @@
 //! Explicit SSE4.1 / AVX2 / AVX-512 row-update kernels, plus the striped
 //! inter-sequence batch kernels behind [`crate::batch::BatchKernel`].
 //!
-//! Hand-written `core::arch` versions of [`super::row_update_portable`],
-//! selected at runtime by the dispatch layer after
-//! `is_x86_feature_detected!` has confirmed the ISA (see
-//! [`super::KernelBackend::is_available`]). The math is identical to the
-//! portable kernel — pass A computes `max(diag, up)`, pass B runs a
-//! log-step inclusive prefix max in the ramp-free u-domain — so every ISA
-//! is bit-identical to the scalar kernel.
+//! Hand-written `core::arch` versions of [`super::row_update_portable`]
+//! and, on AVX2 and AVX-512, of [`super::affine_row_portable`], selected
+//! at runtime by the dispatch layer after `is_x86_feature_detected!` has
+//! confirmed the ISA (see [`super::KernelBackend::is_available`]). The
+//! math is identical to the portable kernels — pass A is elementwise,
+//! pass B runs a log-step prefix max in the ramp-free u-domain — so every
+//! ISA is bit-identical to the scalar kernels.
 //!
 //! This module is the only `unsafe` surface of the workspace outside the
 //! audited `DisjointBuf` writes, and lint rule R6 pins every
@@ -16,6 +16,8 @@
 #![cfg(target_arch = "x86_64")]
 
 use core::arch::x86_64::*;
+
+use super::AffineRow;
 
 /// Lane-shift `x` one `i32` toward higher lanes, filling lane 0 from
 /// `fill` (lane `l` of the result is `x`'s lane `l-1`).
@@ -58,6 +60,23 @@ unsafe fn shl4_avx2(x: __m256i, fill: __m256i) -> __m256i {
     _mm256_blend_epi32::<0b0000_1111>(low_to_high, fill)
 }
 
+/// Inclusive prefix max of `u`'s eight lanes toward higher lanes, folded
+/// with the running carry `carryv` (broadcast): lane `l` of the result is
+/// `max(carry, u[0..=l])`.
+///
+/// # Safety
+///
+/// Requires AVX2 (guaranteed by the caller's own `target_feature`).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn prefix_max_avx2(u: __m256i, carryv: __m256i) -> __m256i {
+    let minv = _mm256_set1_epi32(i32::MIN);
+    let m1 = _mm256_max_epi32(u, shl1_avx2(u, minv));
+    let m2 = _mm256_max_epi32(m1, shl2_avx2(m1, minv));
+    let m4 = _mm256_max_epi32(m2, shl4_avx2(m2, minv));
+    _mm256_max_epi32(m4, carryv)
+}
+
 /// AVX2 version of [`super::row_update_portable`]: identical contract,
 /// identical results, eight columns per vector.
 ///
@@ -77,7 +96,6 @@ pub(crate) unsafe fn row_update_avx2(prev: &[i32], cur: &mut [i32], profile: &[i
     let mut j = 1usize;
     if j + 8 <= cols + 1 {
         let gapv = _mm256_set1_epi32(gap);
-        let minv = _mm256_set1_epi32(i32::MIN);
         let step = _mm256_set1_epi32(gap.wrapping_mul(8));
         // ramp lanes hold (j+l)*gap for the block's eight columns.
         let mut r = [0i32; 8];
@@ -95,12 +113,8 @@ pub(crate) unsafe fn row_update_avx2(prev: &[i32], cur: &mut [i32], profile: &[i
                 _mm256_loadu_si256(prev.as_ptr().add(j) as *const __m256i),
                 gapv,
             );
-            let t = _mm256_max_epi32(diag, up);
-            let u = _mm256_sub_epi32(t, ramp);
-            let m1 = _mm256_max_epi32(u, shl1_avx2(u, minv));
-            let m2 = _mm256_max_epi32(m1, shl2_avx2(m1, minv));
-            let m4 = _mm256_max_epi32(m2, shl4_avx2(m2, minv));
-            let m = _mm256_max_epi32(m4, carryv);
+            let u = _mm256_sub_epi32(_mm256_max_epi32(diag, up), ramp);
+            let m = prefix_max_avx2(u, carryv);
             _mm256_storeu_si256(
                 cur.as_mut_ptr().add(j) as *mut __m256i,
                 _mm256_add_epi32(m, ramp),
@@ -215,6 +229,176 @@ pub(crate) unsafe fn row_update_avx512(prev: &[i32], cur: &mut [i32], profile: &
         let up = _mm512_add_epi32(_mm512_maskz_loadu_epi32(mask, prev.as_ptr().add(j)), gapv);
         let m = prefix_max_avx512(diag, up, ramp, carryv);
         _mm512_mask_storeu_epi32(cur.as_mut_ptr().add(j), mask, _mm512_add_epi32(m, ramp));
+    }
+}
+
+/// AVX2 version of [`super::affine_row_portable`]: identical contract,
+/// identical results, eight columns per vector.
+///
+/// Per block, pass A is elementwise: `F = max(Fp + ext, Hp + open + ext)`
+/// and `D = max(Hp[j-1] + S, F)`. Pass B scans `w = D + open − ramp`
+/// (`ramp` lanes hold `k·ext`) with [`prefix_max_avx2`], folded with the
+/// carry, and shifts the result one lane up with the carry filling lane
+/// 0: that is the *exclusive* prefix, and `E = excl + ramp`,
+/// `H = max(D, E)`. The last 0–7 columns run as scalar cells.
+///
+/// # Safety
+///
+/// The caller must have verified `is_x86_feature_detected!("avx2")`; the
+/// dispatch layer does this once at `Kernel` construction.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn affine_row_avx2(
+    mut row: AffineRow<'_>,
+    profile: &[i32],
+    open: i32,
+    extend: i32,
+) {
+    let cols = profile.len();
+    // Release-mode guard: the vector loop below reads and writes through
+    // raw pointers (`.add(j)`), so an out-of-bounds row is UB, not a panic.
+    row.check(cols);
+    let mut carry = row.first_carry(open);
+    let mut j = 1usize;
+    if j + 8 <= cols + 1 {
+        let extv = _mm256_set1_epi32(extend);
+        let openv = _mm256_set1_epi32(open);
+        let open_ext = _mm256_set1_epi32(open + extend);
+        let step = _mm256_set1_epi32(extend.wrapping_mul(8));
+        // ramp lanes hold (j+l)*extend for the block's eight columns.
+        let mut r = [0i32; 8];
+        for (l, slot) in r.iter_mut().enumerate() {
+            *slot = (l as i32 + 1).wrapping_mul(extend);
+        }
+        let mut ramp = _mm256_loadu_si256(r.as_ptr() as *const __m256i);
+        let mut carryv = _mm256_set1_epi32(carry);
+        while j + 8 <= cols + 1 {
+            let diag = _mm256_add_epi32(
+                _mm256_loadu_si256(row.hp.as_ptr().add(j - 1) as *const __m256i),
+                _mm256_loadu_si256(profile.as_ptr().add(j - 1) as *const __m256i),
+            );
+            let up_f = _mm256_loadu_si256(row.fp.as_ptr().add(j) as *const __m256i);
+            let up_h = _mm256_loadu_si256(row.hp.as_ptr().add(j) as *const __m256i);
+            let f = _mm256_max_epi32(
+                _mm256_add_epi32(up_f, extv),
+                _mm256_add_epi32(up_h, open_ext),
+            );
+            let d = _mm256_max_epi32(diag, f);
+            let w = _mm256_sub_epi32(_mm256_add_epi32(d, openv), ramp);
+            let m = prefix_max_avx2(w, carryv);
+            let e = _mm256_add_epi32(shl1_avx2(m, carryv), ramp);
+            _mm256_storeu_si256(
+                row.h.as_mut_ptr().add(j) as *mut __m256i,
+                _mm256_max_epi32(d, e),
+            );
+            _mm256_storeu_si256(row.e.as_mut_ptr().add(j) as *mut __m256i, e);
+            _mm256_storeu_si256(row.f.as_mut_ptr().add(j) as *mut __m256i, f);
+            carryv = _mm256_permutevar8x32_epi32(m, _mm256_set1_epi32(7));
+            ramp = _mm256_add_epi32(ramp, step);
+            j += 8;
+        }
+        carry = _mm256_extract_epi32::<7>(carryv);
+    }
+    row.scalar_cells(j, carry, profile, open, extend);
+}
+
+/// One sixteen-column block of [`affine_row_avx512`], from its loaded
+/// operands: `diag = Hp[j-1..] + S`, `up_h = Hp[j..]`, `up_f = Fp[j..]`.
+/// Returns `(H, E, F, m)`, where lane 15 of `m` is the next block's
+/// carry.
+///
+/// `F` and `D = max(diag, F)` are elementwise. [`prefix_max_avx512`],
+/// given `ramp − open` as its ramp, scans `w = D + open − ramp` and
+/// folds in the carry; `_mm512_alignr_epi32::<15>(m, carryv)` shifts that
+/// one lane up, filling lane 0 from the carry — the *exclusive* prefix —
+/// and `E = excl + ramp`, `H = max(D, E)`. Like the linear block, every
+/// step carries toward higher lanes only, so a masked tail is exact.
+///
+/// # Safety
+///
+/// Requires AVX-512F (guaranteed by the caller's own `target_feature`).
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn affine_block_avx512(
+    diag: __m512i,
+    up_h: __m512i,
+    up_f: __m512i,
+    ramp: __m512i,
+    carryv: __m512i,
+    open: i32,
+    extend: i32,
+) -> (__m512i, __m512i, __m512i, __m512i) {
+    let f = _mm512_max_epi32(
+        _mm512_add_epi32(up_f, _mm512_set1_epi32(extend)),
+        _mm512_add_epi32(up_h, _mm512_set1_epi32(open + extend)),
+    );
+    let ramp_open = _mm512_sub_epi32(ramp, _mm512_set1_epi32(open));
+    let m = prefix_max_avx512(diag, f, ramp_open, carryv);
+    let e = _mm512_add_epi32(_mm512_alignr_epi32::<15>(m, carryv), ramp);
+    let h = _mm512_max_epi32(_mm512_max_epi32(diag, f), e);
+    (h, e, f, m)
+}
+
+/// AVX-512F version of [`super::affine_row_portable`]: identical
+/// contract, identical results, sixteen columns per vector. Full blocks
+/// use plain loads and stores; the last 1–15 columns run as one masked
+/// block, exactly as in [`row_update_avx512`].
+///
+/// # Safety
+///
+/// The caller must have verified `is_x86_feature_detected!("avx512f")`;
+/// the dispatch layer does this once at `Kernel` construction.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn affine_row_avx512(
+    row: AffineRow<'_>,
+    profile: &[i32],
+    open: i32,
+    extend: i32,
+) {
+    let cols = profile.len();
+    // Release-mode guard: the vector loop below reads and writes through
+    // raw pointers (`.add(j)`), so an out-of-bounds row is UB, not a panic.
+    row.check(cols);
+    let step = _mm512_set1_epi32(extend.wrapping_mul(16));
+    let top_lane = _mm512_set1_epi32(15);
+    // ramp lanes hold (j+l)*extend for the block's sixteen columns.
+    let mut r = [0i32; 16];
+    for (l, slot) in r.iter_mut().enumerate() {
+        *slot = (l as i32 + 1).wrapping_mul(extend);
+    }
+    let mut ramp = _mm512_loadu_si512(r.as_ptr() as *const __m512i);
+    let mut carryv = _mm512_set1_epi32(row.first_carry(open));
+    let (hp, fp) = (row.hp.as_ptr(), row.fp.as_ptr());
+    let (h, e, f) = (row.h.as_mut_ptr(), row.e.as_mut_ptr(), row.f.as_mut_ptr());
+    let mut j = 1usize;
+    while j + 16 <= cols + 1 {
+        let diag = _mm512_add_epi32(
+            _mm512_loadu_si512(hp.add(j - 1) as *const __m512i),
+            _mm512_loadu_si512(profile.as_ptr().add(j - 1) as *const __m512i),
+        );
+        let up_h = _mm512_loadu_si512(hp.add(j) as *const __m512i);
+        let up_f = _mm512_loadu_si512(fp.add(j) as *const __m512i);
+        let (hv, ev, fv, m) = affine_block_avx512(diag, up_h, up_f, ramp, carryv, open, extend);
+        _mm512_storeu_si512(h.add(j) as *mut __m512i, hv);
+        _mm512_storeu_si512(e.add(j) as *mut __m512i, ev);
+        _mm512_storeu_si512(f.add(j) as *mut __m512i, fv);
+        carryv = _mm512_permutexvar_epi32(top_lane, m);
+        ramp = _mm512_add_epi32(ramp, step);
+        j += 16;
+    }
+    if j <= cols {
+        // Columns j..=cols, 1–15 of them: lanes 0..live of one block.
+        let live = cols + 1 - j;
+        let mask: __mmask16 = (1u16 << live) - 1;
+        let diag = _mm512_add_epi32(
+            _mm512_maskz_loadu_epi32(mask, hp.add(j - 1)),
+            _mm512_maskz_loadu_epi32(mask, profile.as_ptr().add(j - 1)),
+        );
+        let up_h = _mm512_maskz_loadu_epi32(mask, hp.add(j));
+        let up_f = _mm512_maskz_loadu_epi32(mask, fp.add(j));
+        let (hv, ev, fv, _) = affine_block_avx512(diag, up_h, up_f, ramp, carryv, open, extend);
+        _mm512_mask_storeu_epi32(h.add(j), mask, hv);
+        _mm512_mask_storeu_epi32(e.add(j), mask, ev);
+        _mm512_mask_storeu_epi32(f.add(j), mask, fv);
     }
 }
 

@@ -5,9 +5,10 @@
 //! kernel gracefully — same answer, no error.
 
 use fastlsa_core::{align_opts, AlignOptions, FastLsaConfig};
+use flsa_dp::affine::AffineGlobalBoundary;
 use flsa_dp::{Kernel, KernelBackend, Metrics};
 use flsa_hirschberg::{hirschberg_kernel, HirschbergConfig};
-use flsa_scoring::ScoringScheme;
+use flsa_scoring::{tables, GapModel, ScoringScheme};
 use flsa_seq::generate::homologous_pair;
 use flsa_seq::Alphabet;
 
@@ -44,6 +45,46 @@ fn repeated_runs_make_zero_net_allocations() {
         kernel.arena().reuses() > after_warmup,
         "the pool must actually serve the repeats"
     );
+}
+
+#[test]
+fn repeated_affine_block_fills_make_zero_net_allocations() {
+    // Affine FastLSA's two fills: edge fills whose buffers go back to the
+    // kernel's arena, and base-case fills in three reused buffers.
+    let scheme = ScoringScheme::new(tables::blosum62(), GapModel::affine(-11, -1));
+    let (a, b) = homologous_pair("t", &Alphabet::protein(), 300, 0.8, 7).unwrap();
+    let (a, b) = (a.codes(), b.codes());
+    let bnd = AffineGlobalBoundary::new(a.len(), b.len(), -11, -1);
+    let kernel = Kernel::auto();
+    let metrics = Metrics::new();
+
+    // Warm-up: grows the arena and the base buffers to their high-water marks.
+    let first = kernel.fill_affine_edges_in(a, b, bnd.view(), &scheme, &metrics);
+    let want = first.bottom_h.clone();
+    first.recycle(kernel.arena());
+    let storage = Default::default();
+    let mut storage = kernel
+        .fill_affine_full_reusing(a, b, bnd.view(), &scheme, storage, &metrics)
+        .into_storage();
+    let allocs = kernel.arena().fresh_allocs();
+    let held = kernel.arena().held_bytes();
+    let capacities = storage.each_ref().map(Vec::capacity);
+
+    for _ in 0..5 {
+        let edges = kernel.fill_affine_edges_in(a, b, bnd.view(), &scheme, &metrics);
+        assert_eq!(edges.bottom_h, want);
+        edges.recycle(kernel.arena());
+        storage = kernel
+            .fill_affine_full_reusing(a, b, bnd.view(), &scheme, storage, &metrics)
+            .into_storage();
+    }
+    assert_eq!(
+        kernel.arena().fresh_allocs(),
+        allocs,
+        "steady-state affine fills must not allocate"
+    );
+    assert_eq!(kernel.arena().held_bytes(), held);
+    assert_eq!(storage.each_ref().map(Vec::capacity), capacities);
 }
 
 #[test]

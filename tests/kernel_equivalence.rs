@@ -8,6 +8,11 @@
 //! recurrence (prefix-max scan), so equality here is integer equality,
 //! not approximation.
 //!
+//! The affine (Gotoh) fills are under it too: [`Kernel::fill_affine_edges_in`]
+//! and [`Kernel::fill_affine_full_reusing`] must reproduce the scalar
+//! free functions in `flsa_dp::affine` — every edge, every `H`/`E`/`F`
+//! entry — whichever backend runs them.
+//!
 //! The inter-sequence [`BatchKernel`] is under the same contract: a batch
 //! of independent pairs must return exactly the results of aligning each
 //! pair alone on the scalar kernel, including when `i16` saturation
@@ -22,8 +27,9 @@
 use std::sync::Arc;
 
 use fastlsa_core::{align_opts, AlignOptions, FastLsaConfig};
+use flsa_dp::affine::{self, AffineGlobalBoundary, AffineMatrices, NEG};
 use flsa_dp::kernel::{fill_dir, fill_full, fill_last_row_col};
-use flsa_dp::{BatchJob, BatchKernel, Boundary, Kernel, KernelBackend, Metrics};
+use flsa_dp::{BatchJob, BatchKernel, Boundary, Kernel, KernelArena, KernelBackend, Metrics};
 use flsa_fullmatrix::{needleman_wunsch, needleman_wunsch_kernel};
 use flsa_hirschberg::{hirschberg_kernel, HirschbergConfig};
 use flsa_metrics::{names, Registry};
@@ -221,51 +227,251 @@ fn fill_kernels_match_scalar_on_random_rectangles() {
     }
 }
 
+/// Asserts that `cells` were filed under `ran_on` alone, in the registry
+/// counters and in every traced kernel event.
+fn assert_filed_under(
+    what: &str,
+    ran_on: KernelBackend,
+    cells: u64,
+    registry: &Registry,
+    recorder: &Recorder,
+) {
+    let snap = registry.snapshot();
+    for (other, metric) in KernelBackend::ALL
+        .into_iter()
+        .zip(names::CELLS_BACKEND_TOTAL)
+    {
+        let want = if other == ran_on { cells } else { 0 };
+        assert_eq!(snap.counter(metric), Some(want), "{what}: cells[{other}]");
+    }
+    let trace = recorder.snapshot();
+    assert_eq!(trace.kernel_cells(), cells, "{what}: traced cells");
+    for e in &trace.events {
+        if let EventKind::Kernel { backend: name, .. } = e.kind {
+            assert_eq!(name, ran_on.name(), "{what}: traced backend");
+        }
+    }
+}
+
+/// A metrics handle wired to a fresh recorder and registry.
+fn recorded_metrics() -> (Metrics, Arc<Recorder>, Registry) {
+    let recorder = Arc::new(Recorder::new());
+    let registry = Registry::new();
+    let m = Metrics::with_recorder(Arc::clone(&recorder)).with_registry(&registry);
+    (m, recorder, registry)
+}
+
 #[test]
 fn fills_are_filed_under_the_backend_that_ran_them() {
     // A fill of at least 16 columns (the vector cutoff) runs on the
-    // kernel's own backend; a narrower one runs the scalar loop. Each
-    // call files its cells under the backend that ran, in the registry
-    // counter and in the trace event alike.
+    // kernel's own backend; a narrower one runs the scalar loop. Affine
+    // fills vectorize on AVX-512 and AVX2 only: SSE4.1 keeps the scalar
+    // affine fill. Each call files its cells under the backend that ran,
+    // in the registry counter and in the trace event alike.
     let scheme = ScoringScheme::dna_default();
+    let affine_scheme = ScoringScheme::new(tables::dna_default(), GapModel::affine(-10, -2));
     let mut rng = Rng::new(0xa77);
     for backend in backends() {
         let kernel = Kernel::try_new(backend).unwrap();
-        for (cols, ran_on) in [
-            (16, backend),
-            (45, backend),
-            (15, KernelBackend::Scalar),
-            (3, KernelBackend::Scalar),
+        let affine_backend = match backend {
+            KernelBackend::Avx2 | KernelBackend::Avx512 => backend,
+            _ => KernelBackend::Scalar,
+        };
+        for (cols, ran_on, affine_ran_on) in [
+            (16, backend, affine_backend),
+            (45, backend, affine_backend),
+            (15, KernelBackend::Scalar, KernelBackend::Scalar),
+            (3, KernelBackend::Scalar, KernelBackend::Scalar),
         ] {
             let rows = 1 + rng.below(20) as usize;
             let a = random_codes(&mut rng, rows, 4);
             let b = random_codes(&mut rng, cols, 4);
             let bound = random_boundary(&mut rng, rows, cols);
-            let recorder = Arc::new(Recorder::new());
-            let registry = Registry::new();
-            let m = Metrics::with_recorder(Arc::clone(&recorder)).with_registry(&registry);
+            let (m, recorder, registry) = recorded_metrics();
             kernel.fill_full(&a, &b, &bound.top, &bound.left, &scheme, &m);
             let mut bottom = vec![0i32; cols + 1];
             kernel.fill_last_row(&a, &b, &bound.top, &bound.left, &scheme, &mut bottom, &m);
             kernel.fill_dir(&a, &b, &bound.top, &bound.left, &scheme, &m);
-
             let what = format!("backend {backend}, {rows}x{cols} fill");
             let cells = 3 * (rows * cols) as u64;
-            let snap = registry.snapshot();
-            for (other, metric) in KernelBackend::ALL
-                .into_iter()
-                .zip(names::CELLS_BACKEND_TOTAL)
-            {
-                let want = if other == ran_on { cells } else { 0 };
-                assert_eq!(snap.counter(metric), Some(want), "{what}: cells[{other}]");
-            }
-            let trace = recorder.snapshot();
-            assert_eq!(trace.kernel_cells(), cells, "{what}: traced cells");
-            for e in &trace.events {
-                if let EventKind::Kernel { backend: name, .. } = e.kind {
-                    assert_eq!(name, ran_on.name(), "{what}: traced backend");
+            assert_filed_under(&what, ran_on, cells, &registry, &recorder);
+
+            let bnd = random_affine_boundary(&mut rng, rows, cols);
+            let (m, recorder, registry) = recorded_metrics();
+            let edges = kernel.fill_affine_edges_in(&a, &b, bnd.view(), &affine_scheme, &m);
+            edges.recycle(kernel.arena());
+            let storage = Default::default();
+            kernel.fill_affine_full_reusing(&a, &b, bnd.view(), &affine_scheme, storage, &m);
+            let what = format!("backend {backend}, {rows}x{cols} affine fill");
+            let cells = 2 * (rows * cols) as u64;
+            assert_filed_under(&what, affine_ran_on, cells, &registry, &recorder);
+        }
+
+        // A positive gap open (only the raw `GapModel::Affine` variant
+        // builds one) breaks the scan's exactness condition: the fill
+        // falls back to scalar, files there, and still matches.
+        let raw = ScoringScheme::new(
+            tables::dna_default(),
+            GapModel::Affine {
+                open: 3,
+                extend: -1,
+            },
+        );
+        let (rows, cols) = (12, 45);
+        let a = random_codes(&mut rng, rows, 4);
+        let b = random_codes(&mut rng, cols, 4);
+        let bnd = random_affine_boundary(&mut rng, rows, cols);
+        let (m, recorder, registry) = recorded_metrics();
+        assert_affine_fills_match_scalar(&format!("open +3, {backend}"), &raw, &a, &b, &bnd);
+        let edges = kernel.fill_affine_edges_in(&a, &b, bnd.view(), &raw, &m);
+        edges.recycle(kernel.arena());
+        let what = format!("backend {backend}, open +3 affine fill");
+        let cells = (rows * cols) as u64;
+        assert_filed_under(&what, KernelBackend::Scalar, cells, &registry, &recorder);
+    }
+}
+
+/// A random affine boundary: `H` edges are random walks from a shared
+/// corner (as in [`random_boundary`]); each `F` entry of the top row and
+/// `E` entry of the left column is [`NEG`] or an arbitrary value near
+/// the `H` beside it.
+fn random_affine_boundary(rng: &mut Rng, rows: usize, cols: usize) -> AffineGlobalBoundary {
+    let h = random_boundary(rng, rows, cols);
+    let mut gap_state = |h: &[i32]| -> Vec<i32> {
+        h.iter()
+            .map(|&v| {
+                if rng.below(2) == 0 {
+                    NEG
+                } else {
+                    v + rng.range_i32(-30, 5)
                 }
-            }
+            })
+            .collect()
+    };
+    let top_v = gap_state(&h.top);
+    let left_e = gap_state(&h.left);
+    AffineGlobalBoundary {
+        top_h: h.top,
+        top_v,
+        left_h: h.left,
+        left_e,
+    }
+}
+
+fn assert_layers_eq(what: &str, got: &AffineMatrices, want: &AffineMatrices) {
+    assert_eq!(got.h, want.h, "{what}: H");
+    assert_eq!(got.e, want.e, "{what}: E");
+    assert_eq!(got.f, want.f, "{what}: F");
+}
+
+/// Runs both affine `Kernel` fills for one rectangle on every backend
+/// and asserts each equals the scalar free function: all four edges
+/// (placeholders included), and all of `H`/`E`/`F` from fresh storage
+/// and from storage poisoned by a larger solve.
+fn assert_affine_fills_match_scalar(
+    case: &str,
+    scheme: &ScoringScheme,
+    a: &[u8],
+    b: &[u8],
+    bnd: &AffineGlobalBoundary,
+) {
+    let (rows, cols) = (a.len(), b.len());
+    let m_ref = Metrics::new();
+    let edges_ref =
+        affine::fill_affine_edges_in(a, b, bnd.view(), scheme, &KernelArena::new(), &m_ref);
+    let full_ref = affine::fill_affine_full(a, b, bnd.view(), scheme, &m_ref);
+    // A larger rectangle to poison the reused storage with.
+    let codes = scheme.matrix().alphabet().len() as u64;
+    let big_a: Vec<u8> = (0..rows + 3).map(|i| (i as u64 % codes) as u8).collect();
+    let big_b: Vec<u8> = (0..cols + 17)
+        .map(|j| (j as u64 * 7 % codes) as u8)
+        .collect();
+    let big_bnd = AffineGlobalBoundary::new(rows + 3, cols + 17, -1, -1);
+
+    for backend in backends() {
+        let kernel = Kernel::try_new(backend).unwrap();
+        let what = format!("{case} backend {backend}");
+        let m = Metrics::new();
+        let edges = kernel.fill_affine_edges_in(a, b, bnd.view(), scheme, &m);
+        assert_eq!(edges.bottom_h, edges_ref.bottom_h, "{what}: bottom H");
+        assert_eq!(edges.bottom_v, edges_ref.bottom_v, "{what}: bottom F");
+        assert_eq!(edges.right_h, edges_ref.right_h, "{what}: right H");
+        assert_eq!(edges.right_e, edges_ref.right_e, "{what}: right E");
+        edges.recycle(kernel.arena());
+
+        let fresh =
+            kernel.fill_affine_full_reusing(a, b, bnd.view(), scheme, Default::default(), &m);
+        assert_layers_eq(&format!("{what} fresh"), &fresh, &full_ref);
+
+        let poison = kernel
+            .fill_affine_full_reusing(
+                &big_a,
+                &big_b,
+                big_bnd.view(),
+                scheme,
+                Default::default(),
+                &Metrics::new(),
+            )
+            .into_storage();
+        let reused = kernel.fill_affine_full_reusing(a, b, bnd.view(), scheme, poison, &m);
+        assert_layers_eq(&format!("{what} reused"), &reused, &full_ref);
+
+        let snap = m.snapshot();
+        assert_eq!(
+            snap.cells_computed,
+            3 * (rows * cols) as u64,
+            "{what}: cells"
+        );
+        assert_eq!(snap.kernel_calls, 3, "{what}: kernel calls");
+    }
+}
+
+/// Gap pairs the affine suite draws from: every open the scan must
+/// handle exactly (`open ≤ 0`), including zero, against every extend.
+const AFFINE_OPENS: [i32; 4] = [0, -1, -11, -14];
+const AFFINE_EXTENDS: [i32; 3] = [0, -1, -2];
+
+fn affine_scheme(rng: &mut Rng, which: usize) -> ScoringScheme {
+    let open = AFFINE_OPENS[rng.below(AFFINE_OPENS.len() as u64) as usize];
+    let extend = AFFINE_EXTENDS[rng.below(AFFINE_EXTENDS.len() as u64) as usize];
+    let matrix = match which % 3 {
+        0 => tables::dna_default(),
+        1 => tables::blosum62(),
+        _ => tables::mdm_fragment(),
+    };
+    ScoringScheme::new(matrix, GapModel::affine(open, extend))
+}
+
+#[test]
+fn affine_fills_match_scalar_on_random_rectangles() {
+    let mut rng = Rng::new(0xaff1);
+    for case in 0..90 {
+        let scheme = affine_scheme(&mut rng, case);
+        let codes = scheme.matrix().alphabet().len() as u8;
+        let rows = rng.below(40) as usize;
+        let cols = rng.below(100) as usize;
+        let a = random_codes(&mut rng, rows, codes);
+        let b = random_codes(&mut rng, cols, codes);
+        let bnd = if case % 2 == 0 {
+            let (open, extend) = affine::affine_params(&scheme);
+            AffineGlobalBoundary::new(rows, cols, open, extend)
+        } else {
+            random_affine_boundary(&mut rng, rows, cols)
+        };
+        assert_affine_fills_match_scalar(&format!("case {case}"), &scheme, &a, &b, &bnd);
+    }
+    // Every row tail: widths 16·v + r, as for the linear fills (AVX-512
+    // ends rows in one masked block, AVX2 in up to 7 scalar cells).
+    for v in 1..=3usize {
+        for r in 0..16usize {
+            let cols = 16 * v + r;
+            let scheme = affine_scheme(&mut rng, v + r);
+            let codes = scheme.matrix().alphabet().len() as u8;
+            let rows = 1 + rng.below(12) as usize;
+            let a = random_codes(&mut rng, rows, codes);
+            let b = random_codes(&mut rng, cols, codes);
+            let bnd = random_affine_boundary(&mut rng, rows, cols);
+            assert_affine_fills_match_scalar(&format!("width {cols}"), &scheme, &a, &b, &bnd);
         }
     }
 }
