@@ -5,8 +5,11 @@
 //! problems, for every backend the CPU supports, and reports cells/sec
 //! and ns/cell. The sweep also measures the inter-sequence
 //! [`BatchKernel`]: batches of small independent pairs aligned
-//! one-per-lane versus the same pairs aligned one at a time, reported as
-//! pairs/sec. It also times [`Kernel::fill_affine_edges_in`] — affine
+//! one-per-lane versus the same pairs aligned one at a time — both on the
+//! batch kernel's own single-pair path and as a loop of
+//! [`fastlsa_core::align`], the path a caller would otherwise take —
+//! reported as pairs/sec. It also times
+//! [`Kernel::fill_affine_edges_in`] — affine
 //! FastLSA's grid fill — per backend on a homologous protein pair under
 //! BLOSUM62 with gaps −11/−1. The JSON report (`BENCH_kernels.json`)
 //! records the detected CPU features so numbers are comparable across
@@ -73,8 +76,12 @@ pub struct BatchBenchCase {
     pub pairs: usize,
     /// Best wall-clock for one `align_batch` over all pairs.
     pub batched_ns: u64,
-    /// Best wall-clock for aligning the same pairs one at a time.
+    /// Best wall-clock for aligning the same pairs one at a time on the
+    /// batch kernel's single-pair fallback.
     pub single_ns: u64,
+    /// Best wall-clock for a loop of [`fastlsa_core::align`] over the same
+    /// pairs: reported next to the gated `single_ns`, not gated itself.
+    pub align_ns: u64,
 }
 
 impl BatchBenchCase {
@@ -93,6 +100,15 @@ impl BatchBenchCase {
             0.0
         } else {
             self.single_ns as f64 / self.batched_ns as f64
+        }
+    }
+
+    /// Batched throughput over a loop of [`fastlsa_core::align`].
+    pub fn speedup_vs_align(&self) -> f64 {
+        if self.batched_ns == 0 {
+            0.0
+        } else {
+            self.align_ns as f64 / self.batched_ns as f64
         }
     }
 }
@@ -216,13 +232,16 @@ impl KernelBenchReport {
         for (i, c) in self.batch.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"len\": {}, \"pairs\": {}, \"batched_ns\": {}, \"single_ns\": {}, \
-                 \"pairs_per_sec\": {:.1}, \"speedup_vs_single\": {:.3}}}{}\n",
+                 \"align_ns\": {}, \"pairs_per_sec\": {:.1}, \"speedup_vs_single\": {:.3}, \
+                 \"speedup_vs_align\": {:.3}}}{}\n",
                 c.len,
                 c.pairs,
                 c.batched_ns,
                 c.single_ns,
+                c.align_ns,
                 c.pairs_per_sec(),
                 c.speedup(),
+                c.speedup_vs_align(),
                 if i + 1 < self.batch.len() { "," } else { "" },
             ));
         }
@@ -250,8 +269,10 @@ impl KernelBenchReport {
                 "pairs",
                 "batched ms",
                 "single ms",
+                "align ms",
                 "pairs/s",
                 "vs single",
+                "vs align",
             ]);
             for c in &self.batch {
                 bt.row(&[
@@ -259,8 +280,10 @@ impl KernelBenchReport {
                     format!("{}", c.pairs),
                     format!("{:.1}", c.batched_ns as f64 / 1e6),
                     format!("{:.1}", c.single_ns as f64 / 1e6),
+                    format!("{:.1}", c.align_ns as f64 / 1e6),
                     format!("{:.0}", c.pairs_per_sec()),
                     format!("{:.2}x", c.speedup()),
+                    format!("{:.2}x", c.speedup_vs_align()),
                 ]);
             }
             out.push_str(&format!("batch kernel ({}):\n", self.batch_backend));
@@ -418,7 +441,8 @@ pub fn run_with(
 
 /// One batch-vs-single measurement: `pairs` homologous `len × len` DNA
 /// pairs, full alignment (score + path) through [`BatchKernel`] both as
-/// one batch and as single-job batches (the exact i32 single-pair path).
+/// one batch and as single-job batches (the exact i32 single-pair path),
+/// and through a loop of [`fastlsa_core::align`].
 fn bench_batch(
     batch_kernel: &BatchKernel,
     scheme: &ScoringScheme,
@@ -443,6 +467,7 @@ fn bench_batch(
         .collect();
     let mut batched_ns = u64::MAX;
     let mut single_ns = u64::MAX;
+    let mut align_ns = u64::MAX;
     // Rep 0 is the untimed warmup (caches + arena pool), as above.
     for rep in 0..=reps.max(1) {
         let start = Instant::now();
@@ -463,12 +488,22 @@ fn bench_batch(
         if rep > 0 {
             single_ns = single_ns.min(ns);
         }
+
+        let start = Instant::now();
+        for (sa, sb) in &seqs {
+            fastlsa_core::align(sa, sb, scheme, &metrics).expect("linear-gap DNA pair aligns");
+        }
+        let ns = start.elapsed().as_nanos() as u64;
+        if rep > 0 {
+            align_ns = align_ns.min(ns);
+        }
     }
     BatchBenchCase {
         len,
         pairs,
         batched_ns,
         single_ns,
+        align_ns,
     }
 }
 
@@ -548,11 +583,12 @@ mod tests {
         assert_eq!(report.batch.len(), 2);
         for c in &report.batch {
             assert_eq!(c.pairs, 8);
-            assert!(c.batched_ns > 0 && c.single_ns > 0);
+            assert!(c.batched_ns > 0 && c.single_ns > 0 && c.align_ns > 0);
         }
         let json = report.to_json();
         assert!(json.contains("\"batch_backend\""));
         assert!(json.contains("\"speedup_vs_single\""));
+        assert!(json.contains("\"speedup_vs_align\""));
         assert!(report.render().contains("batch kernel"));
     }
 }

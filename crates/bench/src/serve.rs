@@ -13,15 +13,16 @@
 //! schedule regardless of completions — measures latency including
 //! queueing, the way real arrival processes do). Latency percentiles
 //! (p50/p95/p99) and sustained throughput land in `BENCH_serve.json`,
-//! and `--gate` turns the closed-loop throughput into a regression
-//! gate.
+//! stamped with the host's CPU features, kernel backend and CPU count so
+//! numbers are comparable across machines, and `--gate` turns the
+//! closed-loop throughput into a regression gate.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use flsa_dp::{detected_cpu_features, KernelBackend};
 use flsa_fault::SplitMix64;
-use flsa_metrics::{names, Registry};
 use flsa_serve::wire::{AlignRequest, Frame};
 use flsa_serve::{Client, ServeConfig, Server};
 
@@ -174,44 +175,21 @@ impl LoadResult {
     }
 }
 
-/// A batched-vs-unbatched A/B over a backlog-heavy closed-loop cell:
-/// the same read-heavy workload driven twice against a single-worker
-/// daemon, once with `batch_max = 1` (batching off) and once with the
-/// default batch width, so the only variable is the inter-sequence
-/// batch kernel.
-#[derive(Debug, Clone)]
-pub struct BatchComparison {
-    /// Throughput with `batch_max = 1`, requests/second.
-    pub unbatched_ops_s: f64,
-    /// Throughput with the default batch width, requests/second.
-    pub batched_ops_s: f64,
-    /// Batched dispatches the batched run executed.
-    pub batches: u64,
-    /// Jobs that rode a batched dispatch in the batched run.
-    pub batched_jobs: u64,
-}
-
-impl BatchComparison {
-    /// Batched over unbatched throughput (1.0 = no change).
-    pub fn speedup(&self) -> f64 {
-        if self.unbatched_ops_s > 0.0 {
-            self.batched_ops_s / self.unbatched_ops_s
-        } else {
-            0.0
-        }
-    }
-}
-
 /// The full harness report.
 #[derive(Debug, Clone)]
 pub struct ServeBenchReport {
     /// One row per (mix, mode).
     pub results: Vec<LoadResult>,
-    /// The batched-vs-unbatched A/B (absent when the harness ran with
-    /// a single client — no backlog, nothing to coalesce).
-    pub batch: Option<BatchComparison>,
     /// The harness seed (reports are reproducible given the seed).
     pub seed: u64,
+    /// SIMD features the CPU reports (from `is_x86_feature_detected!`).
+    pub cpu_features: Vec<&'static str>,
+    /// The backend [`KernelBackend::detect_best`] picks; every job runs
+    /// on it.
+    pub best_backend: KernelBackend,
+    /// CPUs available to the process, shared by the daemon's workers and
+    /// the load generator's clients.
+    pub nproc: usize,
 }
 
 impl ServeBenchReport {
@@ -236,8 +214,18 @@ impl ServeBenchReport {
 
     /// The JSON body of `BENCH_serve.json`.
     pub fn to_json(&self) -> String {
+        let features: Vec<String> = self
+            .cpu_features
+            .iter()
+            .map(|f| format!("\"{f}\""))
+            .collect();
         let mut out = format!(
-            "{{\n  \"bench\": \"serve\",\n  \"seed\": {},\n  \"results\": [\n",
+            "{{\n  \"bench\": \"serve\",\n  \"cpu_features\": [{}],\n  \
+             \"best_backend\": \"{}\",\n  \"nproc\": {},\n  \"seed\": {},\n  \
+             \"results\": [\n",
+            features.join(", "),
+            self.best_backend.name(),
+            self.nproc,
             self.seed
         );
         for (i, r) in self.results.iter().enumerate() {
@@ -261,25 +249,7 @@ impl ServeBenchReport {
                 if i + 1 < self.results.len() { "," } else { "" },
             ));
         }
-        out.push_str("  ],\n");
-        match &self.batch {
-            Some(b) => out.push_str(&format!(
-                "  \"batch_comparison\": {{\"note\": \"read-heavy closed-loop, 1 worker, \
-                 batch_max 1 vs default\", \"unbatched_ops_s\": {:.1}, \
-                 \"batched_ops_s\": {:.1}, \"speedup\": {:.2}, \
-                 \"batches\": {}, \"batched_jobs\": {}}}\n",
-                b.unbatched_ops_s,
-                b.batched_ops_s,
-                b.speedup(),
-                b.batches,
-                b.batched_jobs,
-            )),
-            None => out.push_str(
-                "  \"batch_comparison\": {\"note\": \"skipped: needs >= 2 clients \
-                 to form a backlog\"}\n",
-            ),
-        }
-        out.push_str("}\n");
+        out.push_str("  ]\n}\n");
         out
     }
 
@@ -305,19 +275,7 @@ impl ServeBenchReport {
                 format!("{:.2}", r.percentile_us(99.0) as f64 / 1e3),
             ]);
         }
-        let mut out = t.render();
-        if let Some(b) = &self.batch {
-            out.push_str(&format!(
-                "batch kernel    {:.1} -> {:.1} req/s ({:.2}x) over {} batches / {} jobs \
-                 (read-heavy closed-loop, 1 worker)\n",
-                b.unbatched_ops_s,
-                b.batched_ops_s,
-                b.speedup(),
-                b.batches,
-                b.batched_jobs,
-            ));
-        }
-        out
+        t.render()
     }
 }
 
@@ -475,33 +433,8 @@ fn run_cell(addr: std::net::SocketAddr, mix: Mix, mode: Mode, cfg: &LoadConfig) 
     result
 }
 
-/// Runs the read-heavy closed-loop cell against a fresh single-worker
-/// daemon configured with `batch_max`, returning the throughput and the
-/// batch counters. One worker keeps a backlog in front of the queue so
-/// the batched run has something to coalesce.
-fn run_batch_arm(cfg: &LoadConfig, batch_max: usize) -> (f64, u64, u64) {
-    let registry = Arc::new(Registry::new());
-    let mut server_cfg = ServeConfig::new("127.0.0.1:0");
-    server_cfg.workers = 1;
-    server_cfg.budget_bytes = cfg.budget_bytes;
-    server_cfg.queue_cap = (cfg.clients * cfg.ops).max(64);
-    server_cfg.batch_max = batch_max;
-    server_cfg.registry = Some(registry.clone());
-    let server = Server::start(server_cfg).expect("bench server start");
-    let result = run_cell(server.local_addr(), Mix::ReadHeavy, Mode::Closed, cfg);
-    server.drain();
-    server.join();
-    let snap = registry.snapshot();
-    (
-        result.throughput(),
-        snap.counter(names::SERVE_BATCHES_TOTAL).unwrap_or(0),
-        snap.counter(names::SERVE_BATCHED_JOBS_TOTAL).unwrap_or(0),
-    )
-}
-
 /// Runs the whole harness: starts an in-process daemon, drives every
-/// requested (mix, mode) cell against it, drains, runs the batched
-/// vs unbatched A/B, and reports.
+/// requested (mix, mode) cell against it, drains, and reports.
 pub fn run(cfg: &LoadConfig) -> ServeBenchReport {
     let mut server_cfg = ServeConfig::new("127.0.0.1:0");
     server_cfg.workers = cfg.workers.max(1);
@@ -525,22 +458,12 @@ pub fn run(cfg: &LoadConfig) -> ServeBenchReport {
     );
     server.join();
 
-    let batch = (cfg.clients >= 2).then(|| {
-        let (unbatched_ops_s, _, _) = run_batch_arm(cfg, 1);
-        let (batched_ops_s, batches, batched_jobs) =
-            run_batch_arm(cfg, ServeConfig::new("-").batch_max);
-        BatchComparison {
-            unbatched_ops_s,
-            batched_ops_s,
-            batches,
-            batched_jobs,
-        }
-    });
-
     ServeBenchReport {
         results,
-        batch,
         seed: cfg.seed,
+        cpu_features: detected_cpu_features(),
+        best_backend: KernelBackend::detect_best(),
+        nproc: std::thread::available_parallelism().map_or(1, usize::from),
     }
 }
 
@@ -570,8 +493,7 @@ mod tests {
             assert!(r.throughput() > 0.0);
         }
         assert!(report.gate_throughput() > 0.0);
-        let batch = report.batch.as_ref().expect("batch A/B with 2 clients");
-        assert!(batch.unbatched_ops_s > 0.0 && batch.batched_ops_s > 0.0);
+        assert!(report.nproc >= 1);
     }
 
     #[test]
@@ -619,21 +541,19 @@ mod tests {
                 wall: Duration::from_millis(10),
                 latencies_us: vec![100, 200],
             }],
-            batch: Some(BatchComparison {
-                unbatched_ops_s: 100.0,
-                batched_ops_s: 340.0,
-                batches: 12,
-                batched_jobs: 60,
-            }),
             seed: 7,
+            cpu_features: vec!["sse2", "avx2"],
+            best_backend: KernelBackend::Avx2,
+            nproc: 2,
         };
-        assert!((report.batch.as_ref().expect("batch").speedup() - 3.4).abs() < 1e-9);
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"serve\""));
+        assert!(json.contains("\"cpu_features\": [\"sse2\", \"avx2\"]"));
+        assert!(json.contains("\"best_backend\": \"avx2\""));
+        assert!(json.contains("\"nproc\": 2"));
         assert!(json.contains("\"read-heavy\""));
         assert!(json.contains("\"p99_us\""));
-        assert!(json.contains("\"batch_comparison\""));
-        assert!(json.contains("\"speedup\": 3.40"));
+        assert!(!json.contains("batch"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(report.all_answered());

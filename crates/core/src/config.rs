@@ -43,8 +43,11 @@ pub struct FastLsaConfig {
     pub k: usize,
     /// Base Case buffer size `BM` in DPM entries: sub-problems with
     /// `(rows+1)·(cols+1) ≤ base_cells` are solved with the full-matrix
-    /// algorithm. The buffer is allocated once and reused, as in the
-    /// paper.
+    /// algorithm. As in the paper, the buffer is reserved once per run
+    /// and reused by every base case; a run reserves at most its pair's
+    /// whole `(m+1)·(n+1)` matrix, never zero-fills the reservation, and
+    /// grows it through the memory governor only for a base case thinner
+    /// than 2 rows or columns that exceeds `BM`.
     pub base_cells: usize,
     /// Parallel execution; `None` = the sequential algorithm of §3.
     pub parallel: Option<ParallelConfig>,

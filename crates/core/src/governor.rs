@@ -169,14 +169,26 @@ impl MemoryGovernor {
     /// against the budget. Fails via the injection hook, the byte budget,
     /// or the allocator's own `try_reserve`.
     pub fn try_alloc_i32(&self, len: usize, what: &'static str) -> Result<Vec<i32>, AlignError> {
+        let mut v = self.try_with_capacity_i32(len, what)?;
+        v.resize(len, 0);
+        Ok(v)
+    }
+
+    /// [`MemoryGovernor::try_alloc_i32`] without the writes: an empty
+    /// `Vec<i32>` with capacity for exactly `len` entries, all charged
+    /// against the budget up front. The caller fills only what it uses.
+    pub fn try_with_capacity_i32(
+        &self,
+        len: usize,
+        what: &'static str,
+    ) -> Result<Vec<i32>, AlignError> {
         self.reserve_i32(len, what)?;
-        let bytes = len.saturating_mul(std::mem::size_of::<i32>());
         let mut v: Vec<i32> = Vec::new();
         if v.try_reserve_exact(len).is_err() {
             self.release_i32(len);
+            let bytes = len.saturating_mul(std::mem::size_of::<i32>());
             return Err(AlignError::AllocFailed { bytes, what });
         }
-        v.resize(len, 0);
         Ok(v)
     }
 
@@ -314,6 +326,18 @@ mod tests {
         g.release_i32(128);
         assert_eq!(g.used_bytes(), 0);
         g.try_alloc_i32(256, "fits now").unwrap();
+    }
+
+    #[test]
+    fn with_capacity_charges_the_whole_reservation_and_writes_nothing() {
+        let g = MemoryGovernor::new(Some(1024));
+        let v = g.try_with_capacity_i32(200, "reserved").unwrap();
+        assert!(v.is_empty());
+        assert_eq!(v.capacity(), 200);
+        assert_eq!(g.used_bytes(), 800);
+        let err = g.try_with_capacity_i32(64, "too big").unwrap_err();
+        assert!(matches!(err, AlignError::AllocFailed { bytes: 256, .. }));
+        assert_eq!(g.used_bytes(), 800, "a refusal charges nothing");
     }
 
     #[test]

@@ -78,7 +78,7 @@ use flsa_seq::Sequence;
 use flsa_trace::{DegradeReason, EventKind};
 
 /// Aligns two sequences with the default configuration
-/// ([`FastLsaConfig::default`]: sequential, `k = 8`, 4 MiB base buffer).
+/// ([`FastLsaConfig::default`]: sequential, `k = 8`, a base buffer of up to 4 MiB).
 ///
 /// # Errors
 ///
@@ -254,7 +254,7 @@ fn run_ladder(
 ///
 /// Unlike the FastLSA entry points this holds each pair's full direction
 /// matrix (`m·n` bytes per lane), so it is meant for the many-small-pairs
-/// regime (database search, service request coalescing), not for two
+/// regime (database search, all-vs-all sweeps), not for two
 /// megabase genomes. `opts` contributes the kernel-backend override
 /// ([`AlignOptions::kernel`]); budget/cancel/checkpoint options do not
 /// apply to batch jobs.

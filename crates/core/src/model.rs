@@ -57,17 +57,38 @@ pub fn theorem2_limit_factor(k: usize) -> f64 {
 /// across the recursion (each level stores `(k−1)` full rows and columns
 /// of its rectangle) plus the Base Case buffer (Theorem 3 territory —
 /// linear in `m+n` for fixed `k`).
+///
+/// The buffer is what the solver reserves, `min(BM, (m+1)·(n+1))`, grown
+/// to the largest thin base case the recursion can reach: a rectangle
+/// with fewer than 2 rows or columns is solved whole, whatever its size.
 pub fn fastlsa_space_entries(m: usize, n: usize, k: usize, base_cells: usize) -> f64 {
-    let mut total = base_cells as f64;
-    let (mut mf, mut nf) = (m as f64, n as f64);
-    // Along one root-to-leaf chain of the recursion, each level holds one
-    // live grid; sizes shrink geometrically by k.
-    while (mf + 1.0) * (nf + 1.0) > base_cells as f64 && mf >= 2.0 && nf >= 2.0 {
-        total += (k as f64 - 1.0) * (mf + nf + 2.0);
-        mf /= k as f64;
-        nf /= k as f64;
+    let entries = |r: usize, c: usize| (r as f64 + 1.0) * (c as f64 + 1.0);
+    let bm = base_cells as f64;
+    let mut base = entries(m, n).min(bm);
+    let mut grids = 0.0;
+    // The blocks of one recursion depth have `lo_r..=hi_r` rows and
+    // `lo_c..=hi_c` columns; each level splits a side into `min(k, side)`
+    // near-equal segments, as the solver does.
+    let (mut lo_r, mut hi_r, mut lo_c, mut hi_c) = (m, m, n, n);
+    loop {
+        if lo_r < 2 {
+            base = base.max(entries(hi_r.min(1), hi_c));
+        }
+        if lo_c < 2 {
+            base = base.max(entries(hi_r, hi_c.min(1)));
+        }
+        if entries(hi_r, hi_c) <= bm || hi_r < 2 || hi_c < 2 {
+            break;
+        }
+        // Along one root-to-leaf chain each level holds one live grid.
+        let (k_r, k_c) = (k.min(hi_r), k.min(hi_c));
+        grids += ((k_r - 1) * (hi_c + 1) + (k_c - 1) * (hi_r + 1)) as f64;
+        lo_r /= k.min(lo_r);
+        lo_c /= k.min(lo_c);
+        hi_r = hi_r.div_ceil(k_r);
+        hi_c = hi_c.div_ceil(k_c);
     }
-    total
+    base + grids
 }
 
 /// Theorem 4: parallel FastLSA wall cost
@@ -247,6 +268,33 @@ mod tests {
             grid2 < grid1 * 2.3,
             "grid growth should be linear: {grid1} -> {grid2}"
         );
+    }
+
+    #[test]
+    fn space_reserves_no_more_base_buffer_than_the_pair_can_use() {
+        // A pair smaller than `BM` holds only its own matrix.
+        assert_eq!(fastlsa_space_entries(64, 64, 8, 1 << 20), 65.0 * 65.0);
+        assert_eq!(fastlsa_space_entries(0, 0, 8, 1 << 20), 1.0);
+        // A pair larger than `BM` holds the full buffer plus its grids.
+        assert!(fastlsa_space_entries(3000, 3000, 8, 1 << 14) > (1 << 14) as f64);
+    }
+
+    #[test]
+    fn space_counts_thin_base_cases_larger_than_the_buffer() {
+        // A thin root is one base case of its whole matrix.
+        assert_eq!(
+            fastlsa_space_entries(1, 2_000_000, 8, 1 << 20),
+            2.0 * 2_000_001.0
+        );
+        // 5 rows split into 5 one-row blocks of 1.25 M columns each, solved
+        // whole at depth 1, next to the root's grid (4 rows, 7 columns).
+        let grid = (4 * 10_000_001 + 7 * 6) as f64;
+        assert_eq!(
+            fastlsa_space_entries(5, 10_000_000, 8, 1 << 20),
+            2.0 * 1_250_001.0 + grid
+        );
+        // 9 rows: the 1-row blocks are thin leaves; the 2-row ones recurse.
+        assert!(fastlsa_space_entries(9, 10_000_000, 8, 1 << 20) >= 2.0 * 1_250_001.0);
     }
 
     #[test]

@@ -57,8 +57,10 @@ pub(crate) struct Solver<'s> {
     pub scheme: &'s ScoringScheme,
     pub config: FastLsaConfig,
     pub metrics: &'s Metrics,
-    /// The pre-allocated Base Case buffer (paper: "BM units of memory are
-    /// reserved"), recycled across base-case solves.
+    /// The Base Case buffer (paper: "BM units of memory are reserved"),
+    /// reserved when the run starts and recycled across base-case solves.
+    /// It is never zero-filled up front: a base case zero-fills only the
+    /// part it grows into (`ScoreMatrix::from_storage`).
     base_storage: Vec<i32>,
     /// Scratch for discarded block outputs during sequential grid fills.
     scratch_row: Vec<i32>,
@@ -94,6 +96,9 @@ pub(crate) struct Solver<'s> {
     /// Entries of the Base Case buffer reservation charged against the
     /// governor's budget (0 until `run`/`resume` reserved it).
     base_reserved: usize,
+    /// Tracks the reservation's bytes; replaced when a thin base case
+    /// grows it.
+    base_guard: Option<MemGuard<'s>>,
     /// Engine-level registry handles (blocks, depth, phase, arena);
     /// `None` when no registry is attached (DESIGN.md §12).
     obs: Option<CoreMetrics>,
@@ -141,6 +146,7 @@ impl<'s> Solver<'s> {
             kernel,
             arena_charged: 0,
             base_reserved: 0,
+            base_guard: None,
             obs: opts.registry.as_deref().map(CoreMetrics::new),
         }
     }
@@ -215,7 +221,8 @@ impl<'s> Solver<'s> {
             obs.run_expected.set((m as i64).saturating_mul(n as i64));
         }
 
-        let base_guard = self.reserve_base()?;
+        let whole = (m + 1).saturating_mul(n + 1);
+        self.reserve_base(self.config.base_cells.min(whole))?;
 
         let top: Vec<i32> = (0..=n as i64).map(|j| (j * gap as i64) as i32).collect();
         let left: Vec<i32> = (0..=m as i64).map(|i| (i * gap as i64) as i32).collect();
@@ -233,7 +240,6 @@ impl<'s> Solver<'s> {
 
         let mut builder = PathBuilder::new();
         let exit = self.drive(a.codes(), b.codes(), &mut builder)?;
-        drop(base_guard);
         self.set_phase(flsa_metrics::names::PHASE_IDLE);
         Ok(self.finish_path(a, b, builder, exit))
     }
@@ -258,7 +264,8 @@ impl<'s> Solver<'s> {
                 .set((a.len() as i64).saturating_mul(b.len() as i64));
         }
 
-        let base_guard = self.reserve_base()?;
+        let whole = (a.len() + 1).saturating_mul(b.len() + 1);
+        self.reserve_base(self.config.base_cells.min(whole))?;
 
         for fs in state.frames {
             let FrameState {
@@ -308,20 +315,35 @@ impl<'s> Solver<'s> {
 
         let mut builder = PathBuilder::from_rev_moves(state.rev_moves);
         let exit = self.drive(a.codes(), b.codes(), &mut builder)?;
-        drop(base_guard);
         self.set_phase(flsa_metrics::names::PHASE_IDLE);
         Ok(self.finish_path(a, b, builder, exit))
     }
 
-    /// Reserves the Base Case buffer up front, as the paper does —
-    /// fallibly, through the governor, so an over-budget `BM` surfaces
-    /// as `AllocFailed` before any work happens. The reservation is
-    /// returned when the solver is dropped.
-    fn reserve_base(&mut self) -> Result<MemGuard<'s>, AlignError> {
-        let cells = self.config.base_cells;
-        self.base_storage = self.ctx.governor.try_alloc_i32(cells, "base-case buffer")?;
+    /// Reserves the Base Case buffer for `cells` entries, fallibly,
+    /// through the governor, in place of any smaller reservation: an
+    /// empty buffer with exactly that capacity, nothing written. `run` and
+    /// `resume` reserve before any work, as the paper does, so an
+    /// over-budget `BM` surfaces as `AllocFailed` up front; an `m × n`
+    /// pair never holds more than its whole `(m+1)·(n+1)` matrix, so that
+    /// caps the first reservation. The drive loop reserves again for a
+    /// base case thinner than 2 rows or columns, which is solved whole
+    /// whatever its size. The reservation is returned when the solver is
+    /// dropped.
+    fn reserve_base(&mut self, cells: usize) -> Result<(), AlignError> {
+        if cells <= self.base_reserved {
+            return Ok(());
+        }
+        self.base_guard = None;
+        self.base_storage = Vec::new();
+        self.ctx.governor.release_i32(self.base_reserved);
+        self.base_reserved = 0;
+        self.base_storage = self
+            .ctx
+            .governor
+            .try_with_capacity_i32(cells, "base-case buffer")?;
         self.base_reserved = cells;
-        Ok(self.metrics.track_alloc(cells * std::mem::size_of::<i32>()))
+        self.base_guard = Some(self.metrics.track_alloc(cells * std::mem::size_of::<i32>()));
+        Ok(())
     }
 
     /// Extends the partial path from the recursion's exit point along
@@ -431,9 +453,16 @@ impl<'s> Solver<'s> {
             // 3. BASE CASE (Figure 2 lines 1-2): the rectangle fits the
             //    buffer. Rectangles thinner than 2 residues are also
             //    solved directly — their full matrix is at most 2
-            //    rows/columns, i.e. linear size.
+            //    rows/columns, i.e. linear size, but it can exceed `BM`,
+            //    so the buffer is reserved for it first (the frame stays
+            //    on the stack if the governor refuses).
             let cells = (f.rows + 1).saturating_mul(f.cols + 1);
             let is_base = cells <= self.config.base_cells || f.rows < 2 || f.cols < 2;
+            if is_base {
+                if let Err(e) = self.reserve_base(cells) {
+                    return Err(self.fail_with_snapshot(out, e));
+                }
+            }
             let Some(frame) = self.frames.pop() else {
                 continue;
             };
@@ -646,8 +675,8 @@ impl<'s> Solver<'s> {
     /// Figure 2's BASE CASE: full-matrix solve in the reserved buffer,
     /// on this thread and the vector kernel at any thread count (a
     /// base case is too small to repay tiling it over the pool; DESIGN.md
-    /// §6). It runs in the buffer reserved before the run began, so it
-    /// returns no error.
+    /// §6). The drive loop has already reserved room for it (see
+    /// [`Solver::reserve_base`]), so it returns no error.
     fn base_case(
         &mut self,
         a: &[u8],
@@ -678,11 +707,8 @@ impl<'s> Solver<'s> {
             steps: (out.len() - before) as u64,
         });
 
-        // Return the buffer for the next base case (keep the larger one).
-        let storage = dpm.into_vec();
-        if storage.capacity() > self.base_storage.capacity() {
-            self.base_storage = storage;
-        }
+        // Return the buffer for the next base case.
+        self.base_storage = dpm.into_vec();
         exit
     }
 

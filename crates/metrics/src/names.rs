@@ -155,8 +155,12 @@ pub const SERVE_REQUEST_NS: &str = "flsa_serve_request_ns";
 /// Time jobs spent parked waiting for admission bytes, in ns (histogram).
 pub const SERVE_ADMIT_WAIT_NS: &str = "flsa_serve_admit_wait_ns";
 /// Batched dispatches executed on the inter-sequence kernel (counter).
+/// The daemon no longer coalesces jobs into batches, so nothing
+/// increments it: readers of older snapshots (the ledger's
+/// `serve.batch_fill` and `serve.batched_share`) now read 0.
 pub const SERVE_BATCHES_TOTAL: &str = "flsa_serve_batches_total";
-/// Jobs that ran inside a batched dispatch (counter).
+/// Jobs that ran inside a batched dispatch (counter). Like
+/// [`SERVE_BATCHES_TOTAL`], no longer incremented.
 pub const SERVE_BATCHED_JOBS_TOTAL: &str = "flsa_serve_batched_jobs_total";
 
 // --- Sharded execution (flsa-shard) --------------------------------------

@@ -64,11 +64,6 @@ impl Admission {
         }
     }
 
-    /// Tries to charge `bytes` immediately, without blocking.
-    pub fn try_acquire(&self, bytes: usize) -> bool {
-        lock(&self.governor).try_charge_bytes(bytes)
-    }
-
     /// Blocks until `bytes` are charged against the budget, the token
     /// fires, or `draining()` turns true. On success the caller *must*
     /// balance with [`Admission::release`].
@@ -121,7 +116,7 @@ impl Admission {
     }
 }
 
-/// RAII admission grant used by tests and the bench harness; the server
+/// RAII admission grant for callers outside the daemon; the server
 /// itself releases explicitly so the grant can outlive a panicking
 /// attempt.
 pub struct Grant<'a> {
@@ -218,7 +213,7 @@ mod tests {
     #[test]
     fn grant_releases_on_drop() {
         let a = Admission::new(Some(100));
-        assert!(a.try_acquire(60));
+        a.acquire(60, &CancelToken::new(), || false).unwrap();
         {
             let _g = Grant::new(&a, 60);
             assert_eq!(a.used_bytes(), 60);

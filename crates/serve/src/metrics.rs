@@ -37,10 +37,6 @@ pub struct ServeMetrics {
     pub queue_depth_peak: Gauge,
     /// Jobs currently executing on a worker.
     pub inflight: Gauge,
-    /// Batched dispatches executed on the inter-sequence kernel.
-    pub batches: Counter,
-    /// Jobs that ran inside a batched dispatch.
-    pub batched_jobs: Counter,
     /// End-to-end request latency (accept → response written), ns.
     pub request_ns: Histogram,
     /// Time a job waited for the admission governor, ns.
@@ -67,8 +63,6 @@ impl ServeMetrics {
                 queue_depth: reg.gauge(names::SERVE_QUEUE_DEPTH),
                 queue_depth_peak: reg.gauge(names::SERVE_QUEUE_DEPTH_PEAK),
                 inflight: reg.gauge(names::SERVE_INFLIGHT),
-                batches: reg.counter(names::SERVE_BATCHES_TOTAL),
-                batched_jobs: reg.counter(names::SERVE_BATCHED_JOBS_TOTAL),
                 request_ns: reg.histogram(names::SERVE_REQUEST_NS),
                 admit_wait_ns: reg.histogram(names::SERVE_ADMIT_WAIT_NS),
             },
@@ -87,8 +81,6 @@ impl ServeMetrics {
                 queue_depth: Gauge::detached(),
                 queue_depth_peak: Gauge::detached(),
                 inflight: Gauge::detached(),
-                batches: Counter::detached(),
-                batched_jobs: Counter::detached(),
                 request_ns: Histogram::new(),
                 admit_wait_ns: Histogram::new(),
             },

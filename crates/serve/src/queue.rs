@@ -98,17 +98,6 @@ impl<T> Queue<T> {
         }
     }
 
-    /// Takes a parked job without blocking: `None` when the queue is
-    /// empty or closed. Workers use this to opportunistically gather a
-    /// batch behind the job a blocking [`Queue::pop`] handed them.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut inner = lock(&self.inner);
-        if inner.closed {
-            return None;
-        }
-        inner.jobs.pop_front()
-    }
-
     /// Closes the queue and wakes every blocked worker.
     pub fn close(&self) {
         lock(&self.inner).closed = true;

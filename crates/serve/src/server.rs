@@ -31,9 +31,8 @@ use fastlsa_core::{
 };
 use flsa_checkpoint::wire::read_preamble;
 use flsa_checkpoint::{read_snapshot, resume_from_snapshot, FileCheckpointSink, SnapshotMeta};
-use flsa_dp::{BatchJob, BatchKernel, Kernel, Metrics};
+use flsa_dp::Metrics;
 use flsa_metrics::Registry;
-use flsa_scoring::GapModel;
 
 use crate::admission::{Admission, AdmitError};
 use crate::job::{self, JobSpec};
@@ -95,14 +94,6 @@ pub struct ServeConfig {
     pub registry: Option<Arc<Registry>>,
     /// Fault-injection hooks (`None` in production).
     pub hooks: Option<Arc<dyn JobHooks>>,
-    /// Most jobs one worker dispatch may coalesce onto the
-    /// inter-sequence batch kernel (1 = batching off). Results are
-    /// bit-identical to unbatched execution; this only trades latency of
-    /// the first job against throughput when the queue has a backlog.
-    pub batch_max: usize,
-    /// Only jobs with `m · n` at or below this ride a batch; larger jobs
-    /// keep the full FastLSA path with checkpoint/budget support.
-    pub batch_max_cells: u64,
 }
 
 impl ServeConfig {
@@ -122,8 +113,6 @@ impl ServeConfig {
             checkpoint_every_blocks: 4,
             registry: None,
             hooks: None,
-            batch_max: 16,
-            batch_max_cells: 1 << 20,
         }
     }
 }
@@ -234,8 +223,6 @@ struct Shared {
     default_deadline_ms: u32,
     spool_min_cells: u64,
     spool_retain_done: usize,
-    batch_max: usize,
-    batch_max_cells: u64,
 }
 
 /// A running daemon. Lifecycle: [`Server::start`] → (serve traffic) →
@@ -295,8 +282,6 @@ impl Server {
             default_deadline_ms: cfg.default_deadline_ms,
             spool_min_cells: cfg.spool_min_cells,
             spool_retain_done: cfg.spool_retain_done,
-            batch_max: cfg.batch_max.max(1),
-            batch_max_cells: cfg.batch_max_cells,
         });
 
         // Cap whatever result backlog the previous process left behind.
@@ -728,137 +713,28 @@ fn fail(id: u64, code: ErrorCode, detail: &str) -> Frame {
 
 // --- worker pool ---------------------------------------------------------
 
+/// One job at a time: pop, run on the single FastLSA path, deliver.
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
         shared.metrics.queue_depth_add(-1);
-        // Opportunistic coalescing: when the popped job could ride the
-        // batch kernel, whatever else is already parked (up to
-        // `batch_max` jobs) rides along. Gathering stops at the first
-        // non-eligible job so anything the batch cannot serve stays
-        // parked for other workers — and for drain's typed answers.
-        let mut group = vec![job];
-        if shared.batch_max > 1 && shared.hooks.is_none() && batch_eligible(shared, &group[0]) {
-            while group.len() < shared.batch_max {
-                let Some(j) = shared.queue.try_pop() else {
-                    break;
-                };
-                shared.metrics.queue_depth_add(-1);
-                let eligible = batch_eligible(shared, &j);
-                group.push(j);
-                if !eligible {
-                    break;
-                }
-            }
-        }
-        for j in &group {
-            lock(&shared.inflight).insert(
-                j.seq,
-                Inflight {
-                    token: j.token.clone(),
-                    spooled: j.spooled,
-                },
-            );
-            shared.metrics.inflight.add(1);
-        }
+        lock(&shared.inflight).insert(
+            job.seq,
+            Inflight {
+                token: job.token.clone(),
+                spooled: job.spooled,
+            },
+        );
+        shared.metrics.inflight.add(1);
 
-        for job in dispatch_batched(shared, group) {
-            let (frame, terminal) = execute(shared, &job);
-            deliver(shared, &job, &frame, terminal);
-            finish(shared, &job);
-        }
-    }
-}
+        let (frame, terminal) = execute(shared, &job);
+        deliver(shared, &job, &frame, terminal);
 
-/// Completes per-job accounting once its response has been delivered.
-fn finish(shared: &Arc<Shared>, job: &QueuedJob) {
-    lock(&shared.inflight).remove(&job.seq);
-    shared.metrics.inflight.sub(1);
-    shared
-        .metrics
-        .request_ns
-        .record(job.accepted.elapsed().as_nanos() as u64);
-}
-
-/// Whether a job may ride the inter-sequence batch kernel. Spooled jobs
-/// need the checkpointing single path; deadline-carrying jobs need its
-/// precise expiry handling; large jobs need FastLSA's linear space (the
-/// batch kernel holds each pair's full direction matrix).
-fn batch_eligible(shared: &Shared, j: &QueuedJob) -> bool {
-    !j.spooled
-        && !j.has_deadline
-        && !j.token.is_cancelled()
-        && j.spec.cells <= shared.batch_max_cells
-        && matches!(*j.spec.scheme.gap(), GapModel::Linear { .. })
-}
-
-/// Runs the batch-eligible subset of `group` on the inter-sequence
-/// kernel and returns the jobs that still need the single path. Batch
-/// results are bit-identical to single execution, so this is purely a
-/// throughput optimization; any contained panic sends the whole subset
-/// back to the single path (which has its own bounded retry).
-fn dispatch_batched(shared: &Arc<Shared>, group: Vec<QueuedJob>) -> Vec<QueuedJob> {
-    // Fault-injection hooks target single-job attempts; keep their
-    // semantics exact by never batching under them.
-    if group.len() < 2 || shared.hooks.is_some() {
-        return group;
-    }
-    let mut batch = Vec::new();
-    let mut singles = Vec::new();
-    for j in group {
-        // `try_acquire` (never block the whole batch on the governor):
-        // a job the budget cannot admit right now parks on the single
-        // path's blocking admission instead.
-        if batch_eligible(shared, &j) && shared.admission.try_acquire(j.spec.estimate_bytes) {
-            batch.push(j);
-        } else {
-            singles.push(j);
-        }
-    }
-    if batch.len() < 2 {
-        // Not enough lanes to stripe; undo the admission charges.
-        for j in &batch {
-            shared.admission.release(j.spec.estimate_bytes);
-        }
-        singles.append(&mut batch);
-        return singles;
-    }
-
-    let metrics = Metrics::new();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let kernel = BatchKernel::new(Kernel::auto());
-        let jobs: Vec<BatchJob<'_>> = batch
-            .iter()
-            .map(|j| BatchJob {
-                a: j.spec.a.codes(),
-                b: j.spec.b.codes(),
-                scheme: &j.spec.scheme,
-            })
-            .collect();
-        kernel.align_batch(&jobs, &metrics)
-    }));
-    for j in &batch {
-        shared.admission.release(j.spec.estimate_bytes);
-    }
-    match outcome {
-        Ok(results) => {
-            shared.metrics.batches.inc();
-            shared.metrics.batched_jobs.add(batch.len() as u64);
-            for (j, res) in batch.iter().zip(results) {
-                let frame = Frame::Ok(AlignOk {
-                    id: j.spec.request.id,
-                    score: res.score,
-                    cigar: job::cigar(&res.path),
-                });
-                deliver(shared, j, &frame, true);
-                finish(shared, j);
-            }
-            singles
-        }
-        Err(_payload) => {
-            shared.metrics.panics.inc();
-            singles.extend(batch);
-            singles
-        }
+        lock(&shared.inflight).remove(&job.seq);
+        shared.metrics.inflight.sub(1);
+        shared
+            .metrics
+            .request_ns
+            .record(job.accepted.elapsed().as_nanos() as u64);
     }
 }
 

@@ -366,15 +366,12 @@ fn queued_jobs_are_answered_draining_at_shutdown() {
 }
 
 #[test]
-fn queued_small_jobs_are_batched_and_still_match_the_reference() {
+fn queued_small_jobs_behind_a_backlog_match_the_reference() {
     // One worker, one long job to build a backlog, then a burst of small
-    // jobs: the worker's next dispatch coalesces the parked smalls onto
-    // the inter-sequence batch kernel. Results must be byte-identical to
-    // the sequential reference either way.
-    let reg = Arc::new(Registry::new());
+    // jobs that park behind it. Each is answered byte-identically to the
+    // sequential reference.
     let mut cfg = ServeConfig::new("");
     cfg.workers = 1;
-    cfg.registry = Some(reg.clone());
     let server = start(cfg);
 
     let big = {
@@ -410,14 +407,6 @@ fn queued_small_jobs_are_batched_and_still_match_the_reference() {
         s.join().expect("sender");
     }
     big.join().expect("big job");
-
-    let snap = reg.snapshot();
-    assert!(
-        snap.counter(names::SERVE_BATCHES_TOTAL).unwrap_or(0) >= 1,
-        "expected at least one batched dispatch: {:?}",
-        snap.counter(names::SERVE_BATCHES_TOTAL)
-    );
-    assert!(snap.counter(names::SERVE_BATCHED_JOBS_TOTAL).unwrap_or(0) >= 2);
     drain_and_check(server);
 }
 

@@ -86,14 +86,27 @@ fn fastlsa_quadratic_space_mode_has_no_extra_operations() {
 
 #[test]
 fn fastlsa_space_obeys_theorem_3_bound() {
-    let (a, b, scheme) = pair(3000, 6);
-    for k in [2usize, 8, 16] {
+    // The second pair's whole matrix is smaller than the buffer, so the
+    // model and the solver must agree on reserving only that matrix.
+    for (len, seed) in [(3000, 6), (100, 9)] {
+        let (a, b, scheme) = pair(len, seed);
         let base = 1 << 14;
-        let metrics = Metrics::new();
-        fastlsa::align_with(&a, &b, &scheme, FastLsaConfig::new(k, base), &metrics).unwrap();
-        let peak = metrics.snapshot().peak_bytes as f64;
-        let bound = model::fastlsa_space_entries(a.len(), b.len(), k, base) * 4.0;
-        assert!(peak <= bound * 1.1, "k={k}: peak {peak} > bound {bound}");
+        let small = (a.len() + 1) * (b.len() + 1) < base;
+        assert_eq!(small, len == 100);
+        for k in [2usize, 8, 16] {
+            let metrics = Metrics::new();
+            fastlsa::align_with(&a, &b, &scheme, FastLsaConfig::new(k, base), &metrics).unwrap();
+            let peak = metrics.snapshot().peak_bytes as f64;
+            let bound = model::fastlsa_space_entries(a.len(), b.len(), k, base) * 4.0;
+            assert!(
+                peak <= bound * 1.1,
+                "len={len} k={k}: peak {peak} > bound {bound}"
+            );
+            if small {
+                // One base case and no grid: the model is the footprint.
+                assert_eq!(peak, bound, "len={len} k={k}");
+            }
+        }
     }
 }
 
