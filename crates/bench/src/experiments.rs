@@ -7,7 +7,7 @@
 
 use fastlsa_core::{model, FastLsaConfig};
 use flsa_cachesim::{trace_fastlsa, trace_fm, trace_hirschberg, Hierarchy};
-use flsa_dp::{Metrics, MetricsSnapshot};
+use flsa_dp::Metrics;
 use flsa_fullmatrix::{needleman_wunsch, needleman_wunsch_packed};
 use flsa_hirschberg::{hirschberg_with, HirschbergConfig};
 use flsa_scoring::ScoringScheme;
@@ -228,7 +228,13 @@ pub fn seqtime(opts: ExpOptions) -> String {
         let (a, b) = spec.generate();
         let scheme = scheme_for(spec);
         let mn = (a.len() * b.len()) as f64;
-        let mut push = |name: String, s: MetricsSnapshot, d: std::time::Duration| {
+        let mut timed = |name: String, run: &dyn Fn(&Metrics)| {
+            // One untimed call first, so the timed call finds the buffers
+            // it needs already faulted in, whichever algorithm ran before.
+            run(&Metrics::new());
+            let mm = Metrics::new();
+            let (_, d) = time(|| run(&mm));
+            let s = mm.snapshot();
             t.row(&[
                 spec.name.to_string(),
                 name,
@@ -238,31 +244,24 @@ pub fn seqtime(opts: ExpOptions) -> String {
             ]);
         };
         if spec.len <= fm_cap {
-            let mm = Metrics::new();
-            let (_, d) = time(|| needleman_wunsch(&a, &b, &scheme, &mm));
-            push("full-matrix".into(), mm.snapshot(), d);
-            let mm = Metrics::new();
-            let (_, d) = time(|| needleman_wunsch_packed(&a, &b, &scheme, &mm));
-            push("fm-packed".into(), mm.snapshot(), d);
+            timed("full-matrix".into(), &|m| {
+                needleman_wunsch(&a, &b, &scheme, m);
+            });
+            timed("fm-packed".into(), &|m| {
+                needleman_wunsch_packed(&a, &b, &scheme, m);
+            });
         }
-        let mm = Metrics::new();
-        let (_, d) = time(|| {
-            hirschberg_with(
-                &a,
-                &b,
-                &scheme,
-                HirschbergConfig {
-                    base_cells: 1 << 12,
-                },
-                &mm,
-            )
+        timed("hirschberg".into(), &|m| {
+            let cfg = HirschbergConfig {
+                base_cells: 1 << 12,
+            };
+            hirschberg_with(&a, &b, &scheme, cfg, m);
         });
-        push("hirschberg".into(), mm.snapshot(), d);
         for k in [4usize, 8] {
-            let mm = Metrics::new();
             let cfg = FastLsaConfig::new(k, 1 << 20);
-            let (_, d) = time(|| fastlsa_core::align_with(&a, &b, &scheme, cfg, &mm));
-            push(format!("fastlsa k={k}"), mm.snapshot(), d);
+            timed(format!("fastlsa k={k}"), &|m| {
+                let _ = fastlsa_core::align_with(&a, &b, &scheme, cfg, m);
+            });
         }
     }
     out.push_str(&t.render());

@@ -1,9 +1,12 @@
 //! The `flsa bench kernels` sweep: DP kernel throughput per backend.
 //!
-//! Times [`Kernel::fill_last_row`] — the row-rolling fill at the heart of
-//! both FastLSA's grid fill and Hirschberg's passes — on square global
+//! Times [`Kernel::fill_last_row`] — the fill at the heart of both
+//! FastLSA's grid fill and Hirschberg's passes — on square global
 //! problems, for every backend the CPU supports, and reports cells/sec
-//! and ns/cell. The sweep also measures the inter-sequence
+//! and ns/cell. The DNA sweep is the gated one; on AVX-512 it runs the
+//! anti-diagonal band kernel. A second, report-only sweep on protein
+//! (BLOSUM62, linear gap −10) times the row scan, which protein and every
+//! non-AVX-512 backend run. The sweep also measures the inter-sequence
 //! [`BatchKernel`]: batches of small independent pairs aligned
 //! one-per-lane versus the same pairs aligned one at a time — both on the
 //! batch kernel's own single-pair path and as a loop of
@@ -116,6 +119,9 @@ impl BatchBenchCase {
 /// Gap open and extend of the affine measurement (the protein default).
 const AFFINE_GAP: (i32, i32) = (-11, -1);
 
+/// Linear gap penalty of the protein measurement.
+const PROTEIN_GAP: i32 = -10;
+
 /// Speedup of the best non-scalar case over scalar at the largest length
 /// in `cases` (`None` when only scalar ran).
 fn best_speedup_in(cases: &[KernelBenchCase]) -> Option<f64> {
@@ -141,6 +147,9 @@ fn cells_per_sec_at(cases: &[KernelBenchCase], len: usize, b: KernelBackend) -> 
 pub struct KernelBenchReport {
     /// All measurements, grouped by length then backend.
     pub cases: Vec<KernelBenchCase>,
+    /// Linear-gap protein measurements (the row scan), grouped like
+    /// `cases`; reported, not gated.
+    pub protein: Vec<KernelBenchCase>,
     /// Affine edge-fill measurements, grouped like `cases`.
     pub affine: Vec<KernelBenchCase>,
     /// Batch-kernel measurements (one per [`BATCH_LENS`] entry).
@@ -247,6 +256,8 @@ impl KernelBenchReport {
         }
         out.push_str("  ],\n  \"affine\": [\n");
         push_cases_json(&mut out, &self.affine);
+        out.push_str("  ],\n  \"protein\": [\n");
+        push_cases_json(&mut out, &self.protein);
         out.push_str("  ],\n  \"results\": [\n");
         push_cases_json(&mut out, &self.cases);
         out.push_str("  ]\n}\n");
@@ -256,6 +267,12 @@ impl KernelBenchReport {
     /// A plain-text table of the sweep, with per-length speedup columns.
     pub fn render(&self) -> String {
         let mut out = render_cases(&self.cases);
+        if !self.protein.is_empty() {
+            out.push_str(&format!(
+                "linear fill, row scan (protein, BLOSUM62, {PROTEIN_GAP}):\n"
+            ));
+            out.push_str(&render_cases(&self.protein));
+        }
         if !self.affine.is_empty() {
             let (open, extend) = AFFINE_GAP;
             out.push_str(&format!(
@@ -372,35 +389,10 @@ pub fn run_with(
     reps: usize,
 ) -> KernelBenchReport {
     let scheme = ScoringScheme::dna_default();
-    let gap = scheme.gap().linear_penalty();
+    let cases = linear_sweep(lens, reps, &scheme, &Alphabet::dna(), 0xbc);
+    let protein_scheme = ScoringScheme::new(tables::blosum62(), GapModel::linear(PROTEIN_GAP));
+    let protein = linear_sweep(lens, reps, &protein_scheme, &Alphabet::protein(), 0xaf);
     let metrics = Metrics::new();
-    let mut cases = Vec::new();
-    for &len in lens {
-        let (sa, sb) = homologous_pair("bench", &Alphabet::dna(), len, 0.8, 0xbc)
-            .expect("bench sequence generation");
-        let bound = Boundary::global(sa.len(), sb.len(), gap);
-        let mut out = vec![0i32; sb.len() + 1];
-        for backend in KernelBackend::available() {
-            let kernel = Kernel::try_new(backend).expect("available backend");
-            let best_ns = best_of(reps, || {
-                kernel.fill_last_row(
-                    sa.codes(),
-                    sb.codes(),
-                    &bound.top,
-                    &bound.left,
-                    &scheme,
-                    &mut out,
-                    &metrics,
-                );
-            });
-            cases.push(KernelBenchCase {
-                backend,
-                len,
-                cells: (sa.len() * sb.len()) as u64,
-                best_ns,
-            });
-        }
-    }
     let (open, extend) = AFFINE_GAP;
     let affine_scheme = ScoringScheme::new(tables::blosum62(), GapModel::affine(open, extend));
     let mut affine = Vec::new();
@@ -431,12 +423,54 @@ pub fn run_with(
         .collect();
     KernelBenchReport {
         cases,
+        protein,
         affine,
         batch,
         batch_backend: batch_kernel.backend_name(),
         cpu_features: detected_cpu_features(),
         best_backend: KernelBackend::detect_best(),
     }
+}
+
+/// [`Kernel::fill_last_row`] on a homologous `len × len` pair over
+/// `alphabet` under `scheme`, per available backend and length.
+fn linear_sweep(
+    lens: &[usize],
+    reps: usize,
+    scheme: &ScoringScheme,
+    alphabet: &Alphabet,
+    seed: u64,
+) -> Vec<KernelBenchCase> {
+    let gap = scheme.gap().linear_penalty();
+    let metrics = Metrics::new();
+    let mut cases = Vec::new();
+    for &len in lens {
+        let (sa, sb) =
+            homologous_pair("bench", alphabet, len, 0.8, seed).expect("bench sequence generation");
+        let bound = Boundary::global(sa.len(), sb.len(), gap);
+        let mut out = vec![0i32; sb.len() + 1];
+        for backend in KernelBackend::available() {
+            let kernel = Kernel::try_new(backend).expect("available backend");
+            let best_ns = best_of(reps, || {
+                kernel.fill_last_row(
+                    sa.codes(),
+                    sb.codes(),
+                    &bound.top,
+                    &bound.left,
+                    scheme,
+                    &mut out,
+                    &metrics,
+                );
+            });
+            cases.push(KernelBenchCase {
+                backend,
+                len,
+                cells: (sa.len() * sb.len()) as u64,
+                best_ns,
+            });
+        }
+    }
+    cases
 }
 
 /// One batch-vs-single measurement: `pairs` homologous `len × len` DNA
@@ -514,7 +548,7 @@ mod tests {
     #[test]
     fn sweep_covers_every_available_backend() {
         let report = run_with(&[64], &[16], 8, 1);
-        for cases in [&report.cases, &report.affine] {
+        for cases in [&report.cases, &report.protein, &report.affine] {
             let backends: Vec<_> = cases.iter().map(|c| c.backend).collect();
             assert_eq!(backends, KernelBackend::available());
             // Mutation introduces indels, so cells is near (not exactly) 64².
@@ -531,7 +565,9 @@ mod tests {
         assert!(json.contains("\"scalar\""));
         assert!(json.contains("\"best_backend\""));
         assert!(json.contains("\"affine\": ["));
+        assert!(json.contains("\"protein\": ["));
         assert!(report.render().contains("affine edge fill"));
+        assert!(report.render().contains("row scan (protein"));
         // Balanced braces/brackets — cheap structural sanity.
         assert_eq!(
             json.matches('{').count(),
@@ -555,6 +591,7 @@ mod tests {
                 case(KernelBackend::Avx2, 10_000),
                 case(KernelBackend::Avx512, 8_000),
             ],
+            protein: vec![],
             affine: vec![
                 case(KernelBackend::Scalar, 60_000),
                 case(KernelBackend::Sse41, 60_000),

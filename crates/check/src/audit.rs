@@ -39,7 +39,12 @@
 //!   `|D| ≤ span·C`, `|open| ≤ G` and `|j·extend| ≤ span·G`, so
 //!   `|w| ≤ span·C + G + span·G = span·(C+G) + G`, the envelope of the
 //!   linear u-domain intermediates, because `G` already counts
-//!   `|open| + |extend|` per symbol.
+//!   `|open| + |extend|` per symbol. The AVX-512 anti-diagonal band
+//!   fill adds no intermediate at all: each kept cell is
+//!   `max(diag + S, max(up, left) + gap)`, and `max(up, left) + gap` is
+//!   one of the scalar sums `up + gap`, `left + gap`. Lanes outside the
+//!   rectangle may wrap, but they feed only other outside lanes and are
+//!   never stored.
 //!
 //! Name resolution is conservative (identifier-based): the graph
 //! over-approximates, so R8 reachability and R9 constructor closures

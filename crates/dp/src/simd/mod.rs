@@ -29,6 +29,21 @@
 //! and the direction derivation in [`Kernel::fill_dir`] apply the shared
 //! Diag ≻ Up ≻ Left precedence *after* the max, not during it.
 //!
+//! This row scan carries each row's dependency through a log-step
+//! prefix max: on AVX-512, 17 vector ops per sixteen cells, six of them
+//! shuffles.
+//!
+//! On AVX-512, [`Kernel::fill_last_row_col`] (FastLSA's grid fills and
+//! wavefront tiles, Hirschberg's FindScore, shard tiles) takes the
+//! dependency along the anti-diagonal instead when the alphabet is small
+//! enough for a 32-entry in-register score table (`|Σ|² ≤ 32`: DNA) and
+//! the block has at least `BAND_MIN_ROWS` rows: sixteen consecutive rows
+//! sit in the sixteen lanes of one vector, and each step advances the
+//! band one column, so a row's left dependency is one lane shift — 7
+//! vector ops per sixteen cells, two of them shuffles. Every kept cell
+//! is the scalar recurrence over the same i32 sums (`diag + S`,
+//! `up + gap`, `left + gap`), so the band is bit-identical too.
+//!
 //! Affine (Gotoh) rows take the same two passes with a third state: `F`
 //! joins pass A, and the horizontal state `E` becomes an *exclusive*
 //! prefix max (see `affine_row_portable`). AVX-512 and AVX2 run them for
@@ -39,10 +54,15 @@
 //!
 //! * [`KernelBackend::Scalar`] — the reference kernels, always available
 //!   and the fallback on every non-x86-64 target;
-//! * [`KernelBackend::Sse41`] / [`KernelBackend::Avx2`] /
-//!   [`KernelBackend::Avx512`] — explicit `core::arch` kernels, admitted
-//!   only after `is_x86_feature_detected!` (rule R6 pins their
-//!   `#[target_feature]` functions to this module).
+//! * [`KernelBackend::Sse41`] / [`KernelBackend::Avx2`] — explicit
+//!   `core::arch` row scans (linear; AVX2 also affine);
+//! * [`KernelBackend::Avx512`] — the row scan, linear and affine, plus
+//!   the anti-diagonal band for [`Kernel::fill_last_row_col`] on DNA.
+//!   Base cases ([`Kernel::fill_full`]), [`Kernel::fill_dir`], protein
+//!   and blocks under `BAND_MIN_ROWS` rows keep the row scan.
+//!
+//! The vector backends are admitted only after `is_x86_feature_detected!`
+//! (rule R6 pins their `#[target_feature]` functions to this module).
 //!
 //! (An earlier "portable lanes" backend — `[i32; 8]` blocks left to the
 //! autovectorizer — measured at 0.2–0.3× *scalar* on x86-64 and was
@@ -73,6 +93,32 @@ use crate::Metrics;
 /// prefix-scan setup would dominate. Purely a performance cutoff — both
 /// paths produce identical bits.
 const MIN_VEC_COLS: usize = 16;
+
+/// AVX-512 fills of fewer rows than this keep the row scan, even when
+/// the alphabet fits the band kernel's score table: a band costs
+/// `cols + 16` steps however few of its sixteen rows are live. Measured
+/// on DNA (best of 3 interleaved runs, one CPU), the band lost ×0.83 at
+/// 2–4 rows of 32 columns, tied at 8 rows of 32, and won ×1.15–1.58 at
+/// 8 rows of 64–2,000 columns and ×1.25–2.05 at 16 rows.
+const BAND_MIN_ROWS: usize = 8;
+
+/// The band kernel's in-register score table, `S(x, y)` at `x·|Σ| + y`,
+/// or `None` when `|Σ|² > 32` (protein): the table must fit the 32
+/// entries one two-source permute can index.
+fn band_table(scheme: &ScoringScheme) -> Option<[i32; 32]> {
+    let matrix = scheme.matrix();
+    let codes = matrix.alphabet().len();
+    if codes * codes > 32 {
+        return None;
+    }
+    let mut table = [0; 32];
+    for x in 0..codes {
+        for y in 0..codes {
+            table[x * codes + y] = matrix.score(x as u8, y as u8);
+        }
+    }
+    Some(table)
+}
 
 /// Which row-update implementation a [`Kernel`] dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -280,6 +326,43 @@ impl AffineRow<'_> {
 fn affine_row_portable(mut row: AffineRow<'_>, profile: &[i32], open: i32, extend: i32) {
     let carry = row.first_carry(open);
     row.scalar_cells(1, carry, profile, open, extend);
+}
+
+/// A `cols + 1` arena row placed so that column 1 starts a 64-byte cache
+/// line: the sixteen-lane affine rows then load and store whole lines,
+/// which matters once the five rows of a wide fill no longer fit L1.
+struct LineRow {
+    buf: Vec<i32>,
+    /// Index of column 0 in `buf`.
+    off: usize,
+    len: usize,
+}
+
+impl LineRow {
+    /// Takes `cols + 17` entries, enough to start column 1 on a line
+    /// whatever the buffer's own alignment.
+    fn take(arena: &KernelArena, cols: usize) -> LineRow {
+        let len = cols + 1;
+        let buf = arena.take(len + 16);
+        let off = buf.as_ptr().wrapping_add(1).align_offset(64).min(16);
+        LineRow { buf, off, len }
+    }
+
+    fn row(&self) -> &[i32] {
+        &self.buf[self.off..self.off + self.len]
+    }
+
+    fn row_mut(&mut self) -> &mut [i32] {
+        &mut self.buf[self.off..self.off + self.len]
+    }
+
+    /// The row as a `Vec` of exactly `cols + 1` entries (the arena buffer,
+    /// its contents moved to the front).
+    fn into_vec(mut self) -> Vec<i32> {
+        self.buf.copy_within(self.off..self.off + self.len, 0);
+        self.buf.truncate(self.len);
+        self.buf
+    }
 }
 
 /// A requested backend the current CPU cannot run.
@@ -532,25 +615,56 @@ impl Kernel {
             assert_eq!(r.len(), rows + 1, "out_right length");
         }
         let gap = scheme.gap().linear_penalty();
-        let profile = self.take_profile(scheme, b);
-        let mut prev = self.arena.take(cols + 1);
-        let mut cur = self.arena.take(cols + 1);
-        prev.copy_from_slice(top);
         if let Some(ref mut r) = out_right {
             r[0] = top[cols];
         }
-        for i in 1..=rows {
-            cur[0] = left[i];
-            self.row_update(&prev, &mut cur, profile.row(a[i - 1]), gap);
-            if let Some(ref mut r) = out_right {
-                r[i] = cur[cols];
+        let band = if rows >= BAND_MIN_ROWS {
+            band_table(scheme)
+        } else {
+            None
+        };
+        match (self.backend, band) {
+            #[cfg(target_arch = "x86_64")]
+            (KernelBackend::Avx512, Some(table)) => {
+                let codes = scheme.alphabet().len();
+                // `b`'s codes reversed between BAND pads on each side, so
+                // each step loads its sixteen column codes at once.
+                let mut brev = self.arena.take(cols + 2 * x86::BAND);
+                for (slot, &c) in brev[x86::BAND..x86::BAND + cols].iter_mut().rev().zip(b) {
+                    assert!((c as usize) < codes, "residue code outside the alphabet");
+                    *slot = i32::from(c);
+                }
+                let mut mid = self.arena.take(cols + 1);
+                out_bottom.copy_from_slice(top);
+                // SAFETY: `try_new` admits Avx512 only after
+                // `is_x86_feature_detected!("avx512f")` returned true.
+                unsafe {
+                    x86::band_fill_avx512(
+                        a, &brev, &table, codes, left, gap, out_bottom, &mut mid, out_right,
+                    )
+                }
+                self.arena.put(brev);
+                self.arena.put(mid);
             }
-            std::mem::swap(&mut prev, &mut cur);
+            _ => {
+                let profile = self.take_profile(scheme, b);
+                let mut prev = self.arena.take(cols + 1);
+                let mut cur = self.arena.take(cols + 1);
+                prev.copy_from_slice(top);
+                for i in 1..=rows {
+                    cur[0] = left[i];
+                    self.row_update(&prev, &mut cur, profile.row(a[i - 1]), gap);
+                    if let Some(ref mut r) = out_right {
+                        r[i] = cur[cols];
+                    }
+                    std::mem::swap(&mut prev, &mut cur);
+                }
+                out_bottom.copy_from_slice(&prev);
+                self.arena.put(prev);
+                self.arena.put(cur);
+                self.put_profile(profile);
+            }
         }
-        out_bottom.copy_from_slice(&prev);
-        self.arena.put(prev);
-        self.arena.put(cur);
-        self.put_profile(profile);
         metrics.add_cells(rows as u64 * cols as u64, backend);
     }
 
@@ -651,43 +765,43 @@ impl Kernel {
         }
         bnd.check_boundary(rows, cols);
         let profile = self.take_profile(scheme, b);
-        let mut hp = self.arena.take(cols + 1);
-        let mut fp = self.arena.take(cols + 1);
-        let mut h = self.arena.take(cols + 1);
-        let mut f = self.arena.take(cols + 1);
-        let mut e = self.arena.take(cols + 1);
+        let mut hp = LineRow::take(&self.arena, cols);
+        let mut fp = LineRow::take(&self.arena, cols);
+        let mut h = LineRow::take(&self.arena, cols);
+        let mut f = LineRow::take(&self.arena, cols);
+        let mut e = LineRow::take(&self.arena, cols);
         let mut right_h = self.arena.take(rows + 1);
         let mut right_e = self.arena.take(rows + 1);
-        hp.copy_from_slice(bnd.top_h);
-        fp.copy_from_slice(bnd.top_v);
+        hp.row_mut().copy_from_slice(bnd.top_h);
+        fp.row_mut().copy_from_slice(bnd.top_v);
         // No row writes `F` at column 0: keep the scalar placeholder.
-        f[0] = bnd.top_v[0];
+        f.row_mut()[0] = bnd.top_v[0];
         right_h[0] = bnd.top_h[cols];
         right_e[0] = NEG;
         for i in 1..=rows {
-            h[0] = bnd.left_h[i];
-            e[0] = bnd.left_e[i];
+            h.row_mut()[0] = bnd.left_h[i];
+            e.row_mut()[0] = bnd.left_e[i];
             let row = AffineRow {
-                hp: &hp,
-                fp: &fp,
-                h: &mut h,
-                e: &mut e,
-                f: &mut f,
+                hp: hp.row(),
+                fp: fp.row(),
+                h: h.row_mut(),
+                e: e.row_mut(),
+                f: f.row_mut(),
             };
             self.affine_row(row, profile.row(a[i - 1]), open, extend);
-            right_h[i] = h[cols];
-            right_e[i] = e[cols];
+            right_h[i] = h.row()[cols];
+            right_e[i] = e.row()[cols];
             std::mem::swap(&mut hp, &mut h);
             std::mem::swap(&mut fp, &mut f);
         }
-        self.arena.put(h);
-        self.arena.put(f);
-        self.arena.put(e);
+        for spent in [h, f, e] {
+            self.arena.put(spent.buf);
+        }
         self.put_profile(profile);
         metrics.add_cells(rows as u64 * cols as u64, backend);
         AffineEdges {
-            bottom_h: hp,
-            bottom_v: fp,
+            bottom_h: hp.into_vec(),
+            bottom_v: fp.into_vec(),
             right_h,
             right_e,
         }
@@ -884,46 +998,65 @@ mod tests {
 
     #[test]
     fn repeated_fills_are_allocation_free_in_steady_state() {
-        let k = Kernel::auto();
-        let scheme = ScoringScheme::dna_default();
-        let a: Vec<u8> = (0..200).map(|i| (i % 4) as u8).collect();
-        let b: Vec<u8> = (0..300).map(|i| (i % 3) as u8).collect();
-        let bound = Boundary::global(a.len(), b.len(), scheme.gap().linear_penalty());
-        let metrics = Metrics::new();
-        let mut bottom = vec![0; b.len() + 1];
-        let mut right = vec![0; a.len() + 1];
-        // Warm-up: first fill grows the arena to its high-water mark.
-        k.fill_last_row_col(
-            &a,
-            &b,
-            &bound.top,
-            &bound.left,
-            &scheme,
-            &mut bottom,
-            Some(&mut right),
-            &metrics,
-        );
-        let allocs = k.arena().fresh_allocs();
-        let held = k.arena().held_bytes();
-        for _ in 0..50 {
-            k.fill_last_row_col(
-                &a,
-                &b,
-                &bound.top,
-                &bound.left,
-                &scheme,
-                &mut bottom,
-                Some(&mut right),
-                &metrics,
+        // Buffers each fill checks out of the arena: the row scan takes
+        // the profile, `prev` and `cur`; the AVX-512 band kernel (DNA
+        // only) takes the reversed `b` and the second band's top row;
+        // the scalar kernel takes none.
+        let backend = Kernel::auto().backend();
+        let row_scan = if backend == KernelBackend::Scalar {
+            0
+        } else {
+            3
+        };
+        let band = if backend == KernelBackend::Avx512 {
+            2
+        } else {
+            row_scan
+        };
+        for (scheme, per_fill) in [
+            (ScoringScheme::dna_default(), band),
+            (ScoringScheme::protein_default(), row_scan),
+        ] {
+            let k = Kernel::auto();
+            let a: Vec<u8> = (0..200).map(|i| (i % 4) as u8).collect();
+            let b: Vec<u8> = (0..300).map(|i| (i % 3) as u8).collect();
+            let bound = Boundary::global(a.len(), b.len(), scheme.gap().linear_penalty());
+            let metrics = Metrics::new();
+            let mut bottom = vec![0; b.len() + 1];
+            let mut right = vec![0; a.len() + 1];
+            let mut fill = || {
+                k.fill_last_row_col(
+                    &a,
+                    &b,
+                    &bound.top,
+                    &bound.left,
+                    &scheme,
+                    &mut bottom,
+                    Some(&mut right),
+                    &metrics,
+                )
+            };
+            // Warm-up: first fill grows the arena to its high-water mark.
+            fill();
+            let allocs = k.arena().fresh_allocs();
+            let held = k.arena().held_bytes();
+            let reuses = k.arena().reuses();
+            for _ in 0..50 {
+                fill();
+            }
+            let name = scheme.matrix().name();
+            assert_eq!(
+                k.arena().fresh_allocs(),
+                allocs,
+                "{name}: steady-state fills must not allocate"
+            );
+            assert_eq!(k.arena().held_bytes(), held, "{name}: held bytes");
+            assert_eq!(
+                k.arena().reuses() - reuses,
+                50 * per_fill,
+                "{name}: {per_fill} buffers per fill reused"
             );
         }
-        assert_eq!(
-            k.arena().fresh_allocs(),
-            allocs,
-            "steady-state fills must not allocate"
-        );
-        assert_eq!(k.arena().held_bytes(), held);
-        assert!(k.arena().reuses() >= 150, "three buffers per fill reused");
     }
 
     #[test]

@@ -232,6 +232,325 @@ pub(crate) unsafe fn row_update_avx512(prev: &[i32], cur: &mut [i32], profile: &
     }
 }
 
+/// Rows per anti-diagonal band: one row per `i32` lane of a 512-bit
+/// vector. Also the pad on each side of the band kernel's reversed `b`.
+pub(super) const BAND: usize = 16;
+
+/// The operands every step of [`band_fill_avx512`] shares.
+struct BandGeom {
+    cols: usize,
+    /// `b`'s codes reversed between [`BAND`] pad entries on each side:
+    /// `brev[BAND + cols − s + l]` is `b[s − 1 − l]`, so one unaligned
+    /// load gives step `s` its sixteen column codes.
+    brev: *const i32,
+    /// The rectangle's left column, `rows + 1` entries.
+    left: *const i32,
+    /// The right column to fill, `rows + 1` entries, if one was asked for.
+    right: Option<*mut i32>,
+    /// Score-table entries 0–15 and 16–31: `S(x, y)` sits at `x·|Σ| + y`.
+    lo: __m512i,
+    hi: __m512i,
+    gapv: __m512i,
+}
+
+/// One band in flight. Lane `l` holds row `r0 + 1 + l`; after step `s`
+/// it holds cell `(r0 + 1 + l, s − l)`.
+struct Band {
+    r0: usize,
+    /// Rows the band covers, `1..=16`. Lanes from `live` up lie below the
+    /// rectangle: they feed only higher lanes and are never stored.
+    live: usize,
+    /// `a[r0 + l]·|Σ|` per lane, the row half of each score-table index.
+    arow: __m512i,
+    /// `H` at the last step.
+    h: __m512i,
+    /// The last step's `up` operand, which is this step's diagonal.
+    up: __m512i,
+}
+
+impl Band {
+    /// The band over rows `r0 + 1 ..= r0 + live`. Panics on a residue
+    /// code outside the score table, as the profile rows do.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F (guaranteed by the caller's own `target_feature`).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn band_rows(a: &[u8], r0: usize, live: usize, codes: usize) -> Band {
+        let mut idx = [0i32; BAND];
+        for (slot, &c) in idx.iter_mut().zip(&a[r0..r0 + live]) {
+            assert!((c as usize) < codes, "residue code outside the alphabet");
+            *slot = c as i32 * codes as i32;
+        }
+        Band {
+            r0,
+            live,
+            arow: _mm512_loadu_si512(idx.as_ptr() as *const __m512i),
+            h: _mm512_setzero_si512(),
+            up: _mm512_setzero_si512(),
+        }
+    }
+
+    /// Advances the band to step `s`, given its top row's value at column
+    /// `s`. With `up = H(r0 + l, s − l)` (lane `l − 1` of the last step,
+    /// or `top` in lane 0), the left neighbour in lane `l` of `h` and the
+    /// diagonal in the last step's `up`, every lane computes the scalar
+    /// recurrence `max(diag + S, max(up, left) + gap)` on the same i32
+    /// sums.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F, and `s ≤ cols + BAND` so the code load stays
+    /// inside `brev`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn band_step(&mut self, g: &BandGeom, s: usize, top: i32) {
+        let up = _mm512_alignr_epi32::<15>(self.h, _mm512_set1_epi32(top));
+        let codes = _mm512_loadu_si512(g.brev.add(BAND + g.cols - s) as *const __m512i);
+        let sub = _mm512_permutex2var_epi32(g.lo, _mm512_add_epi32(self.arow, codes), g.hi);
+        let diag = _mm512_add_epi32(self.up, sub);
+        let gapped = _mm512_add_epi32(_mm512_max_epi32(up, self.h), g.gapv);
+        self.h = _mm512_max_epi32(diag, gapped);
+        self.up = up;
+    }
+
+    /// Stores lane `live − 1`, the band's bottom row at column
+    /// `s − (live − 1)`, into `dst`.
+    ///
+    /// With `FORWARD` (a full band whose entry the band behind loads on
+    /// the very next step) the lane goes out as a scalar store: a masked
+    /// vector store there blocks store forwarding to that load, and
+    /// measured ×0.36 on whole pairs. Otherwise one masked store writes
+    /// the lane; its vector base sits `live − 1` entries before the
+    /// column, possibly before `dst` itself, but the mask touches only
+    /// that entry.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F; `live − 1 ≤ s ≤ cols + live − 1`, `dst` holds
+    /// `cols + 1` entries, and `live == 16` with `FORWARD`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store_bottom<const FORWARD: bool>(&self, s: usize, dst: *mut i32) {
+        let last = self.live - 1;
+        if FORWARD {
+            let quarter = _mm512_extracti32x4_epi32::<3>(self.h);
+            *dst.add(s - last) = _mm_extract_epi32::<3>(quarter);
+        } else {
+            let base = dst.wrapping_add(s - last).wrapping_sub(last);
+            _mm512_mask_storeu_epi32(base, 1 << last, self.h);
+        }
+    }
+
+    /// Step `s` away from both edges: `live ≤ s < cols`, so every lane
+    /// holds an interior cell and no edge work is due.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F; `live ≤ s < cols`, `src` and `dst` hold
+    /// `cols + 1` entries, and `live == 16` with `FORWARD`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn inner_step<const FORWARD: bool>(
+        &mut self,
+        g: &BandGeom,
+        s: usize,
+        src: *const i32,
+        dst: *mut i32,
+    ) {
+        self.band_step(g, s, *src.add(s));
+        self.store_bottom::<FORWARD>(s, dst);
+    }
+
+    /// Any step `s ≤ cols + live − 1`, edges included: lane `s` takes the
+    /// left column's value in the first `live` steps, lane `s − cols`
+    /// goes to the right column in the last `live`, and the bottom row is
+    /// stored once lane `live − 1` has reached column 0. Past column
+    /// `cols` lane 0 reads `src[cols]`: it only feeds lanes that are past
+    /// the right edge too.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F; `s ≤ cols + live − 1`, `src` and `dst` hold
+    /// `cols + 1` entries, `g.left` (and `g.right`) hold `rows + 1`, and
+    /// `live == 16` with `FORWARD`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn edge_step<const FORWARD: bool>(
+        &mut self,
+        g: &BandGeom,
+        s: usize,
+        src: *const i32,
+        dst: *mut i32,
+    ) {
+        self.band_step(g, s, *src.add(s.min(g.cols)));
+        let last = self.live - 1;
+        if s <= last {
+            let left = *g.left.add(self.r0 + 1 + s);
+            self.h = _mm512_mask_set1_epi32(self.h, 1 << s, left);
+        }
+        if let Some(right) = g.right {
+            if s >= g.cols && s - g.cols <= last {
+                _mm512_mask_storeu_epi32(right.add(self.r0 + 1), 1 << (s - g.cols), self.h);
+            }
+        }
+        if s >= last && s - last <= g.cols {
+            self.store_bottom::<FORWARD>(s, dst);
+        }
+    }
+}
+
+/// One band alone, reading its top row from `src` and writing its bottom
+/// row to `dst`.
+///
+/// # Safety
+///
+/// As for [`Band::edge_step`].
+#[target_feature(enable = "avx512f")]
+unsafe fn band_single(band: &mut Band, g: &BandGeom, src: *const i32, dst: *mut i32) {
+    let end = g.cols + band.live;
+    let start = BAND.min(end);
+    let stop = g.cols.max(start);
+    for s in 0..start {
+        band.edge_step::<false>(g, s, src, dst);
+    }
+    for s in start..stop {
+        band.inner_step::<false>(g, s, src, dst);
+    }
+    for s in stop..end {
+        band.edge_step::<false>(g, s, src, dst);
+    }
+}
+
+/// Two bands in flight: `lead` (full) reads `row` and writes its bottom
+/// row to `mid`; `lag` runs [`BAND`] steps behind, reads `mid` one step
+/// after `lead` wrote the entry, and writes its bottom row back into
+/// `row` behind `lead`'s reads. The two dependency chains interleave, so
+/// neither waits on its own latency.
+///
+/// # Safety
+///
+/// As for [`Band::edge_step`] on both bands; `row` and `mid` hold
+/// `cols + 1` entries each.
+#[target_feature(enable = "avx512f")]
+unsafe fn band_pair(lead: &mut Band, lag: &mut Band, g: &BandGeom, row: *mut i32, mid: *mut i32) {
+    let end = BAND + g.cols + lag.live;
+    // Steady state: `lead` at t in 2·BAND..cols and `lag` at t − BAND,
+    // both clear of every edge.
+    let start = (2 * BAND).min(end);
+    let stop = g.cols.max(start);
+    for t in 0..start {
+        pair_edge_step(lead, lag, g, t, row, mid);
+    }
+    for t in start..stop {
+        lead.inner_step::<true>(g, t, row, mid);
+        lag.inner_step::<false>(g, t - BAND, mid, row);
+    }
+    for t in stop..end {
+        pair_edge_step(lead, lag, g, t, row, mid);
+    }
+}
+
+/// Step `t` of [`band_pair`] outside its steady state: `lead` at `t`
+/// until it has passed column `cols`, `lag` at `t − BAND` once it has
+/// started.
+///
+/// # Safety
+///
+/// As for [`band_pair`], with `t < BAND + cols + lag.live`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn pair_edge_step(
+    lead: &mut Band,
+    lag: &mut Band,
+    g: &BandGeom,
+    t: usize,
+    row: *mut i32,
+    mid: *mut i32,
+) {
+    if t < g.cols + BAND {
+        lead.edge_step::<true>(g, t, row, mid);
+    }
+    if t >= BAND {
+        lag.edge_step::<false>(g, t - BAND, mid, row);
+    }
+}
+
+/// [`super::Kernel::fill_last_row_col`]'s anti-diagonal band fill: the
+/// rectangle's rows go sixteen to a vector, one row per lane, and each
+/// step advances a band one column, so a row's left dependency is one
+/// lane shift per step instead of a prefix max. Every kept cell is the
+/// scalar recurrence over the same i32 sums, so the edges are
+/// bit-identical to the row scan's.
+///
+/// `row` holds the top row on entry and the bottom row on return; `mid`
+/// is scratch of the same length. `brev` is `b`'s codes reversed between
+/// sixteen pad entries on each side (`cols + 32` long), `table` holds
+/// `S(x, y)` at `x·codes + y` (so `codes² ≤ 32`), and `right`, if given,
+/// has its entry 0 set by the caller and rows `1..=rows` filled here.
+///
+/// # Safety
+///
+/// The caller must have verified `is_x86_feature_detected!("avx512f")`;
+/// the dispatch layer does this once at `Kernel` construction.
+#[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn band_fill_avx512(
+    a: &[u8],
+    brev: &[i32],
+    table: &[i32; 32],
+    codes: usize,
+    left: &[i32],
+    gap: i32,
+    row: &mut [i32],
+    mid: &mut [i32],
+    right: Option<&mut [i32]>,
+) {
+    let rows = a.len();
+    let cols = brev.len().saturating_sub(2 * BAND);
+    // Release-mode guards: the steps read and write through raw pointers,
+    // so a short buffer is UB, not a panic.
+    assert!(
+        codes * codes <= table.len(),
+        "alphabet too large for the table"
+    );
+    assert_eq!(brev.len(), cols + 2 * BAND, "reversed b length");
+    assert_eq!(row.len(), cols + 1, "row length");
+    assert_eq!(mid.len(), cols + 1, "mid row length");
+    assert_eq!(left.len(), rows + 1, "left column length");
+    let right = right.map(|r| {
+        assert_eq!(r.len(), rows + 1, "right column length");
+        r.as_mut_ptr()
+    });
+    let g = BandGeom {
+        cols,
+        brev: brev.as_ptr(),
+        left: left.as_ptr(),
+        right,
+        lo: _mm512_loadu_si512(table.as_ptr() as *const __m512i),
+        hi: _mm512_loadu_si512(table.as_ptr().add(BAND) as *const __m512i),
+        gapv: _mm512_set1_epi32(gap),
+    };
+    let (row, mid) = (row.as_mut_ptr(), mid.as_mut_ptr());
+    let mut r0 = 0;
+    while rows - r0 > BAND {
+        let lag_rows = (rows - r0 - BAND).min(BAND);
+        let mut lead = Band::band_rows(a, r0, BAND, codes);
+        let mut lag = Band::band_rows(a, r0 + BAND, lag_rows, codes);
+        band_pair(&mut lead, &mut lag, &g, row, mid);
+        r0 += BAND + lag_rows;
+    }
+    if r0 < rows {
+        // A band alone writes to `mid` and copies back: storing into the
+        // row it reads, a band of 8 rows or fewer puts each one-lane
+        // store's 64-byte window over its next load, which blocks store
+        // forwarding.
+        band_single(&mut Band::band_rows(a, r0, rows - r0, codes), &g, row, mid);
+        std::ptr::copy_nonoverlapping(mid, row, cols + 1);
+    }
+}
+
 /// AVX2 version of [`super::affine_row_portable`]: identical contract,
 /// identical results, eight columns per vector.
 ///

@@ -132,16 +132,21 @@ fn extremal_scheme_at_zero_slack_does_not_wrap() {
     // flush against the envelope, all-mismatch and all-match inputs
     // (the two monotone extremes of the recurrence). Widths 16..48 end
     // rows at every remainder mod 16, so each partial vector block (the
-    // AVX-512 masked tail included) runs at the envelope too.
+    // AVX-512 masked tail included) runs at the envelope too. Heights
+    // put the AVX-512 band kernel (this DNA alphabet fits its table) on
+    // both sides of its 8-row threshold, in one band, and in two bands
+    // in flight with a full or partial second band.
     for cols in 16..48 {
-        let a_mis: Vec<u8> = vec![0; 20];
-        let b_mis: Vec<u8> = vec![1; cols];
-        let a_mat: Vec<u8> = vec![2; 20];
-        let b_mat: Vec<u8> = vec![2; cols];
-        for (a, b) in [(&a_mis, &b_mis), (&a_mat, &b_mat)] {
-            let budget = offset_budget(a.len(), b.len(), S_MAX, G_MAX);
-            assert_kernels_match_reference(a, b, S_MAX, G_MAX, budget);
-            assert_kernels_match_reference(a, b, S_MAX, G_MAX, -budget);
+        for rows in [7, 8, 16, 20, 31, 33, 64 + cols % 16] {
+            let a_mis: Vec<u8> = vec![0; rows];
+            let b_mis: Vec<u8> = vec![1; cols];
+            let a_mat: Vec<u8> = vec![2; rows];
+            let b_mat: Vec<u8> = vec![2; cols];
+            for (a, b) in [(&a_mis, &b_mis), (&a_mat, &b_mat)] {
+                let budget = offset_budget(a.len(), b.len(), S_MAX, G_MAX);
+                assert_kernels_match_reference(a, b, S_MAX, G_MAX, budget);
+                assert_kernels_match_reference(a, b, S_MAX, G_MAX, -budget);
+            }
         }
     }
 }

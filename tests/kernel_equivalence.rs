@@ -5,7 +5,8 @@
 //! This is the contract that makes backend selection transparent: a run
 //! on AVX2 and a run on a scalar-only machine must produce byte-identical
 //! output. The SIMD kernels use an exact algebraic reformulation of the
-//! recurrence (prefix-max scan), so equality here is integer equality,
+//! recurrence (prefix-max scan) or, on AVX-512 for DNA, anti-diagonal
+//! bands over the same i32 sums, so equality here is integer equality,
 //! not approximation.
 //!
 //! The affine (Gotoh) fills are under it too: [`Kernel::fill_affine_edges_in`]
@@ -224,6 +225,20 @@ fn fill_kernels_match_scalar_on_random_rectangles() {
             let bound = random_boundary(&mut rng, rows, cols);
             assert_fills_match_scalar(&format!("width {cols}"), scheme, &a, &b, &bound);
         }
+    }
+    // DNA (`N` included) at every height 0..=100: each remainder mod 16
+    // and mod 32, both sides of the band kernel's row threshold (8) and
+    // of its one-band/two-band cut (16/17, 32/33), at widths 16..=200.
+    // AVX-512 fills these as anti-diagonal bands.
+    let dna = &schemes[..3];
+    for rows in 0..=100usize {
+        let scheme = &dna[rows % dna.len()];
+        let codes = scheme.matrix().alphabet().len() as u8;
+        let cols = 16 + rng.below(185) as usize;
+        let a = random_codes(&mut rng, rows, codes);
+        let b = random_codes(&mut rng, cols, codes);
+        let bound = random_boundary(&mut rng, rows, cols);
+        assert_fills_match_scalar(&format!("dna {rows}x{cols}"), scheme, &a, &b, &bound);
     }
 }
 
