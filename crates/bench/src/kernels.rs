@@ -14,7 +14,9 @@
 //! reported as pairs/sec. It also times
 //! [`Kernel::fill_affine_edges_in`] — affine
 //! FastLSA's grid fill — per backend on a homologous protein pair under
-//! BLOSUM62 with gaps −11/−1. The JSON report (`BENCH_kernels.json`)
+//! BLOSUM62 with gaps −11/−1, and, report-only, its base case
+//! [`Kernel::fill_affine_full_reusing`] (three lined layers in reused
+//! buffers) at sides up to 1,024. The JSON report (`BENCH_kernels.json`)
 //! records the detected CPU features so numbers are comparable across
 //! machines, and `--gate F` turns the sweep into a regression gate: it
 //! fails unless the best vectorized backend reaches `F`× the scalar
@@ -119,6 +121,10 @@ impl BatchBenchCase {
 /// Gap open and extend of the affine measurement (the protein default).
 const AFFINE_GAP: (i32, i32) = (-11, -1);
 
+/// Largest requested side the affine base-case sweep fills: its three
+/// full layers at 10,000² would take 1.2 GB.
+const AFFINE_FULL_MAX_LEN: usize = 1024;
+
 /// Linear gap penalty of the protein measurement.
 const PROTEIN_GAP: i32 = -10;
 
@@ -152,6 +158,9 @@ pub struct KernelBenchReport {
     pub protein: Vec<KernelBenchCase>,
     /// Affine edge-fill measurements, grouped like `cases`.
     pub affine: Vec<KernelBenchCase>,
+    /// Affine base-case (full-fill) measurements at the lengths up to
+    /// 1,024, grouped like `cases`; reported, not gated.
+    pub affine_full: Vec<KernelBenchCase>,
     /// Batch-kernel measurements (one per [`BATCH_LENS`] entry).
     pub batch: Vec<BatchBenchCase>,
     /// The striped backend the batch measurements ran on.
@@ -256,6 +265,8 @@ impl KernelBenchReport {
         }
         out.push_str("  ],\n  \"affine\": [\n");
         push_cases_json(&mut out, &self.affine);
+        out.push_str("  ],\n  \"affine_full\": [\n");
+        push_cases_json(&mut out, &self.affine_full);
         out.push_str("  ],\n  \"protein\": [\n");
         push_cases_json(&mut out, &self.protein);
         out.push_str("  ],\n  \"results\": [\n");
@@ -279,6 +290,13 @@ impl KernelBenchReport {
                 "affine edge fill (protein, BLOSUM62, {open}/{extend}):\n"
             ));
             out.push_str(&render_cases(&self.affine));
+        }
+        if !self.affine_full.is_empty() {
+            let (open, extend) = AFFINE_GAP;
+            out.push_str(&format!(
+                "affine full fill, reused buffers (protein, BLOSUM62, {open}/{extend}):\n"
+            ));
+            out.push_str(&render_cases(&self.affine_full));
         }
         if !self.batch.is_empty() {
             let mut bt = crate::Table::new(&[
@@ -396,11 +414,13 @@ pub fn run_with(
     let (open, extend) = AFFINE_GAP;
     let affine_scheme = ScoringScheme::new(tables::blosum62(), GapModel::affine(open, extend));
     let mut affine = Vec::new();
+    let mut affine_full = Vec::new();
     for &len in lens {
         let (sa, sb) = homologous_pair("bench", &Alphabet::protein(), len, 0.8, 0xaf)
             .expect("bench sequence generation");
         let (a, b) = (sa.codes(), sb.codes());
         let bnd = AffineGlobalBoundary::new(a.len(), b.len(), open, extend);
+        let cells = (a.len() * b.len()) as u64;
         for backend in KernelBackend::available() {
             let kernel = Kernel::try_new(backend).expect("available backend");
             let best_ns = best_of(reps, || {
@@ -411,9 +431,32 @@ pub fn run_with(
             affine.push(KernelBenchCase {
                 backend,
                 len,
-                cells: (a.len() * b.len()) as u64,
+                cells,
                 best_ns,
             });
+            if len <= AFFINE_FULL_MAX_LEN {
+                // The warmup fill sizes the layers; timed fills reuse them.
+                let mut layers = Default::default();
+                let best_ns = best_of(reps, || {
+                    let storage = std::mem::take(&mut layers);
+                    layers = kernel
+                        .fill_affine_full_reusing(
+                            a,
+                            b,
+                            bnd.view(),
+                            &affine_scheme,
+                            storage,
+                            &metrics,
+                        )
+                        .into_storage();
+                });
+                affine_full.push(KernelBenchCase {
+                    backend,
+                    len,
+                    cells,
+                    best_ns,
+                });
+            }
         }
     }
     let batch_kernel = BatchKernel::new(Kernel::auto());
@@ -425,6 +468,7 @@ pub fn run_with(
         cases,
         protein,
         affine,
+        affine_full,
         batch,
         batch_backend: batch_kernel.backend_name(),
         cpu_features: detected_cpu_features(),
@@ -548,7 +592,12 @@ mod tests {
     #[test]
     fn sweep_covers_every_available_backend() {
         let report = run_with(&[64], &[16], 8, 1);
-        for cases in [&report.cases, &report.protein, &report.affine] {
+        for cases in [
+            &report.cases,
+            &report.protein,
+            &report.affine,
+            &report.affine_full,
+        ] {
             let backends: Vec<_> = cases.iter().map(|c| c.backend).collect();
             assert_eq!(backends, KernelBackend::available());
             // Mutation introduces indels, so cells is near (not exactly) 64².
@@ -565,8 +614,10 @@ mod tests {
         assert!(json.contains("\"scalar\""));
         assert!(json.contains("\"best_backend\""));
         assert!(json.contains("\"affine\": ["));
+        assert!(json.contains("\"affine_full\": ["));
         assert!(json.contains("\"protein\": ["));
         assert!(report.render().contains("affine edge fill"));
+        assert!(report.render().contains("affine full fill"));
         assert!(report.render().contains("row scan (protein"));
         // Balanced braces/brackets — cheap structural sanity.
         assert_eq!(
@@ -598,6 +649,7 @@ mod tests {
                 case(KernelBackend::Avx2, 20_000),
                 case(KernelBackend::Avx512, 12_000),
             ],
+            affine_full: vec![],
             batch: vec![],
             batch_backend: "batch-portable",
             cpu_features: vec![],

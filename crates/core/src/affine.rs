@@ -24,7 +24,7 @@
 //! aligners independently.
 
 use flsa_dp::affine::{AffineBoundary, AffineGlobalBoundary, GapState, NEG};
-use flsa_dp::{AlignResult, Kernel, MemGuard, Metrics, Move, PathBuilder};
+use flsa_dp::{AlignResult, Kernel, MemGuard, Metrics, Move, PathBuilder, ScoreMatrix};
 use flsa_scoring::ScoringScheme;
 use flsa_seq::Sequence;
 
@@ -70,7 +70,8 @@ struct AffineSolver<'s> {
     /// vectors instead of allocating eight per block.
     kernel: Kernel,
     /// The Base Case buffers (`H`, `E`, `F`), reused by every base case
-    /// and grown, exactly, to the largest one.
+    /// and grown, exactly, to the largest one's lined length
+    /// ([`ScoreMatrix::lined_len`]), row padding included.
     base: [Vec<i32>; 3],
     /// Tracks the base buffers' bytes; replaced whenever they grow.
     base_guard: Option<MemGuard<'s>>,
@@ -181,13 +182,14 @@ impl AffineSolver<'_> {
         out: &mut PathBuilder,
     ) -> ((usize, usize), GapState) {
         let (rows, cols) = (a.len(), b.len());
-        let cells = (rows + 1) * (cols + 1);
-        if self.base[0].capacity() < cells {
+        // The fills pad each layer's rows out to whole cache lines.
+        let len = ScoreMatrix::lined_len(rows, cols);
+        if self.base[0].capacity() < len {
             self.base_guard = None;
             for buf in &mut self.base {
-                buf.reserve_exact(cells - buf.len());
+                buf.reserve_exact(len - buf.len());
             }
-            let bytes = 3 * cells * std::mem::size_of::<i32>();
+            let bytes = 3 * len * std::mem::size_of::<i32>();
             self.base_guard = Some(self.metrics.track_alloc(bytes));
         }
         let storage = std::mem::take(&mut self.base);
@@ -483,7 +485,7 @@ mod tests {
         let (m, n) = (a.len(), b.len());
         let metrics = Metrics::new();
         align_affine(&a, &b, &scheme, FastLsaConfig::new(4, 1 << 20), &metrics).unwrap();
-        let want = 3 * (m + 1) * (n + 1) * std::mem::size_of::<i32>();
+        let want = 3 * ScoreMatrix::lined_len(m, n) * std::mem::size_of::<i32>();
         assert_eq!(metrics.snapshot().peak_bytes, want as u64);
     }
 

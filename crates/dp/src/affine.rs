@@ -230,8 +230,14 @@ pub fn fill_affine_full(
 
 /// [`fill_affine_full`] recycling `storage` (the `H`, `E` and `F`
 /// buffers, in that order) as the three layers; retrieve it back with
-/// [`AffineMatrices::into_storage`]. Every entry is rewritten, so the
+/// [`AffineMatrices::into_storage`]. Every cell is rewritten, so the
 /// buffers need no clearing between solves.
+///
+/// The layers are lined, as in [`crate::Kernel::fill_affine_full_reusing`]
+/// on every backend: each row is padded to a multiple of 16 entries and
+/// column 1 of every row opens a 64-byte cache line. Padding is never
+/// read. Each buffer is resized to [`ScoreMatrix::lined_len`] entries, so
+/// a caller that sizes it to that beforehand keeps it from moving.
 pub fn fill_affine_full_reusing(
     a: &[u8],
     b: &[u8],
@@ -245,10 +251,7 @@ pub fn fill_affine_full_reusing(
     let (open, extend) = affine_params(scheme);
     let matrix = scheme.matrix();
 
-    let [h, e, f] = storage;
-    let mut h = ScoreMatrix::from_storage(rows, cols, h);
-    let mut e = ScoreMatrix::from_storage(rows, cols, e);
-    let mut f = ScoreMatrix::from_storage(rows, cols, f);
+    let [mut h, mut e, mut f] = storage.map(|s| ScoreMatrix::lined_from_storage(rows, cols, s));
     for j in 0..=cols {
         h.set(0, j, bnd.top_h[j]);
         f.set(0, j, bnd.top_v[j]);

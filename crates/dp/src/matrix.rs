@@ -1,36 +1,81 @@
 //! Dense matrices over DPM rectangles.
 
-/// A dense `(rows+1) × (cols+1)` score matrix including the input boundary
-/// as row 0 and column 0 (the paper's DPM layout, Figure 1).
+/// `i32` entries per 64-byte cache line: the row alignment unit of a
+/// lined [`ScoreMatrix`].
+const LINE: usize = 16;
+
+/// A `(rows+1) × (cols+1)` score matrix including the input boundary as
+/// row 0 and column 0 (the paper's DPM layout, Figure 1).
 ///
 /// Row-major storage; `rows`/`cols` count *residues*, so the matrix has one
-/// more row and column than the rectangle has residues.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// more row and column than the rectangle has residues. Rows sit a fixed
+/// *pitch* apart: [`ScoreMatrix::from_storage`] packs them densely
+/// (`cols + 1` entries), while the lined layout of the affine full fills
+/// ([`ScoreMatrix::lined_len`] entries) pads each row to a multiple of 16
+/// entries and offsets the first so that column 1 of every row opens a
+/// 64-byte cache line. Padding is never read, and two matrices compare
+/// equal when their shapes and cells agree, whatever their pitch.
+#[derive(Debug, Clone)]
 pub struct ScoreMatrix {
     rows: usize,
     cols: usize,
+    /// Entries from the start of one row to the start of the next.
+    pitch: usize,
+    /// Index of entry `(0, 0)` in `data`.
+    off: usize,
     data: Vec<i32>,
 }
 
 impl ScoreMatrix {
-    /// Allocates a zeroed matrix for an `rows × cols` residue rectangle.
+    /// Allocates a zeroed, dense matrix for an `rows × cols` residue
+    /// rectangle.
     pub fn new(rows: usize, cols: usize) -> Self {
-        ScoreMatrix {
-            rows,
-            cols,
-            data: vec![0; (rows + 1) * (cols + 1)],
-        }
+        ScoreMatrix::from_storage(rows, cols, vec![0; (rows + 1) * (cols + 1)])
     }
 
-    /// Builds a matrix reusing `storage` (resized as needed, contents
-    /// overwritten with zeros only where grown). FastLSA recycles one
-    /// buffer — the paper's pre-allocated Base Case buffer — across every
-    /// base-case solve; see [`ScoreMatrix::into_vec`].
+    /// Builds a dense matrix reusing `storage` (resized to exactly
+    /// `(rows + 1) · (cols + 1)` entries, contents overwritten with zeros
+    /// only where grown). FastLSA recycles one buffer — the paper's
+    /// pre-allocated Base Case buffer — across every base-case solve; see
+    /// [`ScoreMatrix::into_vec`].
     pub fn from_storage(rows: usize, cols: usize, mut storage: Vec<i32>) -> Self {
         storage.resize((rows + 1) * (cols + 1), 0);
         ScoreMatrix {
             rows,
             cols,
+            pitch: cols + 1,
+            off: 0,
+            data: storage,
+        }
+    }
+
+    /// Storage entries of a lined `rows × cols` matrix: `rows + 1` rows of
+    /// `cols + 1` entries rounded up to a multiple of 16 (at most 15
+    /// padding entries each), plus up to 15 entries before the first row
+    /// to line it up.
+    pub fn lined_len(rows: usize, cols: usize) -> usize {
+        (rows + 1) * (cols + 1).next_multiple_of(LINE) + (LINE - 1)
+    }
+
+    /// [`ScoreMatrix::from_storage`] with lined rows: `storage` is resized
+    /// to exactly [`ScoreMatrix::lined_len`] entries, every row is padded
+    /// to a multiple of 16 entries, and row 0 starts where column 1 of
+    /// every row opens a 64-byte line, so sixteen-lane row fills load and
+    /// store whole lines. Size `storage` beforehand to keep the buffer
+    /// from moving.
+    pub(crate) fn lined_from_storage(rows: usize, cols: usize, mut storage: Vec<i32>) -> Self {
+        storage.resize(ScoreMatrix::lined_len(rows, cols), 0);
+        // Taken after the resize, which may have moved the buffer.
+        let off = storage
+            .as_ptr()
+            .wrapping_add(1)
+            .align_offset(LINE * std::mem::size_of::<i32>())
+            .min(LINE - 1);
+        ScoreMatrix {
+            rows,
+            cols,
+            pitch: (cols + 1).next_multiple_of(LINE),
+            off,
             data: storage,
         }
     }
@@ -50,37 +95,43 @@ impl ScoreMatrix {
         self.cols
     }
 
-    /// Bytes of score storage (for memory accounting).
+    /// Bytes of score storage, padding included (for memory accounting).
     pub fn bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<i32>()
+    }
+
+    /// Index of `(i, j)` in the storage.
+    #[inline(always)]
+    fn index(&self, i: usize, j: usize) -> usize {
+        debug_assert!(i <= self.rows && j <= self.cols);
+        self.off + i * self.pitch + j
     }
 
     /// Score at `(i, j)`, `0 ≤ i ≤ rows`, `0 ≤ j ≤ cols`.
     #[inline(always)]
     pub fn get(&self, i: usize, j: usize) -> i32 {
-        debug_assert!(i <= self.rows && j <= self.cols);
-        self.data[i * (self.cols + 1) + j]
+        self.data[self.index(i, j)]
     }
 
     /// Sets the score at `(i, j)`.
     #[inline(always)]
     pub fn set(&mut self, i: usize, j: usize, v: i32) {
-        debug_assert!(i <= self.rows && j <= self.cols);
-        self.data[i * (self.cols + 1) + j] = v;
+        let at = self.index(i, j);
+        self.data[at] = v;
     }
 
-    /// Immutable view of score row `i`.
+    /// Immutable view of score row `i` (`cols + 1` entries).
     #[inline]
     pub fn row(&self, i: usize) -> &[i32] {
-        let w = self.cols + 1;
-        &self.data[i * w..(i + 1) * w]
+        let start = self.index(i, 0);
+        &self.data[start..start + self.cols + 1]
     }
 
-    /// Mutable view of score row `i`.
+    /// Mutable view of score row `i` (`cols + 1` entries).
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [i32] {
-        let w = self.cols + 1;
-        &mut self.data[i * w..(i + 1) * w]
+        let start = self.index(i, 0);
+        &mut self.data[start..start + self.cols + 1]
     }
 
     /// Copies score column `j` out (columns are strided, so this allocates).
@@ -95,10 +146,23 @@ impl ScoreMatrix {
     pub fn rows_prev_cur(&mut self, i: usize) -> (&[i32], &mut [i32]) {
         debug_assert!(i >= 1 && i <= self.rows);
         let w = self.cols + 1;
-        let (a, b) = self.data.split_at_mut(i * w);
-        (&a[(i - 1) * w..], &mut b[..w])
+        let start = self.index(i, 0);
+        let (a, b) = self.data.split_at_mut(start);
+        (&a[start - self.pitch..][..w], &mut b[..w])
     }
 }
+
+impl PartialEq for ScoreMatrix {
+    /// Same shape and every cell equal; pitch, offset and padding are
+    /// layout, not content.
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && (0..=self.rows).all(|i| self.row(i) == other.row(i))
+    }
+}
+
+impl Eq for ScoreMatrix {}
 
 /// Traceback direction of one DPM entry.
 ///
@@ -227,6 +291,51 @@ mod tests {
     fn bytes_counts_full_matrix() {
         let m = ScoreMatrix::new(9, 9);
         assert_eq!(m.bytes(), 100 * 4);
+        let lined = ScoreMatrix::lined_from_storage(9, 9, Vec::new());
+        assert_eq!(ScoreMatrix::lined_len(9, 9), 10 * 16 + 15);
+        assert_eq!(lined.bytes(), ScoreMatrix::lined_len(9, 9) * 4);
+    }
+
+    #[test]
+    fn lined_rows_open_a_cache_line_at_column_one() {
+        // Storage left by a wider and by a narrower matrix: the pitch and
+        // the offset both change with the shape and the buffer's address.
+        let mut storage = Vec::new();
+        for (rows, cols) in [(3, 40), (5, 17), (2, 1), (4, 15), (1, 16)] {
+            let mut m = ScoreMatrix::lined_from_storage(rows, cols, storage);
+            for i in 0..=rows {
+                let row = m.row_mut(i);
+                assert_eq!(row.len(), cols + 1);
+                assert_eq!(row[1..].as_ptr() as usize % 64, 0, "{rows}x{cols} row {i}");
+                row.fill(i as i32);
+            }
+            for i in 1..=rows {
+                let (prev, cur) = m.rows_prev_cur(i);
+                assert!(prev.iter().all(|&v| v == i as i32 - 1));
+                assert!(cur.iter().all(|&v| v == i as i32));
+            }
+            assert_eq!(m.col(cols), (0..=rows as i32).collect::<Vec<_>>());
+            storage = m.into_vec();
+        }
+    }
+
+    #[test]
+    fn equality_compares_cells_not_layout() {
+        let (rows, cols) = (4, 21);
+        let mut dense = ScoreMatrix::new(rows, cols);
+        // Poisoned storage: the padding holds values no cell has.
+        let mut lined = ScoreMatrix::lined_from_storage(rows, cols, vec![-7; 1000]);
+        for i in 0..=rows {
+            for j in 0..=cols {
+                dense.set(i, j, (i * 31 + j) as i32);
+                lined.set(i, j, (i * 31 + j) as i32);
+            }
+        }
+        assert_eq!(dense, lined);
+        assert_eq!(lined, dense);
+        lined.set(3, 20, 0);
+        assert_ne!(dense, lined);
+        assert_ne!(ScoreMatrix::new(2, 3), ScoreMatrix::new(3, 2));
     }
 
     #[test]

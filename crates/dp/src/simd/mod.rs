@@ -808,8 +808,10 @@ impl Kernel {
     }
 
     /// [`crate::affine::fill_affine_full_reusing`] on the active backend:
-    /// `storage` (`H`, `E`, `F`) becomes the three layers, every entry
-    /// rewritten, bit-identical to the scalar function's.
+    /// `storage` (`H`, `E`, `F`) becomes the three layers, every cell
+    /// rewritten, bit-identical to the scalar function's. The layers are
+    /// lined on every backend, as the scalar function's are, so the
+    /// sixteen-lane rows store whole cache lines; padding is never read.
     pub fn fill_affine_full_reusing(
         &self,
         a: &[u8],
@@ -827,10 +829,7 @@ impl Kernel {
         }
         bnd.check_boundary(rows, cols);
         let profile = self.take_profile(scheme, b);
-        let [h, e, f] = storage;
-        let mut h = ScoreMatrix::from_storage(rows, cols, h);
-        let mut e = ScoreMatrix::from_storage(rows, cols, e);
-        let mut f = ScoreMatrix::from_storage(rows, cols, f);
+        let [mut h, mut e, mut f] = storage.map(|s| ScoreMatrix::lined_from_storage(rows, cols, s));
         h.row_mut(0).copy_from_slice(bnd.top_h);
         f.row_mut(0).copy_from_slice(bnd.top_v);
         e.row_mut(0).fill(NEG);

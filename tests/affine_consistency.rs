@@ -193,3 +193,29 @@ fn linear_entry_points_refuse_an_affine_scheme_with_a_typed_error() {
     let r = fastlsa::core::align_affine(&a, &b, &scheme, config, &metrics).unwrap();
     assert_eq!(r.path.score(&a, &b, &scheme), r.score);
 }
+
+/// A pair that fits one base case tracks exactly its three affine layers
+/// (`H`, `E`, `F`) at the lined length, row padding included, and
+/// nothing else: no grid, no second copy of the buffers.
+#[test]
+fn one_base_case_tracks_exactly_three_lined_layers() {
+    use fastlsa::dp::ScoreMatrix;
+
+    let scheme = ScoringScheme::new(tables::blosum62(), GapModel::affine(-11, -1));
+    // Widths below, across and well past one 16-entry row pad.
+    for (len, seed) in [(9, 1), (120, 2), (700, 3)] {
+        let (a, b) = generate::homologous_pair("t", &Alphabet::protein(), len, 0.8, seed).unwrap();
+        let metrics = Metrics::new();
+        let config = FastLsaConfig::new(4, 1 << 20);
+        let r = fastlsa::core::align_affine(&a, &b, &scheme, config, &metrics).unwrap();
+        assert_eq!(r.score, gotoh(&a, &b, &scheme, &Metrics::new()).score);
+        let layer = ScoreMatrix::lined_len(a.len(), b.len()) * std::mem::size_of::<i32>();
+        assert_eq!(
+            metrics.snapshot().peak_bytes,
+            3 * layer as u64,
+            "{}x{}",
+            a.len(),
+            b.len()
+        );
+    }
+}

@@ -379,10 +379,25 @@ fn assert_layers_eq(what: &str, got: &AffineMatrices, want: &AffineMatrices) {
     assert_eq!(got.f, want.f, "{what}: F");
 }
 
+/// Every backend lines the full fill's layers up the same way: column 1
+/// of every row of `H`, `E` and `F` opens a 64-byte cache line.
+fn assert_layers_lined(what: &str, mats: &AffineMatrices) {
+    if mats.h.cols() == 0 {
+        return;
+    }
+    for (name, layer) in [("H", &mats.h), ("E", &mats.e), ("F", &mats.f)] {
+        for i in 0..=layer.rows() {
+            let at = layer.row(i)[1..].as_ptr() as usize;
+            assert_eq!(at % 64, 0, "{what}: {name} row {i} column 1 off its line");
+        }
+    }
+}
+
 /// Runs both affine `Kernel` fills for one rectangle on every backend
 /// and asserts each equals the scalar free function: all four edges
-/// (placeholders included), and all of `H`/`E`/`F` from fresh storage
-/// and from storage poisoned by a larger solve.
+/// (placeholders included), and every cell of `H`/`E`/`F` from fresh
+/// storage and from storage a wider and a narrower solve left poisoned,
+/// whose row pitch and line offset both differ from this one's.
 fn assert_affine_fills_match_scalar(
     case: &str,
     scheme: &ScoringScheme,
@@ -395,13 +410,15 @@ fn assert_affine_fills_match_scalar(
     let edges_ref =
         affine::fill_affine_edges_in(a, b, bnd.view(), scheme, &KernelArena::new(), &m_ref);
     let full_ref = affine::fill_affine_full(a, b, bnd.view(), scheme, &m_ref);
-    // A larger rectangle to poison the reused storage with.
+    // Rectangles to poison the reused storage with: one wider (and
+    // taller), one narrower (and taller, so its buffers are not simply
+    // longer).
     let codes = scheme.matrix().alphabet().len() as u64;
-    let big_a: Vec<u8> = (0..rows + 3).map(|i| (i as u64 % codes) as u8).collect();
-    let big_b: Vec<u8> = (0..cols + 17)
-        .map(|j| (j as u64 * 7 % codes) as u8)
-        .collect();
-    let big_bnd = AffineGlobalBoundary::new(rows + 3, cols + 17, -1, -1);
+    let poisons = [(rows + 3, cols + 17), (rows + 9, cols / 2)].map(|(pr, pc)| {
+        let pa: Vec<u8> = (0..pr).map(|i| (i as u64 % codes) as u8).collect();
+        let pb: Vec<u8> = (0..pc).map(|j| (j as u64 * 7 % codes) as u8).collect();
+        (pa, pb, AffineGlobalBoundary::new(pr, pc, -1, -1))
+    });
 
     for backend in backends() {
         let kernel = Kernel::try_new(backend).unwrap();
@@ -417,27 +434,32 @@ fn assert_affine_fills_match_scalar(
         let fresh =
             kernel.fill_affine_full_reusing(a, b, bnd.view(), scheme, Default::default(), &m);
         assert_layers_eq(&format!("{what} fresh"), &fresh, &full_ref);
+        assert_layers_lined(&format!("{what} fresh"), &fresh);
 
-        let poison = kernel
-            .fill_affine_full_reusing(
-                &big_a,
-                &big_b,
-                big_bnd.view(),
-                scheme,
-                Default::default(),
-                &Metrics::new(),
-            )
-            .into_storage();
-        let reused = kernel.fill_affine_full_reusing(a, b, bnd.view(), scheme, poison, &m);
-        assert_layers_eq(&format!("{what} reused"), &reused, &full_ref);
+        for (pa, pb, pbnd) in &poisons {
+            let poison = kernel
+                .fill_affine_full_reusing(
+                    pa,
+                    pb,
+                    pbnd.view(),
+                    scheme,
+                    Default::default(),
+                    &Metrics::new(),
+                )
+                .into_storage();
+            let reused = kernel.fill_affine_full_reusing(a, b, bnd.view(), scheme, poison, &m);
+            let how = format!("{what} reused after {}x{}", pa.len(), pb.len());
+            assert_layers_eq(&how, &reused, &full_ref);
+            assert_layers_lined(&how, &reused);
+        }
 
         let snap = m.snapshot();
         assert_eq!(
             snap.cells_computed,
-            3 * (rows * cols) as u64,
+            4 * (rows * cols) as u64,
             "{what}: cells"
         );
-        assert_eq!(snap.kernel_calls, 3, "{what}: kernel calls");
+        assert_eq!(snap.kernel_calls, 4, "{what}: kernel calls");
     }
 }
 
