@@ -6,41 +6,28 @@
 //! and ns/cell. The DNA sweep is the gated one; on AVX-512 it runs the
 //! anti-diagonal band kernel. A second, report-only sweep on protein
 //! (BLOSUM62, linear gap −10) times the row scan, which protein and every
-//! non-AVX-512 backend run. The sweep also measures the inter-sequence
-//! [`BatchKernel`]: batches of small independent pairs aligned
-//! one-per-lane versus the same pairs aligned one at a time — both on the
-//! batch kernel's own single-pair path and as a loop of
-//! [`fastlsa_core::align`], the path a caller would otherwise take —
-//! reported as pairs/sec. It also times
+//! non-AVX-512 backend run. It also times
 //! [`Kernel::fill_affine_edges_in`] — affine
 //! FastLSA's grid fill — per backend on a homologous protein pair under
 //! BLOSUM62 with gaps −11/−1, and, report-only, its base case
 //! [`Kernel::fill_affine_full_reusing`] (three lined layers in reused
 //! buffers) at sides up to 1,024. The JSON report (`BENCH_kernels.json`)
-//! records the detected CPU features so numbers are comparable across
+//! opens with the [`HostStamp`] so numbers are comparable across
 //! machines, and `--gate F` turns the sweep into a regression gate: it
 //! fails unless the best vectorized backend reaches `F`× the scalar
 //! throughput on the largest problem, the widest backend is not slower
-//! than the next one down, the batch kernel beats the single-pair path on
-//! small pairs, the best affine backend reaches `F`× scalar affine, and
-//! AVX-512 affine is not slower than AVX2 affine.
+//! than the next one down, the best affine backend reaches `F`× scalar
+//! affine, and AVX-512 affine is not slower than AVX2 affine.
 
 use std::time::Instant;
 
 use flsa_dp::affine::AffineGlobalBoundary;
-use flsa_dp::{
-    detected_cpu_features, BatchJob, BatchKernel, Boundary, Kernel, KernelBackend, Metrics,
-};
+use flsa_dp::{Boundary, Kernel, KernelBackend, Metrics};
 use flsa_scoring::{tables, GapModel, ScoringScheme};
 use flsa_seq::generate::homologous_pair;
 use flsa_seq::Alphabet;
 
-/// Square pair sizes the batch section measures (small jobs — the
-/// regime the inter-sequence layout exists for).
-pub const BATCH_LENS: [usize; 3] = [64, 256, 1024];
-
-/// Independent pairs per batch measurement (≥ 2 full vector chunks).
-pub const BATCH_PAIRS: usize = 32;
+use crate::HostStamp;
 
 /// One (backend, problem size) measurement.
 #[derive(Debug, Clone)]
@@ -68,53 +55,6 @@ impl KernelBenchCase {
     /// Nanoseconds per DP cell.
     pub fn ns_per_cell(&self) -> f64 {
         self.best_ns as f64 / self.cells as f64
-    }
-}
-
-/// One batch-vs-single measurement: `pairs` independent `len × len`
-/// alignments, full result (score + traceback) both ways.
-#[derive(Debug, Clone)]
-pub struct BatchBenchCase {
-    /// Square pair side.
-    pub len: usize,
-    /// Pairs per measurement.
-    pub pairs: usize,
-    /// Best wall-clock for one `align_batch` over all pairs.
-    pub batched_ns: u64,
-    /// Best wall-clock for aligning the same pairs one at a time on the
-    /// batch kernel's single-pair fallback.
-    pub single_ns: u64,
-    /// Best wall-clock for a loop of [`fastlsa_core::align`] over the same
-    /// pairs: reported next to the gated `single_ns`, not gated itself.
-    pub align_ns: u64,
-}
-
-impl BatchBenchCase {
-    /// Pairs aligned per second on the batched path.
-    pub fn pairs_per_sec(&self) -> f64 {
-        if self.batched_ns == 0 {
-            0.0
-        } else {
-            self.pairs as f64 * 1e9 / self.batched_ns as f64
-        }
-    }
-
-    /// Batched throughput over single-pair throughput.
-    pub fn speedup(&self) -> f64 {
-        if self.batched_ns == 0 {
-            0.0
-        } else {
-            self.single_ns as f64 / self.batched_ns as f64
-        }
-    }
-
-    /// Batched throughput over a loop of [`fastlsa_core::align`].
-    pub fn speedup_vs_align(&self) -> f64 {
-        if self.batched_ns == 0 {
-            0.0
-        } else {
-            self.align_ns as f64 / self.batched_ns as f64
-        }
     }
 }
 
@@ -161,14 +101,8 @@ pub struct KernelBenchReport {
     /// Affine base-case (full-fill) measurements at the lengths up to
     /// 1,024, grouped like `cases`; reported, not gated.
     pub affine_full: Vec<KernelBenchCase>,
-    /// Batch-kernel measurements (one per [`BATCH_LENS`] entry).
-    pub batch: Vec<BatchBenchCase>,
-    /// The striped backend the batch measurements ran on.
-    pub batch_backend: &'static str,
-    /// SIMD features the CPU reports (from `is_x86_feature_detected!`).
-    pub cpu_features: Vec<&'static str>,
-    /// The backend [`KernelBackend::detect_best`] would pick.
-    pub best_backend: KernelBackend,
+    /// The machine the sweep ran on.
+    pub host: HostStamp,
 }
 
 impl KernelBenchReport {
@@ -213,27 +147,9 @@ impl KernelBenchReport {
         (next > 0.0).then(|| widest.cells_per_sec() / next)
     }
 
-    /// Best batched-vs-single speedup across the batch measurements.
-    pub fn batch_best_speedup(&self) -> Option<f64> {
-        self.batch
-            .iter()
-            .map(BatchBenchCase::speedup)
-            .fold(None::<f64>, |acc, v| Some(acc.map_or(v, |a| a.max(v))))
-    }
-
     /// The JSON body of `BENCH_kernels.json`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"bench\": \"kernels\",\n  \"cpu_features\": [");
-        for (i, f) in self.cpu_features.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{f}\""));
-        }
-        out.push_str(&format!(
-            "],\n  \"best_backend\": \"{}\",\n",
-            self.best_backend.name()
-        ));
+        let mut out = self.host.json_header("kernels");
         if let Some(s) = self.best_speedup() {
             out.push_str(&format!("  \"best_speedup_vs_scalar\": {s:.3},\n"));
         }
@@ -243,27 +159,7 @@ impl KernelBenchReport {
         if let Some(s) = self.affine_best_speedup() {
             out.push_str(&format!("  \"affine_best_speedup_vs_scalar\": {s:.3},\n"));
         }
-        out.push_str(&format!(
-            "  \"batch_backend\": \"{}\",\n  \"batch\": [\n",
-            self.batch_backend
-        ));
-        for (i, c) in self.batch.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"len\": {}, \"pairs\": {}, \"batched_ns\": {}, \"single_ns\": {}, \
-                 \"align_ns\": {}, \"pairs_per_sec\": {:.1}, \"speedup_vs_single\": {:.3}, \
-                 \"speedup_vs_align\": {:.3}}}{}\n",
-                c.len,
-                c.pairs,
-                c.batched_ns,
-                c.single_ns,
-                c.align_ns,
-                c.pairs_per_sec(),
-                c.speedup(),
-                c.speedup_vs_align(),
-                if i + 1 < self.batch.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n  \"affine\": [\n");
+        out.push_str("  \"affine\": [\n");
         push_cases_json(&mut out, &self.affine);
         out.push_str("  ],\n  \"affine_full\": [\n");
         push_cases_json(&mut out, &self.affine_full);
@@ -297,32 +193,6 @@ impl KernelBenchReport {
                 "affine full fill, reused buffers (protein, BLOSUM62, {open}/{extend}):\n"
             ));
             out.push_str(&render_cases(&self.affine_full));
-        }
-        if !self.batch.is_empty() {
-            let mut bt = crate::Table::new(&[
-                "batch len",
-                "pairs",
-                "batched ms",
-                "single ms",
-                "align ms",
-                "pairs/s",
-                "vs single",
-                "vs align",
-            ]);
-            for c in &self.batch {
-                bt.row(&[
-                    format!("{}", c.len),
-                    format!("{}", c.pairs),
-                    format!("{:.1}", c.batched_ns as f64 / 1e6),
-                    format!("{:.1}", c.single_ns as f64 / 1e6),
-                    format!("{:.1}", c.align_ns as f64 / 1e6),
-                    format!("{:.0}", c.pairs_per_sec()),
-                    format!("{:.2}x", c.speedup()),
-                    format!("{:.2}x", c.speedup_vs_align()),
-                ]);
-            }
-            out.push_str(&format!("batch kernel ({}):\n", self.batch_backend));
-            out.push_str(&bt.render());
         }
         out
     }
@@ -393,19 +263,9 @@ fn best_of(reps: usize, mut fill: impl FnMut()) -> u64 {
 }
 
 /// Runs the standard sweep: every CPU-supported backend on square
-/// `lens`×`lens` DNA problems plus the batch section at [`BATCH_LENS`],
-/// one warmup fill then the best of `reps` timed fills.
+/// `lens`×`lens` problems, one warmup fill then the best of `reps` timed
+/// fills.
 pub fn run(lens: &[usize], reps: usize) -> KernelBenchReport {
-    run_with(lens, &BATCH_LENS, BATCH_PAIRS, reps)
-}
-
-/// [`run`] with explicit batch-section sizes (tests use small ones).
-pub fn run_with(
-    lens: &[usize],
-    batch_lens: &[usize],
-    batch_pairs: usize,
-    reps: usize,
-) -> KernelBenchReport {
     let scheme = ScoringScheme::dna_default();
     let cases = linear_sweep(lens, reps, &scheme, &Alphabet::dna(), 0xbc);
     let protein_scheme = ScoringScheme::new(tables::blosum62(), GapModel::linear(PROTEIN_GAP));
@@ -459,20 +319,12 @@ pub fn run_with(
             }
         }
     }
-    let batch_kernel = BatchKernel::new(Kernel::auto());
-    let batch = batch_lens
-        .iter()
-        .map(|&len| bench_batch(&batch_kernel, &scheme, len, batch_pairs, reps))
-        .collect();
     KernelBenchReport {
         cases,
         protein,
         affine,
         affine_full,
-        batch,
-        batch_backend: batch_kernel.backend_name(),
-        cpu_features: detected_cpu_features(),
-        best_backend: KernelBackend::detect_best(),
+        host: HostStamp::detect(),
     }
 }
 
@@ -517,81 +369,13 @@ fn linear_sweep(
     cases
 }
 
-/// One batch-vs-single measurement: `pairs` homologous `len × len` DNA
-/// pairs, full alignment (score + path) through [`BatchKernel`] both as
-/// one batch and as single-job batches (the exact i32 single-pair path),
-/// and through a loop of [`fastlsa_core::align`].
-fn bench_batch(
-    batch_kernel: &BatchKernel,
-    scheme: &ScoringScheme,
-    len: usize,
-    pairs: usize,
-    reps: usize,
-) -> BatchBenchCase {
-    let metrics = Metrics::new();
-    let seqs: Vec<_> = (0..pairs)
-        .map(|k| {
-            homologous_pair("bench", &Alphabet::dna(), len, 0.8, 0xba7c + k as u64)
-                .expect("bench sequence generation")
-        })
-        .collect();
-    let jobs: Vec<BatchJob<'_>> = seqs
-        .iter()
-        .map(|(sa, sb)| BatchJob {
-            a: sa.codes(),
-            b: sb.codes(),
-            scheme,
-        })
-        .collect();
-    let mut batched_ns = u64::MAX;
-    let mut single_ns = u64::MAX;
-    let mut align_ns = u64::MAX;
-    // Rep 0 is the untimed warmup (caches + arena pool), as above.
-    for rep in 0..=reps.max(1) {
-        let start = Instant::now();
-        let results = batch_kernel.align_batch(&jobs, &metrics);
-        let ns = start.elapsed().as_nanos() as u64;
-        assert_eq!(results.len(), pairs);
-        if rep > 0 {
-            batched_ns = batched_ns.min(ns);
-        }
-
-        let start = Instant::now();
-        // One-job batches always take the single-pair fill + traceback.
-        for job in &jobs {
-            let r = batch_kernel.align_batch(std::slice::from_ref(job), &metrics);
-            assert_eq!(r.len(), 1);
-        }
-        let ns = start.elapsed().as_nanos() as u64;
-        if rep > 0 {
-            single_ns = single_ns.min(ns);
-        }
-
-        let start = Instant::now();
-        for (sa, sb) in &seqs {
-            fastlsa_core::align(sa, sb, scheme, &metrics).expect("linear-gap DNA pair aligns");
-        }
-        let ns = start.elapsed().as_nanos() as u64;
-        if rep > 0 {
-            align_ns = align_ns.min(ns);
-        }
-    }
-    BatchBenchCase {
-        len,
-        pairs,
-        batched_ns,
-        single_ns,
-        align_ns,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sweep_covers_every_available_backend() {
-        let report = run_with(&[64], &[16], 8, 1);
+        let report = run(&[64], 1);
         for cases in [
             &report.cases,
             &report.protein,
@@ -608,7 +392,7 @@ mod tests {
 
     #[test]
     fn json_names_every_backend_and_parses_shape() {
-        let report = run_with(&[64], &[16], 8, 1);
+        let report = run(&[64], 1);
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"kernels\""));
         assert!(json.contains("\"scalar\""));
@@ -650,34 +434,19 @@ mod tests {
                 case(KernelBackend::Avx512, 12_000),
             ],
             affine_full: vec![],
-            batch: vec![],
-            batch_backend: "batch-portable",
-            cpu_features: vec![],
-            best_backend: KernelBackend::Avx512,
+            host: HostStamp {
+                cpu_features: vec![],
+                best_backend: KernelBackend::Avx512,
+                nproc: 1,
+            },
         };
         let s = report.best_speedup().unwrap();
         assert!((s - 5.0).abs() < 1e-9, "{s}");
         let r = report.widest_vs_next().unwrap();
         assert!((r - 1.25).abs() < 1e-9, "{r}");
-        assert!(report.batch_best_speedup().is_none());
         let s = report.affine_best_speedup().unwrap();
         assert!((s - 5.0).abs() < 1e-9, "{s}");
         let r = report.affine_avx512_vs_avx2().unwrap();
         assert!((r - 20.0 / 12.0).abs() < 1e-9, "{r}");
-    }
-
-    #[test]
-    fn batch_section_measures_and_serializes() {
-        let report = run_with(&[64], &[16, 40], 8, 1);
-        assert_eq!(report.batch.len(), 2);
-        for c in &report.batch {
-            assert_eq!(c.pairs, 8);
-            assert!(c.batched_ns > 0 && c.single_ns > 0 && c.align_ns > 0);
-        }
-        let json = report.to_json();
-        assert!(json.contains("\"batch_backend\""));
-        assert!(json.contains("\"speedup_vs_single\""));
-        assert!(json.contains("\"speedup_vs_align\""));
-        assert!(report.render().contains("batch kernel"));
     }
 }

@@ -5,6 +5,8 @@
 
 use std::time::{Duration, Instant};
 
+use flsa_dp::{detected_cpu_features, KernelBackend};
+
 pub mod experiments;
 pub mod kernels;
 pub mod metrics;
@@ -21,6 +23,47 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// Formats a duration as milliseconds with 1 decimal.
 pub fn ms(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64() * 1e3)
+}
+
+/// The machine a `BENCH_*.json` report was measured on, which every
+/// report stamps at its head so numbers are comparable across hosts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HostStamp {
+    /// SIMD features the CPU reports (from `is_x86_feature_detected!`).
+    pub cpu_features: Vec<&'static str>,
+    /// The backend [`KernelBackend::detect_best`] picks.
+    pub best_backend: KernelBackend,
+    /// CPUs available to the process.
+    pub nproc: usize,
+}
+
+impl HostStamp {
+    /// This machine.
+    pub fn detect() -> HostStamp {
+        HostStamp {
+            cpu_features: detected_cpu_features(),
+            best_backend: KernelBackend::detect_best(),
+            nproc: std::thread::available_parallelism().map_or(1, usize::from),
+        }
+    }
+
+    /// The head of a report: the opening brace, then one line each for
+    /// `bench` and the three host fields, every line ending in a comma
+    /// for the report's own fields to follow.
+    pub fn json_header(&self, bench: &str) -> String {
+        let features: Vec<String> = self
+            .cpu_features
+            .iter()
+            .map(|f| format!("\"{f}\""))
+            .collect();
+        format!(
+            "{{\n  \"bench\": \"{bench}\",\n  \"cpu_features\": [{}],\n  \
+             \"best_backend\": \"{}\",\n  \"nproc\": {},\n",
+            features.join(", "),
+            self.best_backend.name(),
+            self.nproc
+        )
+    }
 }
 
 /// A plain-text table with right-aligned numeric-looking cells.
@@ -122,6 +165,23 @@ mod tests {
         let mut t = Table::new(&["x", "y"]);
         t.row(&["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "x,y\n1,2\n");
+    }
+
+    #[test]
+    fn host_stamp_heads_every_report_alike() {
+        let host = HostStamp {
+            cpu_features: vec!["sse2", "avx2"],
+            best_backend: KernelBackend::Avx2,
+            nproc: 2,
+        };
+        assert_eq!(
+            host.json_header("shard"),
+            "{\n  \"bench\": \"shard\",\n  \"cpu_features\": [\"sse2\", \"avx2\"],\n  \
+             \"best_backend\": \"avx2\",\n  \"nproc\": 2,\n"
+        );
+        let detected = HostStamp::detect();
+        assert!(detected.nproc >= 1);
+        assert!(detected.best_backend.is_available());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! loops. The end-to-end comparison runs the same parallel FastLSA
 //! alignment with and without a registry attached and reports the
 //! relative wall-clock cost; `flsa bench metrics --gate F` turns that
-//! into a regression gate (DESIGN.md §12 budgets it at ≤2%). Like the
-//! kernel sweep, the JSON report stamps the host's CPU features and the
-//! auto-picked backend so numbers are comparable across machines.
+//! into a regression gate (DESIGN.md §12 budgets it at ≤2%). Like every
+//! bench report, the JSON opens with the [`HostStamp`] so numbers are
+//! comparable across machines.
 //!
 //! The gated statistic is the **minimum pairwise overhead**: plain and
 //! metered runs alternate, and the overhead is the smallest
@@ -26,11 +26,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fastlsa_core::{align_opts, AlignOptions, FastLsaConfig};
-use flsa_dp::{detected_cpu_features, KernelBackend, Metrics};
+use flsa_dp::Metrics;
 use flsa_metrics::{names, Registry};
 use flsa_scoring::ScoringScheme;
 use flsa_seq::generate::homologous_pair;
 use flsa_seq::{Alphabet, Sequence};
+
+use crate::HostStamp;
 
 /// Measured ns/op for each record-path instrument.
 #[derive(Debug, Clone, Copy)]
@@ -58,10 +60,8 @@ pub struct MetricsBenchReport {
     pub pair_overheads_pct: Vec<f64>,
     /// DPM cells one metered run computed (scale context for the times).
     pub cells: u64,
-    /// SIMD features the CPU reports (from `is_x86_feature_detected!`).
-    pub cpu_features: Vec<&'static str>,
-    /// The backend [`KernelBackend::detect_best`] would pick.
-    pub best_backend: KernelBackend,
+    /// The machine the measurements ran on.
+    pub host: HostStamp,
 }
 
 impl MetricsBenchReport {
@@ -88,17 +88,7 @@ impl MetricsBenchReport {
 
     /// The JSON body of `BENCH_metrics.json`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"bench\": \"metrics\",\n  \"cpu_features\": [");
-        for (i, f) in self.cpu_features.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{f}\""));
-        }
-        out.push_str(&format!(
-            "],\n  \"best_backend\": \"{}\",\n",
-            self.best_backend.name()
-        ));
+        let mut out = self.host.json_header("metrics");
         out.push_str(&format!(
             "  \"record_path_ns\": {{\"counter\": {:.3}, \"gauge\": {:.3}, \
              \"histogram\": {:.3}}},\n",
@@ -255,8 +245,7 @@ pub fn run(len: usize, reps: usize, threads: usize) -> MetricsBenchReport {
         metered_best_ns: metered_best,
         pair_overheads_pct,
         cells,
-        cpu_features: detected_cpu_features(),
-        best_backend: KernelBackend::detect_best(),
+        host: HostStamp::detect(),
     }
 }
 

@@ -21,10 +21,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use flsa_dp::{detected_cpu_features, KernelBackend};
 use flsa_fault::SplitMix64;
 use flsa_serve::wire::{AlignRequest, Frame};
 use flsa_serve::{Client, ServeConfig, Server};
+
+use crate::HostStamp;
 
 /// Workload shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,14 +183,10 @@ pub struct ServeBenchReport {
     pub results: Vec<LoadResult>,
     /// The harness seed (reports are reproducible given the seed).
     pub seed: u64,
-    /// SIMD features the CPU reports (from `is_x86_feature_detected!`).
-    pub cpu_features: Vec<&'static str>,
-    /// The backend [`KernelBackend::detect_best`] picks; every job runs
-    /// on it.
-    pub best_backend: KernelBackend,
-    /// CPUs available to the process, shared by the daemon's workers and
-    /// the load generator's clients.
-    pub nproc: usize,
+    /// The machine the harness ran on. Every job runs on its
+    /// `best_backend`, and its `nproc` CPUs are shared by the daemon's
+    /// workers and the load generator's clients.
+    pub host: HostStamp,
 }
 
 impl ServeBenchReport {
@@ -214,20 +211,8 @@ impl ServeBenchReport {
 
     /// The JSON body of `BENCH_serve.json`.
     pub fn to_json(&self) -> String {
-        let features: Vec<String> = self
-            .cpu_features
-            .iter()
-            .map(|f| format!("\"{f}\""))
-            .collect();
-        let mut out = format!(
-            "{{\n  \"bench\": \"serve\",\n  \"cpu_features\": [{}],\n  \
-             \"best_backend\": \"{}\",\n  \"nproc\": {},\n  \"seed\": {},\n  \
-             \"results\": [\n",
-            features.join(", "),
-            self.best_backend.name(),
-            self.nproc,
-            self.seed
-        );
+        let mut out = self.host.json_header("serve");
+        out.push_str(&format!("  \"seed\": {},\n  \"results\": [\n", self.seed));
         for (i, r) in self.results.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"mix\": \"{}\", \"mode\": \"{}\", \"clients\": {}, \
@@ -461,15 +446,14 @@ pub fn run(cfg: &LoadConfig) -> ServeBenchReport {
     ServeBenchReport {
         results,
         seed: cfg.seed,
-        cpu_features: detected_cpu_features(),
-        best_backend: KernelBackend::detect_best(),
-        nproc: std::thread::available_parallelism().map_or(1, usize::from),
+        host: HostStamp::detect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flsa_dp::KernelBackend;
 
     fn small_cfg() -> LoadConfig {
         LoadConfig {
@@ -493,7 +477,7 @@ mod tests {
             assert!(r.throughput() > 0.0);
         }
         assert!(report.gate_throughput() > 0.0);
-        assert!(report.nproc >= 1);
+        assert!(report.host.nproc >= 1);
     }
 
     #[test]
@@ -542,9 +526,11 @@ mod tests {
                 latencies_us: vec![100, 200],
             }],
             seed: 7,
-            cpu_features: vec!["sse2", "avx2"],
-            best_backend: KernelBackend::Avx2,
-            nproc: 2,
+            host: HostStamp {
+                cpu_features: vec!["sse2", "avx2"],
+                best_backend: KernelBackend::Avx2,
+                nproc: 2,
+            },
         };
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"serve\""));

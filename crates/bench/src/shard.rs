@@ -25,6 +25,8 @@ use flsa_scoring::tables;
 use flsa_seq::generate::homologous_pair;
 use flsa_shard::{align_sharded, ShardOptions, ShardPolicy};
 
+use crate::HostStamp;
+
 /// Gap penalty used throughout the harness.
 const GAP: i32 = -3;
 
@@ -83,6 +85,8 @@ pub struct ShardBenchReport {
     pub seed: u64,
     /// Problem side.
     pub len: usize,
+    /// The machine the scenarios ran on.
+    pub host: HostStamp,
 }
 
 impl ShardBenchReport {
@@ -107,10 +111,11 @@ impl ShardBenchReport {
 
     /// The JSON body of `BENCH_shard.json`.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"bench\": \"shard\",\n  \"seed\": {},\n  \"len\": {},\n  \"results\": [\n",
+        let mut out = self.host.json_header("shard");
+        out.push_str(&format!(
+            "  \"seed\": {},\n  \"len\": {},\n  \"results\": [\n",
             self.seed, self.len
-        );
+        ));
         for (i, r) in self.rows.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"scenario\": \"{}\", \"shards\": {}, \"wall_ms\": {:.1}, \
@@ -222,6 +227,7 @@ pub fn run(cfg: &ShardBenchConfig) -> Result<ShardBenchReport, String> {
         rows,
         seed: cfg.seed,
         len: cfg.len,
+        host: HostStamp::detect(),
     })
 }
 
@@ -234,6 +240,7 @@ mod tests {
             rows,
             seed: 0,
             len: 600,
+            host: HostStamp::detect(),
         }
     }
 

@@ -129,11 +129,11 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "batch", usage: "[options] PAIRS.fasta [B.fasta]", arity: (1, 2), raw: false, run: crate::cmd_batch,
-        prose: "Align many independent pairs in one call: small pairs ride the striped inter-sequence batch kernel \
-            (8 or 16 pairs per SIMD dispatch, one pair per i16 lane), with a bit-identical exact fallback for \
-            lanes that could saturate. One FASTA pairs consecutive records (1&2, 3&4, ...); two FASTA files pair \
-            record i of the first with record i of the second. Output is one tab-separated `id_a id_b score \
-            cigar` line per pair.",
+        prose: "Align many independent pairs in one call, each in linear space with default-config FastLSA, so \
+            each pair gets the score and path `flsa align` gives it. One FASTA pairs consecutive records (1&2, \
+            3&4, ...); two FASTA files pair record i of the first with record i of the second. Every pair is \
+            aligned before any is printed, so an error prints no results. Output is one tab-separated `id_a id_b \
+            score cigar` line per pair.",
         opts: &[
             MATRIX, MATRIX_FILE, GAP,
             opt("kernel", "K", "auto (default) | scalar | sse4.1 | avx2 | avx512"),

@@ -4,6 +4,9 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use flsa_seq::generate::homologous_pair;
+use flsa_seq::{fasta, Alphabet, Sequence};
+
 fn flsa(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_flsa"))
         .args(args)
@@ -780,4 +783,206 @@ fn options_and_arguments_a_run_does_not_read_are_refused() {
     }
     assert!(!report.exists());
     std::fs::remove_file(fa).ok();
+}
+
+// --- flsa batch: each pair answers as `flsa align` answers it -----------
+
+/// `n` homologous pairs (about 85% identity, indels included) of
+/// `lo..=hi` residues over `alphabet`; with `ns`, every third pair has an
+/// `N` at every ninth position.
+fn homologous_pairs(
+    alphabet: &Alphabet,
+    n: usize,
+    (lo, hi): (usize, usize),
+    ns: bool,
+) -> Vec<(Sequence, Sequence)> {
+    let with_ns = |s: Sequence| {
+        let n_code = alphabet.encode_symbol('N').unwrap();
+        let codes = s.codes().iter().enumerate();
+        let codes = codes.map(|(j, &c)| if j % 9 == 4 { n_code } else { c });
+        Sequence::from_codes(s.id(), alphabet, codes.collect())
+    };
+    (0..n)
+        .map(|i| {
+            let len = lo + i * 7919 % (hi - lo + 1);
+            let (a, b) = homologous_pair(&format!("p{i}"), alphabet, len, 0.85, i as u64).unwrap();
+            if ns && i % 3 == 0 {
+                (with_ns(a), with_ns(b))
+            } else {
+                (a, b)
+            }
+        })
+        .collect()
+}
+
+/// The CIGAR of the alignment `flsa align` renders after its score and
+/// identity lines: three-line blocks (top row, markers, bottom row)
+/// separated by blank lines; a gap in the top row is an `I`, in the
+/// bottom row a `D`.
+fn cigar_of_rendering(text: &str) -> String {
+    let lines: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("identity "))
+        .skip(1)
+        .filter(|l| !l.is_empty())
+        .collect();
+    assert!(
+        !lines.is_empty() && lines.len().is_multiple_of(3),
+        "no rendering in:\n{text}"
+    );
+    let top = lines.iter().step_by(3).flat_map(|l| l.bytes());
+    let bottom = lines.iter().skip(2).step_by(3).flat_map(|l| l.bytes());
+    let mut cigar = String::new();
+    let mut run: Option<(char, usize)> = None;
+    for (t, b) in top.zip(bottom) {
+        let op = match (t, b) {
+            (b'-', _) => 'I',
+            (_, b'-') => 'D',
+            _ => 'M',
+        };
+        run = match run {
+            Some((cur, n)) if cur == op => Some((cur, n + 1)),
+            Some((cur, n)) => {
+                cigar.push_str(&format!("{n}{cur}"));
+                Some((op, 1))
+            }
+            None => Some((op, 1)),
+        };
+    }
+    if let Some((cur, n)) = run {
+        cigar.push_str(&format!("{n}{cur}"));
+    }
+    cigar
+}
+
+/// For each pair, aligned alone from the file `fa`, the score
+/// `flsa align --json` prints and the CIGAR of the alignment `flsa align`
+/// renders.
+fn align_each(fa: &str, pairs: &[(Sequence, Sequence)], matrix: &str) -> Vec<(i64, String)> {
+    let want = pairs
+        .iter()
+        .map(|(a, b)| {
+            fasta::write_file(fa, &[a.clone(), b.clone()]).unwrap();
+            let out = flsa(&["align", "--matrix", matrix, "--json", fa]);
+            assert!(out.status.success(), "{out:?}");
+            let text = stdout(&out);
+            let doc =
+                flsa_trace::json::parse(text.trim()).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+            let score = doc.get("score").and_then(|v| v.as_f64()).unwrap() as i64;
+            let out = flsa(&["align", "--matrix", matrix, fa]);
+            assert!(out.status.success(), "{out:?}");
+            let text = stdout(&out);
+            assert_eq!(score_line(&text), score, "{}", a.id());
+            (score, cigar_of_rendering(&text))
+        })
+        .collect();
+    std::fs::remove_file(fa).ok();
+    want
+}
+
+/// Runs `flsa batch` on `inputs` (TSV, then `--json`) and asserts that
+/// line and element `i` carry pair `i`'s ids and the score and CIGAR
+/// `flsa align` gives it.
+fn assert_batch_matches_align(inputs: &[&str], matrix: &str, pairs: &[(Sequence, Sequence)]) {
+    let want = align_each(&format!("{}.pair", inputs[0]), pairs, matrix);
+    let mut args = vec!["batch", "--matrix", matrix];
+    args.extend_from_slice(inputs);
+    let out = flsa(&args);
+    assert!(out.status.success(), "{out:?}");
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), pairs.len(), "{text}");
+    for (i, ((a, b), (score, cigar))) in pairs.iter().zip(&want).enumerate() {
+        let expected = format!("{}\t{}\t{score}\t{cigar}", a.id(), b.id());
+        assert_eq!(lines[i], expected, "TSV line {i}");
+    }
+
+    args.push("--json");
+    let out = flsa(&args);
+    assert!(out.status.success(), "{out:?}");
+    let text = stdout(&out);
+    assert_eq!(text.lines().count(), 1, "{text}");
+    let doc = flsa_trace::json::parse(text.trim()).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+    let items = doc
+        .as_arr()
+        .unwrap_or_else(|| panic!("not an array:\n{text}"));
+    assert_eq!(items.len(), pairs.len(), "{text}");
+    for (i, ((a, b), (score, cigar))) in pairs.iter().zip(&want).enumerate() {
+        let field = |k: &str| items[i].get(k).and_then(|v| v.as_str());
+        assert_eq!(field("a"), Some(a.id()), "element {i}");
+        assert_eq!(field("b"), Some(b.id()), "element {i}");
+        assert_eq!(field("cigar"), Some(cigar.as_str()), "element {i}");
+        let got = items[i].get("score").and_then(|v| v.as_f64()).unwrap() as i64;
+        assert_eq!(got, *score, "element {i} score");
+    }
+}
+
+/// One FASTA of the pairs' records, consecutive records paired.
+fn write_pairs_fasta(tag: &str, pairs: &[(Sequence, Sequence)]) -> PathBuf {
+    let fa = tmp(&format!("{tag}.fa"));
+    let records: Vec<Sequence> = pairs
+        .iter()
+        .flat_map(|(a, b)| [a.clone(), b.clone()])
+        .collect();
+    fasta::write_file(&fa, &records).unwrap();
+    fa
+}
+
+#[test]
+fn batch_of_mixed_length_dna_pairs_matches_align_pair_by_pair() {
+    // Serve's small-pair range.
+    let pairs = homologous_pairs(&Alphabet::dna(), 12, (48, 768), true);
+    let fa = write_pairs_fasta("batch-dna", &pairs);
+    assert_batch_matches_align(&[fa.to_str().unwrap()], "dna", &pairs);
+    std::fs::remove_file(fa).ok();
+}
+
+#[test]
+fn batch_of_two_protein_files_matches_align_pair_by_pair() {
+    let pairs = homologous_pairs(&Alphabet::protein(), 8, (40, 400), false);
+    let (qa, qb) = (tmp("batch-prot-a.fa"), tmp("batch-prot-b.fa"));
+    let (ra, rb): (Vec<Sequence>, Vec<Sequence>) = pairs.iter().cloned().unzip();
+    fasta::write_file(&qa, &ra).unwrap();
+    fasta::write_file(&qb, &rb).unwrap();
+    let inputs = [qa.to_str().unwrap(), qb.to_str().unwrap()];
+    assert_batch_matches_align(&inputs, "blosum62", &pairs);
+    std::fs::remove_file(qa).ok();
+    std::fs::remove_file(qb).ok();
+}
+
+#[test]
+fn batch_prints_the_same_bytes_on_the_scalar_kernel() {
+    let pairs = homologous_pairs(&Alphabet::dna(), 10, (48, 768), true);
+    let fa = write_pairs_fasta("batch-scalar", &pairs);
+    let fa_s = fa.to_str().unwrap();
+    for json in [&[][..], &["--json"]] {
+        let mut auto = vec!["batch", fa_s];
+        auto.extend_from_slice(json);
+        let mut scalar = auto.clone();
+        scalar.extend_from_slice(&["--kernel", "scalar"]);
+        let (want, got) = (flsa(&auto), flsa(&scalar));
+        assert!(want.status.success() && got.status.success(), "{got:?}");
+        assert!(!want.stdout.is_empty());
+        assert_eq!(stdout(&got), stdout(&want), "{json:?}");
+    }
+    std::fs::remove_file(fa).ok();
+}
+
+#[test]
+fn batch_refuses_unpaired_records_as_an_input_error() {
+    let odd = tmp("batch-odd.fa");
+    std::fs::write(&odd, ">a\nACGT\n>b\nACGA\n>c\nACGG\n").unwrap();
+    let out = flsa(&["batch", odd.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+
+    let (qa, qb) = (tmp("batch-uneven-a.fa"), tmp("batch-uneven-b.fa"));
+    std::fs::write(&qa, ">a\nACGT\n>b\nACGA\n").unwrap();
+    std::fs::write(&qb, ">c\nACGG\n").unwrap();
+    let out = flsa(&["batch", qa.to_str().unwrap(), qb.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    for f in [odd, qa, qb] {
+        std::fs::remove_file(f).ok();
+    }
 }

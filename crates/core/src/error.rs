@@ -24,8 +24,8 @@ pub enum ConfigError {
     /// (use the linear entry points for linear gaps).
     GapModelNotAffine,
     /// The linear-gap entry points ([`crate::align_opts`] and the
-    /// functions built on it, [`crate::align_resume`],
-    /// [`crate::align_traced`], [`crate::align_batch`]) require
+    /// functions built on it, [`crate::align_resume`] and
+    /// [`crate::align_traced`]) require
     /// [`flsa_scoring::GapModel::Linear`] (use [`crate::align_affine`]
     /// for affine gaps).
     GapModelNotLinear,

@@ -70,9 +70,9 @@ pub use model::{replay, replay_with_comm, ReplayReport};
 
 // Kernel dispatch re-exports so callers can populate
 // [`AlignOptions::kernel`] without depending on `flsa-dp` directly.
-pub use flsa_dp::{BatchKernel, KernelArena, KernelBackend};
+pub use flsa_dp::{KernelArena, KernelBackend};
 
-use flsa_dp::{AlignResult, BatchJob, Kernel, Metrics};
+use flsa_dp::{AlignResult, Metrics};
 use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
 use flsa_trace::{DegradeReason, EventKind};
@@ -241,75 +241,8 @@ fn run_ladder(
     }
 }
 
-/// Aligns many **independent** pairs at once on the inter-sequence
-/// [`BatchKernel`] (one pair per SIMD lane), under a shared linear-gap
-/// scoring scheme.
-///
-/// Results come back in input order and are **bit-identical** to aligning
-/// each pair alone with [`align`]: the batch kernel runs `i16` lanes with
-/// saturation detection and transparently recomputes any lane whose
-/// scores leave the exact range on the single-pair `i32` path. Pairs too
-/// long or too wide-scoring for `i16` simply take the single-pair path —
-/// batching is a throughput optimization, never a semantics change.
-///
-/// Unlike the FastLSA entry points this holds each pair's full direction
-/// matrix (`m·n` bytes per lane), so it is meant for the many-small-pairs
-/// regime (database search, all-vs-all sweeps), not for two
-/// megabase genomes. `opts` contributes the kernel-backend override
-/// ([`AlignOptions::kernel`]); budget/cancel/checkpoint options do not
-/// apply to batch jobs.
-///
-/// # Errors
-///
-/// Before any pair is aligned: [`ConfigError::GapModelNotLinear`] for an
-/// affine scheme, [`ConfigError::KernelUnavailable`],
-/// [`AlignError::AlphabetMismatch`], and [`ConfigError::ScoreOverflow`]
-/// for a pair whose span exceeds [`ScoringScheme::max_safe_span`].
-pub fn align_batch(
-    pairs: &[(&Sequence, &Sequence)],
-    scheme: &ScoringScheme,
-    opts: &AlignOptions,
-    metrics: &Metrics,
-) -> Result<Vec<AlignResult>, AlignError> {
-    require_linear(scheme)?;
-    validate_kernel(opts)?;
-    let max_span = scheme.max_safe_span();
-    for (a, b) in pairs {
-        for s in [a, b] {
-            if s.alphabet() != scheme.alphabet() {
-                return Err(AlignError::AlphabetMismatch {
-                    expected: scheme.alphabet().name().to_string(),
-                    found: s.alphabet().name().to_string(),
-                });
-            }
-        }
-        let span = a.len().saturating_add(b.len());
-        if span > max_span {
-            return Err(ConfigError::ScoreOverflow { span, max_span }.into());
-        }
-    }
-    let kernel = match opts.kernel {
-        // validate_kernel above already rejected unavailable backends.
-        Some(b) => Kernel::try_new(b).map_err(|e| ConfigError::KernelUnavailable {
-            backend: e.backend.name(),
-        })?,
-        None => Kernel::auto(),
-    };
-    let batch = BatchKernel::new(kernel);
-    let jobs: Vec<BatchJob<'_>> = pairs
-        .iter()
-        .map(|(a, b)| BatchJob {
-            a: a.codes(),
-            b: b.codes(),
-            scheme,
-        })
-        .collect();
-    Ok(batch.align_batch(&jobs, metrics))
-}
-
 /// Rejects an affine scheme on the linear-gap entry points, whose solver
-/// and batch kernel price every gap symbol with one
-/// [`GapModel::linear_penalty`].
+/// prices every gap symbol with one [`GapModel::linear_penalty`].
 fn require_linear(scheme: &ScoringScheme) -> Result<(), ConfigError> {
     match scheme.gap() {
         GapModel::Linear { .. } => Ok(()),
@@ -752,36 +685,35 @@ mod tests {
     }
 
     #[test]
-    fn batch_api_matches_single_pair_alignment() {
-        let scheme = ScoringScheme::dna_default();
-        let pairs: Vec<(Sequence, Sequence)> = (0..11)
-            .map(|seed| {
-                homologous_pair("t", &Alphabet::dna(), 80 + seed * 7, 0.8, seed as u64).unwrap()
-            })
-            .collect();
-        let refs: Vec<(&Sequence, &Sequence)> = pairs.iter().map(|(a, b)| (a, b)).collect();
-        let got = align_batch(&refs, &scheme, &AlignOptions::default(), &Metrics::new()).unwrap();
-        assert_eq!(got.len(), pairs.len());
-        for ((a, b), r) in pairs.iter().zip(&got) {
-            let want = align(a, b, &scheme, &Metrics::new()).unwrap();
-            assert_eq!(r.score, want.score);
-            assert_eq!(r.path, want.path);
-        }
-    }
-
-    #[test]
-    fn batch_api_rejects_bad_alphabet_and_unavailable_kernel() {
+    fn align_opts_rejects_a_foreign_alphabet_and_an_unavailable_kernel() {
         let scheme = ScoringScheme::dna_default();
         let p = Sequence::from_str("p", &Alphabet::protein(), "ACD").unwrap();
         let d = Sequence::from_str("d", scheme.alphabet(), "ACGT").unwrap();
-        let err = align_batch(
-            &[(&d, &p)],
+        let cfg = FastLsaConfig::default();
+        let got = align_opts(
+            &d,
+            &p,
             &scheme,
+            cfg,
             &AlignOptions::default(),
             &Metrics::new(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, AlignError::AlphabetMismatch { .. }));
+        );
+        assert!(matches!(got, Err(AlignError::AlphabetMismatch { .. })));
+        // Every backend this CPU lacks is refused before any work (none
+        // is on a host that has them all).
+        for backend in KernelBackend::ALL.into_iter().filter(|b| !b.is_available()) {
+            let opts = AlignOptions {
+                kernel: Some(backend),
+                ..AlignOptions::default()
+            };
+            let metrics = Metrics::new();
+            let err = align_opts(&d, &d, &scheme, cfg, &opts, &metrics).unwrap_err();
+            let want = ConfigError::KernelUnavailable {
+                backend: backend.name(),
+            };
+            assert_eq!(err, want.into(), "{backend}");
+            assert_eq!(metrics.snapshot().cells_computed, 0, "{backend}");
+        }
     }
 
     #[test]

@@ -24,18 +24,11 @@ use std::sync::Mutex;
 /// buffers, plus profile and rolling rows on the sequential path).
 const MAX_POOLED: usize = 32;
 
-/// A `Sync` pool of reusable `i32` / `i16` / `u8` buffers for DP kernels.
-///
-/// The `i32` pool serves the intra-sequence kernels' rolling rows and
-/// query profiles; the `i16` and `u8` pools serve the inter-sequence
-/// batch kernel's striped rows, 16-bit profiles, and direction slabs.
-/// All three share one byte ledger ([`KernelArena::held_bytes`]) so the
-/// governor charge covers everything the arena owns.
+/// A `Sync` pool of reusable `i32` buffers for DP kernels: rolling rows,
+/// boundary copies, and query profiles.
 #[derive(Debug, Default)]
 pub struct KernelArena {
     pool: Mutex<Vec<Vec<i32>>>,
-    pool_i16: Mutex<Vec<Vec<i16>>>,
-    pool_u8: Mutex<Vec<Vec<u8>>>,
     /// Capacity bytes of every buffer this arena owns — pooled or checked
     /// out. Monotone except when the pool overflows or is cleared.
     held: AtomicUsize,
@@ -45,75 +38,9 @@ pub struct KernelArena {
     reuses: AtomicU64,
 }
 
-/// Checks out a zero-filled buffer of exactly `len` elements from one
-/// typed pool, charging growth to the shared counters.
-fn take_from<T: Copy + Default>(
-    pool: &Mutex<Vec<Vec<T>>>,
-    len: usize,
-    held: &AtomicUsize,
-    fresh_allocs: &AtomicU64,
-    reuses: &AtomicU64,
-) -> Vec<T> {
-    let recycled = {
-        let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
-        // Best fit: the smallest pooled buffer that already holds `len`,
-        // falling back to the largest (which we grow) so small requests
-        // don't chew up big buffers.
-        let mut best: Option<(usize, usize)> = None;
-        let mut largest: Option<(usize, usize)> = None;
-        for (i, v) in pool.iter().enumerate() {
-            let cap = v.capacity();
-            if cap >= len && best.is_none_or(|(_, c)| cap < c) {
-                best = Some((i, cap));
-            }
-            if largest.is_none_or(|(_, c)| cap > c) {
-                largest = Some((i, cap));
-            }
-        }
-        best.or(largest).map(|(i, _)| pool.swap_remove(i))
-    };
-    let from_pool = recycled.is_some();
-    let mut v = recycled.unwrap_or_default();
-    let old_cap = v.capacity();
-    v.clear();
-    v.resize(len, T::default());
-    let new_cap = v.capacity();
-    if new_cap > old_cap {
-        let grown = (new_cap - old_cap) * std::mem::size_of::<T>();
-        // Relaxed: advisory accounting/reporting counters; readers
-        // tolerate any interleaving and order nothing on them.
-        held.fetch_add(grown, Ordering::Relaxed);
-        fresh_allocs.fetch_add(1, Ordering::Relaxed);
-    } else if from_pool {
-        // Relaxed: reporting counter only.
-        reuses.fetch_add(1, Ordering::Relaxed);
-    }
-    v
-}
-
-/// Returns a buffer to one typed pool, releasing its bytes if the pool
-/// is full.
-fn put_to<T>(pool: &Mutex<Vec<Vec<T>>>, v: Vec<T>, held: &AtomicUsize) {
-    if v.capacity() == 0 {
-        return;
-    }
-    let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
-    if pool.len() < MAX_POOLED {
-        pool.push(v);
-    } else {
-        drop(pool);
-        let freed = v.capacity() * std::mem::size_of::<T>();
-        // Relaxed: reporting counter only.
-        held.fetch_sub(freed, Ordering::Relaxed);
-    }
-}
-
-/// Frees one typed pool's buffers, returning the element count released.
-fn clear_pool<T>(pool: &Mutex<Vec<Vec<T>>>) -> usize {
-    let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
-    let freed: usize = pool.iter().map(Vec::capacity).sum();
-    pool.clear();
-    freed
+/// Bytes of `elems` pooled `i32`s.
+fn bytes(elems: usize) -> usize {
+    elems * std::mem::size_of::<i32>()
 }
 
 impl KernelArena {
@@ -124,60 +51,67 @@ impl KernelArena {
 
     /// Checks out a zero-filled `i32` buffer of exactly `len` elements.
     pub fn take(&self, len: usize) -> Vec<i32> {
-        take_from(
-            &self.pool,
-            len,
-            &self.held,
-            &self.fresh_allocs,
-            &self.reuses,
-        )
+        let recycled = {
+            let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
+            // Best fit: the smallest pooled buffer that already holds `len`,
+            // falling back to the largest (which we grow) so small requests
+            // don't chew up big buffers.
+            let mut best: Option<(usize, usize)> = None;
+            let mut largest: Option<(usize, usize)> = None;
+            for (i, v) in pool.iter().enumerate() {
+                let cap = v.capacity();
+                if cap >= len && best.is_none_or(|(_, c)| cap < c) {
+                    best = Some((i, cap));
+                }
+                if largest.is_none_or(|(_, c)| cap > c) {
+                    largest = Some((i, cap));
+                }
+            }
+            best.or(largest).map(|(i, _)| pool.swap_remove(i))
+        };
+        let from_pool = recycled.is_some();
+        let mut v = recycled.unwrap_or_default();
+        let old_cap = v.capacity();
+        v.clear();
+        v.resize(len, 0);
+        let new_cap = v.capacity();
+        if new_cap > old_cap {
+            let grown = bytes(new_cap - old_cap);
+            // Relaxed: advisory accounting/reporting counters; readers
+            // tolerate any interleaving and order nothing on them.
+            self.held.fetch_add(grown, Ordering::Relaxed);
+            self.fresh_allocs.fetch_add(1, Ordering::Relaxed);
+        } else if from_pool {
+            // Relaxed: reporting counter only.
+            self.reuses.fetch_add(1, Ordering::Relaxed);
+        }
+        v
     }
 
-    /// Returns an `i32` buffer to the pool for reuse.
+    /// Returns an `i32` buffer to the pool for reuse, releasing its bytes
+    /// instead when the pool is full.
     pub fn put(&self, v: Vec<i32>) {
-        put_to(&self.pool, v, &self.held);
-    }
-
-    /// Checks out a zero-filled `i16` buffer of exactly `len` elements.
-    pub fn take_i16(&self, len: usize) -> Vec<i16> {
-        take_from(
-            &self.pool_i16,
-            len,
-            &self.held,
-            &self.fresh_allocs,
-            &self.reuses,
-        )
-    }
-
-    /// Returns an `i16` buffer to the pool for reuse.
-    pub fn put_i16(&self, v: Vec<i16>) {
-        put_to(&self.pool_i16, v, &self.held);
-    }
-
-    /// Checks out a zero-filled `u8` buffer of exactly `len` elements.
-    pub fn take_u8(&self, len: usize) -> Vec<u8> {
-        take_from(
-            &self.pool_u8,
-            len,
-            &self.held,
-            &self.fresh_allocs,
-            &self.reuses,
-        )
-    }
-
-    /// Returns a `u8` buffer to the pool for reuse.
-    pub fn put_u8(&self, v: Vec<u8>) {
-        put_to(&self.pool_u8, v, &self.held);
+        if v.capacity() == 0 {
+            return;
+        }
+        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
+        if pool.len() < MAX_POOLED {
+            pool.push(v);
+        } else {
+            drop(pool);
+            // Relaxed: reporting counter only.
+            self.held.fetch_sub(bytes(v.capacity()), Ordering::Relaxed);
+        }
     }
 
     /// Frees every pooled buffer and releases its bytes. Checked-out
     /// buffers are unaffected (their bytes stay held until `put`).
     pub fn clear(&self) {
-        let bytes = clear_pool(&self.pool) * std::mem::size_of::<i32>()
-            + clear_pool(&self.pool_i16) * std::mem::size_of::<i16>()
-            + clear_pool(&self.pool_u8) * std::mem::size_of::<u8>();
+        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
+        let freed: usize = pool.iter().map(Vec::capacity).sum();
+        pool.clear();
         // Relaxed: reporting counter only.
-        self.held.fetch_sub(bytes, Ordering::Relaxed);
+        self.held.fetch_sub(bytes(freed), Ordering::Relaxed);
     }
 
     /// Capacity bytes currently owned by the arena (pooled + checked out).
@@ -282,22 +216,6 @@ mod tests {
         let v = arena.take(16);
         assert!(v.iter().all(|&x| x == 0), "take must zero the buffer");
         arena.put(v);
-    }
-
-    #[test]
-    fn typed_pools_share_the_byte_ledger() {
-        let arena = KernelArena::new();
-        let a = arena.take_i16(1000);
-        let b = arena.take_u8(1000);
-        assert!(arena.held_bytes() >= 2000 + 1000, "i16 + u8 bytes charged");
-        arena.put_i16(a);
-        arena.put_u8(b);
-        let a = arena.take_i16(500);
-        assert_eq!(arena.reuses(), 1, "i16 pool reuses its own buffers");
-        assert!(a.iter().all(|&x| x == 0), "typed take must zero the buffer");
-        arena.put_i16(a);
-        arena.clear();
-        assert_eq!(arena.held_bytes(), 0, "clear releases every typed pool");
     }
 
     #[test]

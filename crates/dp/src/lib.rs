@@ -24,9 +24,6 @@
 //! * [`simd`] — vectorized kernel backends (SSE4.1, AVX2, AVX-512)
 //!   behind the [`simd::Kernel`] dispatch handle, bit-identical to
 //!   the scalar kernels;
-//! * [`batch`] — the inter-sequence [`batch::BatchKernel`]: many small
-//!   independent pairs aligned one-pair-per-SIMD-lane with `i16`
-//!   saturation-detect fallback, bit-identical to the scalar path;
 //! * [`arena`] — the reusable scratch-buffer pool the vectorized kernels
 //!   and the block executors draw from.
 //!
@@ -36,7 +33,6 @@
 
 pub mod affine;
 pub mod arena;
-pub mod batch;
 pub mod boundary;
 pub mod kernel;
 pub mod matrix;
@@ -47,7 +43,6 @@ pub mod simd;
 pub mod traceback;
 
 pub use arena::KernelArena;
-pub use batch::{BatchJob, BatchKernel};
 pub use boundary::Boundary;
 pub use matrix::{DirMatrix, ScoreMatrix};
 pub use metrics::{MemGuard, Metrics, MetricsSnapshot};

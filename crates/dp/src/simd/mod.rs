@@ -25,9 +25,8 @@
 //! rounding), so **every backend produces bit-identical scores, cell
 //! counts, and tracebacks** — the property the differential suite in
 //! `tests/kernel_equivalence.rs` enforces. Ties need no special care:
-//! equal scores are equal bit patterns, and both score-based traceback
-//! and the direction derivation in [`Kernel::fill_dir`] apply the shared
-//! Diag ≻ Up ≻ Left precedence *after* the max, not during it.
+//! equal scores are equal bit patterns, and score-based traceback applies
+//! the shared Diag ≻ Up ≻ Left precedence *after* the max, not during it.
 //!
 //! This row scan carries each row's dependency through a log-step
 //! prefix max: on AVX-512, 17 vector ops per sixteen cells, six of them
@@ -58,8 +57,8 @@
 //!   `core::arch` row scans (linear; AVX2 also affine);
 //! * [`KernelBackend::Avx512`] — the row scan, linear and affine, plus
 //!   the anti-diagonal band for [`Kernel::fill_last_row_col`] on DNA.
-//!   Base cases ([`Kernel::fill_full`]), [`Kernel::fill_dir`], protein
-//!   and blocks under `BAND_MIN_ROWS` rows keep the row scan.
+//!   Base cases ([`Kernel::fill_full`]), protein and blocks under
+//!   `BAND_MIN_ROWS` rows keep the row scan.
 //!
 //! The vector backends are admitted only after `is_x86_feature_detected!`
 //! (rule R6 pins their `#[target_feature]` functions to this module).
@@ -70,10 +69,7 @@
 //!
 //! Scoring goes through a [`QueryProfile`] (contiguous per-residue score
 //! rows) and scratch comes from a shared [`KernelArena`], so steady-state
-//! block fills perform no allocation at all. The intra-sequence kernels
-//! here speed up one pair; for many small independent pairs see the
-//! inter-sequence [`crate::batch::BatchKernel`], whose striped
-//! `#[target_feature]` kernels also live in this module's `x86` file.
+//! block fills perform no allocation at all.
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
@@ -86,7 +82,7 @@ use crate::affine::{self, affine_params, AffineBoundary, AffineEdges, AffineMatr
 use crate::arena::KernelArena;
 use crate::boundary::check_boundary;
 use crate::kernel;
-use crate::matrix::{Dir, DirMatrix, ScoreMatrix};
+use crate::matrix::ScoreMatrix;
 use crate::Metrics;
 
 /// Rectangles narrower than this skip the vector path: profile build and
@@ -683,68 +679,6 @@ impl Kernel {
         self.fill_last_row_col(a, b, top, left, scheme, out_bottom, None, metrics);
     }
 
-    /// [`crate::kernel::fill_dir`] on the active backend. Directions are
-    /// derived from the vectorized score rows with the shared Diag ≻ Up ≻
-    /// Left precedence, so the packed matrix is byte-identical to the
-    /// scalar kernel's.
-    pub fn fill_dir(
-        &self,
-        a: &[u8],
-        b: &[u8],
-        top: &[i32],
-        left: &[i32],
-        scheme: &ScoringScheme,
-        metrics: &Metrics,
-    ) -> (DirMatrix, Vec<i32>) {
-        let rows = a.len();
-        let cols = b.len();
-        let backend = self.backend_for(rows, cols);
-        if backend == KernelBackend::Scalar {
-            return kernel::fill_dir(a, b, top, left, scheme, metrics);
-        }
-        check_boundary(top, left, rows, cols);
-        let gap = scheme.gap().linear_penalty();
-        let profile = self.take_profile(scheme, b);
-
-        let mut dirs = DirMatrix::new(rows, cols);
-        dirs.set(0, 0, Dir::Stop);
-        for j in 1..=cols {
-            dirs.set(0, j, Dir::Left);
-        }
-        for i in 1..=rows {
-            dirs.set(i, 0, Dir::Up);
-        }
-
-        let mut prev = self.arena.take(cols + 1);
-        let mut cur = self.arena.take(cols + 1);
-        prev.copy_from_slice(top);
-        for i in 1..=rows {
-            let prow = profile.row(a[i - 1]);
-            cur[0] = left[i];
-            self.row_update(&prev, &mut cur, prow, gap);
-            for j in 1..=cols {
-                // `v` is the max of the three terms, so comparing in
-                // precedence order reproduces the scalar tie-break exactly.
-                let v = cur[j];
-                let d = if prev[j - 1] + prow[j - 1] == v {
-                    Dir::Diag
-                } else if prev[j] + gap == v {
-                    Dir::Up
-                } else {
-                    Dir::Left
-                };
-                dirs.set(i, j, d);
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        let row = prev.clone();
-        self.arena.put(prev);
-        self.arena.put(cur);
-        self.put_profile(profile);
-        metrics.add_cells(rows as u64 * cols as u64, backend);
-        (dirs, row)
-    }
-
     /// [`crate::affine::fill_affine_edges_in`] on the active backend,
     /// drawing the edge buffers from this kernel's arena: return them
     /// with [`AffineEdges::recycle`] on [`Kernel::arena`]. The edges are
@@ -965,32 +899,6 @@ mod tests {
                 );
                 assert_eq!(got_b, want_b, "case {case} backend {backend} bottom row");
                 assert_eq!(got_r, want_r, "case {case} backend {backend} right col");
-            }
-        }
-    }
-
-    #[test]
-    fn fill_dir_directions_and_final_row_match_scalar() {
-        let mut rng = Rng(0x0ddb_1175);
-        for case in 0..120 {
-            let (a, b, scheme, bound) = random_case(&mut rng);
-            let metrics = Metrics::new();
-            let (want_dirs, want_row) =
-                kernel::fill_dir(&a, &b, &bound.top, &bound.left, &scheme, &metrics);
-            for backend in non_scalar_backends() {
-                let k = Kernel::try_new(backend).expect("available backend");
-                let (got_dirs, got_row) =
-                    k.fill_dir(&a, &b, &bound.top, &bound.left, &scheme, &metrics);
-                assert_eq!(got_row, want_row, "case {case} backend {backend} final row");
-                for i in 0..=a.len() {
-                    for j in 0..=b.len() {
-                        assert_eq!(
-                            got_dirs.get(i, j),
-                            want_dirs.get(i, j),
-                            "case {case} backend {backend} dir ({i},{j})"
-                        );
-                    }
-                }
             }
         }
     }

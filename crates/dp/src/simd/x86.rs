@@ -1,5 +1,5 @@
-//! Explicit SSE4.1 / AVX2 / AVX-512 row-update kernels, plus the striped
-//! inter-sequence batch kernels behind [`crate::batch::BatchKernel`].
+//! Explicit SSE4.1 / AVX2 / AVX-512 row-update kernels, and the AVX-512
+//! anti-diagonal band fill.
 //!
 //! Hand-written `core::arch` versions of [`super::row_update_portable`]
 //! and, on AVX2 and AVX-512, of [`super::affine_row_portable`], selected
@@ -719,252 +719,6 @@ pub(super) unsafe fn affine_row_avx512(
         _mm512_mask_storeu_epi32(e.add(j), mask, ev);
         _mm512_mask_storeu_epi32(f.add(j), mask, fv);
     }
-}
-
-// ---------------------------------------------------------------------
-// Inter-sequence batch kernels (crate::batch::BatchKernel).
-//
-// One independent pair per 16-bit SIMD lane: at a fixed (i, j) every
-// lane's left-dependency is its own previous j iteration, so the plain
-// three-way max runs vertically with no prefix scan at all. Adds are
-// *saturating*; the safe layer tracks per-lane running min/max and
-// recomputes any lane that strays into the saturation danger zone on the
-// exact i32 single-pair path, so results stay bit-identical to scalar.
-// ---------------------------------------------------------------------
-
-use crate::batch::{BDIR_DIAG, BDIR_LEFT, BDIR_UP};
-
-/// Transposes an 8×8 block of `i16`s (the classic three-stage unpack
-/// network): lane `t` of output `t` holds input `r[l]`'s element `t`.
-///
-/// # Safety
-///
-/// Requires SSE4.1 (guaranteed by the caller's own `target_feature`;
-/// the unpacks themselves are SSE2).
-#[inline]
-#[target_feature(enable = "sse4.1")]
-unsafe fn transpose8x8_epi16(r: [__m128i; 8]) -> [__m128i; 8] {
-    let a0 = _mm_unpacklo_epi16(r[0], r[1]);
-    let a1 = _mm_unpackhi_epi16(r[0], r[1]);
-    let a2 = _mm_unpacklo_epi16(r[2], r[3]);
-    let a3 = _mm_unpackhi_epi16(r[2], r[3]);
-    let a4 = _mm_unpacklo_epi16(r[4], r[5]);
-    let a5 = _mm_unpackhi_epi16(r[4], r[5]);
-    let a6 = _mm_unpacklo_epi16(r[6], r[7]);
-    let a7 = _mm_unpackhi_epi16(r[6], r[7]);
-    let b0 = _mm_unpacklo_epi32(a0, a2);
-    let b1 = _mm_unpackhi_epi32(a0, a2);
-    let b2 = _mm_unpacklo_epi32(a1, a3);
-    let b3 = _mm_unpackhi_epi32(a1, a3);
-    let b4 = _mm_unpacklo_epi32(a4, a6);
-    let b5 = _mm_unpackhi_epi32(a4, a6);
-    let b6 = _mm_unpacklo_epi32(a5, a7);
-    let b7 = _mm_unpackhi_epi32(a5, a7);
-    [
-        _mm_unpacklo_epi64(b0, b4),
-        _mm_unpackhi_epi64(b0, b4),
-        _mm_unpacklo_epi64(b1, b5),
-        _mm_unpackhi_epi64(b1, b5),
-        _mm_unpacklo_epi64(b2, b6),
-        _mm_unpackhi_epi64(b2, b6),
-        _mm_unpacklo_epi64(b3, b7),
-        _mm_unpackhi_epi64(b3, b7),
-    ]
-}
-
-/// Interleaves 16 per-lane `i16` profile rows into one striped score row:
-/// `out[j*16 + l] = rows[l][j]`. Every `rows[l]` must have length
-/// `cols_pad` (a multiple of 8) and `out` length `cols_pad * 16`.
-///
-/// # Safety
-///
-/// The caller must have verified `is_x86_feature_detected!("avx2")`
-/// (which implies the SSE4.1 transpose helper is safe too).
-#[target_feature(enable = "avx2,sse4.1")]
-pub(crate) unsafe fn batch_score_row_avx2(rows: &[&[i16]], out: &mut [i16]) {
-    assert_eq!(rows.len(), 16, "lane count");
-    let cols_pad = rows[0].len();
-    // Release-mode guards: the block loop below reads and writes through
-    // raw pointers, so a short row is UB, not a panic.
-    assert_eq!(cols_pad % 8, 0, "padded width multiple of 8");
-    assert_eq!(out.len(), cols_pad * 16, "striped score row length");
-    for r in rows.iter() {
-        assert_eq!(r.len(), cols_pad, "profile row length");
-    }
-    let mut jb = 0usize;
-    while jb < cols_pad {
-        let mut lo = [_mm_setzero_si128(); 8];
-        let mut hi = [_mm_setzero_si128(); 8];
-        for l in 0..8 {
-            lo[l] = _mm_loadu_si128(rows[l].as_ptr().add(jb) as *const __m128i);
-            hi[l] = _mm_loadu_si128(rows[l + 8].as_ptr().add(jb) as *const __m128i);
-        }
-        let c = transpose8x8_epi16(lo);
-        let d = transpose8x8_epi16(hi);
-        for (t, (&ct, &dt)) in c.iter().zip(d.iter()).enumerate() {
-            _mm256_storeu_si256(
-                out.as_mut_ptr().add((jb + t) * 16) as *mut __m256i,
-                _mm256_set_m128i(dt, ct),
-            );
-        }
-        jb += 8;
-    }
-}
-
-/// Interleaves 8 per-lane `i16` profile rows into one striped score row:
-/// `out[j*8 + l] = rows[l][j]`. Every `rows[l]` must have length
-/// `cols_pad` (a multiple of 8) and `out` length `cols_pad * 8`.
-///
-/// # Safety
-///
-/// The caller must have verified `is_x86_feature_detected!("sse4.1")`.
-#[target_feature(enable = "sse4.1")]
-pub(crate) unsafe fn batch_score_row_sse41(rows: &[&[i16]], out: &mut [i16]) {
-    assert_eq!(rows.len(), 8, "lane count");
-    let cols_pad = rows[0].len();
-    // Release-mode guards: raw-pointer loop below.
-    assert_eq!(cols_pad % 8, 0, "padded width multiple of 8");
-    assert_eq!(out.len(), cols_pad * 8, "striped score row length");
-    for r in rows.iter() {
-        assert_eq!(r.len(), cols_pad, "profile row length");
-    }
-    let mut jb = 0usize;
-    while jb < cols_pad {
-        let mut blk = [_mm_setzero_si128(); 8];
-        for l in 0..8 {
-            blk[l] = _mm_loadu_si128(rows[l].as_ptr().add(jb) as *const __m128i);
-        }
-        let c = transpose8x8_epi16(blk);
-        for (t, &ct) in c.iter().enumerate() {
-            _mm_storeu_si128(out.as_mut_ptr().add((jb + t) * 8) as *mut __m128i, ct);
-        }
-        jb += 8;
-    }
-}
-
-/// One striped batch row update over 16 lanes: for every column `j`,
-/// computes the saturating three-way max for all 16 pairs at once,
-/// records the winning direction (Diag ≻ Up ≻ Left) in `dirs`, and folds
-/// the new values into the running per-lane `minmax` saturation tracker.
-///
-/// Layout contract (striped, lane-major within a column):
-/// `prev`/`cur` are `(cols + 1) * 16` with `cur[0..16]` holding the row's
-/// left-boundary values on entry; `scores[ (j-1)*16 + l ]` is lane `l`'s
-/// substitution score for column `j`; `dirs` is `cols * 16`;
-/// `gaps` is one per-lane gap penalty; `minmax` is 16 running minima then
-/// 16 running maxima.
-///
-/// # Safety
-///
-/// The caller must have verified `is_x86_feature_detected!("avx2")`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn batch_row_update_avx2(
-    prev: &[i16],
-    cur: &mut [i16],
-    scores: &[i16],
-    gaps: &[i16],
-    dirs: &mut [u8],
-    minmax: &mut [i16],
-) {
-    let cols = dirs.len() / 16;
-    // Release-mode guards: the column loop reads and writes through raw
-    // pointers, so an undersized slab is UB, not a panic.
-    assert_eq!(dirs.len() % 16, 0, "dir row length");
-    assert_eq!(prev.len(), (cols + 1) * 16, "prev row length");
-    assert_eq!(cur.len(), (cols + 1) * 16, "cur row length");
-    assert!(scores.len() >= cols * 16, "score row length");
-    assert_eq!(gaps.len(), 16, "per-lane gaps");
-    assert_eq!(minmax.len(), 32, "per-lane min/max");
-    let gapv = _mm256_loadu_si256(gaps.as_ptr() as *const __m256i);
-    let mut minv = _mm256_loadu_si256(minmax.as_ptr() as *const __m256i);
-    let mut maxv = _mm256_loadu_si256(minmax.as_ptr().add(16) as *const __m256i);
-    let dir_diag = _mm256_set1_epi16(BDIR_DIAG as i16);
-    let dir_up = _mm256_set1_epi16(BDIR_UP as i16);
-    let dir_left = _mm256_set1_epi16(BDIR_LEFT as i16);
-    let mut diagv = _mm256_loadu_si256(prev.as_ptr() as *const __m256i);
-    let mut leftv = _mm256_loadu_si256(cur.as_ptr() as *const __m256i);
-    for j in 1..=cols {
-        let upv = _mm256_loadu_si256(prev.as_ptr().add(j * 16) as *const __m256i);
-        let sv = _mm256_loadu_si256(scores.as_ptr().add((j - 1) * 16) as *const __m256i);
-        let t1 = _mm256_adds_epi16(diagv, sv);
-        let t2 = _mm256_adds_epi16(upv, gapv);
-        let t3 = _mm256_adds_epi16(leftv, gapv);
-        let v = _mm256_max_epi16(_mm256_max_epi16(t1, t2), t3);
-        _mm256_storeu_si256(cur.as_mut_ptr().add(j * 16) as *mut __m256i, v);
-        // Precedence order after the max, exactly like the scalar
-        // fill_dir: Diag wherever t1 == v, else Up wherever t2 == v.
-        let d = _mm256_blendv_epi8(dir_left, dir_up, _mm256_cmpeq_epi16(t2, v));
-        let d = _mm256_blendv_epi8(d, dir_diag, _mm256_cmpeq_epi16(t1, v));
-        // Pack the 16 i16 codes to 16 bytes: packs gives [p_lo p_lo |
-        // p_hi p_hi] per 128-bit half; permute qwords 0 and 2 together.
-        let packed = _mm256_packs_epi16(d, d);
-        let packed = _mm256_permute4x64_epi64::<0b1110_1000>(packed);
-        _mm_storeu_si128(
-            dirs.as_mut_ptr().add((j - 1) * 16) as *mut __m128i,
-            _mm256_castsi256_si128(packed),
-        );
-        minv = _mm256_min_epi16(minv, v);
-        maxv = _mm256_max_epi16(maxv, v);
-        diagv = upv;
-        leftv = v;
-    }
-    _mm256_storeu_si256(minmax.as_mut_ptr() as *mut __m256i, minv);
-    _mm256_storeu_si256(minmax.as_mut_ptr().add(16) as *mut __m256i, maxv);
-}
-
-/// Eight-lane SSE4.1 variant of [`batch_row_update_avx2`]; identical
-/// contract with a lane width of 8 (`prev`/`cur` are `(cols + 1) * 8`,
-/// `dirs` is `cols * 8`, `minmax` is 8 + 8).
-///
-/// # Safety
-///
-/// The caller must have verified `is_x86_feature_detected!("sse4.1")`.
-#[target_feature(enable = "sse4.1")]
-pub(crate) unsafe fn batch_row_update_sse41(
-    prev: &[i16],
-    cur: &mut [i16],
-    scores: &[i16],
-    gaps: &[i16],
-    dirs: &mut [u8],
-    minmax: &mut [i16],
-) {
-    let cols = dirs.len() / 8;
-    // Release-mode guards: raw-pointer column loop below.
-    assert_eq!(dirs.len() % 8, 0, "dir row length");
-    assert_eq!(prev.len(), (cols + 1) * 8, "prev row length");
-    assert_eq!(cur.len(), (cols + 1) * 8, "cur row length");
-    assert!(scores.len() >= cols * 8, "score row length");
-    assert_eq!(gaps.len(), 8, "per-lane gaps");
-    assert_eq!(minmax.len(), 16, "per-lane min/max");
-    let gapv = _mm_loadu_si128(gaps.as_ptr() as *const __m128i);
-    let mut minv = _mm_loadu_si128(minmax.as_ptr() as *const __m128i);
-    let mut maxv = _mm_loadu_si128(minmax.as_ptr().add(8) as *const __m128i);
-    let dir_diag = _mm_set1_epi16(BDIR_DIAG as i16);
-    let dir_up = _mm_set1_epi16(BDIR_UP as i16);
-    let dir_left = _mm_set1_epi16(BDIR_LEFT as i16);
-    let mut diagv = _mm_loadu_si128(prev.as_ptr() as *const __m128i);
-    let mut leftv = _mm_loadu_si128(cur.as_ptr() as *const __m128i);
-    for j in 1..=cols {
-        let upv = _mm_loadu_si128(prev.as_ptr().add(j * 8) as *const __m128i);
-        let sv = _mm_loadu_si128(scores.as_ptr().add((j - 1) * 8) as *const __m128i);
-        let t1 = _mm_adds_epi16(diagv, sv);
-        let t2 = _mm_adds_epi16(upv, gapv);
-        let t3 = _mm_adds_epi16(leftv, gapv);
-        let v = _mm_max_epi16(_mm_max_epi16(t1, t2), t3);
-        _mm_storeu_si128(cur.as_mut_ptr().add(j * 8) as *mut __m128i, v);
-        let d = _mm_blendv_epi8(dir_left, dir_up, _mm_cmpeq_epi16(t2, v));
-        let d = _mm_blendv_epi8(d, dir_diag, _mm_cmpeq_epi16(t1, v));
-        _mm_storel_epi64(
-            dirs.as_mut_ptr().add((j - 1) * 8) as *mut __m128i,
-            _mm_packs_epi16(d, d),
-        );
-        minv = _mm_min_epi16(minv, v);
-        maxv = _mm_max_epi16(maxv, v);
-        diagv = upv;
-        leftv = v;
-    }
-    _mm_storeu_si128(minmax.as_mut_ptr() as *mut __m128i, minv);
-    _mm_storeu_si128(minmax.as_mut_ptr().add(8) as *mut __m128i, maxv);
 }
 
 /// SSE4.1 version of [`super::row_update_portable`]: identical contract,

@@ -154,9 +154,9 @@ pub const SERVE_RECOVERED_TOTAL: &str = "flsa_serve_recovered_jobs_total";
 pub const SERVE_REQUEST_NS: &str = "flsa_serve_request_ns";
 /// Time jobs spent parked waiting for admission bytes, in ns (histogram).
 pub const SERVE_ADMIT_WAIT_NS: &str = "flsa_serve_admit_wait_ns";
-/// Batched dispatches executed on the inter-sequence kernel (counter).
-/// The daemon no longer coalesces jobs into batches, so nothing
-/// increments it: readers of older snapshots (the ledger's
+/// Batched dispatches executed on the inter-sequence batch kernel, which
+/// is gone (counter). The daemon no longer coalesces jobs into batches,
+/// so nothing increments it: readers of older snapshots (the ledger's
 /// `serve.batch_fill` and `serve.batched_share`) now read 0.
 pub const SERVE_BATCHES_TOTAL: &str = "flsa_serve_batches_total";
 /// Jobs that ran inside a batched dispatch (counter). Like

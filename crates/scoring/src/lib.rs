@@ -22,5 +22,5 @@ pub mod tables;
 pub use gap::GapModel;
 pub use matrix::SubstitutionMatrix;
 pub use parser::{parse_ncbi, to_ncbi, MatrixParseError};
-pub use profile::{QueryProfile, QueryProfileI16};
+pub use profile::QueryProfile;
 pub use scheme::ScoringScheme;

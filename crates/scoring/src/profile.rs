@@ -100,83 +100,6 @@ impl QueryProfile {
     }
 }
 
-/// Flattened per-code `i16` score rows for one fixed sequence, padded to
-/// a fixed row width — the form the inter-sequence batch kernel streams
-/// (one pair per SIMD lane, 16-bit scores).
-///
-/// `row(c)[j]` equals `matrix.score(c, b[j])` for `j < b.len()` and `0`
-/// for the `b.len() ≤ j < padded_len` tail, so a batch whose lanes have
-/// unequal lengths can read every lane's row out to the longest lane
-/// without branching. Scores are clamped into `i16` range; callers that
-/// need exactness (the batch kernel does) must reject schemes whose
-/// scores cannot fit *before* building the profile — the batch kernel's
-/// saturation pre-check subsumes this.
-#[derive(Debug, Clone)]
-pub struct QueryProfileI16 {
-    codes: usize,
-    padded_len: usize,
-    table: Vec<i16>,
-}
-
-impl QueryProfileI16 {
-    /// Builds a padded `i16` profile for sequence `b` (alphabet codes),
-    /// reusing `storage` for the table. `padded_len` must be at least
-    /// `b.len()`. Recover the storage with
-    /// [`QueryProfileI16::into_storage`].
-    pub fn build_padded_in(
-        matrix: &SubstitutionMatrix,
-        b: &[u8],
-        padded_len: usize,
-        mut storage: Vec<i16>,
-    ) -> Self {
-        assert!(padded_len >= b.len(), "padded_len shorter than sequence");
-        let codes = matrix.alphabet().len();
-        storage.clear();
-        storage.resize(codes * padded_len, 0);
-        for c in 0..codes {
-            let row = &mut storage[c * padded_len..c * padded_len + b.len()];
-            for (slot, &bj) in row.iter_mut().zip(b.iter()) {
-                *slot = matrix
-                    .score(c as u8, bj)
-                    .clamp(i16::MIN as i32, i16::MAX as i32) as i16;
-            }
-        }
-        QueryProfileI16 {
-            codes,
-            padded_len,
-            table: storage,
-        }
-    }
-
-    /// The padded score row for code `c`: `row(c).len() == padded_len`.
-    #[inline(always)]
-    pub fn row(&self, c: u8) -> &[i16] {
-        let c = c as usize;
-        debug_assert!(c < self.codes, "code {c} outside profile alphabet");
-        &self.table[c * self.padded_len..(c + 1) * self.padded_len]
-    }
-
-    /// Number of alphabet codes (rows) in the profile.
-    pub fn codes(&self) -> usize {
-        self.codes
-    }
-
-    /// Row width (sequence length rounded up to the requested padding).
-    pub fn padded_len(&self) -> usize {
-        self.padded_len
-    }
-
-    /// Bytes held by the profile table (for memory accounting).
-    pub fn bytes(&self) -> usize {
-        self.table.capacity() * std::mem::size_of::<i16>()
-    }
-
-    /// Consumes the profile, returning its backing storage for reuse.
-    pub fn into_storage(self) -> Vec<i16> {
-        self.table
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,27 +132,6 @@ mod tests {
         let storage = p2.into_storage();
         assert_eq!(storage.capacity(), cap);
         assert_eq!(storage.as_ptr(), ptr);
-    }
-
-    #[test]
-    fn i16_profile_matches_matrix_lookup_and_pads_with_zero() {
-        let m = crate::tables::blosum62();
-        let b: Vec<u8> = (0..m.alphabet().len() as u8).cycle().take(23).collect();
-        let p = QueryProfileI16::build_padded_in(&m, &b, 32, Vec::new());
-        assert_eq!(p.padded_len(), 32);
-        assert_eq!(p.codes(), m.alphabet().len());
-        for c in 0..m.alphabet().len() as u8 {
-            for (j, &bj) in b.iter().enumerate() {
-                assert_eq!(p.row(c)[j] as i32, m.score(c, bj), "code {c} position {j}");
-            }
-            for j in b.len()..32 {
-                assert_eq!(p.row(c)[j], 0, "code {c} pad position {j}");
-            }
-        }
-        // Storage round-trips for arena reuse.
-        let storage = p.into_storage();
-        let p2 = QueryProfileI16::build_padded_in(&m, &b[..7], 8, storage);
-        assert_eq!(p2.padded_len(), 8);
     }
 
     #[test]

@@ -72,9 +72,8 @@ pub use flsa_trace as trace;
 pub use flsa_wavefront as wavefront;
 
 pub use fastlsa_core::{
-    align, align_batch, align_opts, align_traced, align_with, degradation_ladder, AlignError,
-    AlignOptions, CancelToken, ConfigError, FastLsaConfig, FaultHooks, MemoryGovernor,
-    ParallelConfig,
+    align, align_opts, align_traced, align_with, degradation_ladder, AlignError, AlignOptions,
+    CancelToken, ConfigError, FastLsaConfig, FaultHooks, MemoryGovernor, ParallelConfig,
 };
 
 /// The names most programs need.
@@ -82,7 +81,7 @@ pub mod prelude {
     pub use crate::core::{
         AlignError, AlignOptions, CancelToken, ConfigError, FastLsaConfig, ParallelConfig,
     };
-    pub use crate::dp::{AlignResult, Alignment, BatchJob, BatchKernel, Metrics, Move, Path};
+    pub use crate::dp::{AlignResult, Alignment, Metrics, Move, Path};
     pub use crate::scoring::{GapModel, ScoringScheme, SubstitutionMatrix};
     pub use crate::seq::{fasta, generate, workload, Alphabet, Sequence};
 }

@@ -180,10 +180,6 @@ fn linear_entry_points_refuse_an_affine_scheme_with_a_typed_error() {
         "align_traced",
         fastlsa::align_traced(&a, &b, &scheme, config, &metrics).map(drop),
     );
-    refused(
-        "align_batch",
-        fastlsa::align_batch(&[(&a, &b)], &scheme, &opts, &metrics).map(drop),
-    );
     assert_eq!(
         metrics.snapshot().cells_computed,
         0,

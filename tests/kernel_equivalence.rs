@@ -14,23 +14,16 @@
 //! free functions in `flsa_dp::affine` — every edge, every `H`/`E`/`F`
 //! entry — whichever backend runs them.
 //!
-//! The inter-sequence [`BatchKernel`] is under the same contract: a batch
-//! of independent pairs must return exactly the results of aligning each
-//! pair alone on the scalar kernel, including when `i16` saturation
-//! forces per-lane fallback.
-//!
 //! Set `FLSA_KERNEL_FORCE=scalar` (comma-separated backend names) to
 //! restrict the swept set — CI uses this to exercise the portable
-//! backends on machines whose SIMD features it cannot assume (a
-//! scalar-forced kernel also pins the batch kernel to its portable
-//! striped path).
+//! backends on machines whose SIMD features it cannot assume.
 
 use std::sync::Arc;
 
 use fastlsa_core::{align_opts, AlignOptions, FastLsaConfig};
 use flsa_dp::affine::{self, AffineGlobalBoundary, AffineMatrices, NEG};
-use flsa_dp::kernel::{fill_dir, fill_full, fill_last_row_col};
-use flsa_dp::{BatchJob, BatchKernel, Boundary, Kernel, KernelArena, KernelBackend, Metrics};
+use flsa_dp::kernel::{fill_full, fill_last_row_col};
+use flsa_dp::{Boundary, Kernel, KernelArena, KernelBackend, Metrics};
 use flsa_fullmatrix::{needleman_wunsch, needleman_wunsch_kernel};
 use flsa_hirschberg::{hirschberg_kernel, HirschbergConfig};
 use flsa_metrics::{names, Registry};
@@ -122,9 +115,9 @@ fn schemes() -> Vec<ScoringScheme> {
     ]
 }
 
-/// Runs `fill_full`, `fill_last_row_col` and `fill_dir` for one
-/// rectangle on every backend and asserts each equals the scalar
-/// reference, cell counts included.
+/// Runs `fill_full` and `fill_last_row_col` for one rectangle on every
+/// backend and asserts each equals the scalar reference, cell counts
+/// included.
 fn assert_fills_match_scalar(
     case: &str,
     scheme: &ScoringScheme,
@@ -147,7 +140,6 @@ fn assert_fills_match_scalar(
         Some(&mut right_ref),
         &m_ref,
     );
-    let (dirs_ref, last_ref) = fill_dir(a, b, &bound.top, &bound.left, scheme, &m_ref);
 
     for backend in backends() {
         let kernel = Kernel::try_new(backend).unwrap();
@@ -169,18 +161,6 @@ fn assert_fills_match_scalar(
         );
         assert_eq!(bottom, bottom_ref, "{case} backend {backend}: bottom");
         assert_eq!(right, right_ref, "{case} backend {backend}: right");
-
-        let (dirs, last) = kernel.fill_dir(a, b, &bound.top, &bound.left, scheme, &m);
-        assert_eq!(last, last_ref, "{case} backend {backend}: dir last row");
-        for i in 0..=rows {
-            for j in 0..=cols {
-                assert_eq!(
-                    dirs.get(i, j),
-                    dirs_ref.get(i, j),
-                    "{case} backend {backend}: dir ({i},{j})"
-                );
-            }
-        }
         // Identical work accounting: cells_computed must not depend
         // on the backend.
         assert_eq!(
@@ -306,9 +286,8 @@ fn fills_are_filed_under_the_backend_that_ran_them() {
             kernel.fill_full(&a, &b, &bound.top, &bound.left, &scheme, &m);
             let mut bottom = vec![0i32; cols + 1];
             kernel.fill_last_row(&a, &b, &bound.top, &bound.left, &scheme, &mut bottom, &m);
-            kernel.fill_dir(&a, &b, &bound.top, &bound.left, &scheme, &m);
             let what = format!("backend {backend}, {rows}x{cols} fill");
-            let cells = 3 * (rows * cols) as u64;
+            let cells = 2 * (rows * cols) as u64;
             assert_filed_under(&what, ran_on, cells, &registry, &recorder);
 
             let bnd = random_affine_boundary(&mut rng, rows, cols);
@@ -645,121 +624,4 @@ fn unavailable_or_unknown_backends_are_rejected_cleanly() {
     // must validate; the scalar fallback must always exist.
     assert!(KernelBackend::Scalar.is_available());
     assert!(Kernel::try_new(KernelBackend::Scalar).is_ok());
-}
-
-/// The scalar reference for one batch job: single-pair packed-direction
-/// fill + canonical traceback on the scalar kernel.
-fn single_reference(job: &BatchJob<'_>, metrics: &Metrics) -> flsa_dp::AlignResult {
-    let batch = BatchKernel::new(Kernel::scalar());
-    let mut r = batch.align_batch(std::slice::from_ref(job), metrics);
-    assert_eq!(r.len(), 1);
-    r.remove(0)
-}
-
-#[test]
-fn batch_kernel_matches_sequential_scalar_on_random_pair_sets() {
-    let mut rng = Rng::new(0xba7c);
-    let schemes = schemes();
-    for backend in backends() {
-        let kernel = Kernel::try_new(backend).unwrap();
-        let batch = BatchKernel::new(kernel);
-        for round in 0..4 {
-            // Pair counts straddling the lane width, with empty and
-            // length-1 sequences mixed in.
-            let n_jobs = 1 + rng.below(40) as usize;
-            let pairs: Vec<(Vec<u8>, Vec<u8>, usize)> = (0..n_jobs)
-                .map(|_| {
-                    let s = rng.below(schemes.len() as u64) as usize;
-                    let codes = schemes[s].matrix().alphabet().len() as u8;
-                    let la = rng.below(60) as usize;
-                    let lb = rng.below(60) as usize;
-                    (
-                        random_codes(&mut rng, la, codes),
-                        random_codes(&mut rng, lb, codes),
-                        s,
-                    )
-                })
-                .collect();
-            let jobs: Vec<BatchJob<'_>> = pairs
-                .iter()
-                .map(|(a, b, s)| BatchJob {
-                    a,
-                    b,
-                    scheme: &schemes[*s],
-                })
-                .collect();
-            let got = batch.align_batch(&jobs, &Metrics::new());
-            assert_eq!(got.len(), jobs.len());
-            for (k, (job, r)) in jobs.iter().zip(got.iter()).enumerate() {
-                let want = single_reference(job, &Metrics::new());
-                assert_eq!(
-                    r, &want,
-                    "backend {backend} round {round} job {k}: batch diverged"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn batch_kernel_saturating_scores_force_exact_fallback() {
-    // +2000/−2000 climbs out of the i16 safe zone within ~16 matched
-    // residues: admitted upfront, flagged by the runtime min/max tracker,
-    // recomputed exactly. Results must still match the scalar single path.
-    let m = flsa_scoring::SubstitutionMatrix::match_mismatch("sat", Alphabet::dna(), 2000, -2000);
-    let scheme = ScoringScheme::new(m, GapModel::linear(-2));
-    let mut rng = Rng::new(0x5a7);
-    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..12)
-        .map(|k| {
-            if k % 3 == 0 {
-                // Identical pair: monotone climb, guaranteed saturation.
-                let a = random_codes(&mut rng, 40 + k, 4);
-                (a.clone(), a)
-            } else {
-                (
-                    random_codes(&mut rng, 30 + k, 4),
-                    random_codes(&mut rng, 25 + k, 4),
-                )
-            }
-        })
-        .collect();
-    let jobs: Vec<BatchJob<'_>> = pairs
-        .iter()
-        .map(|(a, b)| BatchJob {
-            a,
-            b,
-            scheme: &scheme,
-        })
-        .collect();
-    for backend in backends() {
-        let batch = BatchKernel::new(Kernel::try_new(backend).unwrap());
-        let got = batch.align_batch(&jobs, &Metrics::new());
-        for (k, (job, r)) in jobs.iter().zip(got.iter()).enumerate() {
-            let want = single_reference(job, &Metrics::new());
-            assert_eq!(r, &want, "backend {backend} job {k}: saturating batch");
-        }
-    }
-}
-
-#[test]
-fn paper_worked_example_scores_82_in_a_batch() {
-    let scheme = ScoringScheme::paper_example();
-    let a = Sequence::from_str("a", scheme.alphabet(), "TLDKLLKD").unwrap();
-    let b = Sequence::from_str("b", scheme.alphabet(), "TDVLKAD").unwrap();
-    // The paper pair in every lane of a full chunk plus a ragged tail.
-    let jobs = vec![
-        BatchJob {
-            a: a.codes(),
-            b: b.codes(),
-            scheme: &scheme,
-        };
-        21
-    ];
-    for backend in backends() {
-        let batch = BatchKernel::new(Kernel::try_new(backend).unwrap());
-        for (k, r) in batch.align_batch(&jobs, &Metrics::new()).iter().enumerate() {
-            assert_eq!(r.score, 82, "backend {backend} lane {k}");
-            assert!(r.path.is_global(a.len(), b.len()), "backend {backend}");
-        }
-    }
 }
