@@ -44,7 +44,17 @@
 //!   `max(diag + S, max(up, left) + gap)`, and `max(up, left) + gap` is
 //!   one of the scalar sums `up + gap`, `left + gap`. Lanes outside the
 //!   rectangle may wrap, but they feed only other outside lanes and are
-//!   never stored.
+//!   never stored. The AVX-512 byte band keeps score differences
+//!   instead, in their own `i8` domain: with linear gap `g` and largest
+//!   score `smax`, every difference `u = H(i,j) − H(i−1,j)` and
+//!   `v = H(i,j) − H(i,j−1)` lies in `[g, smax − g]` when the boundary's
+//!   do (induction on `z = max(S, v + g, u + g)`, `u' = z − v`,
+//!   `v' = z − u`), and `z = H(i,j) − H(i−1,j−1)` lies in `[2g, smax]`.
+//!   The fill runs only when both ranges fit `i8` (`2g ≥ −128`,
+//!   `smax − g ≤ 127`, every score in `[−128, 127]`) and every boundary
+//!   difference is in range, so no byte wraps. Its `i32` edges are
+//!   prefix sums of those differences from a boundary value, and each
+//!   partial sum is a real `H`, which this envelope already covers.
 //!
 //! Name resolution is conservative (identifier-based): the graph
 //! over-approximates, so R8 reachability and R9 constructor closures
@@ -843,6 +853,76 @@ pub(crate) unsafe fn fast(x: &mut [i32]) { x.fill(1); }
         let r = audit(&[("crates/dp/src/simd/mod.rs", src)]);
         assert!(
             rules(&r).contains(&"R9-detection-dominance"),
+            "{:?}",
+            r.findings
+        );
+    }
+
+    /// The byte band's shape: a three-feature kernel reached from a
+    /// `Backend::Avx512` arm of a `Kernel` whose constructor proves only
+    /// `avx512f`, through `byte_fill` in `body`.
+    fn byte_band_fixture(body: &str) -> String {
+        format!(
+            "\
+pub enum Backend {{ Scalar, Avx512 }}
+pub struct Kernel {{ backend: Backend }}
+impl Kernel {{
+    pub fn auto() -> Kernel {{
+        if is_x86_feature_detected!(\"avx512f\") {{
+            return Kernel {{ backend: Backend::Avx512 }};
+        }}
+        Kernel {{ backend: Backend::Scalar }}
+    }}
+    pub fn fill(&self, x: &mut [i32]) {{
+        match self.backend {{
+            Backend::Scalar => x.fill(0),
+            Backend::Avx512 => {{
+                {body}
+            }}
+        }}
+    }}
+}}
+/// # Safety
+/// Caller proves AVX-512 F, BW and VBMI.
+#[target_feature(enable = \"avx512f,avx512bw,avx512vbmi\")]
+pub(crate) unsafe fn byte_fill(x: &mut [i32]) {{ x.fill(1); }}
+"
+        )
+    }
+
+    #[test]
+    fn r9_flags_a_vbmi_kernel_behind_an_avx512f_constructor() {
+        // The constructor detects avx512f alone: the arm's admission does
+        // not prove avx512bw or avx512vbmi.
+        let src = byte_band_fixture(
+            "// SAFETY: (wrong) Avx512 was admitted on avx512f alone.
+                unsafe { byte_fill(x) }",
+        );
+        let r = audit(&[("crates/dp/src/simd/mod.rs", &src)]);
+        let f: Vec<_> = r
+            .findings
+            .iter()
+            .filter(|f| f.rule == "R9-detection-dominance")
+            .collect();
+        assert_eq!(f.len(), 1, "{:?}", r.findings);
+        assert!(f[0].message.contains("byte_fill"), "{}", f[0].message);
+        assert!(f[0].message.contains("avx512vbmi"), "{}", f[0].message);
+    }
+
+    #[test]
+    fn r9_accepts_a_vbmi_kernel_called_where_all_three_features_are_detected() {
+        let src = byte_band_fixture(
+            "let cpu = is_x86_feature_detected!(\"avx512f\")
+                    && is_x86_feature_detected!(\"avx512bw\")
+                    && is_x86_feature_detected!(\"avx512vbmi\");
+                if cpu {
+                    // SAFETY: all three features detected just above.
+                    unsafe { byte_fill(x) }
+                }",
+        );
+        let r = audit(&[("crates/dp/src/simd/mod.rs", &src)]);
+        assert!(
+            !rules(&r).contains(&"R9-detection-dominance"),
             "{:?}",
             r.findings
         );

@@ -252,27 +252,30 @@ pub fn fill_affine_full_reusing(
     let matrix = scheme.matrix();
 
     let [mut h, mut e, mut f] = storage.map(|s| ScoreMatrix::lined_from_storage(rows, cols, s));
-    for j in 0..=cols {
-        h.set(0, j, bnd.top_h[j]);
-        f.set(0, j, bnd.top_v[j]);
-        e.set(0, j, NEG);
-    }
-    for i in 1..=rows {
-        h.set(i, 0, bnd.left_h[i]);
-        e.set(i, 0, bnd.left_e[i]);
-        f.set(i, 0, NEG);
-    }
+    h.row_mut(0).copy_from_slice(bnd.top_h);
+    f.row_mut(0).copy_from_slice(bnd.top_v);
+    e.row_mut(0).fill(NEG);
     for i in 1..=rows {
         let ai = a[i - 1];
+        let (hp, h_row) = h.rows_prev_cur(i);
+        let (fp, f_row) = f.rows_prev_cur(i);
+        // Sliced once here, the rows' lengths are visible to the compiler,
+        // which drops their bounds checks from the inner loop.
+        let (hp, h_row) = (&hp[..=cols], &mut h_row[..=cols]);
+        let (fp, f_row) = (&fp[..=cols], &mut f_row[..=cols]);
+        let e_row = &mut e.row_mut(i)[..=cols];
+        h_row[0] = bnd.left_h[i];
+        e_row[0] = bnd.left_e[i];
+        f_row[0] = NEG;
+        let (mut e_left, mut h_left) = (e_row[0], h_row[0]);
         for j in 1..=cols {
-            let ev = (e.get(i, j - 1) + extend).max(h.get(i, j - 1) + open + extend);
-            let fv = (f.get(i - 1, j) + extend).max(h.get(i - 1, j) + open + extend);
-            let hv = (h.get(i - 1, j - 1) + matrix.score(ai, b[j - 1]))
-                .max(ev)
-                .max(fv);
-            e.set(i, j, ev);
-            f.set(i, j, fv);
-            h.set(i, j, hv);
+            let ev = (e_left + extend).max(h_left + open + extend);
+            let fv = (fp[j] + extend).max(hp[j] + open + extend);
+            let hv = (hp[j - 1] + matrix.score(ai, b[j - 1])).max(ev).max(fv);
+            e_row[j] = ev;
+            f_row[j] = fv;
+            h_row[j] = hv;
+            (e_left, h_left) = (ev, hv);
         }
     }
     metrics.add_cells(rows as u64 * cols as u64, KernelBackend::Scalar);
@@ -453,6 +456,77 @@ mod tests {
         assert_eq!(edges.right_h, mats.h.col(b.len()));
         // right_e[0] is a placeholder; compare the rest.
         assert_eq!(&edges.right_e[1..], &mats.e.col(b.len())[1..]);
+    }
+
+    #[test]
+    fn full_fill_edges_match_the_edge_fill_on_random_rectangles() {
+        // The full fill's last row and column against the rolling-row
+        // edge fill: two independent loops over the same recurrence, on
+        // global and arbitrary boundaries, empty and one-wide rectangles,
+        // every gap pair here (a positive open included), and storage the
+        // previous, differently shaped solve left behind.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n.max(1)
+        };
+        let arena = crate::KernelArena::new();
+        let gaps = [(0, 0), (-1, -1), (-10, -2), (-11, -1), (3, -1)];
+        let mut storage: [Vec<i32>; 3] = Default::default();
+        for case in 0..120 {
+            let (open, extend) = gaps[case % gaps.len()];
+            let matrix = if case % 2 == 0 {
+                tables::dna_default()
+            } else {
+                tables::blosum62()
+            };
+            let scheme = ScoringScheme::new(matrix, GapModel::Affine { open, extend });
+            let codes = scheme.alphabet().len() as u64;
+            let (rows, cols) = (below(40) as usize, below(70) as usize);
+            let a: Vec<u8> = (0..rows).map(|_| below(codes) as u8).collect();
+            let b: Vec<u8> = (0..cols).map(|_| below(codes) as u8).collect();
+            let mut bnd = AffineGlobalBoundary::new(rows, cols, open, extend);
+            if case % 3 != 0 {
+                let mut walk = |edge: &mut Vec<i32>, state: &mut Vec<i32>| {
+                    for k in 1..edge.len() {
+                        edge[k] = edge[k - 1] + below(19) as i32 - 12;
+                        state[k] = if below(2) == 0 {
+                            NEG
+                        } else {
+                            edge[k] - below(30) as i32
+                        };
+                    }
+                };
+                walk(&mut bnd.top_h, &mut bnd.top_v);
+                walk(&mut bnd.left_h, &mut bnd.left_e);
+            }
+            let metrics = Metrics::new();
+            let edges = fill_affine_edges_in(&a, &b, bnd.view(), &scheme, &arena, &metrics);
+            let mats = fill_affine_full_reusing(&a, &b, bnd.view(), &scheme, storage, &metrics);
+            assert_eq!(
+                &edges.bottom_h[..],
+                mats.h.row(rows),
+                "case {case}: bottom H"
+            );
+            assert_eq!(
+                &edges.bottom_v[1..],
+                &mats.f.row(rows)[1..],
+                "case {case}: bottom F"
+            );
+            assert_eq!(edges.right_h, mats.h.col(cols), "case {case}: right H");
+            if cols > 0 {
+                assert_eq!(
+                    &edges.right_e[1..],
+                    &mats.e.col(cols)[1..],
+                    "case {case}: right E"
+                );
+            }
+            assert_eq!(metrics.snapshot().cells_computed, 2 * (rows * cols) as u64);
+            edges.recycle(&arena);
+            storage = mats.into_storage();
+        }
     }
 
     #[test]

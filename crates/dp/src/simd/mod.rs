@@ -43,6 +43,19 @@
 //! is the scalar recurrence over the same i32 sums (`diag + S`,
 //! `up + gap`, `left + gap`), so the band is bit-identical too.
 //!
+//! Where the CPU also has AVX-512 BW and VBMI, the block has at least
+//! `BYTE_BAND_MIN_ROWS` rows, and the scheme and boundary admit it, a
+//! byte band takes over: it keeps score differences
+//! `u = H(i,j) − H(i−1,j)` and `v = H(i,j) − H(i,j−1)` instead of scores,
+//! which lie in `[g, smax − g]` whenever the boundary's do, so one byte
+//! lane holds a row and one vector 64 rows (see `x86::ByteBand`). Its
+//! bottom row and right column come back as `i32` prefix sums of the
+//! differences, each partial sum a real `H`, so its edges are
+//! bit-identical as well. The admission ([`byte_scheme`],
+//! [`steps_within`]) is computed from what the fill observes: a
+//! boundary or scheme outside the `i8` domain falls back to the `i32`
+//! band.
+//!
 //! Affine (Gotoh) rows take the same two passes with a third state: `F`
 //! joins pass A, and the horizontal state `E` becomes an *exclusive*
 //! prefix max (see `affine_row_portable`). AVX-512 and AVX2 run them for
@@ -55,10 +68,13 @@
 //!   and the fallback on every non-x86-64 target;
 //! * [`KernelBackend::Sse41`] / [`KernelBackend::Avx2`] — explicit
 //!   `core::arch` row scans (linear; AVX2 also affine);
-//! * [`KernelBackend::Avx512`] — the row scan, linear and affine, plus
-//!   the anti-diagonal band for [`Kernel::fill_last_row_col`] on DNA.
-//!   Base cases ([`Kernel::fill_full`]), protein and blocks under
-//!   `BAND_MIN_ROWS` rows keep the row scan.
+//! * [`KernelBackend::Avx512`] — admitted on `avx512f`: the row scan,
+//!   linear and affine, plus the anti-diagonal bands for
+//!   [`Kernel::fill_last_row_col`] on DNA — the byte band when this CPU
+//!   also has `avx512bw` and `avx512vbmi` (detected in
+//!   `Kernel::byte_band_fill`, the fn that calls it) and admits the
+//!   block, the `i32` band otherwise. Base cases ([`Kernel::fill_full`]),
+//!   protein and blocks under `BAND_MIN_ROWS` rows keep the row scan.
 //!
 //! The vector backends are admitted only after `is_x86_feature_detected!`
 //! (rule R6 pins their `#[target_feature]` functions to this module).
@@ -97,6 +113,65 @@ const MIN_VEC_COLS: usize = 16;
 /// 2–4 rows of 32 columns, tied at 8 rows of 32, and won ×1.15–1.58 at
 /// 8 rows of 64–2,000 columns and ×1.25–2.05 at 16 rows.
 const BAND_MIN_ROWS: usize = 8;
+
+/// AVX-512 fills of fewer rows than this keep the `i32` band even when
+/// the byte band admits the block: a byte sweep costs `cols + 63` steps
+/// however few of its 64 rows are live. Measured on DNA (medians of 5
+/// interleaved runs, one CPU), the byte band tied the `i32` band at 16
+/// rows, won ×1.26–1.35 at 24 rows of 300–1,000 columns, and from 48
+/// rows won at every width from 32 up (×1.16 at 32 columns, ×1.2 at 64,
+/// ×1.7–1.9 at 300–1,000). Blocks of 16–31 columns run level or up to
+/// ×0.85 slower at 48–64 rows.
+const BYTE_BAND_MIN_ROWS: usize = 48;
+
+/// The byte band's scheme admission. Its differences lie in
+/// `[g, smax − g]` and its diagonal terms in `[2g, smax]`, and both ranges
+/// must fit `i8`: `2g ≥ −128`, `smax − g ≤ 127`, and every score in
+/// `[−128, 127]`. Returns the band's score table, `max(S − 2g, 0)` at
+/// `x·|Σ| + y` (see `x86::ByteBand::byte_step`), and the difference
+/// range; `None` when the alphabet does not fit [`band_table`], the
+/// ranges do not fit `i8`, or the range is empty.
+fn byte_scheme(scheme: &ScoringScheme) -> Option<([u8; 64], (i32, i32))> {
+    let codes = scheme.alphabet().len();
+    let scores = band_table(scheme)?;
+    let scores = &scores[..codes * codes];
+    let g = i64::from(scheme.gap().linear_penalty());
+    let smax = i64::from(*scores.iter().max()?);
+    let in_i8 = |v: i64| (-128..=127).contains(&v);
+    // `smax < 2g` leaves the range empty: no boundary could be admitted.
+    if 2 * g < -128
+        || smax - g > 127
+        || smax < 2 * g
+        || !scores.iter().all(|&s| in_i8(i64::from(s)))
+    {
+        return None;
+    }
+    let mut table = [0u8; 64];
+    for (slot, &s) in table.iter_mut().zip(scores) {
+        // In 0..=smax − 2g ≤ 191 by the checks above.
+        *slot = (i64::from(s) - 2 * g).max(0) as u8;
+    }
+    Some((table, (g as i32, (smax - g) as i32)))
+}
+
+/// True when every step `edge[k] − edge[k − 1]` lies in `lo..=hi`.
+///
+/// A step whose `i32` difference wraps is refused even when the wrapped
+/// value lands in range: the subtraction overflowed exactly when `a` and
+/// `b` differ in sign and the difference's sign differs from `b`'s. The
+/// loop is a fold over zipped slices (no early exit, no window bounds),
+/// so it vectorizes.
+fn steps_within(edge: &[i32], (lo, hi): (i32, i32)) -> bool {
+    let Some((_, steps)) = edge.split_first() else {
+        return true;
+    };
+    let width = hi.wrapping_sub(lo) as u32;
+    steps.iter().zip(edge).fold(true, |ok, (&b, &a)| {
+        let d = b.wrapping_sub(a);
+        let wrapped = (a ^ b) & (b ^ d) < 0;
+        ok & !wrapped & (d.wrapping_sub(lo) as u32 <= width)
+    })
+}
 
 /// The band kernel's in-register score table, `S(x, y)` at `x·|Σ| + y`,
 /// or `None` when `|Σ|² > 32` (protein): the table must fit the 32
@@ -217,6 +292,7 @@ pub fn detected_cpu_features() -> Vec<&'static str> {
         ("avx2", is_x86_feature_detected!("avx2")),
         ("avx512f", is_x86_feature_detected!("avx512f")),
         ("avx512bw", is_x86_feature_detected!("avx512bw")),
+        ("avx512vbmi", is_x86_feature_detected!("avx512vbmi")),
     ] {
         if present {
             out.push(name);
@@ -614,6 +690,21 @@ impl Kernel {
         if let Some(ref mut r) = out_right {
             r[0] = top[cols];
         }
+        if self.backend == KernelBackend::Avx512
+            && rows >= BYTE_BAND_MIN_ROWS
+            && self.byte_band_fill(
+                a,
+                b,
+                top,
+                left,
+                scheme,
+                out_bottom,
+                out_right.as_deref_mut(),
+            )
+        {
+            metrics.add_cells(rows as u64 * cols as u64, backend);
+            return;
+        }
         let band = if rows >= BAND_MIN_ROWS {
             band_table(scheme)
         } else {
@@ -662,6 +753,69 @@ impl Kernel {
             }
         }
         metrics.add_cells(rows as u64 * cols as u64, backend);
+    }
+
+    /// [`Kernel::fill_last_row_col`]'s byte band, run when this CPU has
+    /// AVX-512 BW and VBMI, the scheme's differences fit `i8`
+    /// ([`byte_scheme`]) and every difference of `top` and `left` lies in
+    /// their range. Returns false, having written nothing, when any of
+    /// these fails.
+    #[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
+    fn byte_band_fill(
+        &self,
+        a: &[u8],
+        b: &[u8],
+        top: &[i32],
+        left: &[i32],
+        scheme: &ScoringScheme,
+        out_bottom: &mut [i32],
+        out_right: Option<&mut [i32]>,
+    ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let cpu = is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vbmi");
+            if !cpu {
+                return false;
+            }
+            let Some((table, range)) = byte_scheme(scheme) else {
+                return false;
+            };
+            if !steps_within(top, range) || !steps_within(left, range) {
+                return false;
+            }
+            let codes = scheme.alphabet().len();
+            let gap = scheme.gap().linear_penalty();
+            // Three byte rows, which the kernel views this `i32` buffer as.
+            let mut scratch = self
+                .arena
+                .take((3 * x86::byte_row_len(b.len())).div_ceil(4));
+            // SAFETY: all three features were detected just above, and
+            // every difference of `top` and `left` lies in the range
+            // `byte_scheme` admitted.
+            unsafe {
+                x86::byte_band_fill_avx512(
+                    a,
+                    b,
+                    &table,
+                    codes,
+                    top,
+                    left,
+                    gap,
+                    &mut scratch,
+                    out_bottom,
+                    out_right,
+                )
+            }
+            self.arena.put(scratch);
+            true
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (a, b, top, left, scheme, out_bottom, out_right);
+            false
+        }
     }
 
     /// [`crate::kernel::fill_last_row`] on the active backend.
@@ -904,21 +1058,67 @@ mod tests {
     }
 
     #[test]
+    fn byte_band_admission_refuses_wrapped_steps_and_schemes_past_i8() {
+        let (table, range) = byte_scheme(&ScoringScheme::dna_default()).expect("DNA fits i8");
+        assert_eq!(range, (-10, 15));
+        // `max(S − 2g, 0)`: match 5 + 20, mismatch −4 + 20, `N` 0 + 20.
+        assert_eq!(table[..6], [25, 16, 16, 16, 20, 16]);
+        assert!(steps_within(&[0, -10, 5, -5, 10], range));
+        assert!(!steps_within(&[0, -11], range));
+        assert!(!steps_within(&[0, 16], range));
+        // i32::MIN − i32::MAX wraps to +1, inside the range; the true step
+        // is −(2³² − 1), so the boundary is refused.
+        assert_eq!(i32::MIN.wrapping_sub(i32::MAX), 1);
+        assert!(!steps_within(&[i32::MAX, i32::MIN], range));
+        assert!(!steps_within(&[-5, i32::MAX - 1], range));
+
+        let edge = |gap| {
+            let m = flsa_scoring::SubstitutionMatrix::match_mismatch(
+                "edge",
+                flsa_seq::Alphabet::dna(),
+                63,
+                -63,
+            );
+            ScoringScheme::new(m, flsa_scoring::GapModel::linear(gap))
+        };
+        // 2g = −128 and smax − g = 127: the last scheme that fits.
+        assert_eq!(byte_scheme(&edge(-64)).map(|(_, r)| r), Some((-64, 127)));
+        assert_eq!(byte_scheme(&edge(-64)).map(|(t, _)| t[0]), Some(191));
+        assert!(byte_scheme(&edge(-65)).is_none(), "2g = −130");
+        assert!(byte_scheme(&ScoringScheme::protein_default()).is_none());
+        // Every score below 2g: `[g, smax − g]` is empty.
+        let negative = flsa_scoring::SubstitutionMatrix::match_mismatch(
+            "negative",
+            flsa_seq::Alphabet::dna(),
+            -5,
+            -6,
+        );
+        let empty = ScoringScheme::new(negative, flsa_scoring::GapModel::linear(0));
+        assert!(byte_scheme(&empty).is_none());
+    }
+
+    #[test]
     fn repeated_fills_are_allocation_free_in_steady_state() {
         // Buffers each fill checks out of the arena: the row scan takes
-        // the profile, `prev` and `cur`; the AVX-512 band kernel (DNA
-        // only) takes the reversed `b` and the second band's top row;
-        // the scalar kernel takes none.
+        // the profile, `prev` and `cur`; the AVX-512 `i32` band (DNA
+        // only) takes the reversed `b` and the second band's top row; the
+        // byte band (DNA where the CPU also has BW and VBMI, 200 rows
+        // here) takes one buffer for the reversed `b` and both hand-off
+        // rows; the scalar kernel takes none.
         let backend = Kernel::auto().backend();
+        #[cfg(target_arch = "x86_64")]
+        let vbmi = is_x86_feature_detected!("avx512bw") && is_x86_feature_detected!("avx512vbmi");
+        #[cfg(not(target_arch = "x86_64"))]
+        let vbmi = false;
         let row_scan = if backend == KernelBackend::Scalar {
             0
         } else {
             3
         };
-        let band = if backend == KernelBackend::Avx512 {
-            2
-        } else {
-            row_scan
+        let band = match backend {
+            KernelBackend::Avx512 if vbmi => 1,
+            KernelBackend::Avx512 => 2,
+            _ => row_scan,
         };
         for (scheme, per_fill) in [
             (ScoringScheme::dna_default(), band),

@@ -551,6 +551,539 @@ pub(super) unsafe fn band_fill_avx512(
     }
 }
 
+/// Rows per byte band: one row per byte lane of a 512-bit vector.
+pub(super) const BYTE_BAND: usize = 64;
+
+/// Bytes of pad on each side of the byte band's reversed `b`, and at the
+/// end of each hand-off row: a step's 64-byte loads reach up to 63 bytes
+/// past the cells they serve.
+pub(super) const BYTE_PAD: usize = 64;
+
+/// Bytes of each of the byte band's three scratch rows for `cols`
+/// columns: the reversed `b` and the two hand-off rows.
+pub(super) fn byte_row_len(cols: usize) -> usize {
+    cols + 2 * BYTE_PAD
+}
+
+/// The operands every step of [`byte_band_fill_avx512`] shares.
+struct ByteGeom {
+    cols: usize,
+    /// `b`'s codes reversed between [`BYTE_PAD`] pad bytes on each side:
+    /// `brev[cols + BYTE_PAD − 1 − s + l]` is `b[s − l]`, so one unaligned
+    /// load gives step `s` its 64 column codes.
+    brev: *const u8,
+    /// `max(S(x, y) − 2g, 0)` at byte `x·|Σ| + y`.
+    table: __m512i,
+    /// `|Σ|` in every byte, and `x·|Σ|` at byte `x`.
+    codes: __m512i,
+    times_codes: __m512i,
+    /// `vpermt2b` indices that shift a band's `q` one lane up and fill
+    /// lane 0 from lane 0 (`from_row`) or lane 63 (`from_band`) of the
+    /// second operand.
+    from_row: __m512i,
+    from_band: __m512i,
+}
+
+/// Sixteen left-column differences as bytes, `at[l + 1] − at[l] − gap`
+/// for the lanes set in `live`; the rest read no memory.
+///
+/// # Safety
+///
+/// Requires AVX-512F (guaranteed by the caller's own `target_feature`);
+/// `at[0..=l + 1]` is readable for every lane `l` set in `live`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn left_steps(at: *const i32, live: __mmask16, gapv: __m512i) -> __m128i {
+    let hi = _mm512_maskz_loadu_epi32(live, at.wrapping_add(1));
+    let lo = _mm512_maskz_loadu_epi32(live, at);
+    // In range by admission, so the wrapping differences are exact.
+    _mm512_cvtepi32_epi8(_mm512_sub_epi32(_mm512_sub_epi32(hi, lo), gapv))
+}
+
+/// One byte band in flight. Lane `l` holds row `r0 + 1 + l`; step `s`
+/// computes cell `(r0 + 1 + l, s + 1 − l)` in lane `l`.
+///
+/// The band keeps score differences, not scores, shifted by `−g` so that
+/// they are never negative: `p = u − g` with `u(i,j) = H(i,j) − H(i−1,j)`,
+/// and `q = v − g` with `v(i,j) = H(i,j) − H(i,j−1)`. Both lie in
+/// `[0, smax − 2g]` (see [`ByteBand::byte_step`]).
+struct ByteBand {
+    /// Rows the band covers, `1..=64`. Lanes from `live` up lie below the
+    /// rectangle: they feed only higher lanes and are never stored.
+    live: usize,
+    /// `a[r0 + l]·|Σ|` per lane, the row half of each score-table index.
+    arow: __m512i,
+    /// `p` of each lane's last cell; before a lane's first cell, its
+    /// left-column difference `u(i, 0) − g`.
+    p: __m512i,
+    /// `q` of each lane's last cell.
+    q: __m512i,
+    /// `p` at column `cols`, lane `l` at byte `l`.
+    right: [u8; BYTE_BAND],
+}
+
+impl ByteBand {
+    /// The band over rows `r0 + 1 ..= r0 + live`, its left-column
+    /// differences read from `left`. Panics on a residue code outside
+    /// the score table, as the profile rows do.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F/BW/VBMI (guaranteed by the caller's own
+    /// `target_feature`).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    unsafe fn byte_rows(
+        g: &ByteGeom,
+        a: &[u8],
+        left: &[i32],
+        r0: usize,
+        live: usize,
+        gap: i32,
+    ) -> Self {
+        // Release-mode guard: the masked loads below read through raw
+        // pointers.
+        assert!(
+            (1..=BYTE_BAND).contains(&live) && r0 + live <= a.len() && r0 + live < left.len(),
+            "band rows outside the rectangle"
+        );
+        let lanes: __mmask64 = u64::MAX >> (BYTE_BAND - live);
+        let codes = _mm512_maskz_loadu_epi8(lanes, a.as_ptr().add(r0) as *const i8);
+        assert!(
+            _mm512_cmpge_epu8_mask(codes, g.codes) == 0,
+            "residue code outside the alphabet"
+        );
+        let (at, gapv) = (left.as_ptr().wrapping_add(r0), _mm512_set1_epi32(gap));
+        let p0 = left_steps(at, lanes as __mmask16, gapv);
+        let p1 = left_steps(at.wrapping_add(16), (lanes >> 16) as __mmask16, gapv);
+        let p2 = left_steps(at.wrapping_add(32), (lanes >> 32) as __mmask16, gapv);
+        let p3 = left_steps(at.wrapping_add(48), (lanes >> 48) as __mmask16, gapv);
+        let p = _mm512_inserti32x4::<1>(_mm512_castsi128_si512(p0), p1);
+        let p = _mm512_inserti32x4::<3>(_mm512_inserti32x4::<2>(p, p2), p3);
+        ByteBand {
+            live,
+            arow: _mm512_permutexvar_epi8(codes, g.times_codes),
+            p,
+            q: _mm512_setzero_si512(),
+            right: [0; BYTE_BAND],
+        }
+    }
+
+    /// Step `s` of the difference recurrence, given in `above` the `q`
+    /// that lane 0 takes (through `idx`): returns the new `p` and keeps
+    /// the new `q`. With `z = H(i,j) − H(i−1,j−1)`,
+    ///
+    /// ```text
+    /// z = max(S(a_i, b_j), v(i−1,j) + g, u(i,j−1) + g)
+    /// u(i,j) = z − v(i−1,j)      v(i,j) = z − u(i,j−1)
+    /// ```
+    ///
+    /// and with `y = z − 2g`, `p = u − g`, `q = v − g` that is
+    /// `y = max(S − 2g, q(i−1,j), p(i,j−1))`, `p = y − q(i−1,j)`,
+    /// `q = y − p(i,j−1)`: two maxes and two subtractions. When every
+    /// boundary difference lies in `[g, smax − g]`, so does every
+    /// interior one (`z ≥ v + g` gives `u ≥ g`, and `z ≤ smax` gives
+    /// `u ≤ smax − v ≤ smax − g`), so `p`, `q` and `y` lie in
+    /// `[0, smax − 2g]` and the unsigned byte arithmetic is exact. A table
+    /// entry below 0 is stored as 0, which changes no `y`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F/BW/VBMI, and `s ≤ cols + BYTE_PAD − 1` so the
+    /// code load stays inside `brev`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    unsafe fn byte_step(
+        &mut self,
+        g: &ByteGeom,
+        s: usize,
+        idx: __m512i,
+        above: __m512i,
+    ) -> __m512i {
+        let up = _mm512_permutex2var_epi8(self.q, idx, above);
+        let codes = _mm512_loadu_si512(g.brev.add(g.cols + BYTE_PAD - 1 - s) as *const __m512i);
+        let sub = _mm512_permutexvar_epi8(_mm512_add_epi8(self.arow, codes), g.table);
+        let y = _mm512_max_epu8(up, _mm512_max_epu8(sub, self.p));
+        let p = _mm512_sub_epi8(y, up);
+        self.q = _mm512_sub_epi8(y, self.p);
+        p
+    }
+
+    /// Stores lane `live − 1` of `q`, the band's bottom row at column
+    /// `s + 2 − live`, into `dst[s + 1 − live]`. The masked store's vector
+    /// base sits `live − 1` bytes before that entry, possibly before
+    /// `dst` itself, but the mask touches only the entry.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F/BW; `live − 1 ≤ s ≤ cols + live − 2`, and `dst`
+    /// holds `cols` bytes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn byte_store_bottom(&self, s: usize, dst: *mut u8) {
+        let last = self.live - 1;
+        let base = dst.wrapping_add(s + 1 - self.live).wrapping_sub(last);
+        _mm512_mask_storeu_epi8(base as *mut i8, 1 << last, self.q);
+    }
+
+    /// Step `s` with its edge work: lanes that have not reached column 1
+    /// keep their left-column difference, the lane at column `cols`
+    /// goes to `right`, and (for the bottom band) the bottom lane goes to
+    /// `dst` once it has reached column 1.
+    ///
+    /// # Safety
+    ///
+    /// As for [`ByteBand::byte_step`] and [`ByteBand::byte_store_bottom`], with
+    /// `s ≤ cols + live − 2`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    unsafe fn byte_edge_step<const BOTTOM: bool>(
+        &mut self,
+        g: &ByteGeom,
+        s: usize,
+        idx: __m512i,
+        above: __m512i,
+        dst: *mut u8,
+    ) {
+        let p = self.byte_step(g, s, idx, above);
+        self.p = if s + 1 < self.live {
+            _mm512_mask_mov_epi8(self.p, (2u64 << s) - 1, p)
+        } else {
+            p
+        };
+        if s + 1 >= g.cols && s + 1 - g.cols < self.live {
+            _mm512_mask_storeu_epi8(self.right.as_mut_ptr() as *mut i8, 1 << (s + 1 - g.cols), p);
+        }
+        if BOTTOM && s + 1 >= self.live {
+            self.byte_store_bottom(s, dst);
+        }
+    }
+}
+
+/// `N` byte bands stacked into one sweep of `64·(N − 1) + live` rows:
+/// band 0 reads the top row's differences from `src`, each later band
+/// runs 64 steps behind the one above and takes its lane 0 from that
+/// band's lane 63 of the step before, and the last band writes its bottom
+/// row's differences to `dst`. The bands' chains interleave, so none
+/// waits on its own latency.
+///
+/// # Safety
+///
+/// As for [`ByteBand::byte_edge_step`] on every band; `src` holds
+/// [`byte_row_len`] bytes, `dst` at least `cols`.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn byte_sweep<const N: usize>(
+    bands: &mut [ByteBand; N],
+    g: &ByteGeom,
+    src: *const u8,
+    dst: *mut u8,
+) {
+    let lag = BYTE_BAND * (N - 1);
+    let end = lag + g.cols + bands[N - 1].live - 1;
+    // Steady state: every lane past column 0 and short of column `cols`.
+    let start = (lag + bands[N - 1].live - 1).min(end);
+    let stop = (g.cols - 1).max(start);
+    for t in 0..start {
+        byte_edge_steps(bands, g, t, src, dst);
+    }
+    for t in start..stop {
+        // Bottom band first: each band reads the `q` the band above left
+        // at the previous step.
+        for k in (0..N).rev() {
+            let s = t - BYTE_BAND * k;
+            let (idx, above) = byte_above(bands, k, g, src, s);
+            bands[k].p = bands[k].byte_step(g, s, idx, above);
+        }
+        bands[N - 1].byte_store_bottom(t - lag, dst);
+    }
+    for t in stop..end {
+        byte_edge_steps(bands, g, t, src, dst);
+    }
+}
+
+/// The `vpermt2b` index and second operand that feed lane 0 of band `k`
+/// at its step `s`: the top row's difference from `src` for band 0, the
+/// band above's lane 63 (still at its previous step) otherwise.
+///
+/// # Safety
+///
+/// Requires AVX-512F (guaranteed by the caller's own `target_feature`);
+/// `src` holds [`byte_row_len`] bytes and `s ≤ cols + BYTE_PAD − 1`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn byte_above<const N: usize>(
+    bands: &[ByteBand; N],
+    k: usize,
+    g: &ByteGeom,
+    src: *const u8,
+    s: usize,
+) -> (__m512i, __m512i) {
+    if k == 0 {
+        (g.from_row, _mm512_loadu_si512(src.add(s) as *const __m512i))
+    } else {
+        (g.from_band, bands[k - 1].q)
+    }
+}
+
+/// Step `t` of [`byte_sweep`] outside its steady state: each band that
+/// has started and not yet passed column `cols` takes an edge step.
+///
+/// # Safety
+///
+/// As for [`byte_sweep`].
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn byte_edge_steps<const N: usize>(
+    bands: &mut [ByteBand; N],
+    g: &ByteGeom,
+    t: usize,
+    src: *const u8,
+    dst: *mut u8,
+) {
+    for k in (0..N).rev() {
+        let Some(s) = t.checked_sub(BYTE_BAND * k) else {
+            continue;
+        };
+        if s + 1 >= g.cols + bands[k].live {
+            continue;
+        }
+        let (idx, above) = byte_above(bands, k, g, src, s);
+        if k == N - 1 {
+            bands[k].byte_edge_step::<true>(g, s, idx, above, dst);
+        } else {
+            bands[k].byte_edge_step::<false>(g, s, idx, above, dst);
+        }
+    }
+}
+
+/// Adds `base` to the running sum of `diff[j] + gap` over `diff`'s first
+/// `out.len()` bytes, writing each partial sum to `out`: the `i32` edge
+/// the byte band's differences stand for. Sixteen sums per vector: a
+/// log-step inclusive scan (each shift carries toward higher lanes,
+/// filling with 0, as in [`prefix_max_avx512`]) plus the running carry.
+///
+/// # Safety
+///
+/// Requires AVX-512F/BW (guaranteed by the caller's own `target_feature`).
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn prefix_sums(diff: &[u8], gap: i32, base: i32, out: &mut [i32]) {
+    let n = out.len();
+    assert!(diff.len() >= n, "differences shorter than the edge");
+    let (gapv, zero) = (_mm512_set1_epi32(gap), _mm512_setzero_si512());
+    let mut carry = _mm512_set1_epi32(base);
+    let mut j = 0;
+    while j + 16 <= n {
+        let d = _mm512_cvtepu8_epi32(_mm_loadu_si128(diff.as_ptr().add(j) as *const __m128i));
+        let mut x = _mm512_add_epi32(d, gapv);
+        x = _mm512_add_epi32(x, _mm512_alignr_epi32::<15>(x, zero));
+        x = _mm512_add_epi32(x, _mm512_alignr_epi32::<14>(x, zero));
+        x = _mm512_add_epi32(x, _mm512_alignr_epi32::<12>(x, zero));
+        x = _mm512_add_epi32(x, _mm512_alignr_epi32::<8>(x, zero));
+        x = _mm512_add_epi32(x, carry);
+        _mm512_storeu_si512(out.as_mut_ptr().add(j) as *mut __m512i, x);
+        carry = _mm512_permutexvar_epi32(_mm512_set1_epi32(15), x);
+        j += 16;
+    }
+    let mut h = _mm_cvtsi128_si32(_mm512_castsi512_si128(carry));
+    for (slot, &d) in out[j..].iter_mut().zip(&diff[j..]) {
+        h += i32::from(d) + gap;
+        *slot = h;
+    }
+}
+
+/// `vpermb` indices that take lane `(l + by) mod 64` into lane `l`.
+const fn lane_indices(by: usize, backwards: bool) -> [u8; BYTE_BAND] {
+    let mut idx = [0u8; BYTE_BAND];
+    let mut l = 0;
+    while l < BYTE_BAND {
+        let from = if backwards { BYTE_BAND - 1 - l } else { l };
+        idx[l] = ((from + by) % BYTE_BAND) as u8;
+        l += 1;
+    }
+    idx
+}
+
+/// Lane `l − 1` into lane `l` (lane 0 takes lane 63, which the byte
+/// band's lane-0 fill then replaces).
+const SHIFT_UP: [u8; BYTE_BAND] = lane_indices(BYTE_BAND - 1, false);
+
+/// Lane `63 − l` into lane `l`.
+const BACKWARDS: [u8; BYTE_BAND] = lane_indices(0, true);
+
+/// Writes `b` reversed into `out` (`out[k]` is `b[len − 1 − k]`), 64
+/// codes a vector, and panics on a code outside the alphabet (`codes` in
+/// every byte of `codes_v`), as the profile rows do.
+///
+/// # Safety
+///
+/// Requires AVX-512F/BW/VBMI (guaranteed by the caller's own
+/// `target_feature`).
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn reverse_codes(b: &[u8], codes_v: __m512i, out: &mut [u8]) {
+    let n = b.len();
+    assert_eq!(out.len(), n, "reversed codes length");
+    let backwards = _mm512_loadu_si512(BACKWARDS.as_ptr() as *const __m512i);
+    let mut bad: __mmask64 = 0;
+    let mut j = 0;
+    while j < n {
+        // Codes j..j + live go to out[n − j − live..n − j], reversed; the
+        // masks touch only those bytes.
+        let live = (n - j).min(BYTE_BAND);
+        let lanes: __mmask64 = u64::MAX >> (BYTE_BAND - live);
+        let v = _mm512_maskz_loadu_epi8(lanes, b.as_ptr().add(j) as *const i8);
+        bad |= _mm512_cmpge_epu8_mask(v, codes_v);
+        let rev = _mm512_permutexvar_epi8(backwards, v);
+        let base = out.as_mut_ptr().wrapping_add(n - j).wrapping_sub(BYTE_BAND);
+        _mm512_mask_storeu_epi8(base as *mut i8, u64::MAX << (BYTE_BAND - live), rev);
+        j += live;
+    }
+    assert!(bad == 0, "residue code outside the alphabet");
+}
+
+/// Sweeps the rows `r0 + 1 ..= r0 + here`, `64·(N − 1) < here ≤ 64·N`,
+/// as `N` bands in flight ([`byte_sweep`]), reading the top row's
+/// differences from `src` and writing the bottom row's to `dst`, then
+/// writes the rows' entries of `right` as prefix sums from `right[r0]`.
+///
+/// # Safety
+///
+/// As for [`byte_sweep`]; `r0 + here` rows lie inside `a` and `left`.
+#[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn byte_sweep_rows<const N: usize>(
+    g: &ByteGeom,
+    a: &[u8],
+    left: &[i32],
+    gap: i32,
+    (r0, here): (usize, usize),
+    src: *const u8,
+    dst: *mut u8,
+    right: Option<&mut [i32]>,
+) {
+    let mut bands: [ByteBand; N] = std::array::from_fn(|k| {
+        let first = k * BYTE_BAND;
+        // SAFETY: this fn's caller proved the CPU features `byte_rows`
+        // needs, and `byte_rows` checks the rows it reads.
+        unsafe { ByteBand::byte_rows(g, a, left, r0 + first, (here - first).min(BYTE_BAND), gap) }
+    });
+    byte_sweep(&mut bands, g, src, dst);
+    if let Some(r) = right {
+        let mut at = r0;
+        for band in &bands {
+            let base = r[at];
+            prefix_sums(
+                &band.right[..band.live],
+                gap,
+                base,
+                &mut r[at + 1..=at + band.live],
+            );
+            at += band.live;
+        }
+    }
+}
+
+/// Bands one sweep runs in flight, at most. Against two, four ran
+/// ×1.15–1.21 on depth-0 grid-fill shapes (1,500² to 10,000×2,000) and
+/// level on depth-1 shapes (190²–375²); see DESIGN.md §11 "Byte band".
+const MAX_BANDS: usize = 4;
+
+/// [`super::Kernel::fill_last_row_col`]'s byte band: the rectangle's rows
+/// go 64 to a vector, one row per byte lane, as score differences
+/// ([`ByteBand`]) that fit a byte wherever the caller has admitted the
+/// scheme and the boundary. Up to [`MAX_BANDS`] bands run in flight;
+/// between sweeps, the bottom row's differences pass to the next sweep
+/// through two byte rows used in turn, so no sweep's loads wait on its
+/// own stores. The bottom row and the right column come back as exact
+/// `i32` prefix sums of the differences, each partial sum a real `H`.
+///
+/// `table` holds `max(S(x, y) − 2g, 0)` at `x·codes + y`, so
+/// `codes² ≤ 64`. `scratch` is viewed as bytes: three rows of
+/// [`byte_row_len`] bytes, the reversed `b` and the two hand-off rows.
+/// `right`, if given, has its entry 0 set by the caller and rows
+/// `1..=rows` filled here.
+///
+/// # Safety
+///
+/// The caller must have verified `is_x86_feature_detected!` for
+/// `avx512f`, `avx512bw` and `avx512vbmi`, and that every difference of
+/// `top` and of `left` lies in `[gap, smax − gap]` with the scheme's
+/// largest score `smax`, and `smax − 2·gap ≤ 255`: outside that domain
+/// the edges are wrong, though memory stays safe.
+#[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+pub(super) unsafe fn byte_band_fill_avx512(
+    a: &[u8],
+    b: &[u8],
+    table: &[u8; 64],
+    codes: usize,
+    top: &[i32],
+    left: &[i32],
+    gap: i32,
+    scratch: &mut [i32],
+    out_bottom: &mut [i32],
+    right: Option<&mut [i32]>,
+) {
+    let (rows, cols) = (a.len(), b.len());
+    let row_len = byte_row_len(cols);
+    // Release-mode guards: the steps read and write through raw pointers,
+    // so a short buffer is UB, not a panic.
+    assert!(
+        codes * codes <= table.len(),
+        "alphabet too large for the table"
+    );
+    assert!(rows >= 1 && cols >= 1, "empty rectangle");
+    assert_eq!(top.len(), cols + 1, "top row length");
+    assert_eq!(left.len(), rows + 1, "left column length");
+    assert_eq!(out_bottom.len(), cols + 1, "out_bottom length");
+    assert!(4 * scratch.len() >= 3 * row_len, "scratch length");
+    if let Some(ref r) = right {
+        assert_eq!(r.len(), rows + 1, "right column length");
+    }
+    // SAFETY: an `i32` buffer's bytes are initialized, and `u8` has no
+    // alignment or validity requirement.
+    let bytes = std::slice::from_raw_parts_mut(scratch.as_mut_ptr() as *mut u8, 4 * scratch.len());
+    let (brev, rest) = bytes.split_at_mut(row_len);
+    let (mut src, mut dst) = rest.split_at_mut(row_len);
+    let codes_v = _mm512_set1_epi8(codes as i8);
+    reverse_codes(b, codes_v, &mut brev[BYTE_PAD..BYTE_PAD + cols]);
+    for ((slot, &hi), &lo) in src.iter_mut().zip(&top[1..]).zip(top) {
+        // In range by admission, so the wrapping sums are exact.
+        *slot = hi.wrapping_sub(lo).wrapping_sub(gap) as u8;
+    }
+    let mut times = [0u8; BYTE_BAND];
+    for (x, slot) in times.iter_mut().enumerate().take(codes) {
+        *slot = (x * codes) as u8;
+    }
+    let shift = _mm512_loadu_si512(SHIFT_UP.as_ptr() as *const __m512i);
+    let g = ByteGeom {
+        cols,
+        brev: brev.as_ptr(),
+        table: _mm512_loadu_si512(table.as_ptr() as *const __m512i),
+        codes: codes_v,
+        times_codes: _mm512_loadu_si512(times.as_ptr() as *const __m512i),
+        from_row: _mm512_mask_mov_epi8(shift, 1, _mm512_set1_epi8(64)),
+        from_band: _mm512_mask_mov_epi8(shift, 1, _mm512_set1_epi8(127)),
+    };
+    let mut right = right;
+    let mut r0 = 0;
+    while r0 < rows {
+        let here = (rows - r0).min(MAX_BANDS * BYTE_BAND);
+        let (s, d, r) = (src.as_ptr(), dst.as_mut_ptr(), right.as_deref_mut());
+        match here.div_ceil(BYTE_BAND) {
+            1 => byte_sweep_rows::<1>(&g, a, left, gap, (r0, here), s, d, r),
+            2 => byte_sweep_rows::<2>(&g, a, left, gap, (r0, here), s, d, r),
+            3 => byte_sweep_rows::<3>(&g, a, left, gap, (r0, here), s, d, r),
+            _ => byte_sweep_rows::<MAX_BANDS>(&g, a, left, gap, (r0, here), s, d, r),
+        }
+        r0 += here;
+        std::mem::swap(&mut src, &mut dst);
+    }
+    out_bottom[0] = left[rows];
+    prefix_sums(src, gap, left[rows], &mut out_bottom[1..]);
+}
+
 /// AVX2 version of [`super::affine_row_portable`]: identical contract,
 /// identical results, eight columns per vector.
 ///

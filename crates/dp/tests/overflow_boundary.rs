@@ -133,11 +133,31 @@ fn extremal_scheme_at_zero_slack_does_not_wrap() {
     // (the two monotone extremes of the recurrence). Widths 16..48 end
     // rows at every remainder mod 16, so each partial vector block (the
     // AVX-512 masked tail included) runs at the envelope too. Heights
-    // put the AVX-512 band kernel (this DNA alphabet fits its table) on
+    // put the AVX-512 `i32` band (this DNA alphabet fits its table) on
     // both sides of its 8-row threshold, in one band, and in two bands
-    // in flight with a full or partial second band.
+    // in flight with a full or partial second band. From 48 rows the
+    // byte band takes over (its differences lie in [−G, S + G] = [−14,
+    // 38], which fits i8, and the ramp's steps are all −G): 63–65,
+    // 127–129 and 192 rows put it in one band and in two bands in flight
+    // around each 64-row edge, and its i32 edges are prefix sums that
+    // end within a hair of i32::MAX / i32::MIN.
     for cols in 16..48 {
-        for rows in [7, 8, 16, 20, 31, 33, 64 + cols % 16] {
+        for rows in [
+            7,
+            8,
+            16,
+            20,
+            31,
+            33,
+            63,
+            64,
+            65,
+            64 + cols % 16,
+            127,
+            128,
+            129,
+            192,
+        ] {
             let a_mis: Vec<u8> = vec![0; rows];
             let b_mis: Vec<u8> = vec![1; cols];
             let a_mat: Vec<u8> = vec![2; rows];

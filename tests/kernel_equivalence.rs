@@ -6,8 +6,9 @@
 //! on AVX2 and a run on a scalar-only machine must produce byte-identical
 //! output. The SIMD kernels use an exact algebraic reformulation of the
 //! recurrence (prefix-max scan) or, on AVX-512 for DNA, anti-diagonal
-//! bands over the same i32 sums, so equality here is integer equality,
-//! not approximation.
+//! bands over the same i32 sums or over byte score differences whose
+//! prefix sums are the exact edges, so equality here is integer
+//! equality, not approximation.
 //!
 //! The affine (Gotoh) fills are under it too: [`Kernel::fill_affine_edges_in`]
 //! and [`Kernel::fill_affine_full_reusing`] must reproduce the scalar
@@ -27,7 +28,7 @@ use flsa_dp::{Boundary, Kernel, KernelArena, KernelBackend, Metrics};
 use flsa_fullmatrix::{needleman_wunsch, needleman_wunsch_kernel};
 use flsa_hirschberg::{hirschberg_kernel, HirschbergConfig};
 use flsa_metrics::{names, Registry};
-use flsa_scoring::{tables, GapModel, ScoringScheme};
+use flsa_scoring::{tables, GapModel, ScoringScheme, SubstitutionMatrix};
 use flsa_seq::{Alphabet, Sequence};
 use flsa_trace::{EventKind, Recorder};
 
@@ -125,9 +126,34 @@ fn assert_fills_match_scalar(
     b: &[u8],
     bound: &Boundary,
 ) {
-    let (rows, cols) = (a.len(), b.len());
     let m_ref = Metrics::new();
     let full_ref = fill_full(a, b, &bound.top, &bound.left, scheme, &m_ref);
+    for backend in backends() {
+        let kernel = Kernel::try_new(backend).unwrap();
+        let m = Metrics::new();
+        let full = kernel.fill_full(a, b, &bound.top, &bound.left, scheme, &m);
+        assert_eq!(full, full_ref, "{case} backend {backend}: fill_full");
+        assert_eq!(
+            m.snapshot().cells_computed,
+            m_ref.snapshot().cells_computed,
+            "{case} backend {backend}: fill_full cells_computed"
+        );
+    }
+    assert_edges_match_scalar(case, scheme, a, b, bound);
+}
+
+/// Runs `fill_last_row_col` for one rectangle on every backend, with and
+/// without the right column, and asserts each equals the scalar
+/// reference, cell counts included.
+fn assert_edges_match_scalar(
+    case: &str,
+    scheme: &ScoringScheme,
+    a: &[u8],
+    b: &[u8],
+    bound: &Boundary,
+) {
+    let (rows, cols) = (a.len(), b.len());
+    let m_ref = Metrics::new();
     let mut bottom_ref = vec![0i32; cols + 1];
     let mut right_ref = vec![0i32; rows + 1];
     fill_last_row_col(
@@ -144,9 +170,6 @@ fn assert_fills_match_scalar(
     for backend in backends() {
         let kernel = Kernel::try_new(backend).unwrap();
         let m = Metrics::new();
-        let full = kernel.fill_full(a, b, &bound.top, &bound.left, scheme, &m);
-        assert_eq!(full, full_ref, "{case} backend {backend}: fill_full");
-
         let mut bottom = vec![0i32; cols + 1];
         let mut right = vec![0i32; rows + 1];
         kernel.fill_last_row_col(
@@ -161,13 +184,103 @@ fn assert_fills_match_scalar(
         );
         assert_eq!(bottom, bottom_ref, "{case} backend {backend}: bottom");
         assert_eq!(right, right_ref, "{case} backend {backend}: right");
+        let mut bottom_only = vec![0i32; cols + 1];
+        kernel.fill_last_row(a, b, &bound.top, &bound.left, scheme, &mut bottom_only, &m);
+        assert_eq!(
+            bottom_only, bottom_ref,
+            "{case} backend {backend}: bottom alone"
+        );
         // Identical work accounting: cells_computed must not depend
         // on the backend.
         assert_eq!(
             m.snapshot().cells_computed,
-            m_ref.snapshot().cells_computed,
+            2 * m_ref.snapshot().cells_computed,
             "{case} backend {backend}: cells_computed"
         );
+    }
+}
+
+/// DNA schemes for the byte band (AVX-512 BW + VBMI), which keeps score
+/// differences in `[g, smax − g]` as bytes and runs only when that range
+/// and `[2g, smax]` fit `i8`. The last two sit on either side of that
+/// edge: `match_mismatch(63, −63)` with gap −64 gives `2g = −128` and
+/// `smax − g = 127`, and gap −65 is refused (`2g = −130`), so the `i32`
+/// band fills it.
+fn byte_band_schemes() -> Vec<ScoringScheme> {
+    let edge = || SubstitutionMatrix::match_mismatch("i8-edge", Alphabet::dna(), 63, -63);
+    vec![
+        ScoringScheme::dna_default(),
+        ScoringScheme::new(tables::dna_default(), GapModel::linear(-3)),
+        ScoringScheme::new(tables::identity(Alphabet::dna()), GapModel::linear(-1)),
+        ScoringScheme::new(edge(), GapModel::linear(-64)),
+        ScoringScheme::new(edge(), GapModel::linear(-65)),
+    ]
+}
+
+/// A real DP boundary, as FastLSA's grid lines and Hirschberg's halves
+/// hand a block: the top row and left column that a global fill of a
+/// larger pair runs through at a random offset (the gap ramp at offset
+/// 0). Returns the block's own codes with it.
+fn cut_boundary(
+    rng: &mut Rng,
+    scheme: &ScoringScheme,
+    rows: usize,
+    cols: usize,
+) -> (Vec<u8>, Vec<u8>, Boundary) {
+    let codes = scheme.matrix().alphabet().len() as u8;
+    let (above, before) = (rng.below(48) as usize, rng.below(48) as usize);
+    let outer_a = random_codes(rng, above + rows, codes);
+    let outer_b = random_codes(rng, before + cols, codes);
+    let global = Boundary::global(outer_a.len(), outer_b.len(), scheme.gap().linear_penalty());
+    let m = fill_full(
+        &outer_a,
+        &outer_b,
+        &global.top,
+        &global.left,
+        scheme,
+        &Metrics::new(),
+    );
+    let top = m.row(above)[before..].to_vec();
+    let left = (above..=above + rows).map(|i| m.get(i, before)).collect();
+    (
+        outer_a[above..].to_vec(),
+        outer_b[before..].to_vec(),
+        Boundary::new(top, left),
+    )
+}
+
+#[test]
+fn byte_band_edges_match_scalar_at_every_height() {
+    // Every height 1..=200: each remainder mod 64, both sides of the byte
+    // band's row cutoff (48) and of each step in its bands per sweep
+    // (one to four: 64, 128 and 192 rows), at widths below and above 64,
+    // `N` codes included. Real DP boundaries (the gap
+    // ramp and a cut from a larger global fill) are in the byte band's
+    // range, so AVX-512 with VBMI fills these on the byte band from its
+    // cutoff up; arbitrary boundaries take steps below the gap, which it
+    // refuses, so the same heights also cover the `i32` band.
+    let mut rng = Rng::new(0xb7e5);
+    let schemes = byte_band_schemes();
+    for rows in 1..=200usize {
+        let scheme = &schemes[rows % schemes.len()];
+        let codes = scheme.matrix().alphabet().len() as u8;
+        for wide in [false, true] {
+            let cols = if wide {
+                65 + rng.below(160) as usize
+            } else {
+                16 + rng.below(48) as usize
+            };
+            let case = format!("{} {rows}x{cols}", scheme.matrix().name());
+            let gap = scheme.gap().linear_penalty();
+            let a = random_codes(&mut rng, rows, codes);
+            let b = random_codes(&mut rng, cols, codes);
+            let ramp = Boundary::global(rows, cols, gap);
+            assert_edges_match_scalar(&format!("{case} ramp"), scheme, &a, &b, &ramp);
+            let (a, b, cut) = cut_boundary(&mut rng, scheme, rows, cols);
+            assert_edges_match_scalar(&format!("{case} cut"), scheme, &a, &b, &cut);
+            let arbitrary = random_boundary(&mut rng, rows, cols);
+            assert_edges_match_scalar(&format!("{case} arbitrary"), scheme, &a, &b, &arbitrary);
+        }
     }
 }
 
