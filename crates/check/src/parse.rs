@@ -217,6 +217,30 @@ impl<'a> FileParser<'a> {
         self.punct_at(i) == Some(':') && self.punct_at(i + 1) == Some(':')
     }
 
+    /// Position of the `>` that closes the generic list opened by a `<`
+    /// at `open`, skipping nested lists and the `>` of `->`; `None` when
+    /// no `<` is there or the statement ends first.
+    fn generic_list_end(&self, open: usize) -> Option<usize> {
+        if self.punct_at(open) != Some('<') {
+            return None;
+        }
+        let mut depth = 0usize;
+        for j in open..self.toks.len() {
+            match self.punct_at(j) {
+                Some('<') => depth += 1,
+                Some('>') if self.punct_at(j - 1) != Some('-') => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some(j);
+                    }
+                }
+                Some(';' | '{' | '}') => return None,
+                _ => {}
+            }
+        }
+        None
+    }
+
     /// Features enabled by `#[target_feature(enable = "…")]` attribute
     /// lines directly above `decl_idx` (skipping other attributes,
     /// comment-only and blank lines).
@@ -512,9 +536,16 @@ impl<'a> FileParser<'a> {
                 });
             }
             Some(':') if self.is_path_sep(i + 1) => {
-                // `w::next` — record uppercase variant pairs; turbofish
-                // calls (`collect::<T>()`) are attributed to the final
-                // segment when the loop reaches it.
+                // `w::<…>(` — a turbofish call, recorded as `w(` would be.
+                let after = self.generic_list_end(i + 3).map_or(0, |close| close + 1);
+                if !kw && after > 0 && self.punct_at(after) == Some('(') {
+                    item.calls.push(CallSite {
+                        name: w.to_string(),
+                        line: lineno,
+                        method: prev_dot,
+                    });
+                }
+                // `w::next` — record uppercase variant pairs.
                 if let Some(next) = self.ident_at(i + 3) {
                     let w_up = w.chars().next().is_some_and(|c| c.is_uppercase());
                     let n_up = next.chars().next().is_some_and(|c| c.is_uppercase());
@@ -684,6 +715,31 @@ pub fn f() {
         assert!(!f.calls.iter().any(|c| c.name == "cfg"));
         assert!(f.calls.iter().any(|c| c.name == "inner"));
         assert!(f.index_lines.is_empty());
+    }
+
+    #[test]
+    fn turbofish_calls_are_recorded() {
+        let src = "\
+pub fn f(x: &mut [i32]) -> Option<Vec<i32>> {
+    inner::<true>(x);
+    byte_sweep_rows::<N>(x);
+    let v = x.iter().copied().collect::<Vec<i32>>();
+    Self::edge_step::<Box<dyn Fn() -> i32>>(v);
+    let t: Option<Vec<u8>> = None;
+    None
+}
+";
+        let m = parse_one("crates/x/src/lib.rs", src);
+        let f = find(&m, "f");
+        let call =
+            |name: &str, method: bool| f.calls.iter().any(|c| c.name == name && c.method == method);
+        assert!(call("inner", false) && call("byte_sweep_rows", false));
+        assert!(call("collect", true) && call("edge_step", false));
+        // A type's generic list is no call.
+        assert!(!f
+            .calls
+            .iter()
+            .any(|c| c.name == "Option" || c.name == "Vec"));
     }
 
     #[test]

@@ -77,6 +77,15 @@ fn r9_fixture_trips_detection_dominance() {
         "no avx512 dominance finding: {:?}",
         report.findings
     );
+    // A call written with a turbofish (`f::<X>(…)`) is a call too.
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == "R9-detection-dominance" && f.message.contains("row_update_turbo")),
+        "no turbofish dominance finding: {:?}",
+        report.findings
+    );
 }
 
 #[test]

@@ -175,8 +175,9 @@ fn replaying_a_dfs_trace_reproduces_the_schedule() {
 
 // ---- invariant 8: checkpoint capture is a consistent, resumable cut ----
 
-use fastlsa_core::{CheckpointState, FastLsaConfig, FrameState, GridState};
+use fastlsa_core::{CheckpointState, FastLsaConfig, FrameState, GapState, GridState};
 use flsa_check::model::check_checkpoint_schedule;
+use flsa_scoring::GapModel;
 
 /// Exhaustively explores `spec` under `bound` preemptions through the
 /// checkpoint-capture scenario; returns the distinct captured cuts.
@@ -224,6 +225,7 @@ fn state_from_cut(rows: usize, cols: usize, cut: &[bool]) -> CheckpointState {
             rows: m,
             cols: n,
             head: (full_rows * TILE, next_row_done * TILE),
+            head_state: GapState::H,
             top: vec![0; n + 1],
             left: vec![0; m + 1],
             grid: Some(GridState {
@@ -255,7 +257,7 @@ fn checkpoint_cut_exhaustive_cancel_preemption_yields_resumable_snapshots() {
         assert!(!cut[2], "cancelled tile captured as done: {cut:?}");
         let state = state_from_cut(2, 2, cut);
         state
-            .validate(2 * 4, 2 * 4)
+            .validate(2 * 4, 2 * 4, &GapModel::PAPER_DEFAULT)
             .unwrap_or_else(|e| panic!("cut {cut:?} produced an unresumable state: {e}"));
     }
 }
@@ -270,7 +272,7 @@ fn checkpoint_cut_exhaustive_panic_preemption_yields_resumable_snapshots() {
     for cut in &cuts {
         let state = state_from_cut(2, 2, cut);
         state
-            .validate(2 * 4, 2 * 4)
+            .validate(2 * 4, 2 * 4, &GapModel::PAPER_DEFAULT)
             .unwrap_or_else(|e| panic!("cut {cut:?} produced an unresumable state: {e}"));
     }
 }
@@ -289,6 +291,6 @@ fn checkpoint_cut_clean_runs_capture_the_full_grid() {
     );
     assert!(cuts.iter().next().unwrap().iter().all(|&d| d));
     let full = state_from_cut(2, 2, cuts.iter().next().unwrap());
-    assert!(full.validate(8, 8).is_ok());
+    assert!(full.validate(8, 8, &GapModel::PAPER_DEFAULT).is_ok());
     assert_eq!(full.blocks_done, 4);
 }

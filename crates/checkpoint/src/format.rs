@@ -1,7 +1,7 @@
 //! The versioned snapshot format (DESIGN.md §10).
 //!
 //! ```text
-//! magic "FLSACKP1" (8 bytes)  version u32 (= 2)
+//! magic "FLSACKP1" (8 bytes)  version u32 (= 3)
 //! section*:  one codec frame each (crate::wire)
 //! tags:      1 meta · 2 run header · 3 partial path · 4 frame (×N) · 5 end
 //! ```
@@ -11,13 +11,19 @@
 //! digests (scheme, sequences, config) so a snapshot can never be resumed
 //! against the wrong inputs. Snapshots are *self-contained*: they embed
 //! the encoded sequences, so `flsa resume <path>` needs no other files.
+//!
+//! Version 3 carries the gap model: the meta records it (tag 0 and the
+//! linear penalty, or tag 1 and the affine open and extend), each frame
+//! records its head's gap state, and every boundary and grid line holds
+//! `w` layers (`H`, then the affine gap layer; `w` = 1 linear, 2 affine).
 
 use std::io::Read;
 
 use fastlsa_core::checkpoint::{CheckpointState, FrameState, GridState};
 use fastlsa_core::{FastLsaConfig, ParallelConfig};
+use flsa_dp::affine::GapState;
 use flsa_dp::Move;
-use flsa_scoring::ScoringScheme;
+use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
 
 use crate::wire::{self, Cur, Enc, Fnv1a};
@@ -25,7 +31,7 @@ use crate::CheckpointError;
 
 pub const MAGIC: &[u8; 8] = b"FLSACKP1";
 /// Snapshots of any other version are refused as corrupt.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const TAG_META: u8 = 1;
 const TAG_HEADER: u8 = 2;
@@ -53,8 +59,8 @@ pub struct SnapshotMeta {
     /// Name of the scoring scheme as the CLI understands it
     /// (e.g. "dna", "blosum62").
     pub scheme_name: String,
-    /// Linear gap penalty of the scheme.
-    pub gap_penalty: i32,
+    /// Gap model of the scheme, linear or affine.
+    pub gap: GapModel,
     /// FNV-1a digest over the scheme's matrix, alphabet, and gap —
     /// verified against the reconstructed scheme before resuming.
     pub scheme_digest: u64,
@@ -81,7 +87,7 @@ impl SnapshotMeta {
         SnapshotMeta {
             every_blocks,
             scheme_name: scheme_name.to_string(),
-            gap_penalty: scheme.gap().linear_penalty(),
+            gap: *scheme.gap(),
             scheme_digest: scheme_digest(scheme),
             alphabet_name: scheme.alphabet().name().to_string(),
             seq_a_id: a.id().to_string(),
@@ -148,7 +154,7 @@ impl Snapshot {
 }
 
 /// Content digest of a scoring scheme: alphabet symbols, matrix name,
-/// the full substitution table, and the gap penalty.
+/// the full substitution table, and the gap model.
 pub fn scheme_digest(scheme: &ScoringScheme) -> u64 {
     let mut h = Fnv1a::default();
     let alphabet = scheme.alphabet();
@@ -163,8 +169,42 @@ pub fn scheme_digest(scheme: &ScoringScheme) -> u64 {
             h.update_i32(scheme.matrix().score(a, b));
         }
     }
-    h.update_i32(scheme.gap().linear_penalty());
+    let mut gap = Enc { buf: Vec::new() };
+    encode_gap(&mut gap, scheme.gap());
+    h.update(&gap.buf);
     h.finish()
+}
+
+fn encode_gap(e: &mut Enc, gap: &GapModel) {
+    match *gap {
+        GapModel::Linear { penalty } => {
+            e.u8(0);
+            e.i32(penalty);
+        }
+        GapModel::Affine { open, extend } => {
+            e.u8(1);
+            e.i32(open);
+            e.i32(extend);
+        }
+    }
+}
+
+fn decode_gap(c: &mut Cur<'_>) -> Result<GapModel, CheckpointError> {
+    let (gap, positive) = match c.u8()? {
+        0 => {
+            let penalty = c.i32()?;
+            (GapModel::Linear { penalty }, penalty > 0)
+        }
+        1 => {
+            let (open, extend) = (c.i32()?, c.i32()?);
+            (GapModel::Affine { open, extend }, open > 0 || extend > 0)
+        }
+        other => return Err(corrupt(format!("bad gap model tag {other}"))),
+    };
+    if positive {
+        return Err(corrupt("positive gap score"));
+    }
+    Ok(gap)
 }
 
 /// Content digest of an encoded sequence (id + codes).
@@ -192,7 +232,7 @@ fn corrupt(detail: impl Into<String>) -> CheckpointError {
 fn encode_meta(e: &mut Enc, meta: &SnapshotMeta) {
     e.u64(meta.every_blocks);
     e.str(&meta.scheme_name);
-    e.i32(meta.gap_penalty);
+    encode_gap(e, &meta.gap);
     e.u64(meta.scheme_digest);
     e.str(&meta.alphabet_name);
     e.str(&meta.seq_a_id);
@@ -215,7 +255,7 @@ fn decode_meta(body: &[u8]) -> Result<SnapshotMeta, CheckpointError> {
     let mut c = Cur::new(body);
     let every_blocks = c.u64()?;
     let scheme_name = c.str()?;
-    let gap_penalty = c.i32()?;
+    let gap = decode_gap(&mut c)?;
     let scheme_digest = c.u64()?;
     let alphabet_name = c.str()?;
     let seq_a_id = c.str()?;
@@ -247,7 +287,7 @@ fn decode_meta(body: &[u8]) -> Result<SnapshotMeta, CheckpointError> {
     Ok(SnapshotMeta {
         every_blocks,
         scheme_name,
-        gap_penalty,
+        gap,
         scheme_digest,
         alphabet_name,
         seq_a_id,
@@ -341,6 +381,11 @@ fn encode_frame(e: &mut Enc, f: &FrameState) {
     e.usize(f.cols);
     e.usize(f.head.0);
     e.usize(f.head.1);
+    e.u8(match f.head_state {
+        GapState::H => 0,
+        GapState::E => 1,
+        GapState::F => 2,
+    });
     e.i32s(&f.top);
     e.i32s(&f.left);
     match &f.grid {
@@ -368,6 +413,12 @@ fn decode_frame(body: &[u8]) -> Result<FrameState, CheckpointError> {
     let rows = c.usize()?;
     let cols = c.usize()?;
     let head = (c.usize()?, c.usize()?);
+    let head_state = match c.u8()? {
+        0 => GapState::H,
+        1 => GapState::E,
+        2 => GapState::F,
+        other => return Err(corrupt(format!("bad head state {other}"))),
+    };
     let top = c.i32s()?;
     let left = c.i32s()?;
     let grid = match c.u8()? {
@@ -395,6 +446,7 @@ fn decode_frame(body: &[u8]) -> Result<FrameState, CheckpointError> {
         rows,
         cols,
         head,
+        head_state,
         top,
         left,
         grid,
@@ -484,7 +536,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     // callers get one error surface for "this snapshot cannot be
     // resumed" regardless of which layer caught it.
     state
-        .validate(meta.seq_a.len(), meta.seq_b.len())
+        .validate(meta.seq_a.len(), meta.seq_b.len(), &meta.gap)
         .map_err(CheckpointError::Corrupt)?;
     Ok(Snapshot { meta, state })
 }

@@ -1,6 +1,7 @@
-//! Structural corruption: trailing garbage and whole sections that are
-//! dropped, duplicated or reordered with every CRC intact must surface
-//! as a structured [`CheckpointError`]. Single-bit flips and truncations
+//! Structural corruption: trailing garbage, a foreign format version, and
+//! whole sections that are dropped, duplicated or reordered with every
+//! CRC intact must surface as a structured [`CheckpointError`], for a
+//! linear and an affine snapshot alike. Single-bit flips and truncations
 //! of a snapshot are swept by the root package's `tests/frame_codec.rs`.
 
 use std::sync::Arc;
@@ -9,16 +10,20 @@ use fastlsa_core::{align_opts, AlignOptions, CheckpointPolicy, FastLsaConfig};
 use flsa_checkpoint::wire::read_frame;
 use flsa_checkpoint::{decode, CheckpointError, MemorySink, SnapshotMeta, FORMAT_VERSION, MAGIC};
 use flsa_dp::Metrics;
-use flsa_scoring::ScoringScheme;
+use flsa_scoring::{tables, GapModel, ScoringScheme};
 use flsa_seq::generate::homologous_pair;
 use flsa_seq::Alphabet;
 
-/// A small but structurally rich snapshot: real recursion frames with
-/// grid caches and a partial path.
-fn sample_snapshot() -> Vec<u8> {
-    let scheme = ScoringScheme::dna_default();
+/// Small but structurally rich snapshots: real recursion frames with
+/// grid caches and a partial path, under a linear and an affine scheme.
+fn sample_snapshots() -> [Vec<u8>; 2] {
+    let affine = ScoringScheme::new(tables::dna_default(), GapModel::affine(-10, -1));
+    [ScoringScheme::dna_default(), affine].map(|scheme| sample_snapshot(&scheme))
+}
+
+fn sample_snapshot(scheme: &ScoringScheme) -> Vec<u8> {
     let (a, b) = homologous_pair("fuzz", &Alphabet::dna(), 48, 0.8, 21).unwrap();
-    let meta = SnapshotMeta::for_run("dna", &scheme, &a, &b, 1);
+    let meta = SnapshotMeta::for_run("dna", scheme, &a, &b, 1);
     let sink = Arc::new(MemorySink::new(meta));
     let opts = AlignOptions {
         checkpoint: Some(CheckpointPolicy::new(1, sink.clone())),
@@ -27,7 +32,7 @@ fn sample_snapshot() -> Vec<u8> {
     align_opts(
         &a,
         &b,
-        &scheme,
+        scheme,
         FastLsaConfig::new(2, 64),
         &opts,
         &Metrics::new(),
@@ -44,22 +49,38 @@ fn sample_snapshot() -> Vec<u8> {
 
 #[test]
 fn trailing_garbage_is_rejected() {
-    let mut bytes = sample_snapshot();
-    for extra in [vec![0u8], vec![0xFF; 7], MAGIC.to_vec()] {
-        let mut m = bytes.clone();
-        m.extend_from_slice(&extra);
-        assert!(
-            decode(&m).is_err(),
-            "{} trailing bytes accepted",
-            extra.len()
-        );
+    for mut bytes in sample_snapshots() {
+        for extra in [vec![0u8], vec![0xFF; 7], MAGIC.to_vec()] {
+            let mut m = bytes.clone();
+            m.extend_from_slice(&extra);
+            assert!(
+                decode(&m).is_err(),
+                "{} trailing bytes accepted",
+                extra.len()
+            );
+        }
+        // Dropping the final END section leaves every CRC intact; only
+        // the missing marker shows the snapshot was cut short.
+        let (preamble, mut sections) = split_sections(&bytes);
+        assert_eq!(sections.pop().map(|(tag, _)| tag), Some(TAG_END));
+        bytes = rejoin(&preamble, &sections);
+        assert!(decode(&bytes).is_err(), "missing end section accepted");
     }
-    // Dropping the final END section leaves every CRC intact; only the
-    // missing marker shows the snapshot was cut short.
-    let (preamble, mut sections) = split_sections(&bytes);
-    assert_eq!(sections.pop().map(|(tag, _)| tag), Some(TAG_END));
-    bytes = rejoin(&preamble, &sections);
-    assert!(decode(&bytes).is_err(), "missing end section accepted");
+}
+
+#[test]
+fn other_format_versions_are_rejected() {
+    for bytes in sample_snapshots() {
+        // Version 2 lines held `H` alone and its meta a linear penalty.
+        for version in [2u32, FORMAT_VERSION + 1] {
+            let mut m = bytes.clone();
+            m[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+            match decode(&m) {
+                Err(CheckpointError::Corrupt(d)) => assert!(d.contains("version"), "{d}"),
+                other => panic!("version {version} accepted: {other:?}"),
+            }
+        }
+    }
 }
 
 const TAG_FRAME: u8 = 4;
@@ -91,8 +112,13 @@ fn rejoin(preamble: &[u8], sections: &[(u8, Vec<u8>)]) -> Vec<u8> {
 
 #[test]
 fn duplicated_frame_section_is_rejected() {
-    let bytes = sample_snapshot();
-    let (preamble, sections) = split_sections(&bytes);
+    for bytes in sample_snapshots() {
+        duplicated_frame_section_is_rejected_in(&bytes);
+    }
+}
+
+fn duplicated_frame_section_is_rejected_in(bytes: &[u8]) {
+    let (preamble, sections) = split_sections(bytes);
     // The splitter itself must be faithful.
     assert_eq!(rejoin(&preamble, &sections), bytes);
     let frame_at = sections
@@ -113,8 +139,13 @@ fn duplicated_frame_section_is_rejected() {
 
 #[test]
 fn reordered_frame_sections_are_rejected() {
-    let bytes = sample_snapshot();
-    let (preamble, sections) = split_sections(&bytes);
+    for bytes in sample_snapshots() {
+        reordered_frame_sections_are_rejected_in(&bytes);
+    }
+}
+
+fn reordered_frame_sections_are_rejected_in(bytes: &[u8]) {
+    let (preamble, sections) = split_sections(bytes);
     let frame_idxs: Vec<usize> = sections
         .iter()
         .enumerate()

@@ -1,28 +1,38 @@
 //! End-to-end snapshot round trips: a checkpointed run's snapshots
 //! decode, validate, and resume to the byte-identical optimal result —
-//! through the in-memory sink and through the durable file sink.
+//! through the in-memory sink and through the durable file sink, for
+//! linear and affine gap models alike.
 
 use std::sync::Arc;
 
 use fastlsa_core::{align_opts, align_with, AlignOptions, CheckpointPolicy, FastLsaConfig};
 use flsa_checkpoint::{
     decode, read_snapshot, resume_from_snapshot, CheckpointError, CheckpointMetrics,
-    FileCheckpointSink, MemorySink, SnapshotMeta,
+    FileCheckpointSink, MemorySink, Snapshot, SnapshotMeta,
 };
 use flsa_dp::Metrics;
-use flsa_scoring::ScoringScheme;
+use flsa_scoring::{tables, GapModel, ScoringScheme};
 use flsa_seq::generate::homologous_pair;
-use flsa_seq::Alphabet;
+use flsa_seq::{Alphabet, Sequence};
 
 fn inputs(len: usize, seed: u64) -> (flsa_seq::Sequence, flsa_seq::Sequence) {
     homologous_pair("rt", &Alphabet::dna(), len, 0.8, seed).unwrap()
 }
 
+/// The `dna` matrix with affine gaps.
+fn affine_dna() -> ScoringScheme {
+    ScoringScheme::new(tables::dna_default(), GapModel::affine(-10, -1))
+}
+
 #[test]
 fn every_snapshot_resumes_to_the_reference_result() {
-    let scheme = ScoringScheme::dna_default();
     let (a, b) = inputs(240, 11);
-    for threads in [1usize, 3] {
+    // The wavefront fill (threads > 1) runs linear gaps only.
+    for (scheme, threads) in [
+        (ScoringScheme::dna_default(), 1usize),
+        (ScoringScheme::dna_default(), 3),
+        (affine_dna(), 1),
+    ] {
         let cfg = FastLsaConfig::new(4, 256).with_threads(threads);
         let reference = align_with(&a, &b, &scheme, cfg, &Metrics::new()).unwrap();
 
@@ -99,26 +109,31 @@ fn file_sink_writes_atomically_and_reads_back() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn mismatched_scheme_is_rejected_structurally() {
-    let scheme = ScoringScheme::dna_default();
-    let (a, b) = inputs(120, 5);
-    let meta = SnapshotMeta::for_run("dna", &scheme, &a, &b, 1);
+/// The last snapshot of a checkpointed run of `a` against `b`.
+fn last_snapshot(scheme: &ScoringScheme, a: &Sequence, b: &Sequence) -> Snapshot {
+    let meta = SnapshotMeta::for_run("dna", scheme, a, b, 1);
     let sink = Arc::new(MemorySink::new(meta));
     let opts = AlignOptions {
         checkpoint: Some(CheckpointPolicy::new(1, sink.clone())),
         ..AlignOptions::default()
     };
     align_opts(
-        &a,
-        &b,
-        &scheme,
+        a,
+        b,
+        scheme,
         FastLsaConfig::new(4, 128),
         &opts,
         &Metrics::new(),
     )
     .unwrap();
-    let snap = decode(&sink.last().unwrap()).unwrap();
+    decode(&sink.last().unwrap()).unwrap()
+}
+
+#[test]
+fn mismatched_scheme_is_rejected_structurally() {
+    let scheme = ScoringScheme::dna_default();
+    let (a, b) = inputs(120, 5);
+    let snap = last_snapshot(&scheme, &a, &b);
 
     // Different alphabet entirely.
     let protein = ScoringScheme::protein_default();
@@ -139,6 +154,18 @@ fn mismatched_scheme_is_rejected_structurally() {
 
     // The matching scheme still works.
     assert!(snap.sequences(&scheme).is_ok());
+
+    // The same matrix under the other gap model → digest mismatch, both
+    // ways: the digest covers the gap model, not only a linear penalty.
+    let affine = last_snapshot(&affine_dna(), &a, &b);
+    assert_eq!(affine.meta.gap, GapModel::affine(-10, -1));
+    for (snap, other) in [(&affine, &scheme), (&snap, &affine_dna())] {
+        match snap.sequences(other) {
+            Err(CheckpointError::Mismatch(_)) => {}
+            other => panic!("expected gap-model digest mismatch, got {other:?}"),
+        }
+    }
+    assert!(affine.sequences(&affine_dna()).is_ok());
 }
 
 #[test]

@@ -110,16 +110,17 @@ pub const COMMANDS: &[Command] = &[
             opt("memory", "BYTES", "derive k/base-cells from a memory budget instead; also enforced at runtime: \
                 allocations beyond the budget walk the degradation ladder (smaller base-case buffer, then smaller k)"),
             opt("deadline-ms", "N", "cancel the alignment after N milliseconds"),
-            opt("threads", "P", "parallel FastLSA with P threads (default 1)"),
+            opt("threads", "P", "parallel FastLSA with P threads (default 1; linear gaps only)"),
             opt("tiles", "F", "tiles per grid block per dimension, with --threads above 1 (default auto)"),
             opt("shards", "N", "multi-process execution: a coordinator farms grid-block tasks out to N `flsa \
                 shard-worker` processes over CRC-framed pipes, with per-task deadlines, heartbeats, reassignment, \
                 and worker quarantine; the output is byte-identical to the sequential run under any worker \
-                failure mix. Needs a named --matrix; workers pick their own kernel backend."),
+                failure mix. Needs a named --matrix and linear gaps; workers pick their own kernel backend."),
             opt("shard-fault", "S", "per-slot worker fault specs for chaos runs, semicolon-separated (`kill:N`, \
                 `hang:N`, `corrupt:N`, `slow:MS`; empty slot = clean)"),
             opt("kernel", "K", "DP kernel backend: auto (default) | scalar | sse4.1 | avx2 | avx512. Every backend \
-                is bit-identical; unavailable backends are rejected. Applies to fastlsa, nw, and hirschberg."),
+                is bit-identical; unavailable backends are rejected. Applies to fastlsa, fastlsa-affine, nw, and \
+                hirschberg."),
             opt("checkpoint", "FILE", "write a crash-safe snapshot of the recursion state to FILE, atomically, as \
                 the run progresses; after a crash or kill, `flsa resume FILE` continues from the last snapshot. The \
                 file is removed when the run completes. Needs a named --matrix."),

@@ -534,7 +534,8 @@ fn cmd_align(a: &Args) -> Result<(), CliError> {
     let mut threads = 1;
     let mut checkpointing = false;
     let job: Job = match algo {
-        "fastlsa" => match a.value_or("shards", 0)? {
+        // One solver for both gap models; the scheme carries the model.
+        "fastlsa" | "fastlsa-affine" => match a.value_or("shards", 0)? {
             0 => {
                 threads = a.value_or("threads", 1)?;
                 let mut budget_bytes = None;
@@ -604,6 +605,11 @@ fn cmd_align(a: &Args) -> Result<(), CliError> {
             // A coordinator in this process farms grid-block tasks out to
             // `flsa shard-worker` processes; the result is byte-identical
             // to the sequential engine's, so it flows into the same report.
+            _ if affine => {
+                return Err(CliError::usage(
+                    "--shards runs linear gaps only (shard tasks carry one gap penalty)",
+                ))
+            }
             shards => {
                 let Some(name) = matrix else {
                     return Err(CliError::usage(
@@ -673,10 +679,6 @@ fn cmd_align(a: &Args) -> Result<(), CliError> {
                 sa, sb, scheme, metrics,
             ))
         }),
-        "fastlsa-affine" => {
-            let cfg = fastlsa_config(a)?;
-            Box::new(move || global(fastlsa_core::align_affine(sa, sb, scheme, cfg, metrics)?))
-        }
         "fit" | "overlap" => {
             let ends = if algo == "fit" {
                 flsa_fullmatrix::EndsFree::FIT_A_IN_B
@@ -731,8 +733,15 @@ fn cmd_resume(a: &Args) -> Result<(), CliError> {
     let ckpt_path = &a.positional[0];
     let snap = read_snapshot(std::path::Path::new(ckpt_path))
         .map_err(|e| CliError::input(e.to_string()))?;
-    let scheme =
-        tables::scheme_for(&snap.meta.scheme_name, snap.meta.gap_penalty).map_err(|msg| {
+    // The same scheme `align` built: the named matrix with the recorded
+    // gap model, linear or affine.
+    let (gap, algo) = match snap.meta.gap {
+        GapModel::Linear { penalty } => (penalty, "fastlsa"),
+        GapModel::Affine { .. } => (0, "fastlsa-affine"),
+    };
+    let scheme = tables::scheme_for(&snap.meta.scheme_name, gap)
+        .map(|s| ScoringScheme::new(s.matrix().clone(), snap.meta.gap))
+        .map_err(|msg| {
             CliError::input(format!(
                 "cannot rebuild the snapshot's scoring scheme: {msg}"
             ))
@@ -762,7 +771,7 @@ fn cmd_resume(a: &Args) -> Result<(), CliError> {
     })?;
     cleanup_checkpoint(ckpt_path);
     run.report(
-        "fastlsa",
+        algo,
         r.score,
         Some(&r.path),
         &sa,

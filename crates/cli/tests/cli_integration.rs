@@ -437,6 +437,37 @@ fn affine_span_cap_keeps_scores_off_the_sentinel() {
 }
 
 #[test]
+fn fastlsa_affine_takes_the_fastlsa_run_options() {
+    let fa = write_pair("affine_opts.fa");
+    let base = [
+        "align",
+        "--algo",
+        "fastlsa-affine",
+        "--quiet",
+        fa.to_str().unwrap(),
+    ];
+    let reference = flsa(&base);
+    assert!(reference.status.success(), "{reference:?}");
+    let runs: [&[&str]; 4] = [
+        &["--deadline-ms", "60000"],
+        &["--memory", "1000000"],
+        &["--kernel", "scalar"],
+        &["--threads", "1"],
+    ];
+    for extra in runs {
+        let out = flsa(&[&base[..], extra].concat());
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        assert_eq!(stdout(&out), stdout(&reference), "{extra:?}");
+    }
+    // The wavefront fill and the shard fleet run linear gaps only.
+    for extra in [&["--threads", "2"][..], &["--shards", "2"]] {
+        let out = flsa(&[&base[..], extra].concat());
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {out:?}");
+    }
+    std::fs::remove_file(fa).ok();
+}
+
+#[test]
 fn exit_code_3_on_malformed_or_missing_input() {
     // Sequence data before any FASTA header.
     let bad = tmp("exit3.fa");

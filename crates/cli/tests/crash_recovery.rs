@@ -1,12 +1,12 @@
 //! Kill–restore fault matrix: SIGKILL the real `flsa` binary mid-run at
 //! seeded points, resume from the surviving snapshot, and require the
 //! final stdout to be byte-identical to an uninterrupted run — across
-//! sequential and parallel configurations.
+//! sequential, parallel and affine-gap configurations.
 //!
-//! 40 seeded kill points are scheduled across the four tests (10 per
-//! test: 5 seeds × 4 kills, minus those a fast run dodges); the suite
-//! asserts at least 8 kills actually land per test, so the matrix
-//! delivers well over the 32 mid-run process deaths it is specced for.
+//! Each of the five tests schedules 20 kill points (5 seeds × 4 kills;
+//! a run that finishes first dodges the rest) and asserts that at least
+//! 8 land mid-run, so the matrix delivers at least 40 mid-run process
+//! deaths, 8 of them in affine runs.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -112,4 +112,21 @@ fn parallel_runs_survive_seeded_kills() {
 #[test]
 fn parallel_runs_survive_kills_with_offset_seeds() {
     crash_matrix("par2", &["--threads", "3"], &[31, 37, 41, 43, 47]);
+}
+
+#[test]
+fn affine_runs_survive_seeded_kills() {
+    // The snapshot records the affine gap model, so `flsa resume`
+    // rebuilds the same scheme and reports the run as fastlsa-affine.
+    let affine = [
+        "--algo",
+        "fastlsa-affine",
+        "--matrix",
+        "dna",
+        "--gap-open",
+        "-10",
+        "--gap-extend",
+        "-1",
+    ];
+    crash_matrix("affine", &affine, &[3, 17, 53, 61, 67]);
 }

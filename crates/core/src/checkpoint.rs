@@ -15,7 +15,9 @@
 
 use std::sync::Arc;
 
+use flsa_dp::affine::GapState;
 use flsa_dp::Move;
+use flsa_scoring::GapModel;
 
 use crate::config::FastLsaConfig;
 
@@ -24,7 +26,8 @@ use crate::config::FastLsaConfig;
 /// Coordinates are *absolute* (relative to the whole `m × n` problem),
 /// so a frame is self-describing: `a[r0..r0+rows]` × `b[c0..c0+cols]`
 /// with the path head at local `(head.0, head.1)` and the input
-/// boundaries `top`/`left` captured by value.
+/// boundaries `top`/`left` captured by value. Every line holds `w`
+/// layers (see [`crate::grid`]): `w = 1` for linear gaps, 2 for affine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameState {
     /// First row of the rectangle in absolute coordinates.
@@ -38,9 +41,13 @@ pub struct FrameState {
     /// Path head in local coordinates (`head.0 <= rows`,
     /// `head.1 <= cols`).
     pub head: (usize, usize),
-    /// Input top boundary, length `cols + 1`.
+    /// The DP layer the path is in at the head: inside a gap run that
+    /// crosses the rectangle's edge (`E`/`F`) or not (`H`, always for
+    /// linear gaps).
+    pub head_state: GapState,
+    /// Input top boundary, `w` layers of `cols + 1`.
     pub top: Vec<i32>,
-    /// Input left boundary, length `rows + 1`.
+    /// Input left boundary, `w` layers of `rows + 1`.
     pub left: Vec<i32>,
     /// The frame's filled grid cache, or `None` if fillGridCache has not
     /// run yet for this rectangle.
@@ -55,9 +62,9 @@ pub struct GridState {
     pub row_bounds: Vec<usize>,
     /// Column cut points, length `k_c + 1`, `[0, …, cols]`.
     pub col_bounds: Vec<usize>,
-    /// `k_r − 1` cached rows, each of length `cols + 1`.
+    /// `k_r − 1` cached rows, each `w` layers of `cols + 1`.
     pub rows_cache: Vec<Vec<i32>>,
-    /// `k_c − 1` cached columns, each of length `rows + 1`.
+    /// `k_c − 1` cached columns, each `w` layers of `rows + 1`.
     pub cols_cache: Vec<Vec<i32>>,
 }
 
@@ -85,9 +92,10 @@ pub struct CheckpointState {
 
 impl CheckpointState {
     /// Structurally validates the snapshot against problem dimensions
-    /// `m × n`. Returns a human-readable reason on the first violation;
-    /// a state that passes can be rebuilt and driven without panicking.
-    pub fn validate(&self, m: usize, n: usize) -> Result<(), String> {
+    /// `m × n` under the gap model `gap`, which sets every line's width.
+    /// Returns a human-readable reason on the first violation; a state
+    /// that passes can be rebuilt and driven without panicking.
+    pub fn validate(&self, m: usize, n: usize, gap: &GapModel) -> Result<(), String> {
         if self.frames.is_empty() {
             return Err("no recursion frames".into());
         }
@@ -98,8 +106,10 @@ impl CheckpointState {
                 root.rows, root.cols, root.r0, root.c0
             ));
         }
+        let w = line_width(gap);
         for (idx, f) in self.frames.iter().enumerate() {
-            f.validate(idx).map_err(|e| format!("frame {idx}: {e}"))?;
+            f.validate(idx, w)
+                .map_err(|e| format!("frame {idx}: {e}"))?;
         }
         for w in self.frames.windows(2) {
             let (p, c) = (&w[0], &w[1]);
@@ -118,8 +128,17 @@ impl CheckpointState {
     }
 }
 
+/// Layers per line under `gap`: `H` alone for linear gaps, `H` and the
+/// crossing gap layer for affine ones.
+pub(crate) fn line_width(gap: &GapModel) -> usize {
+    match gap {
+        GapModel::Linear { .. } => 1,
+        GapModel::Affine { .. } => 2,
+    }
+}
+
 impl FrameState {
-    fn validate(&self, idx: usize) -> Result<(), String> {
+    fn validate(&self, idx: usize, w: usize) -> Result<(), String> {
         if idx > 0 && (self.rows == 0 || self.cols == 0) {
             return Err("degenerate non-root rectangle".into());
         }
@@ -129,7 +148,10 @@ impl FrameState {
                 self.head.0, self.head.1, self.rows, self.cols
             ));
         }
-        if self.top.len() != self.cols + 1 || self.left.len() != self.rows + 1 {
+        if w == 1 && self.head_state != GapState::H {
+            return Err("linear-gap head inside a gap run".into());
+        }
+        if self.top.len() != w * (self.cols + 1) || self.left.len() != w * (self.rows + 1) {
             return Err("boundary length does not match the rectangle".into());
         }
         let Some(g) = &self.grid else { return Ok(()) };
@@ -147,8 +169,8 @@ impl FrameState {
         }
         if g.rows_cache.len() != g.row_bounds.len() - 2
             || g.cols_cache.len() != g.col_bounds.len() - 2
-            || g.rows_cache.iter().any(|r| r.len() != self.cols + 1)
-            || g.cols_cache.iter().any(|c| c.len() != self.rows + 1)
+            || g.rows_cache.iter().any(|r| r.len() != w * (self.cols + 1))
+            || g.cols_cache.iter().any(|c| c.len() != w * (self.rows + 1))
         {
             return Err("grid cache shape does not match its bounds".into());
         }
@@ -194,6 +216,8 @@ impl CheckpointPolicy {
 mod tests {
     use super::*;
 
+    const LINEAR: GapModel = GapModel::Linear { penalty: -1 };
+
     fn flat_state() -> CheckpointState {
         CheckpointState {
             config: FastLsaConfig::default(),
@@ -206,6 +230,7 @@ mod tests {
                 rows: 4,
                 cols: 6,
                 head: (4, 6),
+                head_state: GapState::H,
                 top: vec![0; 7],
                 left: vec![0; 5],
                 grid: None,
@@ -215,29 +240,45 @@ mod tests {
 
     #[test]
     fn valid_state_passes() {
-        assert_eq!(flat_state().validate(4, 6), Ok(()));
+        assert_eq!(flat_state().validate(4, 6, &LINEAR), Ok(()));
     }
 
     #[test]
     fn dimension_mismatch_is_rejected() {
         let s = flat_state();
-        assert!(s.validate(5, 6).is_err());
-        assert!(s.validate(4, 7).is_err());
+        assert!(s.validate(5, 6, &LINEAR).is_err());
+        assert!(s.validate(4, 7, &LINEAR).is_err());
     }
 
     #[test]
     fn structural_corruption_is_rejected() {
         let mut s = flat_state();
         s.frames[0].head = (5, 6); // outside the rectangle
-        assert!(s.validate(4, 6).is_err());
+        assert!(s.validate(4, 6, &LINEAR).is_err());
 
         let mut s = flat_state();
         s.frames[0].top.pop();
-        assert!(s.validate(4, 6).is_err());
+        assert!(s.validate(4, 6, &LINEAR).is_err());
 
         let mut s = flat_state();
         s.frames.clear();
-        assert!(s.validate(4, 6).is_err());
+        assert!(s.validate(4, 6, &LINEAR).is_err());
+    }
+
+    #[test]
+    fn line_widths_follow_the_gap_model() {
+        let affine = GapModel::affine(-10, -1);
+        // A linear frame is too narrow for an affine run.
+        assert!(flat_state().validate(4, 6, &affine).is_err());
+        let mut s = flat_state();
+        s.frames[0].top = vec![0; 2 * 7];
+        s.frames[0].left = vec![0; 2 * 5];
+        s.frames[0].head_state = GapState::F;
+        assert_eq!(s.validate(4, 6, &affine), Ok(()));
+        // Only an affine head can be inside a gap run.
+        let mut s = flat_state();
+        s.frames[0].head_state = GapState::E;
+        assert!(s.validate(4, 6, &LINEAR).is_err());
     }
 
     #[test]
@@ -249,13 +290,13 @@ mod tests {
             rows_cache: vec![vec![0; 7]],
             cols_cache: vec![vec![0; 5]],
         });
-        assert_eq!(s.validate(4, 6), Ok(()));
+        assert_eq!(s.validate(4, 6, &LINEAR), Ok(()));
 
         // Non-monotone bounds.
         if let Some(g) = &mut s.frames[0].grid {
             g.row_bounds = vec![0, 3, 2, 4];
         }
-        assert!(s.validate(4, 6).is_err());
+        assert!(s.validate(4, 6, &LINEAR).is_err());
 
         // Cache line with the wrong width.
         let mut s = flat_state();
@@ -265,7 +306,7 @@ mod tests {
             rows_cache: vec![vec![0; 6]],
             cols_cache: vec![vec![0; 5]],
         });
-        assert!(s.validate(4, 6).is_err());
+        assert!(s.validate(4, 6, &LINEAR).is_err());
     }
 
     #[test]
@@ -283,16 +324,17 @@ mod tests {
             rows: 3, // escapes: 2 + 3 > 4
             cols: 3,
             head: (3, 3),
+            head_state: GapState::H,
             top: vec![0; 4],
             left: vec![0; 4],
             grid: None,
         });
-        assert!(s.validate(4, 6).is_err());
+        assert!(s.validate(4, 6, &LINEAR).is_err());
         if let Some(f) = s.frames.last_mut() {
             f.rows = 2;
             f.left = vec![0; 3];
             f.head = (2, 3);
         }
-        assert_eq!(s.validate(4, 6), Ok(()));
+        assert_eq!(s.validate(4, 6, &LINEAR), Ok(()));
     }
 }

@@ -5,7 +5,7 @@
 //! buffer size `BM` trade memory for recomputation. [`FastLsaConfig`]
 //! carries both, plus the parallel-execution knobs of §5.
 
-use flsa_scoring::ScoringScheme;
+use flsa_scoring::{GapModel, ScoringScheme};
 
 use crate::error::ConfigError;
 
@@ -110,9 +110,11 @@ impl FastLsaConfig {
     }
 
     /// Checks [`FastLsaConfig::validate`]'s structural invariants plus
-    /// the run-specific i32-overflow bound: the span `m + n` must not
-    /// exceed [`ScoringScheme::max_safe_span`], or a pathological input
-    /// could wrap cell scores and return a silently wrong alignment.
+    /// the run-specific ones: the wavefront-parallel fill (`threads > 1`)
+    /// runs linear gaps only ([`ConfigError::GapModelNotLinear`]), and
+    /// the span `m + n` must not exceed [`ScoringScheme::max_safe_span`],
+    /// or a pathological input could wrap cell scores and return a
+    /// silently wrong alignment.
     pub fn validate_run(
         &self,
         scheme: &ScoringScheme,
@@ -120,6 +122,9 @@ impl FastLsaConfig {
         n: usize,
     ) -> Result<(), ConfigError> {
         self.validate()?;
+        if self.threads() > 1 && matches!(scheme.gap(), GapModel::Affine { .. }) {
+            return Err(ConfigError::GapModelNotLinear);
+        }
         let span = m.saturating_add(n);
         let max_span = scheme.max_safe_span();
         if span > max_span {

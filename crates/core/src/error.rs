@@ -23,11 +23,9 @@ pub enum ConfigError {
     /// [`crate::align_affine`] requires [`flsa_scoring::GapModel::Affine`]
     /// (use the linear entry points for linear gaps).
     GapModelNotAffine,
-    /// The linear-gap entry points ([`crate::align_opts`] and the
-    /// functions built on it, [`crate::align_resume`] and
-    /// [`crate::align_traced`]) require
-    /// [`flsa_scoring::GapModel::Linear`] (use [`crate::align_affine`]
-    /// for affine gaps).
+    /// The wavefront-parallel fill (`threads > 1`) requires
+    /// [`flsa_scoring::GapModel::Linear`]: its tiles run the linear
+    /// kernels only, so an affine scheme runs on one thread.
     GapModelNotLinear,
     /// The combined sequence span `m + n` is large enough that the DP
     /// recurrence could overflow `i32` cell scores under this scoring
@@ -58,7 +56,8 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::GapModelNotLinear => write!(
                 f,
-                "this entry point requires GapModel::Linear (use align_affine for affine gaps)"
+                "the wavefront-parallel fill (threads > 1) requires GapModel::Linear \
+                 (run affine gaps with one thread)"
             ),
             ConfigError::ScoreOverflow { span, max_span } => write!(
                 f,

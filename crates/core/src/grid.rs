@@ -4,6 +4,13 @@
 //! and stores the DP values along the internal grid lines: `k−1` full
 //! rows and `k−1` full columns. Together with the rectangle's input
 //! boundary these give every block its `cacheRow`/`cacheColumn`.
+//!
+//! A line (grid line or input boundary) of length `len + 1` holds `w`
+//! layers of `len + 1` entries: `H`, then, for affine gaps (`w = 2`),
+//! the gap layer a path can cross the line in, `F` on rows and `E` on
+//! columns (DESIGN.md §6). Linear lines are `H` alone (`w = 1`).
+
+use flsa_dp::affine::NEG;
 
 use crate::error::AlignError;
 use crate::governor::MemoryGovernor;
@@ -30,19 +37,21 @@ pub struct Grid {
     /// Column cut points, length `k_c + 1`.
     pub col_bounds: Vec<usize>,
     /// `rows_cache[s]` holds the DP values along grid row
-    /// `row_bounds[s+1]`, full width (`cols + 1`); `s < k_r − 1`.
+    /// `row_bounds[s+1]`, full width (`w` layers of `cols + 1`);
+    /// `s < k_r − 1`.
     pub rows_cache: Vec<Vec<i32>>,
     /// `cols_cache[t]` holds the DP values along grid column
-    /// `col_bounds[t+1]`, full height (`rows + 1`); `t < k_c − 1`.
+    /// `col_bounds[t+1]`, full height (`w` layers of `rows + 1`);
+    /// `t < k_c − 1`.
     pub cols_cache: Vec<Vec<i32>>,
 }
 
 impl Grid {
     /// Allocates the grid for an `rows × cols` rectangle split into
-    /// `k_r × k_c` blocks, with unbounded (but still `try_reserve`-based)
-    /// allocation.
-    pub fn new(rows: usize, cols: usize, k_r: usize, k_c: usize) -> Self {
-        match Grid::try_new(rows, cols, k_r, k_c, &MemoryGovernor::new(None)) {
+    /// `k_r × k_c` blocks, lines `w` layers wide, with unbounded (but
+    /// still `try_reserve`-based) allocation.
+    pub fn new(rows: usize, cols: usize, k_r: usize, k_c: usize, w: usize) -> Self {
+        match Grid::try_new(rows, cols, k_r, k_c, w, &MemoryGovernor::new(None)) {
             Ok(g) => g,
             // flsa-check: allow(panic) — only reachable on allocator
             // exhaustion with no budget, where Vec::new would abort anyway.
@@ -54,12 +63,14 @@ impl Grid {
     /// line is charged against the budget and reserved with `try_reserve`,
     /// so an oversized grid surfaces as
     /// [`AlignError::AllocFailed`](crate::AlignError::AllocFailed) instead
-    /// of an abort.
+    /// of an abort. `H` starts at 0 and a gap layer at [`NEG`]; the fills
+    /// overwrite every entry but a gap layer's first, which no cell reads.
     pub fn try_new(
         rows: usize,
         cols: usize,
         k_r: usize,
         k_c: usize,
+        w: usize,
         governor: &MemoryGovernor,
     ) -> Result<Self, AlignError> {
         debug_assert!(k_r >= 2 && k_c >= 2);
@@ -71,8 +82,13 @@ impl Grid {
                 governor.release_i32(v.len());
             }
         };
+        let line = |len: usize, what: &'static str| {
+            let mut v = governor.try_alloc_i32(w * (len + 1), what)?;
+            v[len + 1..].fill(NEG);
+            Ok::<_, AlignError>(v)
+        };
         for _ in 0..k_r - 1 {
-            match governor.try_alloc_i32(cols + 1, "grid row cache") {
+            match line(cols, "grid row cache") {
                 Ok(v) => rows_cache.push(v),
                 Err(e) => {
                     undo(&rows_cache, &cols_cache);
@@ -81,7 +97,7 @@ impl Grid {
             }
         }
         for _ in 0..k_c - 1 {
-            match governor.try_alloc_i32(rows + 1, "grid column cache") {
+            match line(rows, "grid column cache") {
                 Ok(v) => cols_cache.push(v),
                 Err(e) => {
                     undo(&rows_cache, &cols_cache);
@@ -131,27 +147,35 @@ impl Grid {
             + self.cols_cache.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// The `cacheRow` of block `(s, t)`: DP values along the block's top
-    /// edge. For `s == 0` the caller must use the rectangle's input top
-    /// boundary instead (the grid does not store it), hence the `Option`.
-    pub fn cached_row(&self, s: usize, t: usize) -> Option<&[i32]> {
-        if s == 0 {
-            return None;
-        }
-        let c0 = self.col_bounds[t];
-        let c1 = self.col_bounds[t + 1];
-        Some(&self.rows_cache[s - 1][c0..=c1])
+    /// Writes the `cacheRow` of block `(s, t)` to `out`: every layer of
+    /// the line along the block's top edge, cut to the block's columns.
+    /// Block row 0's line is the rectangle's input `top` boundary, which
+    /// the grid does not store.
+    pub fn block_top(&self, s: usize, t: usize, top: &[i32], out: &mut Vec<i32>) {
+        let line = if s == 0 { top } else { &self.rows_cache[s - 1] };
+        cut(line, &self.col_bounds, t, out);
     }
 
-    /// The `cacheColumn` of block `(s, t)`; `None` for `t == 0` (use the
-    /// input left boundary).
-    pub fn cached_col(&self, s: usize, t: usize) -> Option<&[i32]> {
-        if t == 0 {
-            return None;
-        }
-        let r0 = self.row_bounds[s];
-        let r1 = self.row_bounds[s + 1];
-        Some(&self.cols_cache[t - 1][r0..=r1])
+    /// Writes the `cacheColumn` of block `(s, t)` to `out`, from the
+    /// rectangle's input `left` boundary for block column 0.
+    pub fn block_left(&self, s: usize, t: usize, left: &[i32], out: &mut Vec<i32>) {
+        let line = if t == 0 {
+            left
+        } else {
+            &self.cols_cache[t - 1]
+        };
+        cut(line, &self.row_bounds, s, out);
+    }
+}
+
+/// Copies segment `seg` (`bounds[seg]..=bounds[seg+1]`) of every layer of
+/// `line`, whose layers are `bounds.last() + 1` entries long, to `out`.
+fn cut(line: &[i32], bounds: &[usize], seg: usize, out: &mut Vec<i32>) {
+    let (lo, hi) = (bounds[seg], bounds[seg + 1]);
+    let layer = bounds.last().map_or(1, |&len| len + 1);
+    out.clear();
+    for l in line.chunks_exact(layer) {
+        out.extend_from_slice(&l[lo..=hi]);
     }
 }
 
@@ -187,8 +211,13 @@ mod tests {
     #[test]
     fn grid_storage_shape_matches_theorem_3() {
         // (k-1) rows of (cols+1) plus (k-1) cols of (rows+1).
-        let g = Grid::new(100, 80, 4, 4);
+        let g = Grid::new(100, 80, 4, 4, 1);
         assert_eq!(g.cache_entries(), 3 * 81 + 3 * 101);
+        // Affine lines carry a gap layer beside `H`.
+        assert_eq!(
+            Grid::new(100, 80, 4, 4, 2).cache_entries(),
+            2 * (3 * 81 + 3 * 101)
+        );
         assert_eq!(g.k_r(), 4);
         assert_eq!(g.k_c(), 4);
     }
@@ -197,25 +226,34 @@ mod tests {
     fn try_new_respects_the_budget_and_rolls_back() {
         // 3 rows of 81 + 3 cols of 101 entries = 546 entries > 500.
         let g = MemoryGovernor::new(Some(500 * 4));
-        let err = Grid::try_new(100, 80, 4, 4, &g).unwrap_err();
+        let err = Grid::try_new(100, 80, 4, 4, 1, &g).unwrap_err();
         assert!(matches!(err, AlignError::AllocFailed { .. }));
         // Partial allocations were released.
         assert_eq!(g.used_bytes(), 0);
         // A roomier budget succeeds and stays charged while alive.
         let g = MemoryGovernor::new(Some(600 * 4));
-        let grid = Grid::try_new(100, 80, 4, 4, &g).unwrap();
+        let grid = Grid::try_new(100, 80, 4, 4, 1, &g).unwrap();
         assert_eq!(g.used_bytes(), grid.cache_entries() * 4);
     }
 
     #[test]
-    fn cached_row_col_slices_cover_block_edges() {
-        let g = Grid::new(12, 8, 3, 2);
+    fn block_edges_cut_every_layer_of_their_line() {
+        let mut g = Grid::new(12, 8, 3, 2, 2);
+        // Grid row 1 (row 4): H = 0..=8, F = 100..=108.
+        g.rows_cache[0] = (0..=8).chain(100..=108).collect();
+        let (top, left) = (vec![-1; 2 * 9], vec![-2; 2 * 13]);
+        let mut out = Vec::new();
         // Block (1, 1): rows 4..8, cols 4..8.
-        let r = g.cached_row(1, 1).unwrap();
-        assert_eq!(r.len(), 8 - 4 + 1);
-        let c = g.cached_col(1, 1).unwrap();
-        assert_eq!(c.len(), 8 - 4 + 1);
-        assert!(g.cached_row(0, 1).is_none());
-        assert!(g.cached_col(1, 0).is_none());
+        g.block_top(1, 1, &top, &mut out);
+        assert_eq!(out, [4, 5, 6, 7, 8, 104, 105, 106, 107, 108]);
+        g.block_left(1, 1, &left, &mut out);
+        assert_eq!(out.len(), 2 * (8 - 4 + 1));
+        // Block row and column 0 read the input boundary.
+        g.block_top(0, 1, &top, &mut out);
+        assert_eq!(out, vec![-1; 2 * 5]);
+        g.block_left(1, 0, &left, &mut out);
+        assert_eq!(out, vec![-2; 2 * 5]);
+        // A fresh gap layer starts unreachable.
+        assert!(g.cols_cache[0][13..].iter().all(|&v| v == NEG));
     }
 }

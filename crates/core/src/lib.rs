@@ -12,6 +12,13 @@
 //! | Hirschberg | `O(min(m,n))` | ≈ `2·m·n` |
 //! | FastLSA(`k`, `BM`) | `O(k·(m+n)) + BM` | ≤ `m·n·(k/(k−1))²`, →`m·n` as `BM` grows |
 //!
+//! One solver runs both gap models, taking the model from the scheme
+//! (DESIGN.md §6): the paper's linear gaps, and Gotoh's affine gaps,
+//! whose grid lines also cache the gap layer a path can cross them in
+//! and whose path head carries its [`GapState`] across sub-problem
+//! edges. Both get every [`AlignOptions`] field; only the
+//! wavefront-parallel fill (`threads > 1`) is linear-only.
+//!
 //! # Quick start
 //!
 //! ```
@@ -44,7 +51,6 @@
 //! degradation ladder (see [`next_rung`]), recording each step as a
 //! trace event so `flsa report` can show what degraded and why.
 
-pub mod affine;
 pub mod cancel;
 pub mod checkpoint;
 pub mod config;
@@ -57,7 +63,6 @@ pub mod model;
 mod parallel;
 mod solver;
 
-pub use affine::align_affine;
 pub use cancel::CancelToken;
 pub use checkpoint::{CheckpointPolicy, CheckpointSink, CheckpointState, FrameState, GridState};
 pub use config::{FastLsaConfig, ParallelConfig};
@@ -68,8 +73,9 @@ pub use governor::{
 };
 pub use model::{replay, replay_with_comm, ReplayReport};
 
-// Kernel dispatch re-exports so callers can populate
-// [`AlignOptions::kernel`] without depending on `flsa-dp` directly.
+// Re-exports so callers can populate [`AlignOptions::kernel`] and
+// [`FrameState::head_state`] without depending on `flsa-dp` directly.
+pub use flsa_dp::affine::GapState;
 pub use flsa_dp::{KernelArena, KernelBackend};
 
 use flsa_dp::{AlignResult, Metrics};
@@ -82,8 +88,7 @@ use flsa_trace::{DegradeReason, EventKind};
 ///
 /// # Errors
 ///
-/// As for [`align_opts`]; in particular an affine scheme returns
-/// [`ConfigError::GapModelNotLinear`] before any work.
+/// As for [`align_opts`].
 pub fn align(
     a: &Sequence,
     b: &Sequence,
@@ -98,8 +103,9 @@ pub fn align(
 ///
 /// # Errors
 ///
-/// As for [`align_opts`]; in particular an affine scheme returns
-/// [`ConfigError::GapModelNotLinear`] before any work.
+/// As for [`align_opts`]; in particular a parallel configuration with an
+/// affine scheme returns [`ConfigError::GapModelNotLinear`] before any
+/// work.
 pub fn align_with(
     a: &Sequence,
     b: &Sequence,
@@ -121,12 +127,15 @@ pub fn align_with(
 /// is attached. Other errors — and failures at the bottom of the ladder
 /// — are returned to the caller.
 ///
+/// The scheme's gap model, linear or affine, picks the kernels and what
+/// the grid lines cache; every option applies to both.
+///
 /// # Errors
 ///
-/// Before any work: [`ConfigError::GapModelNotLinear`] for an affine
-/// scheme (use [`align_affine`]), the other [`ConfigError`]s of
-/// [`FastLsaConfig::validate_run`], and
-/// [`ConfigError::KernelUnavailable`]. During the run:
+/// Before any work: the [`ConfigError`]s of
+/// [`FastLsaConfig::validate_run`] (among them
+/// [`ConfigError::GapModelNotLinear`] for an affine scheme with
+/// `threads > 1`), and [`ConfigError::KernelUnavailable`]. During the run:
 /// [`AlignError::AlphabetMismatch`], [`AlignError::AllocFailed`] at the
 /// bottom of the ladder, [`AlignError::Cancelled`],
 /// [`AlignError::CheckpointSave`], and [`AlignError::WorkerPanic`] when
@@ -139,10 +148,52 @@ pub fn align_opts(
     opts: &AlignOptions,
     metrics: &Metrics,
 ) -> Result<AlignResult, AlignError> {
-    require_linear(scheme)?;
     config.validate_run(scheme, a.len(), b.len())?;
     validate_kernel(opts)?;
     run_ladder(scheme, config, opts, metrics, |solver| solver.run(a, b))
+}
+
+/// Affine-gap global alignment with the FastLSA recursion: the solver of
+/// [`align_opts`] under default [`AlignOptions`].
+///
+/// Produces the same optimal score as [`flsa_fullmatrix::gotoh()`] in
+/// FastLSA's adaptive memory footprint.
+///
+/// # Errors
+///
+/// [`ConfigError::GapModelNotAffine`] (wrapped in [`AlignError::Config`])
+/// when `scheme.gap()` is linear; otherwise as for [`align_opts`],
+/// including [`ConfigError::ScoreOverflow`] for a span beyond
+/// [`ScoringScheme::max_safe_span`].
+///
+/// # Examples
+///
+/// ```
+/// use fastlsa_core::{align_affine, FastLsaConfig};
+/// use flsa_dp::Metrics;
+/// use flsa_scoring::{tables, GapModel, ScoringScheme};
+/// use flsa_seq::Sequence;
+///
+/// let scheme = ScoringScheme::new(tables::dna_default(), GapModel::affine(-10, -1));
+/// let a = Sequence::from_str("a", scheme.alphabet(), "ACGTACCCCGTACGT").unwrap();
+/// let b = Sequence::from_str("b", scheme.alphabet(), "ACGTACGTACGT").unwrap();
+/// let metrics = Metrics::new();
+/// let r = align_affine(&a, &b, &scheme, FastLsaConfig::new(4, 256), &metrics).unwrap();
+/// assert!(r.path.is_global(a.len(), b.len()));
+/// // 12 matches (+60) and one length-3 gap (-13): score 47.
+/// assert_eq!(r.score, 47);
+/// ```
+pub fn align_affine(
+    a: &Sequence,
+    b: &Sequence,
+    scheme: &ScoringScheme,
+    config: FastLsaConfig,
+    metrics: &Metrics,
+) -> Result<AlignResult, AlignError> {
+    if !matches!(scheme.gap(), GapModel::Affine { .. }) {
+        return Err(ConfigError::GapModelNotAffine.into());
+    }
+    align_opts(a, b, scheme, config, &AlignOptions::default(), metrics)
 }
 
 /// Continues an interrupted run from a [`CheckpointState`] snapshot.
@@ -159,10 +210,10 @@ pub fn align_opts(
 ///
 /// # Errors
 ///
-/// As for [`align_opts`] (an affine scheme returns
-/// [`ConfigError::GapModelNotLinear`] before any work), plus
-/// [`AlignError::CorruptCheckpoint`] for a snapshot that does not fit the
-/// inputs.
+/// As for [`align_opts`], checked against the snapshot's configuration,
+/// plus [`AlignError::CorruptCheckpoint`] for a snapshot that does not
+/// fit the inputs, or whose lines are not as wide as the scheme's gap
+/// model needs.
 pub fn align_resume(
     a: &Sequence,
     b: &Sequence,
@@ -171,7 +222,6 @@ pub fn align_resume(
     opts: &AlignOptions,
     metrics: &Metrics,
 ) -> Result<AlignResult, AlignError> {
-    require_linear(scheme)?;
     state.config.validate_run(scheme, a.len(), b.len())?;
     validate_kernel(opts)?;
     run_ladder(scheme, state.config, opts, metrics, |solver| {
@@ -241,15 +291,6 @@ fn run_ladder(
     }
 }
 
-/// Rejects an affine scheme on the linear-gap entry points, whose solver
-/// prices every gap symbol with one [`GapModel::linear_penalty`].
-fn require_linear(scheme: &ScoringScheme) -> Result<(), ConfigError> {
-    match scheme.gap() {
-        GapModel::Linear { .. } => Ok(()),
-        GapModel::Affine { .. } => Err(ConfigError::GapModelNotLinear),
-    }
-}
-
 /// Rejects an explicitly requested kernel backend that this CPU cannot
 /// run (auto-detection, `opts.kernel = None`, never fails).
 fn validate_kernel(opts: &AlignOptions) -> Result<(), ConfigError> {
@@ -264,9 +305,8 @@ fn validate_kernel(opts: &AlignOptions) -> Result<(), ConfigError> {
 ///
 /// # Errors
 ///
-/// As for [`align_with`], without the degradation ladder: an affine
-/// scheme returns [`ConfigError::GapModelNotLinear`] before any work, and
-/// a run-time fault is returned as it happens.
+/// As for [`align_with`], without the degradation ladder: a run-time
+/// fault is returned as it happens.
 pub fn align_traced(
     a: &Sequence,
     b: &Sequence,
@@ -274,7 +314,6 @@ pub fn align_traced(
     config: FastLsaConfig,
     metrics: &Metrics,
 ) -> Result<(AlignResult, CostLog), AlignError> {
-    require_linear(scheme)?;
     config.validate_run(scheme, a.len(), b.len())?;
     let mut solver = solver::Solver::new(scheme, config, metrics, &AlignOptions::default());
     let result = solver.run(a, b)?;
@@ -284,9 +323,10 @@ pub fn align_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flsa_fullmatrix::gotoh::gotoh;
     use flsa_fullmatrix::needleman_wunsch;
     use flsa_hirschberg::hirschberg;
-    use flsa_seq::generate::homologous_pair;
+    use flsa_seq::generate::{homologous_pair, random_sequence};
     use flsa_seq::Alphabet;
 
     fn paper_pair() -> (Sequence, Sequence, ScoringScheme) {
@@ -724,5 +764,97 @@ mod tests {
         let nw = needleman_wunsch(&a, &b, &scheme, &metrics);
         let r = align_with(&a, &b, &scheme, FastLsaConfig::new(6, 512), &metrics).unwrap();
         assert_eq!(r.score, nw.score);
+    }
+
+    fn affine_scheme(open: i32, extend: i32) -> ScoringScheme {
+        ScoringScheme::new(
+            flsa_scoring::tables::dna_default(),
+            GapModel::affine(open, extend),
+        )
+    }
+
+    #[test]
+    fn matches_gotoh_on_fixed_cases() {
+        let scheme = affine_scheme(-10, -2);
+        let cases = [
+            ("ACGT", "ACGT"),
+            ("AAAACCAAAA", "AAAAAAAA"),
+            ("ACGTACGTACGTACGTACGT", "ACGTACGACGTACGGT"),
+            ("A", "GGGGGGGG"),
+            ("ACCCCCCCCCCA", "AA"),
+        ];
+        for (sa, sb) in cases {
+            let a = Sequence::from_str("a", scheme.alphabet(), sa).unwrap();
+            let b = Sequence::from_str("b", scheme.alphabet(), sb).unwrap();
+            let metrics = Metrics::new();
+            let oracle = gotoh(&a, &b, &scheme, &metrics);
+            for k in [2usize, 3, 4] {
+                for base in [16usize, 64, 1 << 20] {
+                    let m = Metrics::new();
+                    let r = align_affine(&a, &b, &scheme, FastLsaConfig::new(k, base), &m).unwrap();
+                    assert_eq!(r.score, oracle.score, "{sa}/{sb} k={k} base={base}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matches_gotoh_on_random_homologs() {
+        let scheme = affine_scheme(-12, -1);
+        for seed in 0..6 {
+            let (a, b) = homologous_pair("t", &Alphabet::dna(), 250, 0.8, seed).unwrap();
+            let metrics = Metrics::new();
+            let oracle = gotoh(&a, &b, &scheme, &metrics);
+            let r = align_affine(&a, &b, &scheme, FastLsaConfig::new(4, 512), &metrics).unwrap();
+            assert_eq!(r.score, oracle.score, "seed {seed}");
+            assert!(r.path.is_global(a.len(), b.len()));
+        }
+    }
+
+    #[test]
+    fn matches_gotoh_on_random_unrelated() {
+        let scheme = affine_scheme(-8, -3);
+        for seed in 0..6 {
+            let a = random_sequence("a", &Alphabet::dna(), 120, seed * 2);
+            let b = random_sequence("b", &Alphabet::dna(), 140, seed * 2 + 1);
+            let metrics = Metrics::new();
+            let oracle = gotoh(&a, &b, &scheme, &metrics);
+            let r = align_affine(&a, &b, &scheme, FastLsaConfig::new(3, 128), &metrics).unwrap();
+            assert_eq!(r.score, oracle.score, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn empty_and_tiny_inputs() {
+        let scheme = affine_scheme(-10, -2);
+        let metrics = Metrics::new();
+        let e = Sequence::from_str("e", scheme.alphabet(), "").unwrap();
+        let b = Sequence::from_str("b", scheme.alphabet(), "ACG").unwrap();
+        let cfg = FastLsaConfig::new(2, 8);
+        assert_eq!(
+            align_affine(&e, &b, &scheme, cfg, &metrics).unwrap().score,
+            -16
+        );
+        assert_eq!(
+            align_affine(&b, &e, &scheme, cfg, &metrics).unwrap().score,
+            -16
+        );
+        assert_eq!(
+            align_affine(&e, &e, &scheme, cfg, &metrics).unwrap().score,
+            0
+        );
+    }
+
+    #[test]
+    fn linear_scheme_rejected() {
+        let scheme = ScoringScheme::dna_default();
+        let a = Sequence::from_str("a", scheme.alphabet(), "ACG").unwrap();
+        let metrics = Metrics::new();
+        let err = align_affine(&a, &a, &scheme, FastLsaConfig::default(), &metrics).unwrap_err();
+        assert_eq!(
+            err,
+            AlignError::Config(ConfigError::GapModelNotAffine),
+            "linear gap model must be rejected as a config error"
+        );
     }
 }

@@ -15,14 +15,21 @@
 //! either fully completed or not started. That is the consistent point
 //! where [`CheckpointPolicy`] snapshots are taken and where resumed runs
 //! re-enter.
+//!
+//! One solver drives both gap models (DESIGN.md §6). The model changes
+//! only what a line carries (`H`, plus the crossing gap layer for affine
+//! gaps; see [`crate::grid`]), the [`GapState`] the path head carries
+//! across sub-problem edges, and which kernels fill a block and solve a
+//! base case.
 
+use flsa_dp::affine::{trace_affine, AffineBoundary, AffineGlobalBoundary, GapState};
 use flsa_dp::traceback::trace_from;
-use flsa_dp::{AlignResult, Kernel, MemGuard, Metrics, PathBuilder};
-use flsa_scoring::ScoringScheme;
+use flsa_dp::{AlignResult, Kernel, MemGuard, Metrics, PathBuilder, ScoreMatrix};
+use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
 use flsa_trace::{EventKind, Recorder, SpanKind};
 
-use crate::checkpoint::{CheckpointState, FrameState, GridState};
+use crate::checkpoint::{line_width, CheckpointState, FrameState, GridState};
 use crate::config::FastLsaConfig;
 use crate::costlog::{CostEvent, CostLog};
 use crate::error::AlignError;
@@ -39,13 +46,15 @@ struct Frame<'m> {
     c0: usize,
     rows: usize,
     cols: usize,
-    /// Input top boundary, length `cols + 1` (owned so the frame is
-    /// self-contained and snapshot-able).
+    /// Input top boundary, `w` layers of `cols + 1` (owned so the frame
+    /// is self-contained and snapshot-able).
     top: Vec<i32>,
-    /// Input left boundary, length `rows + 1`.
+    /// Input left boundary, `w` layers of `rows + 1`.
     left: Vec<i32>,
     /// Path head in local coordinates.
     head: (usize, usize),
+    /// The DP layer the path is in at `head`; always `H` for linear gaps.
+    head_state: GapState,
     grid: Option<Grid>,
     /// Metrics accounting for the grid cache, dropped with the frame.
     grid_guard: Option<MemGuard<'m>>,
@@ -58,10 +67,11 @@ pub(crate) struct Solver<'s> {
     pub config: FastLsaConfig,
     pub metrics: &'s Metrics,
     /// The Base Case buffer (paper: "BM units of memory are reserved"),
-    /// reserved when the run starts and recycled across base-case solves.
+    /// reserved when the run starts and recycled across base-case solves:
+    /// one layer for linear gaps, the `H`, `E` and `F` layers for affine.
     /// It is never zero-filled up front: a base case zero-fills only the
     /// part it grows into (`ScoreMatrix::from_storage`).
-    base_storage: Vec<i32>,
+    base: [Vec<i32>; 3],
     /// Scratch for discarded block outputs during sequential grid fills.
     scratch_row: Vec<i32>,
     scratch_col: Vec<i32>,
@@ -93,8 +103,8 @@ pub(crate) struct Solver<'s> {
     /// Arena bytes currently charged against the governor's budget;
     /// settled at the drive loop's consistent points.
     arena_charged: usize,
-    /// Entries of the Base Case buffer reservation charged against the
-    /// governor's budget (0 until `run`/`resume` reserved it).
+    /// Entries per layer of the Base Case buffer reservation charged
+    /// against the governor's budget (0 until `run`/`resume` reserved it).
     base_reserved: usize,
     /// Tracks the reservation's bytes; replaced when a thin base case
     /// grows it.
@@ -131,7 +141,7 @@ impl<'s> Solver<'s> {
             scheme,
             config,
             metrics,
-            base_storage: Vec::new(),
+            base: Default::default(),
             scratch_row: Vec::new(),
             scratch_col: Vec::new(),
             pool,
@@ -213,7 +223,6 @@ impl<'s> Solver<'s> {
     pub fn run(&mut self, a: &Sequence, b: &Sequence) -> Result<AlignResult, AlignError> {
         self.check_alphabets(a, b)?;
         let (m, n) = (a.len(), b.len());
-        let gap = self.scheme.gap().linear_penalty();
         if let Some(obs) = &self.obs {
             // `m·n` is a lower bound on total cells (grid-cache refills
             // push the real total above it); the progress line caps its
@@ -221,11 +230,21 @@ impl<'s> Solver<'s> {
             obs.run_expected.set((m as i64).saturating_mul(n as i64));
         }
 
-        let whole = (m + 1).saturating_mul(n + 1);
-        self.reserve_base(self.config.base_cells.min(whole))?;
+        self.reserve_first_base(m, n)?;
 
-        let top: Vec<i32> = (0..=n as i64).map(|j| (j * gap as i64) as i32).collect();
-        let left: Vec<i32> = (0..=m as i64).map(|i| (i * gap as i64) as i32).collect();
+        // The global boundary: the gap ramp, with no gap run open yet.
+        let (top, left) = match *self.scheme.gap() {
+            GapModel::Linear { penalty: gap } => {
+                let ramp = |len: usize| -> Vec<i32> {
+                    (0..=len as i64).map(|k| (k * gap as i64) as i32).collect()
+                };
+                (ramp(n), ramp(m))
+            }
+            GapModel::Affine { open, extend } => {
+                let g = AffineGlobalBoundary::new(m, n, open, extend);
+                ([g.top_h, g.top_v].concat(), [g.left_h, g.left_e].concat())
+            }
+        };
         self.frames.push(Frame {
             r0: 0,
             c0: 0,
@@ -234,6 +253,7 @@ impl<'s> Solver<'s> {
             top,
             left,
             head: (m, n),
+            head_state: GapState::H,
             grid: None,
             grid_guard: None,
         });
@@ -257,15 +277,14 @@ impl<'s> Solver<'s> {
     ) -> Result<AlignResult, AlignError> {
         self.check_alphabets(a, b)?;
         state
-            .validate(a.len(), b.len())
+            .validate(a.len(), b.len(), self.scheme.gap())
             .map_err(|detail| AlignError::CorruptCheckpoint { detail })?;
         if let Some(obs) = &self.obs {
             obs.run_expected
                 .set((a.len() as i64).saturating_mul(b.len() as i64));
         }
 
-        let whole = (a.len() + 1).saturating_mul(b.len() + 1);
-        self.reserve_base(self.config.base_cells.min(whole))?;
+        self.reserve_first_base(a.len(), b.len())?;
 
         for fs in state.frames {
             let FrameState {
@@ -274,6 +293,7 @@ impl<'s> Solver<'s> {
                 rows,
                 cols,
                 head,
+                head_state,
                 top,
                 left,
                 grid,
@@ -293,6 +313,7 @@ impl<'s> Solver<'s> {
                 top,
                 left,
                 head,
+                head_state,
                 grid,
                 grid_guard,
             });
@@ -319,30 +340,72 @@ impl<'s> Solver<'s> {
         Ok(self.finish_path(a, b, builder, exit))
     }
 
-    /// Reserves the Base Case buffer for `cells` entries, fallibly,
-    /// through the governor, in place of any smaller reservation: an
-    /// empty buffer with exactly that capacity, nothing written. `run` and
-    /// `resume` reserve before any work, as the paper does, so an
-    /// over-budget `BM` surfaces as `AllocFailed` up front; an `m × n`
-    /// pair never holds more than its whole `(m+1)·(n+1)` matrix, so that
-    /// caps the first reservation. The drive loop reserves again for a
-    /// base case thinner than 2 rows or columns, which is solved whole
-    /// whatever its size. The reservation is returned when the solver is
-    /// dropped.
-    fn reserve_base(&mut self, cells: usize) -> Result<(), AlignError> {
-        if cells <= self.base_reserved {
+    /// Layers of the Base Case buffer: 1 for linear gaps, 3 for affine.
+    fn base_layers(&self) -> usize {
+        match self.scheme.gap() {
+            GapModel::Linear { .. } => 1,
+            GapModel::Affine { .. } => 3,
+        }
+    }
+
+    /// Entries each Base Case layer needs for a `rows × cols` base case:
+    /// the dense matrix for linear gaps, a lined layer
+    /// ([`ScoreMatrix::lined_len`]) for affine.
+    fn base_layer_len(&self, rows: usize, cols: usize) -> usize {
+        match self.scheme.gap() {
+            GapModel::Linear { .. } => (rows + 1).saturating_mul(cols + 1),
+            GapModel::Affine { .. } => ScoreMatrix::lined_len(rows, cols),
+        }
+    }
+
+    /// The reservation `run` and `resume` make before any work, as the
+    /// paper does, so an over-budget `BM` surfaces as `AllocFailed` up
+    /// front: `BM` cells per layer, or, where the whole `m × n` pair fits
+    /// them, the one base case it is.
+    fn reserve_first_base(&mut self, m: usize, n: usize) -> Result<(), AlignError> {
+        let whole = (m + 1).saturating_mul(n + 1);
+        let cells = self.config.base_cells;
+        self.reserve_base(if whole <= cells {
+            self.base_layer_len(m, n)
+        } else {
+            cells
+        })
+    }
+
+    /// Reserves the Base Case buffer for `len` entries per layer,
+    /// fallibly, in one charge to the governor, in place of any smaller
+    /// reservation: empty buffers with exactly that capacity, nothing
+    /// written. The drive loop reserves again for a base case that needs
+    /// more: one thinner than 2 rows or columns, which is solved whole
+    /// whatever its size, or an affine one whose row padding outgrows
+    /// `BM`. The reservation is returned when the solver is dropped.
+    fn reserve_base(&mut self, len: usize) -> Result<(), AlignError> {
+        if len <= self.base_reserved {
             return Ok(());
         }
+        let layers = self.base_layers();
         self.base_guard = None;
-        self.base_storage = Vec::new();
-        self.ctx.governor.release_i32(self.base_reserved);
+        self.base = Default::default();
+        self.ctx.governor.release_i32(layers * self.base_reserved);
         self.base_reserved = 0;
-        self.base_storage = self
-            .ctx
-            .governor
-            .try_with_capacity_i32(cells, "base-case buffer")?;
-        self.base_reserved = cells;
-        self.base_guard = Some(self.metrics.track_alloc(cells * std::mem::size_of::<i32>()));
+        let entries = layers * len;
+        self.ctx.governor.reserve_i32(entries, "base-case buffer")?;
+        for buf in &mut self.base[..layers] {
+            if buf.try_reserve_exact(len).is_err() {
+                self.base = Default::default();
+                self.ctx.governor.release_i32(entries);
+                let bytes = entries.saturating_mul(std::mem::size_of::<i32>());
+                return Err(AlignError::AllocFailed {
+                    bytes,
+                    what: "base-case buffer",
+                });
+            }
+        }
+        self.base_reserved = len;
+        self.base_guard = Some(
+            self.metrics
+                .track_alloc(entries * std::mem::size_of::<i32>()),
+        );
         Ok(())
     }
 
@@ -407,30 +470,36 @@ impl<'s> Solver<'s> {
             };
 
             // 1. Head on the exit boundary: pop and propagate.
-            if f.head.0 == 0 || f.head.1 == 0 {
+            if exited(f.head, f.head_state) {
                 let exit = (f.r0 + f.head.0, f.c0 + f.head.1);
+                let state = f.head_state;
                 if let Some(frame) = self.frames.pop() {
                     self.release_frame(frame);
                 }
                 match self.frames.last_mut() {
-                    Some(p) => p.head = (exit.0 - p.r0, exit.1 - p.c0),
+                    Some(p) => {
+                        p.head = (exit.0 - p.r0, exit.1 - p.c0);
+                        p.head_state = state;
+                    }
                     None => return Ok(exit),
                 }
                 continue;
             }
 
             // 2. Filled grid: descend into the block containing the head
-            //    (Figure 2 lines 8-13).
+            //    (Figure 2 lines 8-13). A head inside a gap run may sit on
+            //    row or column 0 while it still has a block to cross.
             if let Some(grid) = &f.grid {
                 let (i, j) = f.head;
-                let s = segment_of(&grid.row_bounds, i);
-                let t = segment_of(&grid.col_bounds, j);
+                let s = segment_of(&grid.row_bounds, i.max(1));
+                let t = segment_of(&grid.col_bounds, j.max(1));
                 let r0 = grid.row_bounds[s];
                 let r1 = grid.row_bounds[s + 1];
                 let c0 = grid.col_bounds[t];
                 let c1 = grid.col_bounds[t + 1];
-                let sub_top = grid.cached_row(s, t).unwrap_or(&f.top[c0..=c1]).to_vec();
-                let sub_left = grid.cached_col(s, t).unwrap_or(&f.left[r0..=r1]).to_vec();
+                let (mut sub_top, mut sub_left) = (Vec::new(), Vec::new());
+                grid.block_top(s, t, &f.top, &mut sub_top);
+                grid.block_left(s, t, &f.left, &mut sub_left);
                 let child = Frame {
                     r0: f.r0 + r0,
                     c0: f.c0 + c0,
@@ -439,6 +508,7 @@ impl<'s> Solver<'s> {
                     top: sub_top,
                     left: sub_left,
                     head: (i - r0, j - c0),
+                    head_state: f.head_state,
                     grid: None,
                     grid_guard: None,
                 };
@@ -459,7 +529,7 @@ impl<'s> Solver<'s> {
             let cells = (f.rows + 1).saturating_mul(f.cols + 1);
             let is_base = cells <= self.config.base_cells || f.rows < 2 || f.cols < 2;
             if is_base {
-                if let Err(e) = self.reserve_base(cells) {
+                if let Err(e) = self.reserve_base(self.base_layer_len(f.rows, f.cols)) {
                     return Err(self.fail_with_snapshot(out, e));
                 }
             }
@@ -471,14 +541,17 @@ impl<'s> Solver<'s> {
             let fb = &b[frame.c0..frame.c0 + frame.cols];
 
             if is_base {
-                let local_exit = self.base_case(fa, fb, &frame.top, &frame.left, frame.head, out);
+                let (local_exit, state) = self.base_case(fa, fb, &frame, out);
                 self.blocks_done += 1;
                 if let Some(obs) = &self.obs {
                     obs.blocks.inc();
                 }
                 let exit = (frame.r0 + local_exit.0, frame.c0 + local_exit.1);
                 match self.frames.last_mut() {
-                    Some(p) => p.head = (exit.0 - p.r0, exit.1 - p.c0),
+                    Some(p) => {
+                        p.head = (exit.0 - p.r0, exit.1 - p.c0);
+                        p.head_state = state;
+                    }
                     None => return Ok(exit),
                 }
                 continue;
@@ -543,7 +616,8 @@ impl<'s> Solver<'s> {
         let (rows, cols) = (frame.rows, frame.cols);
         let k_r = self.config.k.min(rows);
         let k_c = self.config.k.min(cols);
-        let mut grid = match Grid::try_new(rows, cols, k_r, k_c, &self.ctx.governor) {
+        let w = line_width(self.scheme.gap());
+        let mut grid = match Grid::try_new(rows, cols, k_r, k_c, w, &self.ctx.governor) {
             Ok(g) => g,
             Err(e) => return Err((frame, e)),
         };
@@ -659,6 +733,7 @@ impl<'s> Solver<'s> {
                     rows: f.rows,
                     cols: f.cols,
                     head: f.head,
+                    head_state: f.head_state,
                     top: f.top.clone(),
                     left: f.left.clone(),
                     grid: f.grid.as_ref().map(|g| GridState {
@@ -675,41 +750,80 @@ impl<'s> Solver<'s> {
     /// Figure 2's BASE CASE: full-matrix solve in the reserved buffer,
     /// on this thread and the vector kernel at any thread count (a
     /// base case is too small to repay tiling it over the pool; DESIGN.md
-    /// §6). The drive loop has already reserved room for it (see
+    /// §6), then the traceback from the frame's head in its state. The
+    /// drive loop has already reserved room for it (see
     /// [`Solver::reserve_base`]), so it returns no error.
     fn base_case(
         &mut self,
         a: &[u8],
         b: &[u8],
-        top: &[i32],
-        left: &[i32],
-        head: (usize, usize),
+        frame: &Frame<'_>,
         out: &mut PathBuilder,
-    ) -> (usize, usize) {
+    ) -> ((usize, usize), GapState) {
         let (rows, cols) = (a.len(), b.len());
+        let (top, left, head) = (&frame.top, &frame.left, frame.head);
         self.log.events.push(CostEvent::BaseFill { rows, cols });
 
         self.set_phase(flsa_metrics::names::PHASE_BASE_CASE);
         let fill_start = self.recorder().map(Recorder::now_ns);
-        let storage = std::mem::take(&mut self.base_storage);
-        let dpm =
-            self.kernel
-                .fill_full_reusing(a, b, top, left, self.scheme, storage, self.metrics);
-        self.record_span(fill_start, SpanKind::BaseCase, rows, cols, 0, 0);
-        self.metrics.add_base_case_cells(rows as u64 * cols as u64);
-
         let before = out.len();
-        self.set_phase(flsa_metrics::names::PHASE_TRACEBACK);
-        let trace_start = self.recorder().map(Recorder::now_ns);
-        let exit = trace_from(&dpm, a, b, self.scheme, head, out, self.metrics);
+        // Each arm returns its buffers for the next base case.
+        let (exit, trace_start) = match self.scheme.gap() {
+            GapModel::Linear { .. } => {
+                let storage = std::mem::take(&mut self.base[0]);
+                let dpm = self.kernel.fill_full_reusing(
+                    a,
+                    b,
+                    top,
+                    left,
+                    self.scheme,
+                    storage,
+                    self.metrics,
+                );
+                let trace_start = self.end_base_fill(fill_start, rows, cols);
+                let exit = trace_from(&dpm, a, b, self.scheme, head, out, self.metrics);
+                self.base[0] = dpm.into_vec();
+                ((exit, GapState::H), trace_start)
+            }
+            GapModel::Affine { .. } => {
+                let storage = std::mem::take(&mut self.base);
+                let mats = self.kernel.fill_affine_full_reusing(
+                    a,
+                    b,
+                    affine_boundary(top, left),
+                    self.scheme,
+                    storage,
+                    self.metrics,
+                );
+                let trace_start = self.end_base_fill(fill_start, rows, cols);
+                let exit = trace_affine(
+                    &mats,
+                    a,
+                    b,
+                    self.scheme,
+                    head,
+                    frame.head_state,
+                    out,
+                    self.metrics,
+                );
+                self.base = mats.into_storage();
+                (exit, trace_start)
+            }
+        };
         self.record_span(trace_start, SpanKind::Traceback, rows, cols, 0, 0);
         self.log.events.push(CostEvent::Trace {
             steps: (out.len() - before) as u64,
         });
-
-        // Return the buffer for the next base case.
-        self.base_storage = dpm.into_vec();
         exit
+    }
+
+    /// Closes a base case's fill: records its span and cells, and opens
+    /// the traceback phase, returning the traceback's start time.
+    fn end_base_fill(&self, fill_start: Option<u64>, rows: usize, cols: usize) -> Option<u64> {
+        self.record_span(fill_start, SpanKind::BaseCase, rows, cols, 0, 0);
+        self.metrics.add_base_case_cells(rows as u64 * cols as u64);
+        self.set_phase(flsa_metrics::names::PHASE_TRACEBACK);
+        self.recorder().map(Recorder::now_ns)
     }
 
     /// Sequential fillGridCache: every block except the bottom-right one,
@@ -724,6 +838,7 @@ impl<'s> Solver<'s> {
     ) {
         let k_r = grid.k_r();
         let k_c = grid.k_c();
+        let affine = matches!(self.scheme.gap(), GapModel::Affine { .. });
         let mut top_buf: Vec<i32> = Vec::new();
         let mut left_buf: Vec<i32> = Vec::new();
         for s in 0..k_r {
@@ -738,10 +853,12 @@ impl<'s> Solver<'s> {
 
                 // Copy the input boundary out of the grid first so the
                 // output borrows below don't conflict.
-                top_buf.clear();
-                top_buf.extend_from_slice(grid.cached_row(s, t).unwrap_or(&top[c0..=c1]));
-                left_buf.clear();
-                left_buf.extend_from_slice(grid.cached_col(s, t).unwrap_or(&left[r0..=r1]));
+                grid.block_top(s, t, top, &mut top_buf);
+                grid.block_left(s, t, left, &mut left_buf);
+                if affine {
+                    self.fill_block_affine(a, b, (s, t), &top_buf, &left_buf, grid);
+                    continue;
+                }
 
                 self.scratch_row.resize(c1 - c0 + 1, 0);
                 self.scratch_col.resize(r1 - r0 + 1, 0);
@@ -765,6 +882,78 @@ impl<'s> Solver<'s> {
             }
         }
     }
+
+    /// Fills block `(s, t)` of an affine grid from its input lines (`H`
+    /// then `F` on top, `H` then `E` on the left) and stores its bottom
+    /// `H`/`F` and right `H`/`E` edges on the grid lines below and right
+    /// of it. The edge buffers come from the kernel's arena and go back
+    /// to it.
+    fn fill_block_affine(
+        &mut self,
+        a: &[u8],
+        b: &[u8],
+        (s, t): (usize, usize),
+        top: &[i32],
+        left: &[i32],
+        grid: &mut Grid,
+    ) {
+        let (rows, cols) = (a.len(), b.len());
+        let r0 = grid.row_bounds[s];
+        let r1 = grid.row_bounds[s + 1];
+        let c0 = grid.col_bounds[t];
+        let c1 = grid.col_bounds[t + 1];
+        let edges = self.kernel.fill_affine_edges_in(
+            &a[r0..r1],
+            &b[c0..c1],
+            affine_boundary(top, left),
+            self.scheme,
+            self.metrics,
+        );
+        if s + 1 < grid.k_r() {
+            let (h, v) = grid.rows_cache[s].split_at_mut(cols + 1);
+            h[c0..=c1].copy_from_slice(&edges.bottom_h);
+            // bottom_v[0] is a placeholder (the kernel never updates the
+            // V entry of its own left edge); the true corner value is the
+            // *left* neighbour's bottom_v last element, already in place.
+            // Skip index 0 so it is not clobbered.
+            v[c0 + 1..=c1].copy_from_slice(&edges.bottom_v[1..]);
+        }
+        if t + 1 < grid.k_c() {
+            let (h, e) = grid.cols_cache[t].split_at_mut(rows + 1);
+            h[r0..=r1].copy_from_slice(&edges.right_h);
+            // right_e[0] is a placeholder; keep the true value already
+            // present from the block above (or NEG at the very top, where
+            // no cell reads it).
+            e[r0 + 1..=r1].copy_from_slice(&edges.right_e[1..]);
+        }
+        edges.recycle(self.kernel.arena());
+    }
+}
+
+/// The affine kernels' view of a rectangle's two-layer input lines: `H`
+/// then `F` on top, `H` then `E` on the left.
+fn affine_boundary<'a>(top: &'a [i32], left: &'a [i32]) -> AffineBoundary<'a> {
+    let (top_h, top_v) = top.split_at(top.len() / 2);
+    let (left_h, left_e) = left.split_at(left.len() / 2);
+    AffineBoundary {
+        top_h,
+        top_v,
+        left_h,
+        left_e,
+    }
+}
+
+/// Whether a head in `state` at `(i, j)` is on its rectangle's exit
+/// boundary: a head in `H` leaves on the top row or left column, a head
+/// inside a vertical run (`F`) only on the top row, and one inside a
+/// horizontal run (`E`) only on the left column. Linear heads are
+/// always in `H`.
+fn exited((i, j): (usize, usize), state: GapState) -> bool {
+    match state {
+        GapState::H => i == 0 || j == 0,
+        GapState::F => i == 0,
+        GapState::E => j == 0,
+    }
 }
 
 impl Drop for Solver<'_> {
@@ -772,7 +961,9 @@ impl Drop for Solver<'_> {
     /// the governor, whether the run completed or failed, so its
     /// reserved-bytes gauge reads 0 after a completed run.
     fn drop(&mut self) {
-        self.ctx.governor.release_i32(self.base_reserved);
+        self.ctx
+            .governor
+            .release_i32(self.base_layers() * self.base_reserved);
         self.ctx.governor.release_bytes(self.arena_charged);
     }
 }

@@ -5,7 +5,7 @@
 /// The paper (and all of its experiments) uses a linear model: every gap
 /// symbol costs the same fixed penalty. The affine model (Gotoh) is
 /// provided as the conventional production extension; the full-matrix
-/// (Gotoh), Myers–Miller and FastLSA affine aligners support it (see
+/// (Gotoh), Myers–Miller and FastLSA aligners support it (see
 /// DESIGN.md §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GapModel {
@@ -53,18 +53,19 @@ impl GapModel {
     ///
     /// # Panics
     ///
-    /// Panics on an affine model: the linear-space algorithms (FastLSA,
-    /// Hirschberg) are defined for linear gaps only, and silently dropping
-    /// the open cost would produce wrong scores.
+    /// Panics on an affine model: the linear kernels, Hirschberg and the
+    /// linear full-matrix aligners are defined for linear gaps only, and
+    /// silently dropping the open cost would produce wrong scores.
     pub fn linear_penalty(&self) -> i32 {
         match *self {
             GapModel::Linear { penalty } => penalty,
             GapModel::Affine { .. } => {
                 // flsa-check: allow(panic) — documented `# Panics`
-                // contract: the linear entry points reject an affine
-                // scheme up front (fastlsa-core's `require_linear`,
-                // ConfigError::GapModelNotLinear), so the DP kernels only
-                // call this after admission.
+                // contract: only linear-gap paths call this. The FastLSA
+                // solver matches on the gap model and sends an affine
+                // scheme to the affine kernels, refusing its parallel fill
+                // up front (ConfigError::GapModelNotLinear); the shard
+                // fleet, serve and `flsa batch` build linear schemes.
                 panic!("this aligner supports linear gap penalties only (paper's model)")
             }
         }

@@ -1,11 +1,20 @@
 //! Cross-checks of the affine-gap extension: the linear-space
-//! Myers–Miller implementation against the full-matrix Gotoh oracle, and
-//! the degenerate relationships back to the linear-gap algorithms.
+//! Myers–Miller implementation and affine FastLSA against the full-matrix
+//! Gotoh oracle, the degenerate relationships back to the linear-gap
+//! algorithms, and affine runs under the one solver's options
+//! (checkpoint/resume, cancellation, the memory governor's ladder).
 
+use std::sync::{Arc, Mutex};
+
+use fastlsa::core::{
+    align_affine, align_resume, CheckpointPolicy, CheckpointSink, CheckpointState, FrameState,
+};
+use fastlsa::dp::affine::{AffineGlobalBoundary, GapState};
 use fastlsa::fullmatrix::gotoh::gotoh;
 use fastlsa::hirschberg::myers_miller_affine;
 use fastlsa::prelude::*;
 use fastlsa::scoring::tables;
+use fastlsa::FaultHooks;
 use proptest::prelude::*;
 
 fn to_seq(codes: &[u8]) -> Sequence {
@@ -51,7 +60,7 @@ proptest! {
         let sb = to_seq(&b);
         let metrics = Metrics::new();
         let full = gotoh(&sa, &sb, &scheme, &metrics);
-        let fl = fastlsa::core::align_affine(&sa, &sb, &scheme, FastLsaConfig::new(k, base), &metrics).unwrap();
+        let fl = align_affine(&sa, &sb, &scheme, FastLsaConfig::new(k, base), &metrics).unwrap();
         prop_assert_eq!(fl.score, full.score);
         prop_assert!(fl.path.is_global(sa.len(), sb.len()));
         prop_assert_eq!(fl.path.score(&sa, &sb, &scheme), fl.score);
@@ -124,29 +133,23 @@ proptest! {
     }
 }
 
-/// The linear-gap entry points refuse an affine scheme with a typed
-/// error before any work, rather than panicking inside the linear
-/// kernels; `align_affine` stays the affine entry point.
-#[test]
-fn linear_entry_points_refuse_an_affine_scheme_with_a_typed_error() {
-    use fastlsa::core::{align_resume, CheckpointState, FrameState};
+/// An affine scheme on DNA with the given open and extend scores.
+fn affine(open: i32, extend: i32) -> ScoringScheme {
+    ScoringScheme::new(tables::dna_default(), GapModel::affine(open, extend))
+}
 
-    let scheme = ScoringScheme::new(tables::dna_default(), GapModel::affine(-11, -1));
-    let (a, b) = generate::homologous_pair("t", &Alphabet::dna(), 300, 0.8, 5).unwrap();
-    let config = FastLsaConfig::new(4, 1 << 12);
-    let opts = AlignOptions::default();
-    let metrics = Metrics::new();
-    let refused = |what: &str, got: Result<(), AlignError>| {
-        assert_eq!(
-            got,
-            Err(AlignError::Config(ConfigError::GapModelNotLinear)),
-            "{what}"
-        );
-    };
-    let ramp = |len: usize| (0..=len as i32).map(|k| -11 * k).collect::<Vec<i32>>();
-    // A snapshot taken before any work: the whole problem, head at the
-    // bottom-right corner.
-    let state = CheckpointState {
+/// The whole affine problem before any work, as a snapshot: the root
+/// frame, head at the bottom-right corner in `H`, and `H`-then-gap-layer
+/// boundary lines.
+fn root_snapshot(
+    a: &Sequence,
+    b: &Sequence,
+    scheme: &ScoringScheme,
+    config: FastLsaConfig,
+) -> CheckpointState {
+    let (open, extend) = fastlsa::dp::affine::affine_params(scheme);
+    let g = AffineGlobalBoundary::new(a.len(), b.len(), open, extend);
+    CheckpointState {
         config,
         blocks_done: 0,
         generation: 0,
@@ -157,37 +160,225 @@ fn linear_entry_points_refuse_an_affine_scheme_with_a_typed_error() {
             rows: a.len(),
             cols: b.len(),
             head: (a.len(), b.len()),
-            top: ramp(b.len()),
-            left: ramp(a.len()),
+            head_state: GapState::H,
+            top: [g.top_h, g.top_v].concat(),
+            left: [g.left_h, g.left_e].concat(),
             grid: None,
         }],
-    };
+    }
+}
 
-    refused("align", fastlsa::align(&a, &b, &scheme, &metrics).map(drop));
-    refused(
-        "align_with",
-        fastlsa::align_with(&a, &b, &scheme, config.with_threads(2), &metrics).map(drop),
-    );
-    refused(
-        "align_opts",
-        fastlsa::align_opts(&a, &b, &scheme, config, &opts, &metrics).map(drop),
-    );
-    refused(
-        "align_resume",
-        align_resume(&a, &b, &scheme, state, &opts, &metrics).map(drop),
-    );
-    refused(
-        "align_traced",
-        fastlsa::align_traced(&a, &b, &scheme, config, &metrics).map(drop),
+/// Every FastLSA entry point takes the gap model from the scheme: an
+/// affine scheme runs on the one solver and returns Gotoh's optimum and
+/// path. Only the wavefront-parallel fill stays linear, and a parallel
+/// affine configuration is refused with a typed error before any work.
+#[test]
+fn every_entry_point_runs_an_affine_scheme_on_the_one_solver() {
+    let scheme = affine(-11, -1);
+    let (a, b) = generate::homologous_pair("t", &Alphabet::dna(), 300, 0.8, 5).unwrap();
+    let config = FastLsaConfig::new(4, 1 << 12);
+    let opts = AlignOptions::default();
+    let want = gotoh(&a, &b, &scheme, &Metrics::new());
+    let runs = [
+        ("align", fastlsa::align(&a, &b, &scheme, &Metrics::new())),
+        (
+            "align_with",
+            fastlsa::align_with(&a, &b, &scheme, config, &Metrics::new()),
+        ),
+        (
+            "align_opts",
+            fastlsa::align_opts(&a, &b, &scheme, config, &opts, &Metrics::new()),
+        ),
+        (
+            "align_resume",
+            align_resume(
+                &a,
+                &b,
+                &scheme,
+                root_snapshot(&a, &b, &scheme, config),
+                &opts,
+                &Metrics::new(),
+            ),
+        ),
+        (
+            "align_affine",
+            align_affine(&a, &b, &scheme, config, &Metrics::new()),
+        ),
+    ];
+    for (what, got) in runs {
+        let r = got.unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(r.score, want.score, "{what}");
+        assert_eq!(r.path, want.path, "{what}");
+    }
+
+    let metrics = Metrics::new();
+    let got = fastlsa::align_with(&a, &b, &scheme, config.with_threads(2), &metrics);
+    assert_eq!(
+        got.map(drop),
+        Err(AlignError::Config(ConfigError::GapModelNotLinear))
     );
     assert_eq!(
         metrics.snapshot().cells_computed,
         0,
         "no work before the error"
     );
+}
 
-    let r = fastlsa::core::align_affine(&a, &b, &scheme, config, &metrics).unwrap();
-    assert_eq!(r.path.score(&a, &b, &scheme), r.score);
+/// Keeps every snapshot a run saves.
+#[derive(Default)]
+struct CaptureSink(Mutex<Vec<CheckpointState>>);
+
+impl CheckpointSink for CaptureSink {
+    fn save(&self, state: &CheckpointState) -> Result<u64, String> {
+        self.0.lock().unwrap().push(state.clone());
+        Ok(0)
+    }
+}
+
+/// Resuming an affine run from any of its snapshots, some of them with a
+/// path head inside a gap run, lands on the uninterrupted answer.
+#[test]
+fn resuming_any_affine_snapshot_reproduces_the_run() {
+    let scheme = affine(-12, -1);
+    let (a, b) = generate::homologous_pair("t", &Alphabet::dna(), 400, 0.75, 7).unwrap();
+    let config = FastLsaConfig::new(4, 512);
+    let reference = align_affine(&a, &b, &scheme, config, &Metrics::new()).unwrap();
+    let sink = Arc::new(CaptureSink::default());
+    let opts = AlignOptions {
+        checkpoint: Some(CheckpointPolicy::new(1, sink.clone())),
+        ..AlignOptions::default()
+    };
+    let run = fastlsa::align_opts(&a, &b, &scheme, config, &opts, &Metrics::new()).unwrap();
+    assert_eq!(run.path, reference.path);
+    let states = sink.0.lock().unwrap().clone();
+    assert!(states.len() > 5, "only {} snapshots", states.len());
+    for (i, state) in states.into_iter().enumerate() {
+        let r = align_resume(
+            &a,
+            &b,
+            &scheme,
+            state,
+            &AlignOptions::default(),
+            &Metrics::new(),
+        )
+        .unwrap();
+        assert_eq!(r.score, reference.score, "snapshot {i}");
+        assert_eq!(r.path, reference.path, "snapshot {i}");
+    }
+}
+
+/// Cancelling an affine run forces a final snapshot, and that snapshot
+/// resumes to the uninterrupted answer.
+#[test]
+fn a_cancelled_affine_run_resumes_from_its_forced_snapshot() {
+    struct CancelAt(u64, CancelToken);
+    impl FaultHooks for CancelAt {
+        fn on_step(&self, step: u64) {
+            if step == self.0 {
+                self.1.cancel();
+            }
+        }
+    }
+    let scheme = affine(-10, -2);
+    let (a, b) = generate::homologous_pair("t", &Alphabet::dna(), 350, 0.8, 13).unwrap();
+    let config = FastLsaConfig::new(4, 256);
+    let reference = align_affine(&a, &b, &scheme, config, &Metrics::new()).unwrap();
+    for at in [2u64, 5, 9, 14] {
+        let token = CancelToken::new();
+        let sink = Arc::new(CaptureSink::default());
+        let opts = AlignOptions {
+            cancel: Some(token.clone()),
+            hooks: Some(Arc::new(CancelAt(at, token))),
+            // Only the forced snapshot can fire before the cancellation.
+            checkpoint: Some(CheckpointPolicy::new(u64::MAX, sink.clone())),
+            ..AlignOptions::default()
+        };
+        let err = fastlsa::align_opts(&a, &b, &scheme, config, &opts, &Metrics::new());
+        assert_eq!(err.map(drop), Err(AlignError::Cancelled), "cancel at {at}");
+        let state = sink.0.lock().unwrap().pop().expect("a forced snapshot");
+        let r = align_resume(
+            &a,
+            &b,
+            &scheme,
+            state,
+            &AlignOptions::default(),
+            &Metrics::new(),
+        )
+        .unwrap();
+        assert_eq!(r.score, reference.score, "cancel at {at}");
+        assert_eq!(r.path, reference.path, "cancel at {at}");
+    }
+}
+
+/// A byte budget too small for the first rung's three Base Case layers
+/// walks the degradation ladder instead of failing, and the degraded run
+/// still finds Gotoh's optimum.
+#[test]
+fn an_affine_budget_below_the_first_rung_degrades_to_gotohs_answer() {
+    use fastlsa::metrics::{names, Registry};
+    let scheme = affine(-11, -1);
+    let (a, b) = generate::homologous_pair("t", &Alphabet::dna(), 200, 0.8, 23).unwrap();
+    let reg = Arc::new(Registry::new());
+    let opts = AlignOptions {
+        budget_bytes: Some(64 << 10),
+        registry: Some(reg.clone()),
+        ..AlignOptions::default()
+    };
+    let config = FastLsaConfig::new(4, 1 << 20);
+    let r = fastlsa::align_opts(&a, &b, &scheme, config, &opts, &Metrics::new()).unwrap();
+    assert_eq!(r.score, gotoh(&a, &b, &scheme, &Metrics::new()).score);
+    let snap = reg.snapshot();
+    assert!(snap.counter(names::DEGRADE_STEPS_TOTAL).unwrap() >= 1);
+    assert!(snap.counter(names::MEM_REFUSED_TOTAL).unwrap() >= 1);
+}
+
+/// A 40-base gap with k=4 and a tiny base case: the run crosses several
+/// grid rows, exercising the stateful head repeatedly.
+#[test]
+fn long_gap_crossing_many_grid_lines() {
+    let scheme = affine(-30, -1);
+    let core = "ACGTACGTACGTACGTACGT";
+    let a = Sequence::from_str(
+        "a",
+        scheme.alphabet(),
+        &format!("{core}{}{core}", "C".repeat(40)),
+    )
+    .unwrap();
+    let b = Sequence::from_str("b", scheme.alphabet(), &format!("{core}{core}")).unwrap();
+    let metrics = Metrics::new();
+    let oracle = gotoh(&a, &b, &scheme, &metrics);
+    let r = align_affine(&a, &b, &scheme, FastLsaConfig::new(4, 64), &metrics).unwrap();
+    assert_eq!(r.score, oracle.score);
+    // The 40 Ups must be one contiguous run (single open), otherwise the
+    // rescore would fall short of the oracle.
+    let ups: Vec<usize> = r
+        .path
+        .moves()
+        .iter()
+        .enumerate()
+        .filter(|(_, &m)| m == Move::Up)
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(ups.len(), 40);
+    assert!(ups.windows(2).all(|w| w[1] == w[0] + 1));
+}
+
+/// Affine FastLSA's footprint stays a small fraction of Gotoh's three
+/// full layers.
+#[test]
+fn memory_stays_linear() {
+    let scheme = affine(-10, -2);
+    let (a, b) = generate::homologous_pair("t", &Alphabet::dna(), 1500, 0.85, 4).unwrap();
+    let m_fl = Metrics::new();
+    align_affine(&a, &b, &scheme, FastLsaConfig::new(8, 1 << 12), &m_fl).unwrap();
+    let m_g = Metrics::new();
+    gotoh(&a, &b, &scheme, &m_g);
+    assert!(
+        m_fl.snapshot().peak_bytes * 10 < m_g.snapshot().peak_bytes,
+        "fastlsa-affine {} vs gotoh {}",
+        m_fl.snapshot().peak_bytes,
+        m_g.snapshot().peak_bytes
+    );
 }
 
 /// A pair that fits one base case tracks exactly its three affine layers
@@ -203,7 +394,7 @@ fn one_base_case_tracks_exactly_three_lined_layers() {
         let (a, b) = generate::homologous_pair("t", &Alphabet::protein(), len, 0.8, seed).unwrap();
         let metrics = Metrics::new();
         let config = FastLsaConfig::new(4, 1 << 20);
-        let r = fastlsa::core::align_affine(&a, &b, &scheme, config, &metrics).unwrap();
+        let r = align_affine(&a, &b, &scheme, config, &metrics).unwrap();
         assert_eq!(r.score, gotoh(&a, &b, &scheme, &Metrics::new()).score);
         let layer = ScoreMatrix::lined_len(a.len(), b.len()) * std::mem::size_of::<i32>();
         assert_eq!(

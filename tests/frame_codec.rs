@@ -16,7 +16,7 @@ use std::sync::Arc;
 use fastlsa_core::{align_opts, AlignOptions, CheckpointPolicy, FastLsaConfig};
 use flsa_checkpoint::{MemorySink, SnapshotMeta, FORMAT_VERSION, MAGIC};
 use flsa_dp::Metrics;
-use flsa_scoring::ScoringScheme;
+use flsa_scoring::{tables, GapModel, ScoringScheme};
 use flsa_seq::generate::homologous_pair;
 use flsa_seq::Alphabet;
 use flsa_serve::wire::{AlignRequest, Frame};
@@ -174,31 +174,38 @@ fn spool_request_file() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A linear and an affine snapshot, the latter with two-layer lines and
+/// head states.
 #[test]
 fn checkpoint_snapshot() {
-    let scheme = ScoringScheme::dna_default();
-    let (a, b) = homologous_pair("fuzz", &Alphabet::dna(), 48, 0.8, 21).unwrap();
-    let sink = Arc::new(MemorySink::new(SnapshotMeta::for_run(
-        "dna", &scheme, &a, &b, 1,
-    )));
-    let opts = AlignOptions {
-        checkpoint: Some(CheckpointPolicy::new(1, sink.clone())),
-        ..AlignOptions::default()
-    };
-    let config = FastLsaConfig::new(2, 64);
-    align_opts(&a, &b, &scheme, config, &opts, &Metrics::new()).unwrap();
-    // A middle snapshot: grid caches, a partial path, several frames.
-    let snapshots = sink.snapshots();
-    let bytes = &snapshots[snapshots.len() / 2];
-    assert!(flsa_checkpoint::decode(bytes).unwrap().state.frames.len() >= 2);
-    // The first section's length follows the magic and the version; the
-    // cap is the bytes present from there on.
-    let len_at = MAGIC.len() + std::mem::size_of_val(&FORMAT_VERSION);
-    sweep(
-        "checkpoint",
-        bytes,
-        len_at,
-        bytes.len() - len_at,
-        flsa_checkpoint::decode,
-    );
+    let affine = ScoringScheme::new(tables::dna_default(), GapModel::affine(-10, -1));
+    for (name, scheme) in [
+        ("linear checkpoint", ScoringScheme::dna_default()),
+        ("affine checkpoint", affine),
+    ] {
+        let (a, b) = homologous_pair("fuzz", &Alphabet::dna(), 48, 0.8, 21).unwrap();
+        let sink = Arc::new(MemorySink::new(SnapshotMeta::for_run(
+            "dna", &scheme, &a, &b, 1,
+        )));
+        let opts = AlignOptions {
+            checkpoint: Some(CheckpointPolicy::new(1, sink.clone())),
+            ..AlignOptions::default()
+        };
+        let config = FastLsaConfig::new(2, 64);
+        align_opts(&a, &b, &scheme, config, &opts, &Metrics::new()).unwrap();
+        // A middle snapshot: grid caches, a partial path, several frames.
+        let snapshots = sink.snapshots();
+        let bytes = &snapshots[snapshots.len() / 2];
+        assert!(flsa_checkpoint::decode(bytes).unwrap().state.frames.len() >= 2);
+        // The first section's length follows the magic and the version;
+        // the cap is the bytes present from there on.
+        let len_at = MAGIC.len() + std::mem::size_of_val(&FORMAT_VERSION);
+        sweep(
+            name,
+            bytes,
+            len_at,
+            bytes.len() - len_at,
+            flsa_checkpoint::decode,
+        );
+    }
 }

@@ -6,7 +6,9 @@
 //!     starts before both of its parents ended;
 //! (c) the measured per-fill ramp-up/saturated/drain census equals the §5
 //!     analytical census (`phase_breakdown`) of the same live tile set,
-//!     and on a hole-free grid the closed-form census with no mask.
+//!     and on a hole-free grid the closed-form census with no mask;
+//! (d) an affine run records the same recursion spans, properly nested,
+//!     with every kernel call inside a fill span.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -226,4 +228,66 @@ fn export_round_trip_preserves_a_real_trace() {
     assert_eq!(a0.kernel_cells, a1.kernel_cells);
     assert_eq!(a0.fills.len(), a1.fills.len());
     assert_eq!(a0.threads.len(), a1.threads.len());
+}
+
+/// Affine FastLSA runs on the one solver, so it records the linear run's
+/// spans: FillCache, BaseCase and Traceback spans that nest (never
+/// overlap partially), and every kernel event inside a FillCache or
+/// BaseCase span, whose cells add up to `cells_computed`.
+#[test]
+fn affine_spans_nest_and_hold_every_kernel_cell() {
+    let scheme = ScoringScheme::new(
+        fastlsa::scoring::tables::blosum62(),
+        GapModel::affine(-11, -1),
+    );
+    let (a, b) = generate::homologous_pair("t", &Alphabet::protein(), 900, 0.7, 3).unwrap();
+    let recorder = Arc::new(Recorder::new());
+    let metrics = Metrics::with_recorder(Arc::clone(&recorder));
+    let cfg = FastLsaConfig::new(4, 1 << 14);
+    let result = fastlsa::core::align_affine(&a, &b, &scheme, cfg, &metrics).unwrap();
+    assert_eq!(result.path.score(&a, &b, &scheme), result.score);
+    let (trace, snap) = (recorder.snapshot(), metrics.snapshot());
+
+    let mut spans: Vec<(u64, u64, SpanKind)> = trace
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Span { kind, .. } => Some((e.start_ns, e.end_ns, kind)),
+            _ => None,
+        })
+        .collect();
+    // Parents sort before their children: by start, longest first.
+    spans.sort_by_key(|&(start, end, _)| (start, std::cmp::Reverse(end)));
+    let mut open: Vec<u64> = Vec::new();
+    for &(start, end, kind) in &spans {
+        while open.last().is_some_and(|&top| top <= start) {
+            open.pop();
+        }
+        if let Some(&top) = open.last() {
+            assert!(
+                end <= top,
+                "{kind:?} span overlaps its parent without nesting"
+            );
+        }
+        open.push(end);
+    }
+    let count = |k: SpanKind| spans.iter().filter(|s| s.2 == k).count();
+    assert!(count(SpanKind::FillCache) > 0 && count(SpanKind::BaseCase) > 0);
+    assert!(count(SpanKind::Traceback) > 0);
+
+    let mut inside = 0u64;
+    for e in &trace.events {
+        if let EventKind::Kernel { cells, .. } = e.kind {
+            let owner = spans.iter().find(|&&(start, end, kind)| {
+                kind != SpanKind::Traceback && start <= e.start_ns && e.start_ns <= end
+            });
+            assert!(
+                owner.is_some(),
+                "kernel event at {} ns outside every fill span",
+                e.start_ns
+            );
+            inside += cells;
+        }
+    }
+    assert_eq!(inside, snap.cells_computed);
 }
