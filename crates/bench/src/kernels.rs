@@ -11,7 +11,11 @@
 //! FastLSA's grid fill — per backend on a homologous protein pair under
 //! BLOSUM62 with gaps −11/−1, and, report-only, its base case
 //! [`Kernel::fill_affine_full_reusing`] (three lined layers in reused
-//! buffers) at sides up to 1,024. The JSON report (`BENCH_kernels.json`)
+//! buffers) at sides up to 1,024. Another report-only sweep times the
+//! linear DNA base case as the solver runs it, at sides up to 1,024:
+//! [`Kernel::fill_base_reusing`] into one reused buffer (on AVX-512 with
+//! VBMI, the byte band's traceback codes) plus the traceback from the
+//! bottom-right corner. The JSON report (`BENCH_kernels.json`)
 //! opens with the [`HostStamp`] so numbers are comparable across
 //! machines, and `--gate F` turns the sweep into a regression gate: it
 //! fails unless the best vectorized backend reaches `F`× the scalar
@@ -22,7 +26,7 @@
 use std::time::Instant;
 
 use flsa_dp::affine::AffineGlobalBoundary;
-use flsa_dp::{Boundary, Kernel, KernelBackend, Metrics};
+use flsa_dp::{Boundary, Kernel, KernelBackend, Metrics, PathBuilder};
 use flsa_scoring::{tables, GapModel, ScoringScheme};
 use flsa_seq::generate::homologous_pair;
 use flsa_seq::Alphabet;
@@ -61,9 +65,10 @@ impl KernelBenchCase {
 /// Gap open and extend of the affine measurement (the protein default).
 const AFFINE_GAP: (i32, i32) = (-11, -1);
 
-/// Largest requested side the affine base-case sweep fills: its three
-/// full layers at 10,000² would take 1.2 GB.
-const AFFINE_FULL_MAX_LEN: usize = 1024;
+/// Largest requested side the base-case sweeps fill: the affine one's
+/// three full layers at 10,000² would take 1.2 GB, and the solver's base
+/// cases hold at most 1 Mi cells by default.
+const BASE_CASE_MAX_LEN: usize = 1024;
 
 /// Linear gap penalty of the protein measurement.
 const PROTEIN_GAP: i32 = -10;
@@ -101,6 +106,10 @@ pub struct KernelBenchReport {
     /// Affine base-case (full-fill) measurements at the lengths up to
     /// 1,024, grouped like `cases`; reported, not gated.
     pub affine_full: Vec<KernelBenchCase>,
+    /// Linear DNA base-case measurements (fill plus traceback from the
+    /// corner) at the lengths up to 1,024, grouped like `cases`;
+    /// reported, not gated.
+    pub base_case: Vec<KernelBenchCase>,
     /// The machine the sweep ran on.
     pub host: HostStamp,
 }
@@ -163,6 +172,8 @@ impl KernelBenchReport {
         push_cases_json(&mut out, &self.affine);
         out.push_str("  ],\n  \"affine_full\": [\n");
         push_cases_json(&mut out, &self.affine_full);
+        out.push_str("  ],\n  \"base_case\": [\n");
+        push_cases_json(&mut out, &self.base_case);
         out.push_str("  ],\n  \"protein\": [\n");
         push_cases_json(&mut out, &self.protein);
         out.push_str("  ],\n  \"results\": [\n");
@@ -193,6 +204,10 @@ impl KernelBenchReport {
                 "affine full fill, reused buffers (protein, BLOSUM62, {open}/{extend}):\n"
             ));
             out.push_str(&render_cases(&self.affine_full));
+        }
+        if !self.base_case.is_empty() {
+            out.push_str("base case, fill + traceback from the corner, reused buffer (DNA):\n");
+            out.push_str(&render_cases(&self.base_case));
         }
         out
     }
@@ -268,6 +283,7 @@ fn best_of(reps: usize, mut fill: impl FnMut()) -> u64 {
 pub fn run(lens: &[usize], reps: usize) -> KernelBenchReport {
     let scheme = ScoringScheme::dna_default();
     let cases = linear_sweep(lens, reps, &scheme, &Alphabet::dna(), 0xbc);
+    let base_case = base_case_sweep(lens, reps, &scheme, 0xbc);
     let protein_scheme = ScoringScheme::new(tables::blosum62(), GapModel::linear(PROTEIN_GAP));
     let protein = linear_sweep(lens, reps, &protein_scheme, &Alphabet::protein(), 0xaf);
     let metrics = Metrics::new();
@@ -294,7 +310,7 @@ pub fn run(lens: &[usize], reps: usize) -> KernelBenchReport {
                 cells,
                 best_ns,
             });
-            if len <= AFFINE_FULL_MAX_LEN {
+            if len <= BASE_CASE_MAX_LEN {
                 // The warmup fill sizes the layers; timed fills reuse them.
                 let mut layers = Default::default();
                 let best_ns = best_of(reps, || {
@@ -324,8 +340,57 @@ pub fn run(lens: &[usize], reps: usize) -> KernelBenchReport {
         protein,
         affine,
         affine_full,
+        base_case,
         host: HostStamp::detect(),
     }
+}
+
+/// The solver's linear base case on a homologous DNA `len × len` pair
+/// under `scheme`, per available backend and length up to
+/// [`BASE_CASE_MAX_LEN`]: [`Kernel::fill_base_reusing`] into one buffer
+/// that every fill reuses, then the traceback from the bottom-right
+/// corner.
+fn base_case_sweep(
+    lens: &[usize],
+    reps: usize,
+    scheme: &ScoringScheme,
+    seed: u64,
+) -> Vec<KernelBenchCase> {
+    let metrics = Metrics::new();
+    let mut cases = Vec::new();
+    for &len in lens.iter().filter(|&&len| len <= BASE_CASE_MAX_LEN) {
+        let (sa, sb) = homologous_pair("bench", &Alphabet::dna(), len, 0.8, seed)
+            .expect("bench sequence generation");
+        let (a, b) = (sa.codes(), sb.codes());
+        let bound = Boundary::global(a.len(), b.len(), scheme.gap().linear_penalty());
+        for backend in KernelBackend::available() {
+            let kernel = Kernel::try_new(backend).expect("available backend");
+            // The warmup solve sizes the buffer; timed solves reuse it.
+            let mut storage = Vec::new();
+            let best_ns = best_of(reps, || {
+                let taken = std::mem::take(&mut storage);
+                let fill = kernel.fill_base_reusing(
+                    a,
+                    b,
+                    &bound.top,
+                    &bound.left,
+                    scheme,
+                    taken,
+                    &metrics,
+                );
+                let mut path = PathBuilder::new();
+                fill.trace(a, b, scheme, (a.len(), b.len()), &mut path, &metrics);
+                storage = fill.into_vec();
+            });
+            cases.push(KernelBenchCase {
+                backend,
+                len,
+                cells: (a.len() * b.len()) as u64,
+                best_ns,
+            });
+        }
+    }
+    cases
 }
 
 /// [`Kernel::fill_last_row`] on a homologous `len × len` pair over
@@ -381,6 +446,7 @@ mod tests {
             &report.protein,
             &report.affine,
             &report.affine_full,
+            &report.base_case,
         ] {
             let backends: Vec<_> = cases.iter().map(|c| c.backend).collect();
             assert_eq!(backends, KernelBackend::available());
@@ -399,9 +465,11 @@ mod tests {
         assert!(json.contains("\"best_backend\""));
         assert!(json.contains("\"affine\": ["));
         assert!(json.contains("\"affine_full\": ["));
+        assert!(json.contains("\"base_case\": ["));
         assert!(json.contains("\"protein\": ["));
         assert!(report.render().contains("affine edge fill"));
         assert!(report.render().contains("affine full fill"));
+        assert!(report.render().contains("base case, fill + traceback"));
         assert!(report.render().contains("row scan (protein"));
         // Balanced braces/brackets — cheap structural sanity.
         assert_eq!(
@@ -434,6 +502,7 @@ mod tests {
                 case(KernelBackend::Avx512, 12_000),
             ],
             affine_full: vec![],
+            base_case: vec![],
             host: HostStamp {
                 cpu_features: vec![],
                 best_backend: KernelBackend::Avx512,

@@ -154,6 +154,15 @@ impl FrameState {
         if self.top.len() != w * (self.cols + 1) || self.left.len() != w * (self.rows + 1) {
             return Err("boundary length does not match the rectangle".into());
         }
+        // Where two lines meet they hold the same cell, so their `H`
+        // layers (each line's first) agree there; every fill asserts it
+        // of its corner.
+        if self.top[0] != self.left[0] {
+            return Err(format!(
+                "boundary corner mismatch: top {} against left {}",
+                self.top[0], self.left[0]
+            ));
+        }
         let Some(g) = &self.grid else { return Ok(()) };
         for (bounds, len, what) in [
             (&g.row_bounds, self.rows, "row"),
@@ -173,6 +182,31 @@ impl FrameState {
             || g.cols_cache.iter().any(|c| c.len() != w * (self.rows + 1))
         {
             return Err("grid cache shape does not match its bounds".into());
+        }
+        // Cached row `s` lies on row `row_bounds[s + 1]` and starts on the
+        // left boundary; cached column `t` lies on column `col_bounds[t + 1]`
+        // and starts on the top boundary; and each row crosses each column.
+        for (s, row) in g.rows_cache.iter().enumerate() {
+            let r = g.row_bounds[s + 1];
+            if row[0] != self.left[r] {
+                return Err(format!("grid row {r} does not start on the left boundary"));
+            }
+            for (t, col) in g.cols_cache.iter().enumerate() {
+                let c = g.col_bounds[t + 1];
+                if row[c] != col[r] {
+                    return Err(format!(
+                        "grid row {r} and column {c} disagree where they cross"
+                    ));
+                }
+            }
+        }
+        for (t, col) in g.cols_cache.iter().enumerate() {
+            let c = g.col_bounds[t + 1];
+            if col[0] != self.top[c] {
+                return Err(format!(
+                    "grid column {c} does not start on the top boundary"
+                ));
+            }
         }
         Ok(())
     }
@@ -307,6 +341,61 @@ mod tests {
             cols_cache: vec![vec![0; 5]],
         });
         assert!(s.validate(4, 6, &LINEAR).is_err());
+    }
+
+    #[test]
+    fn lines_must_agree_where_they_meet() {
+        let mut s = flat_state();
+        s.frames[0].top[0] = 7;
+        assert!(s.validate(4, 6, &LINEAR).is_err(), "boundary corner");
+
+        // The `H` layer of every line: one value per row and column, so
+        // the crossings and the boundary ends below all agree.
+        let h = |i: usize, j: usize| (10 * i + j) as i32;
+        let gridded = |w: usize| {
+            let line = |len: usize, at: &dyn Fn(usize) -> i32| {
+                let mut v: Vec<i32> = (0..=len).map(at).collect();
+                v.resize(w * (len + 1), -1);
+                v
+            };
+            let mut s = flat_state();
+            let f = &mut s.frames[0];
+            f.top = line(6, &|j| h(0, j));
+            f.left = line(4, &|i| h(i, 0));
+            f.grid = Some(GridState {
+                row_bounds: vec![0, 2, 4],
+                col_bounds: vec![0, 3, 6],
+                rows_cache: vec![line(6, &|j| h(2, j))],
+                cols_cache: vec![line(4, &|i| h(i, 3))],
+            });
+            s
+        };
+        let affine = GapModel::affine(-10, -1);
+        for (w, gap) in [(1, LINEAR), (2, affine)] {
+            assert_eq!(gridded(w).validate(4, 6, &gap), Ok(()), "w = {w}");
+            // Off by one where grid row 2 crosses grid column 3.
+            let mut s = gridded(w);
+            if let Some(g) = &mut s.frames[0].grid {
+                g.rows_cache[0][3] += 1;
+            }
+            assert!(s.validate(4, 6, &gap).is_err(), "w = {w}: crossing");
+            // A grid row whose end is off the left boundary, and a grid
+            // column whose end is off the top row.
+            let mut s = gridded(w);
+            if let Some(g) = &mut s.frames[0].grid {
+                g.rows_cache[0][0] += 1;
+            }
+            assert!(s.validate(4, 6, &gap).is_err(), "w = {w}: row end");
+            let mut s = gridded(w);
+            s.frames[0].top[3] -= 1;
+            assert!(s.validate(4, 6, &gap).is_err(), "w = {w}: column end");
+            // The gap layers cross no `H`: they are not compared.
+            let mut s = gridded(w);
+            if let (2, Some(g)) = (w, &mut s.frames[0].grid) {
+                g.rows_cache[0][7 + 3] += 1;
+            }
+            assert_eq!(s.validate(4, 6, &gap), Ok(()), "w = {w}: gap layer");
+        }
     }
 
     #[test]

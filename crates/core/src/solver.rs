@@ -23,7 +23,6 @@
 //! base case.
 
 use flsa_dp::affine::{trace_affine, AffineBoundary, AffineGlobalBoundary, GapState};
-use flsa_dp::traceback::trace_from;
 use flsa_dp::{AlignResult, Kernel, MemGuard, Metrics, PathBuilder, ScoreMatrix};
 use flsa_scoring::{GapModel, ScoringScheme};
 use flsa_seq::Sequence;
@@ -68,9 +67,10 @@ pub(crate) struct Solver<'s> {
     pub metrics: &'s Metrics,
     /// The Base Case buffer (paper: "BM units of memory are reserved"),
     /// reserved when the run starts and recycled across base-case solves:
-    /// one layer for linear gaps, the `H`, `E` and `F` layers for affine.
-    /// It is never zero-filled up front: a base case zero-fills only the
-    /// part it grows into (`ScoreMatrix::from_storage`).
+    /// one layer for linear gaps (the score matrix, or the byte band's
+    /// traceback codes), the `H`, `E` and `F` layers for affine. It is
+    /// never zero-filled up front: a base case zero-fills only the part
+    /// it grows into (`ScoreMatrix::from_storage`).
     base: [Vec<i32>; 3],
     /// Scratch for discarded block outputs during sequential grid fills.
     scratch_row: Vec<i32>,
@@ -750,9 +750,12 @@ impl<'s> Solver<'s> {
     /// Figure 2's BASE CASE: full-matrix solve in the reserved buffer,
     /// on this thread and the vector kernel at any thread count (a
     /// base case is too small to repay tiling it over the pool; DESIGN.md
-    /// §6), then the traceback from the frame's head in its state. The
-    /// drive loop has already reserved room for it (see
-    /// [`Solver::reserve_base`]), so it returns no error.
+    /// §6), then the traceback from the frame's head in its state. A
+    /// linear base case the AVX-512 byte band admits keeps 2-bit
+    /// traceback codes in the buffer instead of scores (DESIGN.md §11
+    /// "Coded base case"). The drive loop has already reserved room for
+    /// the matrix (see [`Solver::reserve_base`]), which the codes never
+    /// outgrow, so it returns no error.
     fn base_case(
         &mut self,
         a: &[u8],
@@ -771,7 +774,7 @@ impl<'s> Solver<'s> {
         let (exit, trace_start) = match self.scheme.gap() {
             GapModel::Linear { .. } => {
                 let storage = std::mem::take(&mut self.base[0]);
-                let dpm = self.kernel.fill_full_reusing(
+                let fill = self.kernel.fill_base_reusing(
                     a,
                     b,
                     top,
@@ -781,8 +784,8 @@ impl<'s> Solver<'s> {
                     self.metrics,
                 );
                 let trace_start = self.end_base_fill(fill_start, rows, cols);
-                let exit = trace_from(&dpm, a, b, self.scheme, head, out, self.metrics);
-                self.base[0] = dpm.into_vec();
+                let exit = fill.trace(a, b, self.scheme, head, out, self.metrics);
+                self.base[0] = fill.into_vec();
                 ((exit, GapState::H), trace_start)
             }
             GapModel::Affine { .. } => {

@@ -11,7 +11,8 @@
 //! over a rectangle whose top row and left column are given (the cached
 //! boundary). The kernels differ in what they *store*:
 //!
-//! * [`fill_full`] — everything (FM algorithms, FastLSA base case);
+//! * [`fill_full`] — everything (FM algorithms, and FastLSA base cases
+//!   the AVX-512 byte band does not keep as traceback codes);
 //! * [`fill_last_row_col`] — a rolling row only, emitting the rectangle's
 //!   bottom row and right column (the paper's `LastRow` routine used by
 //!   Hirschberg's FindScore and FastLSA's Fill Cache);

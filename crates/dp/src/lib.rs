@@ -49,3 +49,4 @@ pub use metrics::{MemGuard, Metrics, MetricsSnapshot};
 pub use path::{Alignment, Move, Path, PathBuilder};
 pub use result::AlignResult;
 pub use simd::{detected_cpu_features, Kernel, KernelBackend, UnsupportedBackend};
+pub use traceback::BaseFill;

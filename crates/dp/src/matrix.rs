@@ -251,9 +251,103 @@ impl DirMatrix {
     }
 }
 
+/// Rows per band of [`TraceCodes`]: one row per byte lane of a 512-bit
+/// vector, as the byte band sweeps them.
+const CODE_BAND: usize = 64;
+
+/// A base case's traceback codes as the AVX-512 byte band stores them
+/// while it fills a `rows × cols` rectangle: 2 bits a cell instead of a
+/// score, in two 64-bit masks per band step.
+///
+/// Band `k` covers rows `64k + 1 ..= 64k + 64`, one per lane, and takes
+/// `cols + 63` steps; cell `(i, j)` is lane `(i − 1) mod 64` at step
+/// `j − 1 + lane`. The word pair for band `k`, step `s` sits at word
+/// `2·(k·(cols + 63) + s)`: its first word has the lane set when the cell
+/// came from its diagonal, the second when it came from above (see
+/// `x86::ByteBand::byte_step`). The words live little-endian in `i32`
+/// storage (the Base Case buffer), two entries a word. Lanes outside the
+/// rectangle hold garbage, which no traceback reads.
+#[derive(Debug, Clone)]
+pub struct TraceCodes {
+    rows: usize,
+    cols: usize,
+    words: Vec<i32>,
+}
+
+impl TraceCodes {
+    /// `i32` entries the codes of a `rows × cols` rectangle take:
+    /// `⌈rows/64⌉·(cols + 63)` steps of two 64-bit words. Fewer than the
+    /// `(rows + 1)·(cols + 1)` of its score matrix whenever `rows ≥ 48`
+    /// and `cols ≥ 16`, the smallest block the byte band codes.
+    pub(crate) fn storage_len(rows: usize, cols: usize) -> usize {
+        rows.div_ceil(CODE_BAND) * (cols + CODE_BAND - 1) * 4
+    }
+
+    /// Wraps `storage`, resized to [`TraceCodes::storage_len`] entries,
+    /// as the codes of a `rows × cols` rectangle.
+    pub(crate) fn from_storage(rows: usize, cols: usize, mut storage: Vec<i32>) -> Self {
+        storage.resize(TraceCodes::storage_len(rows, cols), 0);
+        TraceCodes {
+            rows,
+            cols,
+            words: storage,
+        }
+    }
+
+    /// Consumes the codes, returning their storage for reuse.
+    pub(crate) fn into_vec(self) -> Vec<i32> {
+        self.words
+    }
+
+    /// Residue rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Residue columns.
+    pub(crate) fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The move into interior cell `(i, j)`, `1 ≤ i ≤ rows`,
+    /// `1 ≤ j ≤ cols`, under the tie order Diag ≻ Up ≻ Left.
+    #[inline]
+    pub(crate) fn dir(&self, i: usize, j: usize) -> Dir {
+        let lane = (i - 1) % CODE_BAND;
+        let step = (i - 1) / CODE_BAND * (self.cols + CODE_BAND - 1) + j - 1 + lane;
+        // Entry `4·step` starts the Diag word, `4·step + 2` the Up word;
+        // lanes 32–63 sit in each word's high entry.
+        let at = 4 * step + lane / 32;
+        let bit = 1i32 << (lane % 32);
+        if self.words[at] & bit != 0 {
+            Dir::Diag
+        } else if self.words[at + 2] & bit != 0 {
+            Dir::Up
+        } else {
+            Dir::Left
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trace_codes_fit_the_score_matrix_of_every_coded_block() {
+        // The byte band codes blocks of at least 48 rows and 16 columns;
+        // the Base Case buffer is sized for their score matrices.
+        for rows in 48..=600 {
+            for cols in (16..=400).chain([1_000, 4_000]) {
+                assert!(
+                    TraceCodes::storage_len(rows, cols) < (rows + 1) * (cols + 1),
+                    "{rows}x{cols}"
+                );
+            }
+        }
+        assert_eq!(TraceCodes::storage_len(64, 1), 64 * 4);
+        assert_eq!(TraceCodes::storage_len(65, 1), 2 * 64 * 4);
+    }
 
     #[test]
     fn score_matrix_get_set_round_trip() {

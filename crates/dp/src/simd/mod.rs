@@ -56,6 +56,12 @@
 //! boundary or scheme outside the `i8` domain falls back to the `i32`
 //! band.
 //!
+//! A FastLSA base case ([`Kernel::fill_base_reusing`]) runs the same
+//! byte band where it admits the block, but keeps 2-bit traceback codes
+//! (two mask words per band step, [`TraceCodes`]) instead of edges, in
+//! place of the full score matrix; its traceback walks the codes to the
+//! path and exit [`crate::traceback::trace_from`] finds in the matrix.
+//!
 //! Affine (Gotoh) rows take the same two passes with a third state: `F`
 //! joins pass A, and the horizontal state `E` becomes an *exclusive*
 //! prefix max (see `affine_row_portable`). AVX-512 and AVX2 run them for
@@ -73,8 +79,10 @@
 //!   [`Kernel::fill_last_row_col`] on DNA — the byte band when this CPU
 //!   also has `avx512bw` and `avx512vbmi` (detected in
 //!   `Kernel::byte_band_fill`, the fn that calls it) and admits the
-//!   block, the `i32` band otherwise. Base cases ([`Kernel::fill_full`]),
-//!   protein and blocks under `BAND_MIN_ROWS` rows keep the row scan.
+//!   block, the `i32` band otherwise — and the byte band's traceback
+//!   codes for [`Kernel::fill_base_reusing`]. The full matrix
+//!   ([`Kernel::fill_full`]), base cases the byte band refuses, protein
+//!   and blocks under `BAND_MIN_ROWS` rows keep the row scan.
 //!
 //! The vector backends are admitted only after `is_x86_feature_detected!`
 //! (rule R6 pins their `#[target_feature]` functions to this module).
@@ -98,7 +106,8 @@ use crate::affine::{self, affine_params, AffineBoundary, AffineEdges, AffineMatr
 use crate::arena::KernelArena;
 use crate::boundary::check_boundary;
 use crate::kernel;
-use crate::matrix::ScoreMatrix;
+use crate::matrix::{ScoreMatrix, TraceCodes};
+use crate::traceback::BaseFill;
 use crate::Metrics;
 
 /// Rectangles narrower than this skip the vector path: profile build and
@@ -124,14 +133,24 @@ const BAND_MIN_ROWS: usize = 8;
 /// ×0.85 slower at 48–64 rows.
 const BYTE_BAND_MIN_ROWS: usize = 48;
 
+/// What the byte band needs of a scheme ([`byte_scheme`]).
+struct ByteScheme {
+    /// `max(S − 2g, 0)` at `x·|Σ| + y` (see `x86::ByteBand::byte_step`).
+    table: [u8; 64],
+    /// The range `[g, smax − g]` every score difference lies in.
+    range: (i32, i32),
+    /// No table entry was clamped at 0: every `S ≥ 2g`, so a step's
+    /// `y == S − 2g` is its Diag test and the band may store traceback
+    /// codes. A clamped entry would read `y == 0` as a Diag tie.
+    exact: bool,
+}
+
 /// The byte band's scheme admission. Its differences lie in
 /// `[g, smax − g]` and its diagonal terms in `[2g, smax]`, and both ranges
 /// must fit `i8`: `2g ≥ −128`, `smax − g ≤ 127`, and every score in
-/// `[−128, 127]`. Returns the band's score table, `max(S − 2g, 0)` at
-/// `x·|Σ| + y` (see `x86::ByteBand::byte_step`), and the difference
-/// range; `None` when the alphabet does not fit [`band_table`], the
-/// ranges do not fit `i8`, or the range is empty.
-fn byte_scheme(scheme: &ScoringScheme) -> Option<([u8; 64], (i32, i32))> {
+/// `[−128, 127]`. `None` when the alphabet does not fit [`band_table`],
+/// the ranges do not fit `i8`, or the range is empty.
+fn byte_scheme(scheme: &ScoringScheme) -> Option<ByteScheme> {
     let codes = scheme.alphabet().len();
     let scores = band_table(scheme)?;
     let scores = &scores[..codes * codes];
@@ -151,7 +170,22 @@ fn byte_scheme(scheme: &ScoringScheme) -> Option<([u8; 64], (i32, i32))> {
         // In 0..=smax − 2g ≤ 191 by the checks above.
         *slot = (i64::from(s) - 2 * g).max(0) as u8;
     }
-    Some((table, (g as i32, (smax - g) as i32)))
+    Some(ByteScheme {
+        table,
+        range: (g as i32, (smax - g) as i32),
+        exact: scores.iter().all(|&s| i64::from(s) >= 2 * g),
+    })
+}
+
+/// What [`Kernel::byte_band_fill`] keeps of the cells it computes.
+enum ByteOut<'o> {
+    /// The bottom row (`cols + 1` entries) and, if asked for, the right
+    /// column (`rows + 1`, entry 0 already set): a grid fill's edges.
+    Edges(&'o mut [i32], Option<&'o mut [i32]>),
+    /// A base case's traceback codes ([`TraceCodes`]), in a buffer the
+    /// fill resizes to [`TraceCodes::storage_len`] entries once it has
+    /// admitted the block.
+    Codes(&'o mut Vec<i32>),
 }
 
 /// True when every step `edge[k] − edge[k − 1]` lies in `lo..=hi`.
@@ -660,6 +694,36 @@ impl Kernel {
         dpm
     }
 
+    /// A base case's fill (paper Figure 2 lines 1–2) in `storage`
+    /// (FastLSA's Base Case buffer), ready for its traceback
+    /// ([`BaseFill::trace`]): the byte band's 2-bit traceback codes where
+    /// it admits the block ([`Kernel::byte_band_fill`]) and the scheme
+    /// has no clamped table entry, the full score matrix
+    /// ([`Kernel::fill_full_reusing`]) otherwise. Both trace back to the
+    /// same path and exit, and the fill files the same cells under the
+    /// same backend. The codes take fewer entries than the matrix
+    /// whenever the band admits a block, so `storage` sized for the
+    /// matrix never grows.
+    #[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
+    pub fn fill_base_reusing(
+        &self,
+        a: &[u8],
+        b: &[u8],
+        top: &[i32],
+        left: &[i32],
+        scheme: &ScoringScheme,
+        mut storage: Vec<i32>,
+        metrics: &Metrics,
+    ) -> BaseFill {
+        let (rows, cols) = (a.len(), b.len());
+        check_boundary(top, left, rows, cols);
+        if self.byte_band_fill(a, b, top, left, scheme, ByteOut::Codes(&mut storage)) {
+            metrics.add_cells(rows as u64 * cols as u64, self.backend);
+            return BaseFill::Codes(TraceCodes::from_storage(rows, cols, storage));
+        }
+        BaseFill::Scores(self.fill_full_reusing(a, b, top, left, scheme, storage, metrics))
+    }
+
     /// [`crate::kernel::fill_last_row_col`] on the active backend.
     #[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
     pub fn fill_last_row_col(
@@ -690,18 +754,8 @@ impl Kernel {
         if let Some(ref mut r) = out_right {
             r[0] = top[cols];
         }
-        if self.backend == KernelBackend::Avx512
-            && rows >= BYTE_BAND_MIN_ROWS
-            && self.byte_band_fill(
-                a,
-                b,
-                top,
-                left,
-                scheme,
-                out_bottom,
-                out_right.as_deref_mut(),
-            )
-        {
+        let edges = ByteOut::Edges(&mut *out_bottom, out_right.as_deref_mut());
+        if self.byte_band_fill(a, b, top, left, scheme, edges) {
             metrics.add_cells(rows as u64 * cols as u64, backend);
             return;
         }
@@ -755,12 +809,15 @@ impl Kernel {
         metrics.add_cells(rows as u64 * cols as u64, backend);
     }
 
-    /// [`Kernel::fill_last_row_col`]'s byte band, run when this CPU has
-    /// AVX-512 BW and VBMI, the scheme's differences fit `i8`
-    /// ([`byte_scheme`]) and every difference of `top` and `left` lies in
-    /// their range. Returns false, having written nothing, when any of
-    /// these fails.
-    #[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
+    /// The byte band, for a grid fill's edges ([`Kernel::fill_last_row_col`])
+    /// and a base case's traceback codes ([`Kernel::fill_base_reusing`])
+    /// alike. It runs when this kernel is AVX-512 and the block at least
+    /// [`BYTE_BAND_MIN_ROWS`] rows and [`MIN_VEC_COLS`] columns, this CPU
+    /// has AVX-512 BW and VBMI, the scheme's differences fit `i8`
+    /// ([`byte_scheme`]), every difference of `top` and `left` lies in
+    /// their range ([`steps_within`]) and, for codes, no table entry was
+    /// clamped ([`ByteScheme::exact`]). Returns false, having written
+    /// nothing, when any of these fails.
     fn byte_band_fill(
         &self,
         a: &[u8],
@@ -768,9 +825,12 @@ impl Kernel {
         top: &[i32],
         left: &[i32],
         scheme: &ScoringScheme,
-        out_bottom: &mut [i32],
-        out_right: Option<&mut [i32]>,
+        out: ByteOut<'_>,
     ) -> bool {
+        let (rows, cols) = (a.len(), b.len());
+        if self.backend_for(rows, cols) != KernelBackend::Avx512 || rows < BYTE_BAND_MIN_ROWS {
+            return false;
+        }
         #[cfg(target_arch = "x86_64")]
         {
             let cpu = is_x86_feature_detected!("avx512f")
@@ -779,33 +839,35 @@ impl Kernel {
             if !cpu {
                 return false;
             }
-            let Some((table, range)) = byte_scheme(scheme) else {
+            let Some(bs) = byte_scheme(scheme) else {
                 return false;
             };
-            if !steps_within(top, range) || !steps_within(left, range) {
+            let codes_exact = bs.exact || matches!(out, ByteOut::Edges(..));
+            if !codes_exact || !steps_within(top, bs.range) || !steps_within(left, bs.range) {
                 return false;
+            }
+            let mut out = out;
+            if let ByteOut::Codes(words) = &mut out {
+                words.resize(TraceCodes::storage_len(rows, cols), 0);
             }
             let codes = scheme.alphabet().len();
             let gap = scheme.gap().linear_penalty();
             // Three byte rows, which the kernel views this `i32` buffer as.
-            let mut scratch = self
-                .arena
-                .take((3 * x86::byte_row_len(b.len())).div_ceil(4));
-            // SAFETY: all three features were detected just above, and
-            // every difference of `top` and `left` lies in the range
-            // `byte_scheme` admitted.
+            let mut scratch = self.arena.take((3 * x86::byte_row_len(cols)).div_ceil(4));
+            // SAFETY: all three features were detected just above, every
+            // difference of `top` and `left` lies in the range
+            // `byte_scheme` admitted, and codes run only on an exact table.
             unsafe {
                 x86::byte_band_fill_avx512(
                     a,
                     b,
-                    &table,
+                    &bs.table,
                     codes,
                     top,
                     left,
                     gap,
                     &mut scratch,
-                    out_bottom,
-                    out_right,
+                    out,
                 )
             }
             self.arena.put(scratch);
@@ -813,7 +875,7 @@ impl Kernel {
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = (a, b, top, left, scheme, out_bottom, out_right);
+            let _ = (top, left, scheme, out);
             false
         }
     }
@@ -1059,10 +1121,12 @@ mod tests {
 
     #[test]
     fn byte_band_admission_refuses_wrapped_steps_and_schemes_past_i8() {
-        let (table, range) = byte_scheme(&ScoringScheme::dna_default()).expect("DNA fits i8");
+        let dna = byte_scheme(&ScoringScheme::dna_default()).expect("DNA fits i8");
+        let range = dna.range;
         assert_eq!(range, (-10, 15));
         // `max(S − 2g, 0)`: match 5 + 20, mismatch −4 + 20, `N` 0 + 20.
-        assert_eq!(table[..6], [25, 16, 16, 16, 20, 16]);
+        assert_eq!(dna.table[..6], [25, 16, 16, 16, 20, 16]);
+        assert!(dna.exact, "no DNA score lies below 2g = −20");
         assert!(steps_within(&[0, -10, 5, -5, 10], range));
         assert!(!steps_within(&[0, -11], range));
         assert!(!steps_within(&[0, 16], range));
@@ -1082,9 +1146,20 @@ mod tests {
             ScoringScheme::new(m, flsa_scoring::GapModel::linear(gap))
         };
         // 2g = −128 and smax − g = 127: the last scheme that fits.
-        assert_eq!(byte_scheme(&edge(-64)).map(|(_, r)| r), Some((-64, 127)));
-        assert_eq!(byte_scheme(&edge(-64)).map(|(t, _)| t[0]), Some(191));
+        let last = byte_scheme(&edge(-64)).expect("the i8 edge fits");
+        assert_eq!(last.range, (-64, 127));
+        assert_eq!((last.table[0], last.table[1]), (191, 65));
+        assert!(last.exact);
         assert!(byte_scheme(&edge(-65)).is_none(), "2g = −130");
+        // Gap −1 puts the −4 mismatch below 2g = −2: its entry is clamped
+        // at 0, which the edges tolerate and the traceback codes do not.
+        let clamped = ScoringScheme::new(
+            flsa_scoring::tables::dna_default(),
+            flsa_scoring::GapModel::linear(-1),
+        );
+        let clamped = byte_scheme(&clamped).expect("gap −1 fits i8");
+        assert_eq!(clamped.table[..2], [7, 0]);
+        assert!(!clamped.exact);
         assert!(byte_scheme(&ScoringScheme::protein_default()).is_none());
         // Every score below 2g: `[g, smax − g]` is empty.
         let negative = flsa_scoring::SubstitutionMatrix::match_mismatch(

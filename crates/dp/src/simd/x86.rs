@@ -17,7 +17,8 @@
 
 use core::arch::x86_64::*;
 
-use super::AffineRow;
+use super::{AffineRow, ByteOut};
+use crate::matrix::TraceCodes;
 
 /// Lane-shift `x` one `i32` toward higher lanes, filling lane 0 from
 /// `fill` (lane `l` of the result is `x`'s lane `l-1`).
@@ -582,6 +583,16 @@ struct ByteGeom {
     /// second operand.
     from_row: __m512i,
     from_band: __m512i,
+    /// The traceback code words of a coding fill, [`code_steps`] word
+    /// pairs per band (null otherwise): band `k`'s pair for step `s` at
+    /// `2·(k·code_steps + s)`.
+    words: *mut u64,
+}
+
+/// Steps a byte band takes over `cols` columns at most: `cols + 63`, so
+/// lane 63 reaches column `cols`.
+fn code_steps(cols: usize) -> usize {
+    cols + BYTE_BAND - 1
 }
 
 /// Sixteen left-column differences as bytes, `at[l + 1] − at[l] − gap`
@@ -611,6 +622,9 @@ struct ByteBand {
     /// Rows the band covers, `1..=64`. Lanes from `live` up lie below the
     /// rectangle: they feed only higher lanes and are never stored.
     live: usize,
+    /// The band's traceback code words, two per step (see
+    /// [`ByteBand::byte_step`]); only a coding sweep writes them.
+    words: *mut u64,
     /// `a[r0 + l]·|Σ|` per lane, the row half of each score-table index.
     arow: __m512i,
     /// `p` of each lane's last cell; before a lane's first cell, its
@@ -641,6 +655,10 @@ impl ByteBand {
         live: usize,
         gap: i32,
     ) -> Self {
+        // Band `r0 / 64` of the rectangle: sweeps start every 256 rows.
+        let words = g
+            .words
+            .wrapping_add(2 * (r0 / BYTE_BAND) * code_steps(g.cols));
         // Release-mode guard: the masked loads below read through raw
         // pointers.
         assert!(
@@ -662,6 +680,7 @@ impl ByteBand {
         let p = _mm512_inserti32x4::<3>(_mm512_inserti32x4::<2>(p, p2), p3);
         ByteBand {
             live,
+            words,
             arow: _mm512_permutexvar_epi8(codes, g.times_codes),
             p,
             q: _mm512_setzero_si512(),
@@ -687,13 +706,22 @@ impl ByteBand {
     /// `[0, smax − 2g]` and the unsigned byte arithmetic is exact. A table
     /// entry below 0 is stored as 0, which changes no `y`.
     ///
+    /// With `CODES` the step also stores its two traceback words at
+    /// `words[2s]` and `words[2s + 1]`: lane `l` of the first is set when
+    /// `y == S − 2g` (the cell equals its diagonal plus `S`: Diag), of
+    /// the second when the new `p` is 0 (`u = g`: Up). That is
+    /// [`crate::traceback::trace_from`]'s Diag ≻ Up ≻ Left over the same
+    /// exact comparisons, provided no table entry was clamped at 0: a
+    /// clamped entry would read `y == 0` as a Diag tie.
+    ///
     /// # Safety
     ///
     /// Requires AVX-512F/BW/VBMI, and `s ≤ cols + BYTE_PAD − 1` so the
-    /// code load stays inside `brev`.
+    /// code load stays inside `brev`; with `CODES`, `words[..2s + 2]` is
+    /// writable.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-    unsafe fn byte_step(
+    unsafe fn byte_step<const CODES: bool>(
         &mut self,
         g: &ByteGeom,
         s: usize,
@@ -706,6 +734,11 @@ impl ByteBand {
         let y = _mm512_max_epu8(up, _mm512_max_epu8(sub, self.p));
         let p = _mm512_sub_epi8(y, up);
         self.q = _mm512_sub_epi8(y, self.p);
+        if CODES {
+            let at = self.words.add(2 * s);
+            at.write_unaligned(_mm512_cmpeq_epi8_mask(y, sub));
+            at.add(1).write_unaligned(_mm512_testn_epi8_mask(p, p));
+        }
         p
     }
 
@@ -737,7 +770,7 @@ impl ByteBand {
     /// `s ≤ cols + live − 2`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-    unsafe fn byte_edge_step<const BOTTOM: bool>(
+    unsafe fn byte_edge_step<const BOTTOM: bool, const CODES: bool>(
         &mut self,
         g: &ByteGeom,
         s: usize,
@@ -745,7 +778,7 @@ impl ByteBand {
         above: __m512i,
         dst: *mut u8,
     ) {
-        let p = self.byte_step(g, s, idx, above);
+        let p = self.byte_step::<CODES>(g, s, idx, above);
         self.p = if s + 1 < self.live {
             _mm512_mask_mov_epi8(self.p, (2u64 << s) - 1, p)
         } else {
@@ -765,14 +798,15 @@ impl ByteBand {
 /// runs 64 steps behind the one above and takes its lane 0 from that
 /// band's lane 63 of the step before, and the last band writes its bottom
 /// row's differences to `dst`. The bands' chains interleave, so none
-/// waits on its own latency.
+/// waits on its own latency. With `CODES` every step also stores its
+/// traceback words ([`ByteBand::byte_step`]).
 ///
 /// # Safety
 ///
 /// As for [`ByteBand::byte_edge_step`] on every band; `src` holds
 /// [`byte_row_len`] bytes, `dst` at least `cols`.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn byte_sweep<const N: usize>(
+unsafe fn byte_sweep<const N: usize, const CODES: bool>(
     bands: &mut [ByteBand; N],
     g: &ByteGeom,
     src: *const u8,
@@ -784,7 +818,7 @@ unsafe fn byte_sweep<const N: usize>(
     let start = (lag + bands[N - 1].live - 1).min(end);
     let stop = (g.cols - 1).max(start);
     for t in 0..start {
-        byte_edge_steps(bands, g, t, src, dst);
+        byte_edge_steps::<N, CODES>(bands, g, t, src, dst);
     }
     for t in start..stop {
         // Bottom band first: each band reads the `q` the band above left
@@ -792,12 +826,12 @@ unsafe fn byte_sweep<const N: usize>(
         for k in (0..N).rev() {
             let s = t - BYTE_BAND * k;
             let (idx, above) = byte_above(bands, k, g, src, s);
-            bands[k].p = bands[k].byte_step(g, s, idx, above);
+            bands[k].p = bands[k].byte_step::<CODES>(g, s, idx, above);
         }
         bands[N - 1].byte_store_bottom(t - lag, dst);
     }
     for t in stop..end {
-        byte_edge_steps(bands, g, t, src, dst);
+        byte_edge_steps::<N, CODES>(bands, g, t, src, dst);
     }
 }
 
@@ -833,7 +867,7 @@ unsafe fn byte_above<const N: usize>(
 /// As for [`byte_sweep`].
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn byte_edge_steps<const N: usize>(
+unsafe fn byte_edge_steps<const N: usize, const CODES: bool>(
     bands: &mut [ByteBand; N],
     g: &ByteGeom,
     t: usize,
@@ -849,9 +883,9 @@ unsafe fn byte_edge_steps<const N: usize>(
         }
         let (idx, above) = byte_above(bands, k, g, src, s);
         if k == N - 1 {
-            bands[k].byte_edge_step::<true>(g, s, idx, above, dst);
+            bands[k].byte_edge_step::<true, CODES>(g, s, idx, above, dst);
         } else {
-            bands[k].byte_edge_step::<false>(g, s, idx, above, dst);
+            bands[k].byte_edge_step::<false, CODES>(g, s, idx, above, dst);
         }
     }
 }
@@ -952,7 +986,7 @@ unsafe fn reverse_codes(b: &[u8], codes_v: __m512i, out: &mut [u8]) {
 /// As for [`byte_sweep`]; `r0 + here` rows lie inside `a` and `left`.
 #[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn byte_sweep_rows<const N: usize>(
+unsafe fn byte_sweep_rows<const N: usize, const CODES: bool>(
     g: &ByteGeom,
     a: &[u8],
     left: &[i32],
@@ -968,7 +1002,7 @@ unsafe fn byte_sweep_rows<const N: usize>(
         // needs, and `byte_rows` checks the rows it reads.
         unsafe { ByteBand::byte_rows(g, a, left, r0 + first, (here - first).min(BYTE_BAND), gap) }
     });
-    byte_sweep(&mut bands, g, src, dst);
+    byte_sweep::<N, CODES>(&mut bands, g, src, dst);
     if let Some(r) = right {
         let mut at = r0;
         for band in &bands {
@@ -989,20 +1023,24 @@ unsafe fn byte_sweep_rows<const N: usize>(
 /// level on depth-1 shapes (190²–375²); see DESIGN.md §11 "Byte band".
 const MAX_BANDS: usize = 4;
 
-/// [`super::Kernel::fill_last_row_col`]'s byte band: the rectangle's rows
-/// go 64 to a vector, one row per byte lane, as score differences
-/// ([`ByteBand`]) that fit a byte wherever the caller has admitted the
-/// scheme and the boundary. Up to [`MAX_BANDS`] bands run in flight;
-/// between sweeps, the bottom row's differences pass to the next sweep
-/// through two byte rows used in turn, so no sweep's loads wait on its
-/// own stores. The bottom row and the right column come back as exact
-/// `i32` prefix sums of the differences, each partial sum a real `H`.
+/// The byte band: the rectangle's rows go 64 to a vector, one row per
+/// byte lane, as score differences ([`ByteBand`]) that fit a byte
+/// wherever the caller has admitted the scheme and the boundary. Up to
+/// [`MAX_BANDS`] bands run in flight; between sweeps, the bottom row's
+/// differences pass to the next sweep through two byte rows used in
+/// turn, so no sweep's loads wait on its own stores.
+///
+/// For [`ByteOut::Edges`] ([`super::Kernel::fill_last_row_col`]) the
+/// bottom row and the right column come back as exact `i32` prefix sums
+/// of the differences, each partial sum a real `H`. For
+/// [`ByteOut::Codes`] (a base case) the same sweeps store every step's
+/// traceback words instead ([`ByteBand::byte_step`]).
 ///
 /// `table` holds `max(S(x, y) − 2g, 0)` at `x·codes + y`, so
 /// `codes² ≤ 64`. `scratch` is viewed as bytes: three rows of
 /// [`byte_row_len`] bytes, the reversed `b` and the two hand-off rows.
-/// `right`, if given, has its entry 0 set by the caller and rows
-/// `1..=rows` filled here.
+/// The right column, if given, has its entry 0 set by the caller and
+/// rows `1..=rows` filled here.
 ///
 /// # Safety
 ///
@@ -1010,7 +1048,8 @@ const MAX_BANDS: usize = 4;
 /// `avx512f`, `avx512bw` and `avx512vbmi`, and that every difference of
 /// `top` and of `left` lies in `[gap, smax − gap]` with the scheme's
 /// largest score `smax`, and `smax − 2·gap ≤ 255`: outside that domain
-/// the edges are wrong, though memory stays safe.
+/// the edges are wrong, though memory stays safe. Codes are right only
+/// where, in addition, no table entry was clamped at 0.
 #[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
 pub(super) unsafe fn byte_band_fill_avx512(
@@ -1022,8 +1061,7 @@ pub(super) unsafe fn byte_band_fill_avx512(
     left: &[i32],
     gap: i32,
     scratch: &mut [i32],
-    out_bottom: &mut [i32],
-    right: Option<&mut [i32]>,
+    mut out: ByteOut<'_>,
 ) {
     let (rows, cols) = (a.len(), b.len());
     let row_len = byte_row_len(cols);
@@ -1036,16 +1074,24 @@ pub(super) unsafe fn byte_band_fill_avx512(
     assert!(rows >= 1 && cols >= 1, "empty rectangle");
     assert_eq!(top.len(), cols + 1, "top row length");
     assert_eq!(left.len(), rows + 1, "left column length");
-    assert_eq!(out_bottom.len(), cols + 1, "out_bottom length");
     assert!(4 * scratch.len() >= 3 * row_len, "scratch length");
-    if let Some(ref r) = right {
-        assert_eq!(r.len(), rows + 1, "right column length");
+    match &out {
+        ByteOut::Edges(bottom, right) => {
+            assert_eq!(bottom.len(), cols + 1, "out_bottom length");
+            if let Some(r) = right {
+                assert_eq!(r.len(), rows + 1, "right column length");
+            }
+        }
+        ByteOut::Codes(words) => assert!(
+            words.len() >= TraceCodes::storage_len(rows, cols),
+            "traceback code length"
+        ),
     }
     // SAFETY: an `i32` buffer's bytes are initialized, and `u8` has no
     // alignment or validity requirement.
     let bytes = std::slice::from_raw_parts_mut(scratch.as_mut_ptr() as *mut u8, 4 * scratch.len());
     let (brev, rest) = bytes.split_at_mut(row_len);
-    let (mut src, mut dst) = rest.split_at_mut(row_len);
+    let (src, dst) = rest.split_at_mut(row_len);
     let codes_v = _mm512_set1_epi8(codes as i8);
     reverse_codes(b, codes_v, &mut brev[BYTE_PAD..BYTE_PAD + cols]);
     for ((slot, &hi), &lo) in src.iter_mut().zip(&top[1..]).zip(top) {
@@ -1057,6 +1103,10 @@ pub(super) unsafe fn byte_band_fill_avx512(
         *slot = (x * codes) as u8;
     }
     let shift = _mm512_loadu_si512(SHIFT_UP.as_ptr() as *const __m512i);
+    let words = match &mut out {
+        ByteOut::Edges(..) => std::ptr::null_mut(),
+        ByteOut::Codes(words) => words.as_mut_ptr().cast::<u64>(),
+    };
     let g = ByteGeom {
         cols,
         brev: brev.as_ptr(),
@@ -1065,23 +1115,53 @@ pub(super) unsafe fn byte_band_fill_avx512(
         times_codes: _mm512_loadu_si512(times.as_ptr() as *const __m512i),
         from_row: _mm512_mask_mov_epi8(shift, 1, _mm512_set1_epi8(64)),
         from_band: _mm512_mask_mov_epi8(shift, 1, _mm512_set1_epi8(127)),
+        words,
     };
-    let mut right = right;
+    match out {
+        ByteOut::Edges(bottom, right) => {
+            let last = byte_sweeps::<false>(&g, a, left, gap, [src, dst], right);
+            bottom[0] = left[rows];
+            prefix_sums(last, gap, left[rows], &mut bottom[1..]);
+        }
+        ByteOut::Codes(_) => {
+            byte_sweeps::<true>(&g, a, left, gap, [src, dst], None);
+        }
+    }
+}
+
+/// Sweeps every row of the rectangle, up to [`MAX_BANDS`] bands at a
+/// time ([`byte_sweep_rows`]). The first sweep reads the top row's
+/// differences from `src`, and each sweep's bottom-row differences pass
+/// to the next through `dst` and `src` in turn. Returns the one holding
+/// the last sweep's.
+///
+/// # Safety
+///
+/// As for [`byte_sweep_rows`] over the whole rectangle; `src` and `dst`
+/// hold [`byte_row_len`] bytes.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn byte_sweeps<'r, const CODES: bool>(
+    g: &ByteGeom,
+    a: &[u8],
+    left: &[i32],
+    gap: i32,
+    [mut src, mut dst]: [&'r mut [u8]; 2],
+    mut right: Option<&mut [i32]>,
+) -> &'r [u8] {
     let mut r0 = 0;
-    while r0 < rows {
-        let here = (rows - r0).min(MAX_BANDS * BYTE_BAND);
+    while r0 < a.len() {
+        let here = (a.len() - r0).min(MAX_BANDS * BYTE_BAND);
         let (s, d, r) = (src.as_ptr(), dst.as_mut_ptr(), right.as_deref_mut());
         match here.div_ceil(BYTE_BAND) {
-            1 => byte_sweep_rows::<1>(&g, a, left, gap, (r0, here), s, d, r),
-            2 => byte_sweep_rows::<2>(&g, a, left, gap, (r0, here), s, d, r),
-            3 => byte_sweep_rows::<3>(&g, a, left, gap, (r0, here), s, d, r),
-            _ => byte_sweep_rows::<MAX_BANDS>(&g, a, left, gap, (r0, here), s, d, r),
+            1 => byte_sweep_rows::<1, CODES>(g, a, left, gap, (r0, here), s, d, r),
+            2 => byte_sweep_rows::<2, CODES>(g, a, left, gap, (r0, here), s, d, r),
+            3 => byte_sweep_rows::<3, CODES>(g, a, left, gap, (r0, here), s, d, r),
+            _ => byte_sweep_rows::<MAX_BANDS, CODES>(g, a, left, gap, (r0, here), s, d, r),
         }
         r0 += here;
         std::mem::swap(&mut src, &mut dst);
     }
-    out_bottom[0] = left[rows];
-    prefix_sums(src, gap, left[rows], &mut out_bottom[1..]);
+    src
 }
 
 /// AVX2 version of [`super::affine_row_portable`]: identical contract,

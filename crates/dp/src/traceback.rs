@@ -9,9 +9,49 @@
 
 use flsa_scoring::ScoringScheme;
 
-use crate::matrix::{Dir, DirMatrix, ScoreMatrix};
+use crate::matrix::{Dir, DirMatrix, ScoreMatrix, TraceCodes};
 use crate::path::{Move, PathBuilder};
 use crate::Metrics;
+
+/// A filled base case, as [`crate::Kernel::fill_base_reusing`] leaves it
+/// for its traceback.
+#[derive(Debug, Clone)]
+pub enum BaseFill {
+    /// The full score matrix: [`trace_from`] recovers the path.
+    Scores(ScoreMatrix),
+    /// The byte band's traceback codes, which record `trace_from`'s
+    /// comparisons: they trace back to the same path.
+    Codes(TraceCodes),
+}
+
+impl BaseFill {
+    /// Walks back from `start` to the rectangle's top row or left column,
+    /// prepending moves to `out`, and returns the exit: [`trace_from`] on
+    /// scores, and on codes the same moves, exit and traceback steps
+    /// without recomputing a score.
+    pub fn trace(
+        &self,
+        a: &[u8],
+        b: &[u8],
+        scheme: &ScoringScheme,
+        start: (usize, usize),
+        out: &mut PathBuilder,
+        metrics: &Metrics,
+    ) -> (usize, usize) {
+        match self {
+            BaseFill::Scores(dpm) => trace_from(dpm, a, b, scheme, start, out, metrics),
+            BaseFill::Codes(codes) => trace_codes(codes, start, out, metrics),
+        }
+    }
+
+    /// Consumes the fill, returning its storage for the next base case.
+    pub fn into_vec(self) -> Vec<i32> {
+        match self {
+            BaseFill::Scores(dpm) => dpm.into_vec(),
+            BaseFill::Codes(codes) => codes.into_vec(),
+        }
+    }
+}
 
 /// Walks backwards through a filled score matrix from `start` (matrix-local
 /// coordinates) until reaching the matrix's top row or left column,
@@ -56,6 +96,52 @@ pub fn trace_from(
             // by the fill kernels: every interior cell has a predecessor
             // by construction, so this fires only on memory corruption.
             panic!("traceback found no predecessor at ({i},{j}): corrupt DPM");
+        };
+        out.push_back(m);
+        steps += 1;
+    }
+    metrics.add_traceback_steps(steps);
+    (i, j)
+}
+
+/// [`trace_from`] over the byte band's traceback codes: walks back from
+/// `start` until reaching the rectangle's top row or left column,
+/// prepending moves to `out`, and returns the exit. The codes record
+/// `trace_from`'s own comparisons in its order (Diag ≻ Up ≻ Left), so the
+/// moves and the exit are the same, and no score is recomputed.
+///
+/// # Panics
+///
+/// Panics when `start` lies outside the rectangle.
+pub(crate) fn trace_codes(
+    codes: &TraceCodes,
+    start: (usize, usize),
+    out: &mut PathBuilder,
+    metrics: &Metrics,
+) -> (usize, usize) {
+    let (mut i, mut j) = start;
+    // Release-mode guard: codes always hold `TraceCodes::storage_len`
+    // entries, inside which every interior `(i, j)` indexes.
+    assert!(
+        i <= codes.rows() && j <= codes.cols(),
+        "traceback start out of range"
+    );
+    let mut steps = 0u64;
+    while i > 0 && j > 0 {
+        let m = match codes.dir(i, j) {
+            Dir::Diag => {
+                i -= 1;
+                j -= 1;
+                Move::Diag
+            }
+            Dir::Up => {
+                i -= 1;
+                Move::Up
+            }
+            _ => {
+                j -= 1;
+                Move::Left
+            }
         };
         out.push_back(m);
         steps += 1;

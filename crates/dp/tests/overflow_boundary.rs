@@ -19,7 +19,7 @@
 //! `Kernel::fill_affine_edges_in`, prefix-scan rows included.
 
 use flsa_dp::affine::{AffineGlobalBoundary, NEG};
-use flsa_dp::{Kernel, KernelBackend, Metrics};
+use flsa_dp::{Kernel, KernelBackend, Metrics, Move, PathBuilder};
 use flsa_scoring::{GapModel, ScoringScheme, SubstitutionMatrix};
 use flsa_seq::Alphabet;
 use proptest::prelude::*;
@@ -166,6 +166,107 @@ fn extremal_scheme_at_zero_slack_does_not_wrap() {
                 let budget = offset_budget(a.len(), b.len(), S_MAX, G_MAX);
                 assert_kernels_match_reference(a, b, S_MAX, G_MAX, budget);
                 assert_kernels_match_reference(a, b, S_MAX, G_MAX, -budget);
+            }
+        }
+    }
+}
+
+/// The optimal path into `head` by the `i64` recurrence, walked back
+/// under Diag ≻ Up ≻ Left to the top row or left column: the exit and the
+/// moves, last move first.
+fn reference_trace(
+    a: &[u8],
+    b: &[u8],
+    (s, g): (i32, i32),
+    (top, left): (&[i32], &[i32]),
+    head: (usize, usize),
+) -> ((usize, usize), Vec<Move>) {
+    let (s, g) = (i64::from(s), i64::from(g));
+    let cols = b.len();
+    let mut h = vec![vec![0i64; cols + 1]; a.len() + 1];
+    h[0] = top.iter().map(|&v| i64::from(v)).collect();
+    let sub = |i: usize, j: usize| if a[i - 1] == b[j - 1] { s } else { -s };
+    for i in 1..=a.len() {
+        h[i][0] = i64::from(left[i]);
+        for j in 1..=cols {
+            h[i][j] = (h[i - 1][j - 1] + sub(i, j))
+                .max(h[i - 1][j] - g)
+                .max(h[i][j - 1] - g);
+        }
+    }
+    let ((mut i, mut j), mut moves) = (head, Vec::new());
+    while i > 0 && j > 0 {
+        let m = if h[i - 1][j - 1] + sub(i, j) == h[i][j] {
+            Move::Diag
+        } else if h[i - 1][j] - g == h[i][j] {
+            Move::Up
+        } else {
+            Move::Left
+        };
+        i -= usize::from(m != Move::Left);
+        j -= usize::from(m != Move::Up);
+        moves.push(m);
+    }
+    ((i, j), moves)
+}
+
+#[test]
+fn coded_base_cases_at_the_i8_edge_trace_like_the_i64_reference() {
+    // The byte band stores a base case's traceback codes only inside its
+    // `i8` domain: `match_mismatch(63, −63)` with gap −64 puts the
+    // differences at [−64, 127] and the diagonal terms at [−128, 63], the
+    // last scheme it admits (`S − 2g` reaches 191 in its bytes); gap −65
+    // falls back to the score matrix. Either way every head on the bottom
+    // row and the right column traces back like the `i64` reference,
+    // at heights around each 64-row band edge and widths 16..48, from
+    // boundaries pinned at the certified envelope's offsets.
+    let vbmi = flsa_dp::detected_cpu_features().contains(&"avx512vbmi");
+    let mut x = 0x1e_d6e_u64;
+    let mut random = |n: usize| -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 5) as u8
+            })
+            .collect()
+    };
+    for (g, admitted) in [(64, true), (65, false)] {
+        let scheme = scheme_for(63, g);
+        for (rows, cols) in [(48, 16), (63, 47), (64, 33), (65, 20), (127, 40), (129, 31)] {
+            let inputs = [
+                (vec![0; rows], vec![1; cols]),
+                (vec![2; rows], vec![2; cols]),
+                (random(rows), random(cols)),
+            ];
+            let budget = offset_budget(rows, cols, 63, g);
+            for ((a, b), offset) in inputs.iter().zip([budget, -budget, 0]) {
+                let top = ramp(offset, cols, g);
+                let left = ramp(offset, rows, g);
+                for backend in KernelBackend::available() {
+                    let kernel = Kernel::try_new(backend).expect("available backend constructs");
+                    let metrics = Metrics::new();
+                    let fill =
+                        kernel.fill_base_reusing(a, b, &top, &left, &scheme, Vec::new(), &metrics);
+                    let coded = matches!(fill, flsa_dp::BaseFill::Codes(_));
+                    let want_coded = admitted && vbmi && backend == KernelBackend::Avx512;
+                    let case = format!("gap -{g} {rows}x{cols} offset {offset} {backend}");
+                    assert_eq!(coded, want_coded, "{case}: coded");
+                    let heads = (1..=cols)
+                        .map(|j| (rows, j))
+                        .chain((1..rows).map(|i| (i, cols)));
+                    for head in heads {
+                        let mut out = PathBuilder::new();
+                        let exit = fill.trace(a, b, &scheme, head, &mut out, &metrics);
+                        let want = reference_trace(a, b, (63, g), (&top, &left), head);
+                        assert_eq!(
+                            (exit, out.rev_moves().to_vec()),
+                            want,
+                            "{case} from {head:?}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -3,13 +3,14 @@
 //!
 //! This is the whole byte-identical argument's mechanical half: a task
 //! produces *exact* DP values (same kernels as the sequential solver,
-//! which are bit-identical across backends) and the traceback uses the
-//! same Diag ≻ Up ≻ Left tie-break as [`flsa_dp::traceback::trace_from`],
-//! so it cannot matter whether a block was computed by worker 3, by a
-//! respawned worker after a SIGKILL, or by the coordinator itself after
-//! every retry was exhausted — the bytes that come back are the same.
+//! which are bit-identical across backends) and a trace task runs the
+//! solver's own base case ([`Kernel::fill_base_reusing`]), whose score
+//! matrix or traceback codes both follow the Diag ≻ Up ≻ Left tie-break
+//! of [`flsa_dp::traceback::trace_from`], so it cannot matter whether a
+//! block was computed by worker 3, by a respawned worker after a SIGKILL,
+//! or by the coordinator itself after every retry was exhausted — the
+//! bytes that come back are the same.
 
-use flsa_dp::traceback::trace_from;
 use flsa_dp::{Kernel, Metrics, PathBuilder};
 use flsa_scoring::tables;
 
@@ -94,7 +95,7 @@ pub fn execute(kernel: &Kernel, spec: &TaskSpec, metrics: &Metrics) -> Result<Ta
                     head.0, head.1
                 ));
             }
-            let dpm = kernel.fill_full_reusing(
+            let fill = kernel.fill_base_reusing(
                 &spec.a,
                 &spec.b,
                 &spec.top,
@@ -105,15 +106,7 @@ pub fn execute(kernel: &Kernel, spec: &TaskSpec, metrics: &Metrics) -> Result<Ta
             );
             metrics.add_base_case_cells(rows as u64 * cols as u64);
             let mut builder = PathBuilder::new();
-            let exit = trace_from(
-                &dpm,
-                &spec.a,
-                &spec.b,
-                &scheme,
-                (hi, hj),
-                &mut builder,
-                metrics,
-            );
+            let exit = fill.trace(&spec.a, &spec.b, &scheme, (hi, hj), &mut builder, metrics);
             let rev_moves = builder.rev_moves().iter().map(|m| m.code()).collect();
             Ok(TaskOutput::Trace {
                 rev_moves,

@@ -267,6 +267,72 @@ fn resuming_any_affine_snapshot_reproduces_the_run() {
     }
 }
 
+/// A snapshot whose lines disagree where two of them meet cannot come
+/// from a run, even when its frame checks pass: resume refuses it with
+/// `CorruptCheckpoint` instead of tripping a kernel's corner assertion.
+#[test]
+fn a_snapshot_whose_lines_disagree_at_a_corner_is_refused() {
+    let (a, b) = generate::homologous_pair("t", &Alphabet::dna(), 400, 0.8, 5).unwrap();
+    let config = FastLsaConfig::new(4, 512);
+    let refused = |scheme: &ScoringScheme, state: CheckpointState, what: &str| {
+        let r = align_resume(
+            &a,
+            &b,
+            scheme,
+            state,
+            &AlignOptions::default(),
+            &Metrics::new(),
+        );
+        assert!(
+            matches!(r, Err(AlignError::CorruptCheckpoint { .. })),
+            "{what}: {r:?}"
+        );
+    };
+
+    // A linear root frame whose top row starts at 7, its left column at 0.
+    let linear = ScoringScheme::dna_default();
+    let ramp = fastlsa::dp::Boundary::global(a.len(), b.len(), linear.gap().linear_penalty());
+    let mut top = ramp.top;
+    top[0] = 7;
+    let state = CheckpointState {
+        config,
+        blocks_done: 0,
+        generation: 0,
+        rev_moves: Vec::new(),
+        frames: vec![FrameState {
+            r0: 0,
+            c0: 0,
+            rows: a.len(),
+            cols: b.len(),
+            head: (a.len(), b.len()),
+            head_state: GapState::H,
+            top,
+            left: ramp.left,
+            grid: None,
+        }],
+    };
+    refused(&linear, state, "linear root corner");
+
+    // Under each gap model, a real snapshot with the root grid filled,
+    // one grid row's `H` off by one where it crosses a grid column.
+    for scheme in [linear, affine(-12, -1)] {
+        let sink = Arc::new(CaptureSink::default());
+        let opts = AlignOptions {
+            checkpoint: Some(CheckpointPolicy::new(1, sink.clone())),
+            ..AlignOptions::default()
+        };
+        fastlsa::align_opts(&a, &b, &scheme, config, &opts, &Metrics::new()).unwrap();
+        let mut state = sink.0.lock().unwrap().first().cloned().expect("a snapshot");
+        let grid = state.frames[0]
+            .grid
+            .as_mut()
+            .expect("the root grid is filled");
+        let c = grid.col_bounds[1];
+        grid.rows_cache[0][c] += 1;
+        refused(&scheme, state, &format!("{:?} grid crossing", scheme.gap()));
+    }
+}
+
 /// Cancelling an affine run forces a final snapshot, and that snapshot
 /// resumes to the uninterrupted answer.
 #[test]

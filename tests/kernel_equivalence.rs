@@ -24,7 +24,8 @@ use std::sync::Arc;
 use fastlsa_core::{align_opts, AlignOptions, FastLsaConfig};
 use flsa_dp::affine::{self, AffineGlobalBoundary, AffineMatrices, NEG};
 use flsa_dp::kernel::{fill_full, fill_last_row_col};
-use flsa_dp::{Boundary, Kernel, KernelArena, KernelBackend, Metrics};
+use flsa_dp::traceback::trace_from;
+use flsa_dp::{BaseFill, Boundary, Kernel, KernelArena, KernelBackend, Metrics};
 use flsa_fullmatrix::{needleman_wunsch, needleman_wunsch_kernel};
 use flsa_hirschberg::{hirschberg_kernel, HirschbergConfig};
 use flsa_metrics::{names, Registry};
@@ -281,6 +282,146 @@ fn byte_band_edges_match_scalar_at_every_height() {
             let arbitrary = random_boundary(&mut rng, rows, cols);
             assert_edges_match_scalar(&format!("{case} arbitrary"), scheme, &a, &b, &arbitrary);
         }
+    }
+}
+
+/// True when this CPU runs the byte band (AVX-512 BW and VBMI beside the
+/// `avx512f` that admits the AVX-512 backend).
+fn byte_band_cpu() -> bool {
+    let features = flsa_dp::detected_cpu_features();
+    ["avx512bw", "avx512vbmi"]
+        .iter()
+        .all(|f| features.contains(f))
+}
+
+/// Fills one base case on every backend with `Kernel::fill_base_reusing`
+/// and asserts it took the coded path exactly where `coded` says the
+/// AVX-512 byte band admits it, filed the scalar reference's cells, and
+/// traces back, from every head on the bottom row and the right column,
+/// to the moves, exit and step count `trace_from` finds in the scalar
+/// full matrix.
+fn assert_base_case_traces_match_scalar(
+    case: &str,
+    scheme: &ScoringScheme,
+    a: &[u8],
+    b: &[u8],
+    bound: &Boundary,
+    coded: bool,
+) {
+    let (rows, cols) = (a.len(), b.len());
+    let m_ref = Metrics::new();
+    let dpm = fill_full(a, b, &bound.top, &bound.left, scheme, &m_ref);
+    let heads: Vec<(usize, usize)> = (1..=cols)
+        .map(|j| (rows, j))
+        .chain((1..rows).map(|i| (i, cols)))
+        .collect();
+    let want: Vec<_> = heads
+        .iter()
+        .map(|&head| {
+            let mut out = flsa_dp::PathBuilder::new();
+            let exit = trace_from(&dpm, a, b, scheme, head, &mut out, &m_ref);
+            (exit, out.rev_moves().to_vec())
+        })
+        .collect();
+    for backend in backends() {
+        let kernel = Kernel::try_new(backend).unwrap();
+        let m = Metrics::new();
+        // Poisoned storage, as the Base Case buffer holds after an
+        // earlier base case.
+        let storage = vec![-1; 3 * (rows + 1)];
+        let fill = kernel.fill_base_reusing(a, b, &bound.top, &bound.left, scheme, storage, &m);
+        let ran_coded = matches!(fill, BaseFill::Codes(_));
+        let want_coded = coded && backend == KernelBackend::Avx512 && byte_band_cpu();
+        assert_eq!(ran_coded, want_coded, "{case} backend {backend}: coded");
+        assert_eq!(
+            m.snapshot().cells_computed,
+            (rows * cols) as u64,
+            "{case} backend {backend}: cells"
+        );
+        for (&head, (exit, moves)) in heads.iter().zip(&want) {
+            let mut out = flsa_dp::PathBuilder::new();
+            let got = fill.trace(a, b, scheme, head, &mut out, &m);
+            assert_eq!(got, *exit, "{case} backend {backend}: exit from {head:?}");
+            assert_eq!(
+                out.rev_moves(),
+                &moves[..],
+                "{case} backend {backend}: moves from {head:?}"
+            );
+        }
+        assert_eq!(
+            m.snapshot().traceback_steps,
+            m_ref.snapshot().traceback_steps,
+            "{case} backend {backend}: traceback steps"
+        );
+        let storage = fill.into_vec();
+        assert!(
+            storage.len() <= (rows + 1) * (cols + 1),
+            "{case} backend {backend}: the fill outgrew the score matrix"
+        );
+    }
+}
+
+#[test]
+fn coded_base_cases_trace_like_the_row_scan_matrix() {
+    // The byte band codes a base case of at least 48 rows and 16 columns
+    // when its scheme has no table entry below 2g and its boundary steps
+    // lie in the band's range. Heights 48 and around each 64-row band
+    // edge (one to four bands, and at 257 the hand-off between sweeps),
+    // widths 16–70 and a few hundred, DNA with `N`, real DP boundaries (a
+    // cut from a larger global fill) and the global ramp.
+    let mut rng = Rng::new(0xc0de5);
+    let edge = SubstitutionMatrix::match_mismatch("i8-edge", Alphabet::dna(), 63, -63);
+    let coded = [
+        ScoringScheme::dna_default(),
+        ScoringScheme::new(tables::dna_default(), GapModel::linear(-3)),
+        ScoringScheme::new(tables::identity(Alphabet::dna()), GapModel::linear(-1)),
+        ScoringScheme::new(edge, GapModel::linear(-64)),
+    ];
+    let heights = [48, 63, 64, 65, 127, 128, 129, 255, 256, 257];
+    let wide: Vec<usize> = heights
+        .iter()
+        .map(|_| 100 + rng.below(300) as usize)
+        .collect();
+    let shapes = (16..=70)
+        .map(|cols| (heights[cols % heights.len()], cols))
+        .chain(heights.into_iter().zip(wide));
+    for (n, (rows, cols)) in shapes.enumerate() {
+        let scheme = &coded[n % coded.len()];
+        let codes = scheme.matrix().alphabet().len() as u8;
+        let gap = scheme.gap().linear_penalty();
+        let case = format!("{} {rows}x{cols}", scheme.matrix().name());
+        let a = random_codes(&mut rng, rows, codes);
+        let b = random_codes(&mut rng, cols, codes);
+        let ramp = Boundary::global(rows, cols, gap);
+        assert_base_case_traces_match_scalar(&format!("{case} ramp"), scheme, &a, &b, &ramp, true);
+        let (a, b, cut) = cut_boundary(&mut rng, scheme, rows, cols);
+        assert_base_case_traces_match_scalar(&format!("{case} cut"), scheme, &a, &b, &cut, true);
+    }
+
+    // Fallbacks, which must still trace the same: a scheme whose
+    // mismatch lies below 2g (its table entry is clamped at 0, so a
+    // 0 would read as a Diag tie), a boundary stepping below the gap,
+    // and blocks under 48 rows or 16 columns. `FLSA_KERNEL_FORCE=scalar`
+    // leaves only the scalar backend, which never codes.
+    let clamped = ScoringScheme::new(tables::dna_default(), GapModel::linear(-1));
+    for (rows, cols) in [(48, 16), (65, 70), (129, 200)] {
+        let (a, b, cut) = cut_boundary(&mut rng, &clamped, rows, cols);
+        let case = format!("clamped {rows}x{cols}");
+        assert_base_case_traces_match_scalar(&case, &clamped, &a, &b, &cut, false);
+    }
+    let dna = ScoringScheme::dna_default();
+    for (rows, cols) in [(48, 40), (130, 90)] {
+        let a = random_codes(&mut rng, rows, 5);
+        let b = random_codes(&mut rng, cols, 5);
+        let mut steep = Boundary::global(rows, cols, -10);
+        steep.left[rows / 2] -= 1;
+        let case = format!("out-of-range {rows}x{cols}");
+        assert_base_case_traces_match_scalar(&case, &dna, &a, &b, &steep, false);
+    }
+    for (rows, cols) in [(47, 100), (100, 15)] {
+        let (a, b, cut) = cut_boundary(&mut rng, &dna, rows, cols);
+        let case = format!("small {rows}x{cols}");
+        assert_base_case_traces_match_scalar(&case, &dna, &a, &b, &cut, false);
     }
 }
 
