@@ -5,17 +5,20 @@
 //! problems, for every backend the CPU supports, and reports cells/sec
 //! and ns/cell. The DNA sweep is the gated one; on AVX-512 it runs the
 //! anti-diagonal band kernel. A second, report-only sweep on protein
-//! (BLOSUM62, linear gap −10) times the row scan, which protein and every
-//! non-AVX-512 backend run. It also times
+//! (BLOSUM62, linear gap −10) times the same fill: on AVX-512 with VBMI
+//! the byte band, its scores looked up in five two-register tables (four
+//! for the twenty standard letters), and the row scan elsewhere. It also
+//! times
 //! [`Kernel::fill_affine_edges_in`] — affine
 //! FastLSA's grid fill — per backend on a homologous protein pair under
 //! BLOSUM62 with gaps −11/−1, and, report-only, its base case
 //! [`Kernel::fill_affine_full_reusing`] (three lined layers in reused
 //! buffers) at sides up to 1,024. Another report-only sweep times the
-//! linear DNA base case as the solver runs it, at sides up to 1,024:
-//! [`Kernel::fill_base_reusing`] into one reused buffer (on AVX-512 with
-//! VBMI, the byte band's traceback codes) plus the traceback from the
-//! bottom-right corner. The JSON report (`BENCH_kernels.json`)
+//! linear base case as the solver runs it, on DNA and on protein
+//! (BLOSUM62, −10), at sides up to 1,024: [`Kernel::fill_base_reusing`]
+//! into one reused buffer (on AVX-512 with VBMI, the byte band's
+//! traceback codes) plus the traceback from the bottom-right corner. The
+//! JSON report (`BENCH_kernels.json`)
 //! opens with the [`HostStamp`] so numbers are comparable across
 //! machines, and `--gate F` turns the sweep into a regression gate: it
 //! fails unless the best vectorized backend reaches `F`× the scalar
@@ -98,8 +101,8 @@ fn cells_per_sec_at(cases: &[KernelBenchCase], len: usize, b: KernelBackend) -> 
 pub struct KernelBenchReport {
     /// All measurements, grouped by length then backend.
     pub cases: Vec<KernelBenchCase>,
-    /// Linear-gap protein measurements (the row scan), grouped like
-    /// `cases`; reported, not gated.
+    /// Linear-gap protein measurements, grouped like `cases`; reported,
+    /// not gated.
     pub protein: Vec<KernelBenchCase>,
     /// Affine edge-fill measurements, grouped like `cases`.
     pub affine: Vec<KernelBenchCase>,
@@ -110,6 +113,9 @@ pub struct KernelBenchReport {
     /// corner) at the lengths up to 1,024, grouped like `cases`;
     /// reported, not gated.
     pub base_case: Vec<KernelBenchCase>,
+    /// The same base-case measurements on protein (BLOSUM62, linear gap
+    /// −10); reported, not gated.
+    pub protein_base_case: Vec<KernelBenchCase>,
     /// The machine the sweep ran on.
     pub host: HostStamp,
 }
@@ -176,6 +182,8 @@ impl KernelBenchReport {
         push_cases_json(&mut out, &self.base_case);
         out.push_str("  ],\n  \"protein\": [\n");
         push_cases_json(&mut out, &self.protein);
+        out.push_str("  ],\n  \"protein_base_case\": [\n");
+        push_cases_json(&mut out, &self.protein_base_case);
         out.push_str("  ],\n  \"results\": [\n");
         push_cases_json(&mut out, &self.cases);
         out.push_str("  ]\n}\n");
@@ -187,7 +195,7 @@ impl KernelBenchReport {
         let mut out = render_cases(&self.cases);
         if !self.protein.is_empty() {
             out.push_str(&format!(
-                "linear fill, row scan (protein, BLOSUM62, {PROTEIN_GAP}):\n"
+                "linear fill (protein, BLOSUM62, {PROTEIN_GAP}):\n"
             ));
             out.push_str(&render_cases(&self.protein));
         }
@@ -208,6 +216,13 @@ impl KernelBenchReport {
         if !self.base_case.is_empty() {
             out.push_str("base case, fill + traceback from the corner, reused buffer (DNA):\n");
             out.push_str(&render_cases(&self.base_case));
+        }
+        if !self.protein_base_case.is_empty() {
+            out.push_str(&format!(
+                "base case, fill + traceback from the corner, reused buffer \
+                 (protein, BLOSUM62, {PROTEIN_GAP}):\n"
+            ));
+            out.push_str(&render_cases(&self.protein_base_case));
         }
         out
     }
@@ -283,9 +298,11 @@ fn best_of(reps: usize, mut fill: impl FnMut()) -> u64 {
 pub fn run(lens: &[usize], reps: usize) -> KernelBenchReport {
     let scheme = ScoringScheme::dna_default();
     let cases = linear_sweep(lens, reps, &scheme, &Alphabet::dna(), 0xbc);
-    let base_case = base_case_sweep(lens, reps, &scheme, 0xbc);
+    let base_case = base_case_sweep(lens, reps, &scheme, &Alphabet::dna(), 0xbc);
     let protein_scheme = ScoringScheme::new(tables::blosum62(), GapModel::linear(PROTEIN_GAP));
     let protein = linear_sweep(lens, reps, &protein_scheme, &Alphabet::protein(), 0xaf);
+    let protein_base_case =
+        base_case_sweep(lens, reps, &protein_scheme, &Alphabet::protein(), 0xaf);
     let metrics = Metrics::new();
     let (open, extend) = AFFINE_GAP;
     let affine_scheme = ScoringScheme::new(tables::blosum62(), GapModel::affine(open, extend));
@@ -341,12 +358,13 @@ pub fn run(lens: &[usize], reps: usize) -> KernelBenchReport {
         affine,
         affine_full,
         base_case,
+        protein_base_case,
         host: HostStamp::detect(),
     }
 }
 
-/// The solver's linear base case on a homologous DNA `len × len` pair
-/// under `scheme`, per available backend and length up to
+/// The solver's linear base case on a homologous `len × len` pair over
+/// `alphabet` under `scheme`, per available backend and length up to
 /// [`BASE_CASE_MAX_LEN`]: [`Kernel::fill_base_reusing`] into one buffer
 /// that every fill reuses, then the traceback from the bottom-right
 /// corner.
@@ -354,13 +372,14 @@ fn base_case_sweep(
     lens: &[usize],
     reps: usize,
     scheme: &ScoringScheme,
+    alphabet: &Alphabet,
     seed: u64,
 ) -> Vec<KernelBenchCase> {
     let metrics = Metrics::new();
     let mut cases = Vec::new();
     for &len in lens.iter().filter(|&&len| len <= BASE_CASE_MAX_LEN) {
-        let (sa, sb) = homologous_pair("bench", &Alphabet::dna(), len, 0.8, seed)
-            .expect("bench sequence generation");
+        let (sa, sb) =
+            homologous_pair("bench", alphabet, len, 0.8, seed).expect("bench sequence generation");
         let (a, b) = (sa.codes(), sb.codes());
         let bound = Boundary::global(a.len(), b.len(), scheme.gap().linear_penalty());
         for backend in KernelBackend::available() {
@@ -447,6 +466,7 @@ mod tests {
             &report.affine,
             &report.affine_full,
             &report.base_case,
+            &report.protein_base_case,
         ] {
             let backends: Vec<_> = cases.iter().map(|c| c.backend).collect();
             assert_eq!(backends, KernelBackend::available());
@@ -467,10 +487,12 @@ mod tests {
         assert!(json.contains("\"affine_full\": ["));
         assert!(json.contains("\"base_case\": ["));
         assert!(json.contains("\"protein\": ["));
+        assert!(json.contains("\"protein_base_case\": ["));
         assert!(report.render().contains("affine edge fill"));
         assert!(report.render().contains("affine full fill"));
         assert!(report.render().contains("base case, fill + traceback"));
-        assert!(report.render().contains("row scan (protein"));
+        assert!(report.render().contains("linear fill (protein"));
+        assert!(report.render().contains("reused buffer (protein"));
         // Balanced braces/brackets — cheap structural sanity.
         assert_eq!(
             json.matches('{').count(),
@@ -503,6 +525,7 @@ mod tests {
             ],
             affine_full: vec![],
             base_case: vec![],
+            protein_base_case: vec![],
             host: HostStamp {
                 cpu_features: vec![],
                 best_backend: KernelBackend::Avx512,

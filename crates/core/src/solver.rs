@@ -361,15 +361,30 @@ impl<'s> Solver<'s> {
     /// The reservation `run` and `resume` make before any work, as the
     /// paper does, so an over-budget `BM` surfaces as `AllocFailed` up
     /// front: `BM` cells per layer, or, where the whole `m × n` pair fits
-    /// them, the one base case it is.
+    /// them, the one base case it is. An affine pair that splits reserves
+    /// at most a lined layer of its first split's largest block,
+    /// `⌈m/k_r⌉ × ⌈n/k_c⌉`, per layer: every base case lies inside one
+    /// such block, and the drive loop reserves again for a thin one that
+    /// needs more. Linear keeps `BM`, the reservation the paper's space
+    /// model counts.
     fn reserve_first_base(&mut self, m: usize, n: usize) -> Result<(), AlignError> {
         let whole = (m + 1).saturating_mul(n + 1);
         let cells = self.config.base_cells;
-        self.reserve_base(if whole <= cells {
+        let len = if whole <= cells {
             self.base_layer_len(m, n)
         } else {
-            cells
-        })
+            match self.scheme.gap() {
+                GapModel::Linear { .. } => cells,
+                GapModel::Affine { .. } => {
+                    // As `fill_grid` splits; a pair thinner than 2 is
+                    // solved whole, and the drive loop reserves for it.
+                    let k_r = self.config.k.min(m).max(1);
+                    let k_c = self.config.k.min(n).max(1);
+                    cells.min(ScoreMatrix::lined_len(m.div_ceil(k_r), n.div_ceil(k_c)))
+                }
+            }
+        };
+        self.reserve_base(len)
     }
 
     /// Reserves the Base Case buffer for `len` entries per layer,

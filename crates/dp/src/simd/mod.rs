@@ -54,7 +54,18 @@
 //! bit-identical as well. The admission ([`byte_scheme`],
 //! [`steps_within`]) is computed from what the fill observes: a
 //! boundary or scheme outside the `i8` domain falls back to the `i32`
-//! band.
+//! band (DNA) or the row scan (protein).
+//!
+//! The differences do not depend on the alphabet; only the byte band's
+//! score lookup does. An alphabet of `|Σ|² ≤ 64` entries (DNA) looks a
+//! step's 64 scores up in one 64-byte table with one `vpermb`. A larger
+//! one splits its table by row letter into two-register (128-byte)
+//! tables of `R = ⌊128/|Σ|⌋` row letters each and chains one merge-masked
+//! `vpermi2b` per table, each lane taking only the table that holds its
+//! row letter: BLOSUM62 and PAM250 (24 codes) take five tables of five
+//! row letters, and a step reads the fifth (`B`, `Z`, `X`, `*`) only
+//! where a row of the block holds one. Alphabets past 25 codes would
+//! need more than [`MAX_BYTE_TABLES`] tables and keep the row scan.
 //!
 //! A FastLSA base case ([`Kernel::fill_base_reusing`]) runs the same
 //! byte band where it admits the block, but keeps 2-bit traceback codes
@@ -76,13 +87,14 @@
 //!   `core::arch` row scans (linear; AVX2 also affine);
 //! * [`KernelBackend::Avx512`] — admitted on `avx512f`: the row scan,
 //!   linear and affine, plus the anti-diagonal bands for
-//!   [`Kernel::fill_last_row_col`] on DNA — the byte band when this CPU
-//!   also has `avx512bw` and `avx512vbmi` (detected in
+//!   [`Kernel::fill_last_row_col`] — the byte band, DNA and protein,
+//!   when this CPU also has `avx512bw` and `avx512vbmi` (detected in
 //!   `Kernel::byte_band_fill`, the fn that calls it) and admits the
-//!   block, the `i32` band otherwise — and the byte band's traceback
-//!   codes for [`Kernel::fill_base_reusing`]. The full matrix
+//!   block, the `i32` band (DNA only) otherwise — and the byte band's
+//!   traceback codes for [`Kernel::fill_base_reusing`]. The full matrix
 //!   ([`Kernel::fill_full`]), base cases the byte band refuses, protein
-//!   and blocks under `BAND_MIN_ROWS` rows keep the row scan.
+//!   fills it refuses and blocks under `BAND_MIN_ROWS` rows keep the row
+//!   scan.
 //!
 //! The vector backends are admitted only after `is_x86_feature_detected!`
 //! (rule R6 pins their `#[target_feature]` functions to this module).
@@ -98,6 +110,8 @@
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use flsa_scoring::{QueryProfile, ScoringScheme};
@@ -133,10 +147,26 @@ const BAND_MIN_ROWS: usize = 8;
 /// ×0.85 slower at 48–64 rows.
 const BYTE_BAND_MIN_ROWS: usize = 48;
 
+/// Bytes of one byte-band score table: the two registers one `vpermi2b`
+/// indexes.
+const BYTE_TABLE: usize = 128;
+
+/// Score tables a byte step looks up at most. Five cover alphabets of up
+/// to 25 codes (`R = 5` row letters a table), BLOSUM's and PAM's 24
+/// among them; a larger alphabet keeps the row scan.
+const MAX_BYTE_TABLES: usize = 5;
+
 /// What the byte band needs of a scheme ([`byte_scheme`]).
 struct ByteScheme {
-    /// `max(S − 2g, 0)` at `x·|Σ| + y` (see `x86::ByteBand::byte_step`).
-    table: [u8; 64],
+    /// `|Σ|`.
+    codes: usize,
+    /// Row letters per table, `R = ⌊128/|Σ|⌋`.
+    per_table: usize,
+    /// `max(S(x, y) − 2g, 0)` at byte `(x mod R)·|Σ| + y` of table
+    /// `⌊x/R⌋`, each table [`BYTE_TABLE`] bytes (see
+    /// `x86::ByteBand::byte_step`). DNA's five codes fit table 0 with
+    /// `R = 25`, so its entries sit at `x·|Σ| + y`.
+    tables: [u8; BYTE_TABLE * MAX_BYTE_TABLES],
     /// The range `[g, smax − g]` every score difference lies in.
     range: (i32, i32),
     /// No table entry was clamped at 0: every `S ≥ 2g`, so a step's
@@ -148,13 +178,58 @@ struct ByteScheme {
 /// The byte band's scheme admission. Its differences lie in
 /// `[g, smax − g]` and its diagonal terms in `[2g, smax]`, and both ranges
 /// must fit `i8`: `2g ≥ −128`, `smax − g ≤ 127`, and every score in
-/// `[−128, 127]`. `None` when the alphabet does not fit [`band_table`],
-/// the ranges do not fit `i8`, or the range is empty.
-fn byte_scheme(scheme: &ScoringScheme) -> Option<ByteScheme> {
-    let codes = scheme.alphabet().len();
-    let scores = band_table(scheme)?;
-    let scores = &scores[..codes * codes];
-    let g = i64::from(scheme.gap().linear_penalty());
+/// `[−128, 127]`. `None` when the alphabet needs more than
+/// [`MAX_BYTE_TABLES`] tables (past 25 codes), the ranges do not fit
+/// `i8`, or the range is empty.
+///
+/// Building the tables reads all `|Σ|²` scores, so each thread keeps the
+/// last [`BYTE_SCHEME_MEMO`] schemes it admitted or refused, keyed by
+/// their scores and gap: a run's fills, and the runs and requests that
+/// follow on the same thread, build each scheme once.
+fn byte_scheme(scheme: &ScoringScheme) -> Option<Rc<ByteScheme>> {
+    let gap = scheme.gap().linear_penalty();
+    let scores = scheme.matrix().table();
+    BYTE_SCHEMES.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        if let Some(hit) = memo.iter().find(|m| m.gap == gap && m.scores == scores) {
+            return hit.built.clone();
+        }
+        let built = build_byte_scheme(scores, scheme.alphabet().len(), gap).map(Rc::new);
+        if memo.len() == BYTE_SCHEME_MEMO {
+            memo.remove(0);
+        }
+        memo.push(ByteSchemeMemo {
+            gap,
+            scores: scores.to_vec(),
+            built: built.clone(),
+        });
+        built
+    })
+}
+
+/// Schemes one thread's [`byte_scheme`] memo keeps: a serve worker
+/// alternates DNA and protein requests.
+const BYTE_SCHEME_MEMO: usize = 4;
+
+/// One scheme [`byte_scheme`] has admitted (or refused, `built: None`).
+struct ByteSchemeMemo {
+    gap: i32,
+    scores: Vec<i32>,
+    built: Option<Rc<ByteScheme>>,
+}
+
+thread_local! {
+    static BYTE_SCHEMES: RefCell<Vec<ByteSchemeMemo>> = const { RefCell::new(Vec::new()) };
+}
+
+/// [`byte_scheme`] without its memo: the row-major `codes × codes`
+/// `scores` under linear gap `gap`.
+fn build_byte_scheme(scores: &[i32], codes: usize, gap: i32) -> Option<ByteScheme> {
+    let per_table = BYTE_TABLE.checked_div(codes)?;
+    if per_table == 0 || codes.div_ceil(per_table) > MAX_BYTE_TABLES {
+        return None;
+    }
+    let g = i64::from(gap);
     let smax = i64::from(*scores.iter().max()?);
     let in_i8 = |v: i64| (-128..=127).contains(&v);
     // `smax < 2g` leaves the range empty: no boundary could be admitted.
@@ -165,14 +240,19 @@ fn byte_scheme(scheme: &ScoringScheme) -> Option<ByteScheme> {
     {
         return None;
     }
-    let mut table = [0u8; 64];
-    for (slot, &s) in table.iter_mut().zip(scores) {
-        // In 0..=smax − 2g ≤ 191 by the checks above.
-        *slot = (i64::from(s) - 2 * g).max(0) as u8;
+    let mut tables = [0u8; BYTE_TABLE * MAX_BYTE_TABLES];
+    for (x, row) in scores.chunks_exact(codes).enumerate() {
+        let at = x / per_table * BYTE_TABLE + x % per_table * codes;
+        for (slot, &s) in tables[at..at + codes].iter_mut().zip(row) {
+            // In 0..=smax − 2g ≤ 191 by the checks above.
+            *slot = (i64::from(s) - 2 * g).max(0) as u8;
+        }
     }
     Some(ByteScheme {
-        table,
-        range: (g as i32, (smax - g) as i32),
+        codes,
+        per_table,
+        tables,
+        range: (gap, (smax - g) as i32),
         exact: scores.iter().all(|&s| i64::from(s) >= 2 * g),
     })
 }
@@ -207,9 +287,10 @@ fn steps_within(edge: &[i32], (lo, hi): (i32, i32)) -> bool {
     })
 }
 
-/// The band kernel's in-register score table, `S(x, y)` at `x·|Σ| + y`,
-/// or `None` when `|Σ|² > 32` (protein): the table must fit the 32
-/// entries one two-source permute can index.
+/// The `i32` band kernel's in-register score table, `S(x, y)` at
+/// `x·|Σ| + y`, or `None` when `|Σ|² > 32` (protein): the table must fit
+/// the 32 entries one two-source permute of `i32` lanes can index. The
+/// byte band has its own tables ([`byte_scheme`]).
 fn band_table(scheme: &ScoringScheme) -> Option<[i32; 32]> {
     let matrix = scheme.matrix();
     let codes = matrix.alphabet().len();
@@ -850,26 +931,13 @@ impl Kernel {
             if let ByteOut::Codes(words) = &mut out {
                 words.resize(TraceCodes::storage_len(rows, cols), 0);
             }
-            let codes = scheme.alphabet().len();
             let gap = scheme.gap().linear_penalty();
             // Three byte rows, which the kernel views this `i32` buffer as.
             let mut scratch = self.arena.take((3 * x86::byte_row_len(cols)).div_ceil(4));
             // SAFETY: all three features were detected just above, every
             // difference of `top` and `left` lies in the range
             // `byte_scheme` admitted, and codes run only on an exact table.
-            unsafe {
-                x86::byte_band_fill_avx512(
-                    a,
-                    b,
-                    &bs.table,
-                    codes,
-                    top,
-                    left,
-                    gap,
-                    &mut scratch,
-                    out,
-                )
-            }
+            unsafe { x86::byte_band_fill_avx512(a, b, &bs, top, left, gap, &mut scratch, out) }
             self.arena.put(scratch);
             true
         }
@@ -1124,8 +1192,10 @@ mod tests {
         let dna = byte_scheme(&ScoringScheme::dna_default()).expect("DNA fits i8");
         let range = dna.range;
         assert_eq!(range, (-10, 15));
-        // `max(S − 2g, 0)`: match 5 + 20, mismatch −4 + 20, `N` 0 + 20.
-        assert_eq!(dna.table[..6], [25, 16, 16, 16, 20, 16]);
+        // `max(S − 2g, 0)`: match 5 + 20, mismatch −4 + 20, `N` 0 + 20,
+        // all five rows in table 0 (`R = 25`) at `x·|Σ| + y`.
+        assert_eq!((dna.codes, dna.per_table), (5, 25));
+        assert_eq!(dna.tables[..6], [25, 16, 16, 16, 20, 16]);
         assert!(dna.exact, "no DNA score lies below 2g = −20");
         assert!(steps_within(&[0, -10, 5, -5, 10], range));
         assert!(!steps_within(&[0, -11], range));
@@ -1148,7 +1218,7 @@ mod tests {
         // 2g = −128 and smax − g = 127: the last scheme that fits.
         let last = byte_scheme(&edge(-64)).expect("the i8 edge fits");
         assert_eq!(last.range, (-64, 127));
-        assert_eq!((last.table[0], last.table[1]), (191, 65));
+        assert_eq!((last.tables[0], last.tables[1]), (191, 65));
         assert!(last.exact);
         assert!(byte_scheme(&edge(-65)).is_none(), "2g = −130");
         // Gap −1 puts the −4 mismatch below 2g = −2: its entry is clamped
@@ -1158,9 +1228,34 @@ mod tests {
             flsa_scoring::GapModel::linear(-1),
         );
         let clamped = byte_scheme(&clamped).expect("gap −1 fits i8");
-        assert_eq!(clamped.table[..2], [7, 0]);
+        assert_eq!(clamped.tables[..2], [7, 0]);
         assert!(!clamped.exact);
-        assert!(byte_scheme(&ScoringScheme::protein_default()).is_none());
+        // BLOSUM62's 24 codes take five tables of `R = 5` row letters:
+        // row `x` at byte `(x mod 5)·24 + y` of table `⌊x/5⌋`. `A`–`A`
+        // is 4 + 20; `Q` (code 5) opens table 1, `Q`–`Q` 5 + 20; `*`
+        // (code 23) is row 3 of table 4, `*`–`A` −4 + 20, `*`–`*` 1 + 20.
+        let protein = byte_scheme(&ScoringScheme::protein_default()).expect("BLOSUM62 fits");
+        assert_eq!((protein.codes, protein.per_table), (24, 5));
+        assert_eq!(protein.range, (-10, 21));
+        assert!(protein.exact, "no BLOSUM62 score lies below 2g = −20");
+        assert_eq!(protein.tables[0], 24);
+        assert_eq!(protein.tables[128 + 5], 25);
+        let star = 4 * 128 + 3 * 24;
+        assert_eq!((protein.tables[star], protein.tables[star + 23]), (16, 21));
+        // 25 codes still fit five tables (`R = 5`); 26 would need seven
+        // (`R = 4`), so that alphabet keeps the row scan.
+        let letters = |symbols| {
+            let m = flsa_scoring::SubstitutionMatrix::match_mismatch(
+                "letters",
+                flsa_seq::Alphabet::new("letters", symbols),
+                2,
+                -1,
+            );
+            ScoringScheme::new(m, flsa_scoring::GapModel::linear(-2))
+        };
+        let widest = byte_scheme(&letters("ABCDEFGHIJKLMNOPQRSTUVWXY")).expect("25 codes fit");
+        assert_eq!((widest.codes, widest.per_table), (25, 5));
+        assert!(byte_scheme(&letters("ABCDEFGHIJKLMNOPQRSTUVWXYZ")).is_none());
         // Every score below 2g: `[g, smax − g]` is empty.
         let negative = flsa_scoring::SubstitutionMatrix::match_mismatch(
             "negative",
@@ -1177,9 +1272,9 @@ mod tests {
         // Buffers each fill checks out of the arena: the row scan takes
         // the profile, `prev` and `cur`; the AVX-512 `i32` band (DNA
         // only) takes the reversed `b` and the second band's top row; the
-        // byte band (DNA where the CPU also has BW and VBMI, 200 rows
-        // here) takes one buffer for the reversed `b` and both hand-off
-        // rows; the scalar kernel takes none.
+        // byte band (DNA and protein where the CPU also has BW and VBMI,
+        // 200 rows here) takes one buffer for the reversed `b` and both
+        // hand-off rows; the scalar kernel takes none.
         let backend = Kernel::auto().backend();
         #[cfg(target_arch = "x86_64")]
         let vbmi = is_x86_feature_detected!("avx512bw") && is_x86_feature_detected!("avx512vbmi");
@@ -1190,14 +1285,14 @@ mod tests {
         } else {
             3
         };
-        let band = match backend {
-            KernelBackend::Avx512 if vbmi => 1,
-            KernelBackend::Avx512 => 2,
-            _ => row_scan,
+        let (dna, protein) = match backend {
+            KernelBackend::Avx512 if vbmi => (1, 1),
+            KernelBackend::Avx512 => (2, row_scan),
+            _ => (row_scan, row_scan),
         };
         for (scheme, per_fill) in [
-            (ScoringScheme::dna_default(), band),
-            (ScoringScheme::protein_default(), row_scan),
+            (ScoringScheme::dna_default(), dna),
+            (ScoringScheme::protein_default(), protein),
         ] {
             let k = Kernel::auto();
             let a: Vec<u8> = (0..200).map(|i| (i % 4) as u8).collect();

@@ -17,7 +17,7 @@
 
 use core::arch::x86_64::*;
 
-use super::{AffineRow, ByteOut};
+use super::{AffineRow, ByteOut, ByteScheme, BYTE_TABLE, MAX_BYTE_TABLES};
 use crate::matrix::TraceCodes;
 
 /// Lane-shift `x` one `i32` toward higher lanes, filling lane 0 from
@@ -566,18 +566,145 @@ pub(super) fn byte_row_len(cols: usize) -> usize {
     cols + 2 * BYTE_PAD
 }
 
+/// How a byte step looks up its 64 table entries `max(S(a_i, b_j) − 2g, 0)`:
+/// lane `l` reads byte `arow[l] + cols[l]` of the table its row letter
+/// lies in, with `arow` its row letter's offset in that table.
+trait Lookup {
+    /// What a band keeps of its row letters besides `arow`.
+    type Lanes: Copy;
+
+    /// The [`Lookup::Lanes`] of a band whose row codes are `codes`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F/BW (guaranteed by the caller's own
+    /// `target_feature`).
+    unsafe fn lanes(&self, codes: __m512i) -> Self::Lanes;
+
+    /// The step's 64 entries, given the band's `arow` and `lanes` and the
+    /// step's column codes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F/BW/VBMI (guaranteed by the caller's own
+    /// `target_feature`).
+    unsafe fn scores(&self, arow: __m512i, lanes: &Self::Lanes, cols: __m512i) -> __m512i;
+}
+
+/// An alphabet of `|Σ|² ≤ 64` entries (DNA): one 64-byte table, the
+/// entry of `(x, y)` at byte `x·|Σ| + y`, one `vpermb` a step. (A
+/// two-register `vpermi2b` here measured ×0.95 on DNA.)
+struct OneTable(__m512i);
+
+impl Lookup for OneTable {
+    type Lanes = ();
+
+    /// # Safety
+    ///
+    /// As for [`Lookup::lanes`].
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn lanes(&self, _codes: __m512i) {}
+
+    /// # Safety
+    ///
+    /// As for [`Lookup::scores`].
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    unsafe fn scores(&self, arow: __m512i, _lanes: &(), cols: __m512i) -> __m512i {
+        _mm512_permutexvar_epi8(_mm512_add_epi8(arow, cols), self.0)
+    }
+}
+
+/// A larger alphabet: `G` two-register (128-byte) tables of
+/// `R = ⌊128/|Σ|⌋` row letters each, the entry of `(x, y)` at byte
+/// `(x mod R)·|Σ| + y ≤ 127` of table `⌊x/R⌋`. A step chains one
+/// merge-masked `vpermi2b` per table, and each lane takes only its own
+/// table's entry: a lane outside table `t`'s lanes keeps what it holds,
+/// its index before its own table's turn and its entry after, so each
+/// lane is looked up exactly once.
+struct Tables<const G: usize> {
+    /// Bytes 0–63 and 64–127 of each table.
+    lo: [__m512i; G],
+    hi: [__m512i; G],
+    /// `R`.
+    per_table: usize,
+}
+
+impl<const G: usize> Tables<G> {
+    /// The first `G` of `bs`'s tables (`G ≤ MAX_BYTE_TABLES`).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F (guaranteed by the caller's own
+    /// `target_feature`).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load(bs: &ByteScheme) -> Self {
+        let (mut lo, mut hi) = ([_mm512_setzero_si512(); G], [_mm512_setzero_si512(); G]);
+        let tables = bs.tables.chunks_exact(BYTE_TABLE);
+        for ((lo, hi), table) in lo.iter_mut().zip(&mut hi).zip(tables) {
+            let (low, high) = table.split_at(BYTE_BAND);
+            *lo = _mm512_loadu_si512(low.as_ptr() as *const __m512i);
+            *hi = _mm512_loadu_si512(high.as_ptr() as *const __m512i);
+        }
+        Tables {
+            lo,
+            hi,
+            per_table: bs.per_table,
+        }
+    }
+}
+
+impl<const G: usize> Lookup for Tables<G> {
+    /// The lanes whose row letter lies in each table.
+    type Lanes = [__mmask64; G];
+
+    /// # Safety
+    ///
+    /// As for [`Lookup::lanes`].
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn lanes(&self, codes: __m512i) -> [__mmask64; G] {
+        let (mut lanes, mut below) = ([0; G], 0);
+        for (t, in_table) in lanes.iter_mut().enumerate() {
+            // Fits a byte: `Tables` serves only `|Σ| ≥ 9`, so
+            // `(t + 1)·R ≤ 5·14`.
+            let end = _mm512_set1_epi8(((t + 1) * self.per_table) as i8);
+            let upto = _mm512_cmplt_epu8_mask(codes, end);
+            *in_table = upto & !below;
+            below = upto;
+        }
+        lanes
+    }
+
+    /// # Safety
+    ///
+    /// As for [`Lookup::scores`].
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    unsafe fn scores(&self, arow: __m512i, lanes: &[__mmask64; G], cols: __m512i) -> __m512i {
+        let mut s = _mm512_add_epi8(arow, cols);
+        for ((&lo, &hi), &in_table) in self.lo.iter().zip(&self.hi).zip(lanes) {
+            s = _mm512_mask2_permutex2var_epi8(lo, s, in_table, hi);
+        }
+        s
+    }
+}
+
 /// The operands every step of [`byte_band_fill_avx512`] shares.
-struct ByteGeom {
+struct ByteGeom<L> {
     cols: usize,
     /// `b`'s codes reversed between [`BYTE_PAD`] pad bytes on each side:
     /// `brev[cols + BYTE_PAD − 1 − s + l]` is `b[s − l]`, so one unaligned
     /// load gives step `s` its 64 column codes.
     brev: *const u8,
-    /// `max(S(x, y) − 2g, 0)` at byte `x·|Σ| + y`.
-    table: __m512i,
-    /// `|Σ|` in every byte, and `x·|Σ|` at byte `x`.
+    /// The score tables.
+    lookup: L,
+    /// `|Σ|` in every byte, and at byte `x` row letter `x`'s offset in its
+    /// table, `(x mod R)·|Σ|` (`x·|Σ|` for [`OneTable`]).
     codes: __m512i,
-    times_codes: __m512i,
+    row_base: __m512i,
     /// `vpermt2b` indices that shift a band's `q` one lane up and fill
     /// lane 0 from lane 0 (`from_row`) or lane 63 (`from_band`) of the
     /// second operand.
@@ -618,15 +745,18 @@ unsafe fn left_steps(at: *const i32, live: __mmask16, gapv: __m512i) -> __m128i 
 /// they are never negative: `p = u − g` with `u(i,j) = H(i,j) − H(i−1,j)`,
 /// and `q = v − g` with `v(i,j) = H(i,j) − H(i,j−1)`. Both lie in
 /// `[0, smax − 2g]` (see [`ByteBand::byte_step`]).
-struct ByteBand {
+struct ByteBand<L: Lookup> {
     /// Rows the band covers, `1..=64`. Lanes from `live` up lie below the
     /// rectangle: they feed only higher lanes and are never stored.
     live: usize,
     /// The band's traceback code words, two per step (see
     /// [`ByteBand::byte_step`]); only a coding sweep writes them.
     words: *mut u64,
-    /// `a[r0 + l]·|Σ|` per lane, the row half of each score-table index.
+    /// `(a[r0 + l] mod R)·|Σ|` per lane, the row half of each
+    /// score-table index.
     arow: __m512i,
+    /// What the lookup keeps of the band's row letters.
+    lanes: L::Lanes,
     /// `p` of each lane's last cell; before a lane's first cell, its
     /// left-column difference `u(i, 0) − g`.
     p: __m512i,
@@ -636,10 +766,11 @@ struct ByteBand {
     right: [u8; BYTE_BAND],
 }
 
-impl ByteBand {
+impl<L: Lookup> ByteBand<L> {
     /// The band over rows `r0 + 1 ..= r0 + live`, its left-column
     /// differences read from `left`. Panics on a residue code outside
-    /// the score table, as the profile rows do.
+    /// the score table, as the profile rows do. Lanes from `live` up
+    /// load code 0, so they read the first table.
     ///
     /// # Safety
     ///
@@ -648,7 +779,7 @@ impl ByteBand {
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
     unsafe fn byte_rows(
-        g: &ByteGeom,
+        g: &ByteGeom<L>,
         a: &[u8],
         left: &[i32],
         r0: usize,
@@ -681,7 +812,8 @@ impl ByteBand {
         ByteBand {
             live,
             words,
-            arow: _mm512_permutexvar_epi8(codes, g.times_codes),
+            arow: _mm512_permutexvar_epi8(codes, g.row_base),
+            lanes: g.lookup.lanes(codes),
             p,
             q: _mm512_setzero_si512(),
             right: [0; BYTE_BAND],
@@ -723,14 +855,14 @@ impl ByteBand {
     #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
     unsafe fn byte_step<const CODES: bool>(
         &mut self,
-        g: &ByteGeom,
+        g: &ByteGeom<L>,
         s: usize,
         idx: __m512i,
         above: __m512i,
     ) -> __m512i {
         let up = _mm512_permutex2var_epi8(self.q, idx, above);
         let codes = _mm512_loadu_si512(g.brev.add(g.cols + BYTE_PAD - 1 - s) as *const __m512i);
-        let sub = _mm512_permutexvar_epi8(_mm512_add_epi8(self.arow, codes), g.table);
+        let sub = g.lookup.scores(self.arow, &self.lanes, codes);
         let y = _mm512_max_epu8(up, _mm512_max_epu8(sub, self.p));
         let p = _mm512_sub_epi8(y, up);
         self.q = _mm512_sub_epi8(y, self.p);
@@ -772,7 +904,7 @@ impl ByteBand {
     #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
     unsafe fn byte_edge_step<const BOTTOM: bool, const CODES: bool>(
         &mut self,
-        g: &ByteGeom,
+        g: &ByteGeom<L>,
         s: usize,
         idx: __m512i,
         above: __m512i,
@@ -806,9 +938,9 @@ impl ByteBand {
 /// As for [`ByteBand::byte_edge_step`] on every band; `src` holds
 /// [`byte_row_len`] bytes, `dst` at least `cols`.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn byte_sweep<const N: usize, const CODES: bool>(
-    bands: &mut [ByteBand; N],
-    g: &ByteGeom,
+unsafe fn byte_sweep<const N: usize, L: Lookup, const CODES: bool>(
+    bands: &mut [ByteBand<L>; N],
+    g: &ByteGeom<L>,
     src: *const u8,
     dst: *mut u8,
 ) {
@@ -818,7 +950,7 @@ unsafe fn byte_sweep<const N: usize, const CODES: bool>(
     let start = (lag + bands[N - 1].live - 1).min(end);
     let stop = (g.cols - 1).max(start);
     for t in 0..start {
-        byte_edge_steps::<N, CODES>(bands, g, t, src, dst);
+        byte_edge_steps::<N, L, CODES>(bands, g, t, src, dst);
     }
     for t in start..stop {
         // Bottom band first: each band reads the `q` the band above left
@@ -831,7 +963,7 @@ unsafe fn byte_sweep<const N: usize, const CODES: bool>(
         bands[N - 1].byte_store_bottom(t - lag, dst);
     }
     for t in stop..end {
-        byte_edge_steps::<N, CODES>(bands, g, t, src, dst);
+        byte_edge_steps::<N, L, CODES>(bands, g, t, src, dst);
     }
 }
 
@@ -845,10 +977,10 @@ unsafe fn byte_sweep<const N: usize, const CODES: bool>(
 /// `src` holds [`byte_row_len`] bytes and `s ≤ cols + BYTE_PAD − 1`.
 #[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn byte_above<const N: usize>(
-    bands: &[ByteBand; N],
+unsafe fn byte_above<const N: usize, L: Lookup>(
+    bands: &[ByteBand<L>; N],
     k: usize,
-    g: &ByteGeom,
+    g: &ByteGeom<L>,
     src: *const u8,
     s: usize,
 ) -> (__m512i, __m512i) {
@@ -867,9 +999,9 @@ unsafe fn byte_above<const N: usize>(
 /// As for [`byte_sweep`].
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn byte_edge_steps<const N: usize, const CODES: bool>(
-    bands: &mut [ByteBand; N],
-    g: &ByteGeom,
+unsafe fn byte_edge_steps<const N: usize, L: Lookup, const CODES: bool>(
+    bands: &mut [ByteBand<L>; N],
+    g: &ByteGeom<L>,
     t: usize,
     src: *const u8,
     dst: *mut u8,
@@ -986,8 +1118,8 @@ unsafe fn reverse_codes(b: &[u8], codes_v: __m512i, out: &mut [u8]) {
 /// As for [`byte_sweep`]; `r0 + here` rows lie inside `a` and `left`.
 #[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn byte_sweep_rows<const N: usize, const CODES: bool>(
-    g: &ByteGeom,
+unsafe fn byte_sweep_rows<const N: usize, L: Lookup, const CODES: bool>(
+    g: &ByteGeom<L>,
     a: &[u8],
     left: &[i32],
     gap: i32,
@@ -996,13 +1128,13 @@ unsafe fn byte_sweep_rows<const N: usize, const CODES: bool>(
     dst: *mut u8,
     right: Option<&mut [i32]>,
 ) {
-    let mut bands: [ByteBand; N] = std::array::from_fn(|k| {
+    let mut bands: [ByteBand<L>; N] = std::array::from_fn(|k| {
         let first = k * BYTE_BAND;
         // SAFETY: this fn's caller proved the CPU features `byte_rows`
         // needs, and `byte_rows` checks the rows it reads.
         unsafe { ByteBand::byte_rows(g, a, left, r0 + first, (here - first).min(BYTE_BAND), gap) }
     });
-    byte_sweep::<N, CODES>(&mut bands, g, src, dst);
+    byte_sweep::<N, L, CODES>(&mut bands, g, src, dst);
     if let Some(r) = right {
         let mut at = r0;
         for band in &bands {
@@ -1036,8 +1168,12 @@ const MAX_BANDS: usize = 4;
 /// [`ByteOut::Codes`] (a base case) the same sweeps store every step's
 /// traceback words instead ([`ByteBand::byte_step`]).
 ///
-/// `table` holds `max(S(x, y) − 2g, 0)` at `x·codes + y`, so
-/// `codes² ≤ 64`. `scratch` is viewed as bytes: three rows of
+/// `bs` holds the scheme's score tables. An alphabet of `|Σ|² ≤ 64`
+/// entries (DNA) looks up one table with one `vpermb` ([`OneTable`]); a
+/// larger one chains as many two-register tables as hold a row letter of
+/// `a`, rounded up to four or all five ([`Tables`]), so a protein of the
+/// twenty standard letters (`R = 5`) never reads the fifth, which holds
+/// `B`, `Z`, `X` and `*`. `scratch` is viewed as bytes: three rows of
 /// [`byte_row_len`] bytes, the reversed `b` and the two hand-off rows.
 /// The right column, if given, has its entry 0 set by the caller and
 /// rows `1..=rows` filled here.
@@ -1055,8 +1191,42 @@ const MAX_BANDS: usize = 4;
 pub(super) unsafe fn byte_band_fill_avx512(
     a: &[u8],
     b: &[u8],
-    table: &[u8; 64],
-    codes: usize,
+    bs: &ByteScheme,
+    top: &[i32],
+    left: &[i32],
+    gap: i32,
+    scratch: &mut [i32],
+    out: ByteOut<'_>,
+) {
+    if bs.codes * bs.codes <= BYTE_BAND {
+        let lookup = OneTable(_mm512_loadu_si512(bs.tables.as_ptr() as *const __m512i));
+        return byte_band_run(a, b, bs, lookup, top, left, gap, scratch, out);
+    }
+    // Tables holding a row letter; a code past the alphabet counts too,
+    // and `ByteBand::byte_rows` then refuses it.
+    let used = usize::from(a.iter().copied().max().unwrap_or(0)) / bs.per_table + 1;
+    if used <= 4 {
+        let lookup = Tables::<4>::load(bs);
+        byte_band_run(a, b, bs, lookup, top, left, gap, scratch, out)
+    } else {
+        let lookup = Tables::<MAX_BYTE_TABLES>::load(bs);
+        byte_band_run(a, b, bs, lookup, top, left, gap, scratch, out)
+    }
+}
+
+/// [`byte_band_fill_avx512`] on the score lookup `lookup`.
+///
+/// # Safety
+///
+/// As for [`byte_band_fill_avx512`]; `lookup` holds `bs`'s tables, and
+/// every code of `a` in the alphabet lies in one of them.
+#[allow(clippy::too_many_arguments)] // mirrors the DP recurrence inputs
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn byte_band_run<L: Lookup>(
+    a: &[u8],
+    b: &[u8],
+    bs: &ByteScheme,
+    lookup: L,
     top: &[i32],
     left: &[i32],
     gap: i32,
@@ -1067,10 +1237,6 @@ pub(super) unsafe fn byte_band_fill_avx512(
     let row_len = byte_row_len(cols);
     // Release-mode guards: the steps read and write through raw pointers,
     // so a short buffer is UB, not a panic.
-    assert!(
-        codes * codes <= table.len(),
-        "alphabet too large for the table"
-    );
     assert!(rows >= 1 && cols >= 1, "empty rectangle");
     assert_eq!(top.len(), cols + 1, "top row length");
     assert_eq!(left.len(), rows + 1, "left column length");
@@ -1092,15 +1258,16 @@ pub(super) unsafe fn byte_band_fill_avx512(
     let bytes = std::slice::from_raw_parts_mut(scratch.as_mut_ptr() as *mut u8, 4 * scratch.len());
     let (brev, rest) = bytes.split_at_mut(row_len);
     let (src, dst) = rest.split_at_mut(row_len);
+    let codes = bs.codes;
     let codes_v = _mm512_set1_epi8(codes as i8);
     reverse_codes(b, codes_v, &mut brev[BYTE_PAD..BYTE_PAD + cols]);
     for ((slot, &hi), &lo) in src.iter_mut().zip(&top[1..]).zip(top) {
         // In range by admission, so the wrapping sums are exact.
         *slot = hi.wrapping_sub(lo).wrapping_sub(gap) as u8;
     }
-    let mut times = [0u8; BYTE_BAND];
-    for (x, slot) in times.iter_mut().enumerate().take(codes) {
-        *slot = (x * codes) as u8;
+    let mut row_base = [0u8; BYTE_BAND];
+    for (x, slot) in row_base.iter_mut().enumerate().take(codes) {
+        *slot = (x % bs.per_table * codes) as u8;
     }
     let shift = _mm512_loadu_si512(SHIFT_UP.as_ptr() as *const __m512i);
     let words = match &mut out {
@@ -1110,21 +1277,21 @@ pub(super) unsafe fn byte_band_fill_avx512(
     let g = ByteGeom {
         cols,
         brev: brev.as_ptr(),
-        table: _mm512_loadu_si512(table.as_ptr() as *const __m512i),
+        lookup,
         codes: codes_v,
-        times_codes: _mm512_loadu_si512(times.as_ptr() as *const __m512i),
+        row_base: _mm512_loadu_si512(row_base.as_ptr() as *const __m512i),
         from_row: _mm512_mask_mov_epi8(shift, 1, _mm512_set1_epi8(64)),
         from_band: _mm512_mask_mov_epi8(shift, 1, _mm512_set1_epi8(127)),
         words,
     };
     match out {
         ByteOut::Edges(bottom, right) => {
-            let last = byte_sweeps::<false>(&g, a, left, gap, [src, dst], right);
+            let last = byte_sweeps::<L, false>(&g, a, left, gap, [src, dst], right);
             bottom[0] = left[rows];
             prefix_sums(last, gap, left[rows], &mut bottom[1..]);
         }
         ByteOut::Codes(_) => {
-            byte_sweeps::<true>(&g, a, left, gap, [src, dst], None);
+            byte_sweeps::<L, true>(&g, a, left, gap, [src, dst], None);
         }
     }
 }
@@ -1140,8 +1307,8 @@ pub(super) unsafe fn byte_band_fill_avx512(
 /// As for [`byte_sweep_rows`] over the whole rectangle; `src` and `dst`
 /// hold [`byte_row_len`] bytes.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn byte_sweeps<'r, const CODES: bool>(
-    g: &ByteGeom,
+unsafe fn byte_sweeps<'r, L: Lookup, const CODES: bool>(
+    g: &ByteGeom<L>,
     a: &[u8],
     left: &[i32],
     gap: i32,
@@ -1153,10 +1320,10 @@ unsafe fn byte_sweeps<'r, const CODES: bool>(
         let here = (a.len() - r0).min(MAX_BANDS * BYTE_BAND);
         let (s, d, r) = (src.as_ptr(), dst.as_mut_ptr(), right.as_deref_mut());
         match here.div_ceil(BYTE_BAND) {
-            1 => byte_sweep_rows::<1, CODES>(g, a, left, gap, (r0, here), s, d, r),
-            2 => byte_sweep_rows::<2, CODES>(g, a, left, gap, (r0, here), s, d, r),
-            3 => byte_sweep_rows::<3, CODES>(g, a, left, gap, (r0, here), s, d, r),
-            _ => byte_sweep_rows::<MAX_BANDS, CODES>(g, a, left, gap, (r0, here), s, d, r),
+            1 => byte_sweep_rows::<1, L, CODES>(g, a, left, gap, (r0, here), s, d, r),
+            2 => byte_sweep_rows::<2, L, CODES>(g, a, left, gap, (r0, here), s, d, r),
+            3 => byte_sweep_rows::<3, L, CODES>(g, a, left, gap, (r0, here), s, d, r),
+            _ => byte_sweep_rows::<MAX_BANDS, L, CODES>(g, a, left, gap, (r0, here), s, d, r),
         }
         r0 += here;
         std::mem::swap(&mut src, &mut dst);

@@ -171,9 +171,8 @@ fn extremal_scheme_at_zero_slack_does_not_wrap() {
     }
 }
 
-/// The optimal path into `head` by the `i64` recurrence, walked back
-/// under Diag ≻ Up ≻ Left to the top row or left column: the exit and the
-/// moves, last move first.
+/// The optimal path into `head` by the `i64` recurrence under the
+/// match/mismatch scores `±s` (see [`reference_trace_with`]).
 fn reference_trace(
     a: &[u8],
     b: &[u8],
@@ -181,11 +180,25 @@ fn reference_trace(
     (top, left): (&[i32], &[i32]),
     head: (usize, usize),
 ) -> ((usize, usize), Vec<Move>) {
-    let (s, g) = (i64::from(s), i64::from(g));
+    let score = |x: u8, y: u8| if x == y { s } else { -s };
+    reference_trace_with(a, b, (&score, g), (top, left), head)
+}
+
+/// The optimal path into `head` by the `i64` recurrence with scores
+/// `score` and gap `−g`, walked back under Diag ≻ Up ≻ Left to the top
+/// row or left column: the exit and the moves, last move first.
+fn reference_trace_with(
+    a: &[u8],
+    b: &[u8],
+    (score, g): (&dyn Fn(u8, u8) -> i32, i32),
+    (top, left): (&[i32], &[i32]),
+    head: (usize, usize),
+) -> ((usize, usize), Vec<Move>) {
+    let g = i64::from(g);
     let cols = b.len();
     let mut h = vec![vec![0i64; cols + 1]; a.len() + 1];
     h[0] = top.iter().map(|&v| i64::from(v)).collect();
-    let sub = |i: usize, j: usize| if a[i - 1] == b[j - 1] { s } else { -s };
+    let sub = |i: usize, j: usize| i64::from(score(a[i - 1], b[j - 1]));
     for i in 1..=a.len() {
         h[i][0] = i64::from(left[i]);
         for j in 1..=cols {
@@ -270,6 +283,103 @@ fn coded_base_cases_at_the_i8_edge_trace_like_the_i64_reference() {
             }
         }
     }
+}
+
+#[test]
+fn blosum62_at_the_i8_edge_fills_and_traces_like_the_i64_reference() {
+    // BLOSUM62 (scores in [−4, 11], 24 codes in five byte-band tables)
+    // is the byte band's up to gap −64: differences in [−64, 75] and
+    // diagonal terms in [−128, 11], table entries `S + 128` in
+    // [124, 139]. Gap −65 (2g = −130) keeps the row scan and the score
+    // matrix. Either way the bottom row and every head's traceback match
+    // the `i64` reference, at heights around the 64-row band edge, from
+    // ramps pinned at the certified envelope's offsets.
+    let vbmi = flsa_dp::detected_cpu_features().contains(&"avx512vbmi");
+    let blosum = flsa_scoring::tables::blosum62();
+    let score = |x: u8, y: u8| blosum.score(x, y);
+    let mut x = 0xb10_5e62_u64;
+    let mut random = |n: usize| -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 24) as u8
+            })
+            .collect()
+    };
+    for (g, admitted) in [(64, true), (65, false)] {
+        let scheme = ScoringScheme::new(blosum.clone(), GapModel::linear(-g));
+        for (rows, cols) in [(48, 16), (64, 40), (65, 24), (129, 31)] {
+            let (a, b) = (random(rows), random(cols));
+            let budget = offset_budget(rows, cols, 11, g);
+            for offset in [budget, -budget, 0] {
+                let (top, left) = (ramp(offset, cols, g), ramp(offset, rows, g));
+                let case = format!("gap -{g} {rows}x{cols} offset {offset}");
+                let heads: Vec<_> = (1..=cols)
+                    .map(|j| (rows, j))
+                    .chain((1..rows).map(|i| (i, cols)))
+                    .collect();
+                let want: Vec<_> = heads
+                    .iter()
+                    .map(|&head| reference_trace_with(&a, &b, (&score, g), (&top, &left), head))
+                    .collect();
+                let want_bottom = reference_bottom_with(&a, &b, (&score, g), (&top, &left));
+                for backend in KernelBackend::available() {
+                    let kernel = Kernel::try_new(backend).expect("available backend constructs");
+                    let bottom = kernel_bottom(&kernel, &a, &b, &scheme, &top, &left);
+                    let metrics = Metrics::new();
+                    let fill = kernel.fill_base_reusing(
+                        &a,
+                        &b,
+                        &top,
+                        &left,
+                        &scheme,
+                        Vec::new(),
+                        &metrics,
+                    );
+                    let coded = matches!(fill, flsa_dp::BaseFill::Codes(_));
+                    let want_coded = admitted && vbmi && backend == KernelBackend::Avx512;
+                    assert_eq!(coded, want_coded, "{case} {backend}: coded");
+                    for (&head, want) in heads.iter().zip(&want) {
+                        let mut out = PathBuilder::new();
+                        let exit = fill.trace(&a, &b, &scheme, head, &mut out, &metrics);
+                        assert_eq!(
+                            (exit, out.rev_moves().to_vec()),
+                            *want,
+                            "{case} {backend} from {head:?}"
+                        );
+                    }
+                    for (j, &w) in want_bottom.iter().enumerate() {
+                        let w32 = i32::try_from(w).expect("certified envelope keeps cells in i32");
+                        assert_eq!(bottom[j], w32, "{case} {backend}: bottom column {j}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The bottom row of the `i64` recurrence with scores `score` and gap
+/// `−g`.
+fn reference_bottom_with(
+    a: &[u8],
+    b: &[u8],
+    (score, g): (&dyn Fn(u8, u8) -> i32, i32),
+    (top, left): (&[i32], &[i32]),
+) -> Vec<i64> {
+    let g = i64::from(g);
+    let mut prev: Vec<i64> = top.iter().map(|&v| i64::from(v)).collect();
+    let mut cur = vec![0i64; b.len() + 1];
+    for i in 1..=a.len() {
+        cur[0] = i64::from(left[i]);
+        for j in 1..=b.len() {
+            let sub = i64::from(score(a[i - 1], b[j - 1]));
+            cur[j] = (prev[j - 1] + sub).max(prev[j] - g).max(cur[j - 1] - g);
+        }
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    prev
 }
 
 #[test]

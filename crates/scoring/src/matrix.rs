@@ -79,6 +79,12 @@ impl SubstitutionMatrix {
         &self.alphabet
     }
 
+    /// The row-major table of `alphabet.len()²` scores: `score(a, b)` at
+    /// `a·len + b`.
+    pub fn table(&self) -> &[i32] {
+        &self.table
+    }
+
     /// Similarity score of two residue codes.
     ///
     /// This is the innermost call of every DP kernel, hence `#[inline]` and

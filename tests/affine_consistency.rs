@@ -472,3 +472,29 @@ fn one_base_case_tracks_exactly_three_lined_layers() {
         );
     }
 }
+
+/// A pair that splits reserves a lined layer of its first split's
+/// largest block per affine layer, not `BM`: that block bounds every base
+/// case below it. Here each block fits `BM`, so the run tracks exactly
+/// that reservation plus the root grid's two-layer lines.
+#[test]
+fn a_splitting_pair_reserves_its_largest_block_not_bm() {
+    use fastlsa::dp::ScoreMatrix;
+
+    let scheme = ScoringScheme::new(tables::blosum62(), GapModel::affine(-11, -1));
+    let (a, b) = generate::homologous_pair("t", &Alphabet::protein(), 1500, 0.8, 5).unwrap();
+    let (m, n, k) = (a.len(), b.len(), 4);
+    let bm = 1 << 20;
+    assert!((m + 1) * (n + 1) > bm, "{m}x{n} must split");
+    let metrics = Metrics::new();
+    let r = align_affine(&a, &b, &scheme, FastLsaConfig::new(k, bm), &metrics).unwrap();
+    assert_eq!(r.score, gotoh(&a, &b, &scheme, &Metrics::new()).score);
+    let block = ScoreMatrix::lined_len(m.div_ceil(k), n.div_ceil(k));
+    assert!(block < bm);
+    let grid = 2 * (k - 1) * ((n + 1) + (m + 1));
+    assert_eq!(
+        metrics.snapshot().peak_bytes,
+        ((3 * block + grid) * std::mem::size_of::<i32>()) as u64,
+        "{m}x{n}"
+    );
+}

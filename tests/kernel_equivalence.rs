@@ -5,10 +5,10 @@
 //! This is the contract that makes backend selection transparent: a run
 //! on AVX2 and a run on a scalar-only machine must produce byte-identical
 //! output. The SIMD kernels use an exact algebraic reformulation of the
-//! recurrence (prefix-max scan) or, on AVX-512 for DNA, anti-diagonal
-//! bands over the same i32 sums or over byte score differences whose
-//! prefix sums are the exact edges, so equality here is integer
-//! equality, not approximation.
+//! recurrence (prefix-max scan) or, on AVX-512, anti-diagonal bands over
+//! the same i32 sums (DNA) or over byte score differences whose prefix
+//! sums are the exact edges (DNA and protein), so equality here is
+//! integer equality, not approximation.
 //!
 //! The affine (Gotoh) fills are under it too: [`Kernel::fill_affine_edges_in`]
 //! and [`Kernel::fill_affine_full_reusing`] must reproduce the scalar
@@ -229,9 +229,22 @@ fn cut_boundary(
     cols: usize,
 ) -> (Vec<u8>, Vec<u8>, Boundary) {
     let codes = scheme.matrix().alphabet().len() as u8;
+    cut_boundary_with(rng, scheme, rows, cols, |rng, len| {
+        random_codes(rng, len, codes)
+    })
+}
+
+/// [`cut_boundary`] with the larger pair's codes drawn by `draw`.
+fn cut_boundary_with(
+    rng: &mut Rng,
+    scheme: &ScoringScheme,
+    rows: usize,
+    cols: usize,
+    draw: impl Fn(&mut Rng, usize) -> Vec<u8>,
+) -> (Vec<u8>, Vec<u8>, Boundary) {
     let (above, before) = (rng.below(48) as usize, rng.below(48) as usize);
-    let outer_a = random_codes(rng, above + rows, codes);
-    let outer_b = random_codes(rng, before + cols, codes);
+    let outer_a = draw(rng, above + rows);
+    let outer_b = draw(rng, before + cols);
     let global = Boundary::global(outer_a.len(), outer_b.len(), scheme.gap().linear_penalty());
     let m = fill_full(
         &outer_a,
@@ -422,6 +435,133 @@ fn coded_base_cases_trace_like_the_row_scan_matrix() {
         let (a, b, cut) = cut_boundary(&mut rng, &dna, rows, cols);
         let case = format!("small {rows}x{cols}");
         assert_base_case_traces_match_scalar(&case, &dna, &a, &b, &cut, false);
+    }
+}
+
+/// Protein schemes for the byte band: BLOSUM62 and PAM250, whose 24
+/// codes take five score tables of `R = 5` row letters each. Every score
+/// lies at or above `2g`, so base cases keep traceback codes.
+fn protein_band_schemes() -> Vec<ScoringScheme> {
+    vec![
+        ScoringScheme::protein_default(),
+        ScoringScheme::new(tables::pam250(), GapModel::linear(-10)),
+        ScoringScheme::new(tables::blosum62(), GapModel::linear(-4)),
+        ScoringScheme::new(tables::pam250(), GapModel::linear(-8)),
+    ]
+}
+
+/// Codes for the protein byte band's oracle: all 24 codes (`B`, `Z`, `X`
+/// and `*` included), the first 24 entries running through every code
+/// once, or with `table_edges` only the first and last row letter of each
+/// of its five score tables (codes 0, 4, 5, 9, …, 20, 23), where a lookup
+/// that crossed into a neighbouring table would show.
+fn protein_codes(rng: &mut Rng, len: usize, table_edges: bool) -> Vec<u8> {
+    const EDGES: [u8; 10] = [0, 4, 5, 9, 10, 14, 15, 19, 20, 23];
+    if table_edges {
+        return (0..len).map(|_| EDGES[rng.below(10) as usize]).collect();
+    }
+    let mut codes = random_codes(rng, len, 24);
+    for (slot, code) in codes.iter_mut().zip(0..24) {
+        *slot = code;
+    }
+    codes
+}
+
+/// The protein shapes the byte band's oracle runs: heights 48 and around
+/// each 64-row band edge (one to four bands, and at 257 the hand-off
+/// between sweeps) at widths 16–70, and each height again a few hundred
+/// wide.
+fn protein_shapes(rng: &mut Rng) -> Vec<(usize, usize)> {
+    let heights = [48, 63, 64, 65, 127, 128, 129, 255, 256, 257];
+    let wide: Vec<usize> = heights
+        .iter()
+        .map(|_| 100 + rng.below(300) as usize)
+        .collect();
+    (16..=70)
+        .map(|cols| (heights[cols % heights.len()], cols))
+        .chain(heights.into_iter().zip(wide))
+        .collect()
+}
+
+#[test]
+fn protein_byte_band_edges_match_scalar() {
+    // AVX-512 with VBMI fills BLOSUM62 and PAM250 blocks of at least 48
+    // rows on the byte band, looking each step's scores up in five
+    // two-register tables (four where no row letter lies past `V`). Real
+    // DP boundaries (the ramp and a cut from a larger global fill) are
+    // in its range; an arbitrary boundary steps below the gap and keeps
+    // the row scan. Gap −1 clamps the tables' low entries at 0, which
+    // the edges tolerate, so it runs on the band too.
+    let mut rng = Rng::new(0x9a7e);
+    let mut schemes = protein_band_schemes();
+    schemes.push(ScoringScheme::new(tables::blosum62(), GapModel::linear(-1)));
+    for (n, (rows, cols)) in protein_shapes(&mut rng).into_iter().enumerate() {
+        let scheme = &schemes[n % schemes.len()];
+        let gap = scheme.gap().linear_penalty();
+        let edges = n % 3 == 0;
+        let case = format!(
+            "{} gap {gap} {rows}x{cols} table edges {edges}",
+            scheme.matrix().name()
+        );
+        let a = protein_codes(&mut rng, rows, edges);
+        let b = protein_codes(&mut rng, cols, false);
+        let ramp = Boundary::global(rows, cols, gap);
+        assert_edges_match_scalar(&format!("{case} ramp"), scheme, &a, &b, &ramp);
+        let draw = |rng: &mut Rng, len| protein_codes(rng, len, edges);
+        let (a, b, cut) = cut_boundary_with(&mut rng, scheme, rows, cols, draw);
+        assert_edges_match_scalar(&format!("{case} cut"), scheme, &a, &b, &cut);
+        let arbitrary = random_boundary(&mut rng, rows, cols);
+        assert_edges_match_scalar(&format!("{case} arbitrary"), scheme, &a, &b, &arbitrary);
+    }
+}
+
+#[test]
+fn protein_coded_base_cases_trace_like_the_row_scan_matrix() {
+    // BLOSUM62 and PAM250 base cases of at least 48 rows keep the byte
+    // band's traceback codes on AVX-512 with VBMI, in the Base Case
+    // buffer as an earlier base case left it, and trace back from every
+    // head like `trace_from` on the scalar matrix.
+    let mut rng = Rng::new(0x7e1a);
+    let schemes = protein_band_schemes();
+    for (n, (rows, cols)) in protein_shapes(&mut rng).into_iter().enumerate() {
+        let scheme = &schemes[n % schemes.len()];
+        let gap = scheme.gap().linear_penalty();
+        let edges = n % 3 == 0;
+        let case = format!(
+            "{} gap {gap} {rows}x{cols} table edges {edges}",
+            scheme.matrix().name()
+        );
+        let a = protein_codes(&mut rng, rows, edges);
+        let b = protein_codes(&mut rng, cols, false);
+        let ramp = Boundary::global(rows, cols, gap);
+        assert_base_case_traces_match_scalar(&format!("{case} ramp"), scheme, &a, &b, &ramp, true);
+        let draw = |rng: &mut Rng, len| protein_codes(rng, len, edges);
+        let (a, b, cut) = cut_boundary_with(&mut rng, scheme, rows, cols, draw);
+        assert_base_case_traces_match_scalar(&format!("{case} cut"), scheme, &a, &b, &cut, true);
+    }
+
+    // Fallbacks to the score matrix, which must still trace the same:
+    // gap −1, whose low BLOSUM62 entries clamp at 0; a boundary stepping
+    // below the gap; blocks under 48 rows.
+    let clamped = ScoringScheme::new(tables::blosum62(), GapModel::linear(-1));
+    for (rows, cols) in [(48, 16), (65, 70), (129, 200)] {
+        let (a, b, cut) = cut_boundary(&mut rng, &clamped, rows, cols);
+        let case = format!("clamped protein {rows}x{cols}");
+        assert_base_case_traces_match_scalar(&case, &clamped, &a, &b, &cut, false);
+    }
+    let blosum = ScoringScheme::protein_default();
+    for (rows, cols) in [(48, 40), (130, 90)] {
+        let a = protein_codes(&mut rng, rows, false);
+        let b = protein_codes(&mut rng, cols, false);
+        let mut steep = Boundary::global(rows, cols, -10);
+        steep.left[rows / 2] -= 1;
+        let case = format!("out-of-range protein {rows}x{cols}");
+        assert_base_case_traces_match_scalar(&case, &blosum, &a, &b, &steep, false);
+    }
+    for (rows, cols) in [(47, 100), (20, 300)] {
+        let (a, b, cut) = cut_boundary(&mut rng, &blosum, rows, cols);
+        let case = format!("small protein {rows}x{cols}");
+        assert_base_case_traces_match_scalar(&case, &blosum, &a, &b, &cut, false);
     }
 }
 
